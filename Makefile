@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify chaos serve-smoke serve-chaos bench bench-tableau bench-classify bench-sched bench-async bench-query
+.PHONY: build test verify chaos serve-smoke serve-chaos bench bench-tableau bench-classify bench-sched bench-query
 
 build:
 	$(GO) build ./...
@@ -48,19 +48,13 @@ bench-tableau:
 bench-classify:
 	sh scripts/bench_classify.sh
 
-# Scheduler-policy benchmark (all four pool policies on a skewed corpus,
-# real per-test durations), written to BENCH_sched.json. Uses the same
-# scripts/corpus.sh ontology as `make chaos`; compares against the
-# previous run via benchstat when available.
+# Scheduler benchmark (round-robin vs async at 2, 4 and 8 workers on a
+# skewed corpus, real per-test durations: wall clock, plug-in tests,
+# per-worker wait, imbalance, steals), written to BENCH_sched.json. Uses
+# the same scripts/corpus.sh ontology as `make chaos`; compares against
+# the previous run via benchstat when available.
 bench-sched:
 	sh scripts/bench_sched.sh
-
-# Barrier-free scheduler benchmark (async vs work-stealing at 8 workers
-# on a skewed corpus, real per-test durations: wall clock, plug-in test
-# count, per-worker wait), written to BENCH_async.json; compares against
-# the previous run via benchstat when available.
-bench-async:
-	sh scripts/bench_async.sh
 
 # Taxonomy query benchmark (bit-matrix kernel vs pointer-DAG lookups on
 # full-size corpora, answers verified identical), written to

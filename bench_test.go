@@ -4,12 +4,13 @@ package parowl
 // scale (testing.B needs sub-second iterations; cmd/benchfig produces the
 // full series). One benchmark per table/figure, plus ablations of the
 // design choices DESIGN.md calls out: basic vs optimized mode (Sec. IV
-// pruning), round-robin vs work-sharing scheduling, and the plug-in
+// pruning), round-robin vs async scheduling, and the plug-in
 // reasoners against each other and the sequential baselines.
 //
 // Run: go test -bench=. -benchmem
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -157,7 +158,7 @@ func BenchmarkClassifyWorkers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	elr.Saturate()
+	_ = elr.SaturateContext(context.Background())
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
@@ -193,11 +194,11 @@ func BenchmarkModeAblation(b *testing.B) {
 }
 
 // BenchmarkSchedulingAblation compares round-robin (the paper's policy)
-// against work-sharing dispatch.
+// against barrier-free async dispatch.
 func BenchmarkSchedulingAblation(b *testing.B) {
 	tb := benchCorpus(b, "obo.PREVIOUS", 8)
 	oracle := reasoner.NewOracle(tb, reasoner.OracleOptions{})
-	for _, sched := range []core.Scheduling{core.RoundRobin, core.WorkSharing} {
+	for _, sched := range []core.Scheduling{core.RoundRobin, core.Async} {
 		b.Run(sched.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -223,7 +224,7 @@ func BenchmarkTableauSubsumption(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sup := named[i%len(named)]
 		sub := named[(i*7+3)%len(named)]
-		if _, err := tab.Subsumes(sup, sub); err != nil {
+		if _, err := tab.Subs(context.Background(), sup, sub); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -240,14 +241,14 @@ func BenchmarkTableauSatReuse(b *testing.B) {
 	// Warm the pool so the steady state, not first-use arena growth, is
 	// what gets measured.
 	for _, c := range named[:16] {
-		if _, err := tab.IsSatisfiable(c); err != nil {
+		if _, err := tab.Sat(context.Background(), c); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tab.IsSatisfiable(named[i%len(named)]); err != nil {
+		if _, err := tab.Sat(context.Background(), named[i%len(named)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -269,7 +270,7 @@ func BenchmarkELSaturation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r.Saturate()
+		_ = r.SaturateContext(context.Background())
 	}
 }
 
@@ -343,7 +344,7 @@ func BenchmarkELKStyleVsFramework(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r.Saturate()
+		_ = r.SaturateContext(context.Background())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -363,7 +364,7 @@ func BenchmarkOracleLookup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := oracle.Subsumes(named[i%len(named)], named[(i+1)%len(named)]); err != nil {
+		if _, err := oracle.Subs(context.Background(), named[i%len(named)], named[(i+1)%len(named)]); err != nil {
 			b.Fatal(err)
 		}
 	}

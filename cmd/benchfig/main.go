@@ -47,7 +47,7 @@ import (
 )
 
 var (
-	expFlag     = flag.String("exp", "all", "experiment: table4|table5|fig9a|fig9b|fig9c|fig10a|fig10b|fig11|balance|future|tableau|classify|sched|async|query|all")
+	expFlag     = flag.String("exp", "all", "experiment: table4|table5|fig9a|fig9b|fig9c|fig10a|fig10b|fig11|balance|future|tableau|classify|sched|query|all")
 	seedFlag    = flag.Int64("seed", 1, "corpus generation and shuffle seed")
 	scaleFlag   = flag.Int("scale", 4, "divide corpus sizes by this factor (1 = full size)")
 	cyclesFlag  = flag.Int("cycles", 2, "random-division cycles for speedup runs")
@@ -62,13 +62,8 @@ var (
 
 	schedOut     = flag.String("schedout", "BENCH_sched.json", "output path for the -exp sched results")
 	schedScale   = flag.Int("schedscale", 12, "corpus scale divisor for -exp sched")
-	schedWorkers = flag.Int("schedworkers", 8, "worker count for -exp sched")
+	schedWorkers = flag.String("schedworkers", "2,4,8", "comma-separated worker counts for -exp sched")
 	schedCorpus  = flag.String("schedcorpus", "", "classify this ontology file for -exp sched instead of a generated profile (see scripts/corpus.sh)")
-
-	asyncOut     = flag.String("asyncout", "BENCH_async.json", "output path for the -exp async results")
-	asyncScale   = flag.Int("asyncscale", 12, "corpus scale divisor for -exp async")
-	asyncWorkers = flag.Int("asyncworkers", 8, "worker count for -exp async")
-	asyncCorpus  = flag.String("asynccorpus", "", "classify this ontology file for -exp async instead of a generated profile")
 )
 
 func main() {
@@ -90,7 +85,6 @@ func main() {
 		"tableau":  tableauHot,    // not part of "all": hot-path microbenchmarks
 		"classify": classifyBench, // not part of "all": real end-to-end reasoning
 		"sched":    schedBench,    // not part of "all": wall-clock scheduler comparison
-		"async":    asyncBench,    // not part of "all": barrier-free vs workstealing
 		"query":    queryBench,    // not part of "all": kernel-vs-DAG query latency
 	}
 	order := []string{"table4", "table5", "fig9a", "fig9b", "fig9c", "fig10a", "fig10b", "fig11", "balance"}
@@ -419,24 +413,6 @@ func balance() error {
 		return s / float64(len(xs))
 	}
 	fmt.Printf("mean imbalance: random=%.3f group=%.3f\n", avg(rnd), avg(grp))
-
-	// The paper's future work asks for better balance between the two
-	// phases; splitting oversized phase-2 groups (Options.MaxGroupSize)
-	// is the remedy this repository implements.
-	res2, err := core.Classify(tb, core.Options{
-		Reasoner: oracle, Workers: 10, RandomCycles: 3,
-		Seed: *seedFlag, CollectTrace: true, MaxGroupSize: 64,
-	})
-	if err != nil {
-		return err
-	}
-	var grp2 []float64
-	for _, c := range res2.Trace.Cycles {
-		if c.Phase == core.PhaseGroup && len(c.Tasks) > 0 {
-			grp2 = append(grp2, c.Imbalance())
-		}
-	}
-	fmt.Printf("group phase with MaxGroupSize=64: imbalance=%.3f (was %.3f)\n", avg(grp2), avg(grp))
 	return nil
 }
 
@@ -741,8 +717,8 @@ func classifyBench() error {
 // costs factor× the base (twice over when both ends are hard). Unlike
 // reasoner.HeavyTailCost, whose expensive pairs are scattered randomly,
 // the skew here follows concepts — past test durations predict future
-// ones, which is both the signal the WorkStealing hardness EWMA feeds on
-// and the shape the paper attributes to high-QCR ontologies (a few
+// ones, which is both the signal Async's hardness EWMAs feed on and the
+// shape the paper attributes to high-QCR ontologies (a few
 // concepts cause all the expensive tests, Sec. V-B).
 func schedSkewCost(base time.Duration, prob, factor float64, seed uint64) reasoner.CostModel {
 	threshold := uint64(prob * float64(^uint64(0)))
@@ -765,32 +741,49 @@ func schedSkewCost(base time.Duration, prob, factor float64, seed uint64) reason
 	}
 }
 
-// schedRun is one policy's row in BENCH_sched.json.
+// schedRun is one (workers, policy) row in BENCH_sched.json, averaged
+// over the repeats.
 type schedRun struct {
+	Workers           int     `json:"workers"`
 	Policy            string  `json:"policy"`
 	WallMS            float64 `json:"wall_ms"`
+	Tests             int64   `json:"plugin_tests"`
+	WaitPerWorkerMS   float64 `json:"wait_per_worker_ms"`
 	Imbalance         float64 `json:"imbalance_max_over_mean"`
 	Steals            int64   `json:"steals"`
 	SpeedupVsRR       float64 `json:"speedup_vs_roundrobin"`
 	TaxonomyIdentical bool    `json:"taxonomy_identical"`
 }
 
-// schedBench compares the four pool scheduling policies on a skewed
-// corpus with real (slept) per-test durations: the oracle plug-in runs in
-// RealTime mode under a concept-correlated heavy-tail cost model, so the
-// pool's assignment decisions — not the reasoner — determine the
-// makespan. Reports wall clock, max/mean worker-load imbalance, and steal
-// counts per policy, checks taxonomies stay byte-identical, and writes
-// BENCH_sched.json plus a benchstat-format twin (compare successive
-// commits with scripts/bench_sched.sh).
+// schedBench compares the two pool scheduling policies — RoundRobin, the
+// paper's, and the barrier-free Async — on a skewed corpus with real
+// (slept) per-test durations: the oracle plug-in runs in RealTime mode
+// under a concept-correlated heavy-tail cost model, so the pool's
+// assignment decisions, not the reasoner, determine the makespan. For
+// each -schedworkers count it reports wall clock, plug-in tests, time
+// each worker spent parked, max/mean worker-load imbalance and steals,
+// checks every taxonomy is byte-identical to the first round-robin one,
+// and writes BENCH_sched.json plus a benchstat-format twin (compare
+// successive commits with scripts/bench_sched.sh).
 func schedBench() error {
+	var workerCounts []int
+	for _, f := range strings.Split(*schedWorkers, ",") {
+		w, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || w < 1 {
+			return fmt.Errorf("bad -schedworkers entry %q", f)
+		}
+		workerCounts = append(workerCounts, w)
+	}
 	var (
 		tb  *dl.TBox
 		err error
 	)
 	corpusName := *schedCorpus
 	if corpusName != "" {
-		tb, err = parowl.LoadFile(corpusName)
+		var o *parowl.Ontology
+		if o, err = parowl.NewEngine().LoadFile(corpusName); err == nil {
+			tb = o.TBox()
+		}
 	} else {
 		var p ontogen.Profile
 		p, ok := ontogen.ByName("ncitations_functional")
@@ -806,7 +799,7 @@ func schedBench() error {
 	if err != nil {
 		return err
 	}
-	// ~5% hard concepts at 40× the 40µs base: a handful of tasks carry
+	// ~5% hard concepts at 60× the 40µs base: a handful of tasks carry
 	// most of the runtime, the regime where static round-robin straggles.
 	oracle := reasoner.NewOracle(tb, reasoner.OracleOptions{
 		SubsCost: schedSkewCost(40*time.Microsecond, 0.05, 60, uint64(*seedFlag)),
@@ -817,80 +810,71 @@ func schedBench() error {
 	if repeats < 1 {
 		repeats = 1
 	}
-	policies := []core.Scheduling{core.RoundRobin, core.WorkSharing, core.WorkStealing, core.Async}
-	fmt.Printf("sched: %s (%d concepts), %d workers, %d repeats, skewed real-time tests\n",
-		corpusName, tb.NumNamed(), *schedWorkers, repeats)
-	fmt.Printf("  %-14s %12s %12s %10s %12s\n", "policy", "wall", "imbalance", "steals", "vs roundrobin")
+	fmt.Printf("sched: %s (%d concepts), %d repeats, skewed real-time tests\n",
+		corpusName, tb.NumNamed(), repeats)
+	fmt.Printf("  %7s %-11s %12s %8s %12s %10s %7s %7s\n",
+		"workers", "policy", "wall", "tests", "wait/worker", "imbalance", "steals", "vs rr")
 	var (
 		rows    []schedRun
-		rrWall  float64
 		wantTax string
 	)
-	for _, sched := range policies {
-		var wall time.Duration
-		var imbalance float64
-		var row schedRun
-		row.Policy = sched.String()
-		for rep := 0; rep < repeats; rep++ {
-			start := time.Now()
-			res, err := core.Classify(tb, core.Options{
-				Reasoner: oracle, Workers: *schedWorkers, RandomCycles: 1,
-				Seed: *seedFlag + int64(rep), Scheduling: sched, CollectTrace: true,
-			})
-			if err != nil {
-				return fmt.Errorf("%v: %w", sched, err)
-			}
-			wall += time.Since(start)
-			imbalance += res.Trace.OverallImbalance()
-			row.Steals += res.Stats.Steals
-			if rep == 0 {
+	for _, w := range workerCounts {
+		var rrWall float64
+		for _, sched := range []core.Scheduling{core.RoundRobin, core.Async} {
+			row := schedRun{Workers: w, Policy: sched.String(), TaxonomyIdentical: true}
+			var wall, wait time.Duration
+			for rep := 0; rep < repeats; rep++ {
+				start := time.Now()
+				res, err := core.Classify(tb, core.Options{
+					Reasoner: oracle, Workers: w, RandomCycles: 1,
+					Seed: *seedFlag + int64(rep), Scheduling: sched, CollectTrace: true,
+				})
+				if err != nil {
+					return fmt.Errorf("%v at %d workers: %w", sched, w, err)
+				}
+				wall += time.Since(start)
+				wait += res.Trace.TotalWait()
+				row.Imbalance += res.Trace.OverallImbalance()
+				row.Tests += res.Stats.SatTests + res.Stats.SubsTests
+				row.Steals += res.Stats.Steals
 				tax := res.Taxonomy.Render()
 				if wantTax == "" {
 					wantTax = tax
 				}
-				row.TaxonomyIdentical = tax == wantTax
+				row.TaxonomyIdentical = row.TaxonomyIdentical && tax == wantTax
+			}
+			n := float64(repeats)
+			row.WallMS = float64(wall) / n / 1e6
+			row.WaitPerWorkerMS = float64(wait) / n / float64(w) / 1e6
+			row.Imbalance /= n
+			row.Tests /= int64(repeats)
+			row.Steals /= int64(repeats)
+			if sched == core.RoundRobin {
+				rrWall = row.WallMS
+			}
+			row.SpeedupVsRR = rrWall / row.WallMS
+			rows = append(rows, row)
+			fmt.Printf("  %7d %-11s %10.1fms %8d %10.1fms %10.2f %7d %6.2fx\n",
+				w, row.Policy, row.WallMS, row.Tests, row.WaitPerWorkerMS, row.Imbalance, row.Steals, row.SpeedupVsRR)
+			if !row.TaxonomyIdentical {
+				return fmt.Errorf("%v at %d workers: taxonomy differs from roundrobin", sched, w)
 			}
 		}
-		row.WallMS = float64(wall) / float64(repeats) / 1e6
-		row.Imbalance = imbalance / float64(repeats)
-		row.Steals /= int64(repeats)
-		if sched == core.RoundRobin {
-			rrWall = row.WallMS
-		}
-		if rrWall > 0 {
-			row.SpeedupVsRR = rrWall / row.WallMS
-		}
-		rows = append(rows, row)
-		fmt.Printf("  %-14s %10.1fms %12.2f %10d %11.2fx\n",
-			row.Policy, row.WallMS, row.Imbalance, row.Steals, row.SpeedupVsRR)
-		if !row.TaxonomyIdentical {
-			return fmt.Errorf("%v: taxonomy differs from roundrobin", sched)
-		}
-	}
-	var wsRow schedRun
-	for _, r := range rows {
-		if r.Policy == core.WorkStealing.String() {
-			wsRow = r
-		}
-	}
-	gainPct := 100 * (1 - wsRow.WallMS/rrWall)
-	fmt.Printf("  workstealing vs roundrobin: %.1f%% wall-clock reduction, imbalance %.2f -> %.2f\n",
-		gainPct, rows[0].Imbalance, wsRow.Imbalance)
-	if gainPct < 15 {
-		fmt.Printf("  WARNING: below the 15%% acceptance bar\n")
 	}
 
 	report := struct {
-		Corpus   string     `json:"corpus"`
-		Concepts int        `json:"concepts"`
-		Workers  int        `json:"workers"`
-		Repeats  int        `json:"repeats"`
-		Seed     int64      `json:"seed"`
-		GainPct  float64    `json:"workstealing_vs_roundrobin_pct"`
-		Policies []schedRun `json:"policies"`
+		Corpus     string     `json:"corpus"`
+		Concepts   int        `json:"concepts"`
+		Repeats    int        `json:"repeats"`
+		Seed       int64      `json:"seed"`
+		CPUs       int        `json:"host_cpus"`
+		GOMAXPROCS int        `json:"host_gomaxprocs"`
+		GoVersion  string     `json:"host_go"`
+		Runs       []schedRun `json:"runs"`
 	}{
-		Corpus: corpusName, Concepts: tb.NumNamed(), Workers: *schedWorkers,
-		Repeats: repeats, Seed: *seedFlag, GainPct: gainPct, Policies: rows,
+		Corpus: corpusName, Concepts: tb.NumNamed(), Repeats: repeats, Seed: *seedFlag,
+		CPUs: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version(),
+		Runs: rows,
 	}
 	buf, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -902,158 +886,13 @@ func schedBench() error {
 	benchPath := strings.TrimSuffix(*schedOut, ".json") + ".bench"
 	var bench strings.Builder
 	for _, r := range rows {
-		fmt.Fprintf(&bench, "BenchmarkSched/policy=%s 1 %.0f ns/op %d steals %.3f imbalance\n",
-			r.Policy, r.WallMS*1e6, r.Steals, r.Imbalance)
+		fmt.Fprintf(&bench, "BenchmarkSched/workers=%d/policy=%s 1 %.0f ns/op %d tests %.0f wait-ns/worker %.3f imbalance %d steals\n",
+			r.Workers, r.Policy, r.WallMS*1e6, r.Tests, r.WaitPerWorkerMS*1e6, r.Imbalance, r.Steals)
 	}
 	if err := os.WriteFile(benchPath, []byte(bench.String()), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s and %s\n", *schedOut, benchPath)
-	return nil
-}
-
-// asyncRun is one policy's row in BENCH_async.json.
-type asyncRun struct {
-	Policy            string  `json:"policy"`
-	WallMS            float64 `json:"wall_ms"`
-	Tests             int64   `json:"plugin_tests"`
-	TotalWaitMS       float64 `json:"total_wait_ms"`
-	MeanWaitPerWorker float64 `json:"mean_wait_per_worker_ms"`
-	Imbalance         float64 `json:"imbalance_max_over_mean"`
-	TaxonomyIdentical bool    `json:"taxonomy_identical"`
-}
-
-// asyncBench compares the barrier-free Async policy against WorkStealing
-// (its barrier-mode twin on the same deques) on the skewed real-time
-// corpus of -exp sched. Three claims are measured: the total plug-in test
-// count (async's bounded waves are cut from live state already thinned by
-// earlier pruning, so work a barrier cycle would dispatch is never
-// submitted), the per-worker parked time (no rendezvous, no straggler
-// tail), and wall clock. Taxonomies must stay byte-identical — the
-// stale-K reads only ever prune, never settle. Writes BENCH_async.json
-// plus a benchstat twin (rotate with scripts/bench_async.sh).
-func asyncBench() error {
-	var (
-		tb  *dl.TBox
-		err error
-	)
-	corpusName := *asyncCorpus
-	if corpusName != "" {
-		tb, err = parowl.LoadFile(corpusName)
-	} else {
-		p, ok := ontogen.ByName("ncitations_functional")
-		if !ok {
-			return fmt.Errorf("ncitations profile missing")
-		}
-		if *asyncScale > 1 {
-			p = ontogen.Mini(p, *asyncScale)
-		}
-		corpusName = p.Name
-		tb, err = p.Generate(*seedFlag)
-	}
-	if err != nil {
-		return err
-	}
-	oracle := reasoner.NewOracle(tb, reasoner.OracleOptions{
-		SubsCost: schedSkewCost(40*time.Microsecond, 0.05, 60, uint64(*seedFlag)),
-		SatCost:  20 * time.Microsecond,
-		RealTime: true,
-	})
-	repeats := *repeatsFlag
-	if repeats < 1 {
-		repeats = 1
-	}
-	fmt.Printf("async: %s (%d concepts), %d workers, %d repeats, skewed real-time tests\n",
-		corpusName, tb.NumNamed(), *asyncWorkers, repeats)
-	fmt.Printf("  %-14s %12s %10s %14s %12s\n", "policy", "wall", "tests", "wait/worker", "imbalance")
-	var (
-		rows    []asyncRun
-		wantTax string
-	)
-	for _, sched := range []core.Scheduling{core.WorkStealing, core.Async} {
-		var row asyncRun
-		row.Policy = sched.String()
-		var wall, wait time.Duration
-		var imbalance float64
-		for rep := 0; rep < repeats; rep++ {
-			start := time.Now()
-			res, err := core.Classify(tb, core.Options{
-				Reasoner: oracle, Workers: *asyncWorkers, RandomCycles: 2,
-				Seed: *seedFlag + int64(rep), Scheduling: sched, CollectTrace: true,
-			})
-			if err != nil {
-				return fmt.Errorf("%v: %w", sched, err)
-			}
-			wall += time.Since(start)
-			wait += res.Trace.TotalWait()
-			imbalance += res.Trace.OverallImbalance()
-			row.Tests += res.Stats.SubsTests + res.Stats.SatTests
-			if rep == 0 {
-				tax := res.Taxonomy.Render()
-				if wantTax == "" {
-					wantTax = tax
-				}
-				row.TaxonomyIdentical = tax == wantTax
-			}
-		}
-		row.WallMS = float64(wall) / float64(repeats) / 1e6
-		row.TotalWaitMS = float64(wait) / float64(repeats) / 1e6
-		row.MeanWaitPerWorker = row.TotalWaitMS / float64(*asyncWorkers)
-		row.Imbalance = imbalance / float64(repeats)
-		row.Tests /= int64(repeats)
-		rows = append(rows, row)
-		fmt.Printf("  %-14s %10.1fms %10d %12.1fms %12.2f\n",
-			row.Policy, row.WallMS, row.Tests, row.MeanWaitPerWorker, row.Imbalance)
-		if !row.TaxonomyIdentical {
-			return fmt.Errorf("%v: taxonomy differs from workstealing", sched)
-		}
-	}
-	ws, as := rows[0], rows[1]
-	testDeltaPct := 100 * (1 - float64(as.Tests)/float64(ws.Tests))
-	waitDeltaPct := 100 * (1 - as.TotalWaitMS/ws.TotalWaitMS)
-	wallDeltaPct := 100 * (1 - as.WallMS/ws.WallMS)
-	fmt.Printf("  async vs workstealing: tests %.1f%% fewer, wait %.1f%% less, wall %+.1f%%\n",
-		testDeltaPct, waitDeltaPct, wallDeltaPct)
-	if as.Tests > ws.Tests {
-		fmt.Printf("  WARNING: async dispatched more plug-in tests than workstealing\n")
-	}
-	if as.TotalWaitMS > ws.TotalWaitMS {
-		fmt.Printf("  WARNING: async workers waited longer than workstealing workers\n")
-	}
-
-	report := struct {
-		Corpus       string     `json:"corpus"`
-		Concepts     int        `json:"concepts"`
-		Workers      int        `json:"workers"`
-		Repeats      int        `json:"repeats"`
-		Seed         int64      `json:"seed"`
-		TestDeltaPct float64    `json:"async_tests_vs_workstealing_pct"`
-		WaitDeltaPct float64    `json:"async_wait_vs_workstealing_pct"`
-		WallDeltaPct float64    `json:"async_wall_vs_workstealing_pct"`
-		Policies     []asyncRun `json:"policies"`
-	}{
-		Corpus: corpusName, Concepts: tb.NumNamed(), Workers: *asyncWorkers,
-		Repeats: repeats, Seed: *seedFlag,
-		TestDeltaPct: testDeltaPct, WaitDeltaPct: waitDeltaPct, WallDeltaPct: wallDeltaPct,
-		Policies: rows,
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*asyncOut, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	benchPath := strings.TrimSuffix(*asyncOut, ".json") + ".bench"
-	var bench strings.Builder
-	for _, r := range rows {
-		fmt.Fprintf(&bench, "BenchmarkAsync/policy=%s 1 %.0f ns/op %d tests %.0f wait-ns %.3f imbalance\n",
-			r.Policy, r.WallMS*1e6, r.Tests, r.TotalWaitMS*1e6, r.Imbalance)
-	}
-	if err := os.WriteFile(benchPath, []byte(bench.String()), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s and %s\n", *asyncOut, benchPath)
 	return nil
 }
 

@@ -48,12 +48,13 @@ func run() error {
 	}
 
 	var (
-		tbox *parowl.TBox
-		err  error
+		ont *parowl.Ontology
+		err error
 	)
+	eng := parowl.NewEngine()
 	switch {
 	case *inFlag != "":
-		tbox, err = parowl.LoadFile(*inFlag)
+		ont, err = eng.LoadFile(*inFlag)
 	case *profileFlag != "":
 		p, ok := parowl.ProfileByName(*profileFlag)
 		if !ok {
@@ -62,13 +63,14 @@ func run() error {
 		if *scaleFlag > 1 {
 			p = parowl.MiniProfile(p, *scaleFlag)
 		}
-		tbox, err = parowl.Generate(p, *seedFlag)
+		ont, err = eng.Generate(p, *seedFlag)
 	default:
 		return fmt.Errorf("need -profile NAME or -in FILE (see -list)")
 	}
 	if err != nil {
 		return err
 	}
+	tbox := ont.TBox()
 	if *metricsFlag {
 		fmt.Fprintln(os.Stderr, parowl.ComputeMetrics(tbox))
 	}

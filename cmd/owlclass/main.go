@@ -24,24 +24,23 @@ import (
 )
 
 var (
-	workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	cycles   = flag.Int("cycles", 2, "random-division cycles")
-	seed     = flag.Int64("seed", 1, "shuffle / generation seed")
-	mode     = flag.String("mode", "optimized", "optimized | basic")
-	sched    = flag.String("sched", "roundrobin", "roundrobin | worksharing | workstealing | async")
-	plugin   = flag.String("reasoner", "auto", "auto | tableau | tableau-mm | el")
-	profile  = flag.String("profile", "", "generate this Table IV/V profile instead of reading a file")
-	scale    = flag.Int("scale", 1, "shrink the generated profile by this factor")
-	stats    = flag.Bool("stats", false, "print test statistics instead of the taxonomy")
-	trace    = flag.Bool("trace", false, "print the per-cycle trace")
-	loads    = flag.Bool("loads", false, "print the per-worker load and steal-count summary (paper Sec. V-C)")
-	dot      = flag.Bool("dot", false, "print the taxonomy in Graphviz DOT format")
-	summary  = flag.Bool("summary", false, "print a one-line taxonomy summary")
-	told     = flag.Bool("told", false, "answer told subsumptions without reasoner calls")
-	adaptive = flag.Bool("adaptive", false, "stop random-division cycles adaptively")
-	prepass  = flag.Bool("prepass", false, "EL pre-saturation: seed known subsumptions from the EL fragment before testing")
-	mfilter  = flag.Bool("modelfilter", false, "consult the plug-in's pseudo-model merge filter before each subs? dispatch")
-	timeout  = flag.Duration("timeout", 0, "abort classification after this duration (0 = none)")
+	workers = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	cycles  = flag.Int("cycles", 2, "random-division cycles")
+	seed    = flag.Int64("seed", 1, "shuffle / generation seed")
+	mode    = flag.String("mode", "optimized", "optimized | basic")
+	sched   = flag.String("sched", "roundrobin", "roundrobin | async")
+	plugin  = flag.String("reasoner", "auto", "auto | tableau | tableau-mm | el")
+	profile = flag.String("profile", "", "generate this Table IV/V profile instead of reading a file")
+	scale   = flag.Int("scale", 1, "shrink the generated profile by this factor")
+	stats   = flag.Bool("stats", false, "print test statistics instead of the taxonomy")
+	trace   = flag.Bool("trace", false, "print the per-cycle trace")
+	loads   = flag.Bool("loads", false, "print the per-worker load and steal-count summary (paper Sec. V-C)")
+	dot     = flag.Bool("dot", false, "print the taxonomy in Graphviz DOT format")
+	summary = flag.Bool("summary", false, "print a one-line taxonomy summary")
+	told    = flag.Bool("told", false, "answer told subsumptions without reasoner calls")
+	prepass = flag.Bool("prepass", false, "EL pre-saturation: seed known subsumptions from the EL fragment before testing")
+	mfilter = flag.Bool("modelfilter", false, "consult the plug-in's pseudo-model merge filter before each subs? dispatch")
+	timeout = flag.Duration("timeout", 0, "abort classification after this duration (0 = none)")
 
 	testTimeout = flag.Duration("test-timeout", 0, "budget per sat?/subs? test; expired tests are retried then recorded as undecided (0 = none)")
 	testRetries = flag.Int("test-retries", 0, "escalating retries per timed-out test (each doubles the budget)")
@@ -123,7 +122,6 @@ func run() error {
 		Seed:               *seed,
 		CollectTrace:       *trace || *loads,
 		UseToldSubsumers:   *told,
-		AdaptiveCycles:     *adaptive,
 		ELPrepass:          *prepass,
 		ModelFilter:        *mfilter,
 		TestTimeout:        *testTimeout,

@@ -58,7 +58,7 @@ var (
 
 	workers = flag.Int("workers", 0, "classification worker pool size (0 = GOMAXPROCS)")
 	cycles  = flag.Int("cycles", 2, "random-division cycles")
-	sched   = flag.String("sched", "roundrobin", "default scheduling policy: roundrobin | worksharing | workstealing | async (per-submit ?sched= overrides)")
+	sched   = flag.String("sched", "roundrobin", "default scheduling policy: roundrobin | async (per-submit ?sched= overrides)")
 	plugin  = flag.String("reasoner", "auto", "auto | tableau | tableau-mm | el")
 	chaos   = flag.String("chaos", "", "inject reasoner faults, e.g. slow=1ms,seed=7 (testing only)")
 

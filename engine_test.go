@@ -237,28 +237,3 @@ func TestGenerationSwap(t *testing.T) {
 		t.Error("reclassification changed the taxonomy")
 	}
 }
-
-// TestDeprecatedFacade keeps the pre-handle package functions compiling
-// and answering identically to the handle path.
-func TestDeprecatedFacade(t *testing.T) {
-	tb := zooTBox()
-	res, err := parowl.Classify(tb, parowl.Options{Workers: 2}) //lint:ignore SA1019 the shim under test
-	if err != nil {
-		t.Fatal(err)
-	}
-	ont := parowl.NewEngine().NewOntology(zooTBox())
-	if _, err := ont.Classify(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	tax, err := ont.Taxonomy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Taxonomy.Equal(tax) {
-		t.Error("deprecated Classify disagrees with Ontology.Classify")
-	}
-	k := parowl.CompileKernel(res.Taxonomy) //lint:ignore SA1019 the shim under test
-	if k == nil || k.NumClasses() != res.Taxonomy.NumClasses() {
-		t.Error("deprecated CompileKernel broken")
-	}
-}

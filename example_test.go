@@ -91,31 +91,9 @@ func ExampleOntology_ClassifyWith() {
 	// 1 2 true
 }
 
-// ExampleClassify builds a tiny ontology programmatically and classifies
-// it with the default options.
-func ExampleClassify() {
-	tb := parowl.NewTBox("pets")
-	animal := tb.Declare("Animal")
-	dog := tb.Declare("Dog")
-	puppy := tb.Declare("Puppy")
-	tb.SubClassOf(dog, animal)
-	tb.SubClassOf(puppy, dog)
-
-	res, err := parowl.Classify(tb, parowl.Options{Workers: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(res.Taxonomy.Render())
-	// Output:
-	// ⊤
-	//   Animal
-	//     Dog
-	//       Puppy
-}
-
-// ExampleClassify_equivalence shows equivalence detection: a defined
-// concept collapses into the class it is equivalent to.
-func ExampleClassify_equivalence() {
+// ExampleOntology_Classify_equivalence shows equivalence detection: a
+// defined concept collapses into the class it is equivalent to.
+func ExampleOntology_Classify_equivalence() {
 	tb := parowl.NewTBox("eq")
 	f := tb.Factory
 	human := tb.Declare("Human")
@@ -123,7 +101,7 @@ func ExampleClassify_equivalence() {
 	tb.EquivalentClasses(person, human)
 	tb.SubClassOf(tb.Declare("Pilot"), f.And(human, person))
 
-	res, err := parowl.Classify(tb, parowl.Options{})
+	res, err := parowl.NewEngine().NewOntology(tb).Classify(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -144,7 +122,7 @@ func ExampleTaxonomy_IsAncestor() {
 	eats := f.Role("eats")
 	tb.EquivalentClasses(penguin, f.And(bird, f.Some(eats, fish)))
 
-	res, err := parowl.Classify(tb, parowl.Options{})
+	res, err := parowl.NewEngine().NewOntology(tb).Classify(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -158,6 +136,7 @@ func ExampleTaxonomy_IsAncestor() {
 // ExampleCompareTaxonomies diffs the classifications of two ontology
 // versions — the regression check for ontology edits.
 func ExampleCompareTaxonomies() {
+	eng := parowl.NewEngine()
 	build := func(extra bool) *parowl.Taxonomy {
 		tb := parowl.NewTBox("v")
 		a, b, c := tb.Declare("A"), tb.Declare("B"), tb.Declare("C")
@@ -166,7 +145,7 @@ func ExampleCompareTaxonomies() {
 		if extra {
 			tb.SubClassOf(c, b) // the edit: C moves under B
 		}
-		res, err := parowl.Classify(tb, parowl.Options{})
+		res, err := eng.NewOntology(tb).Classify(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -193,11 +172,11 @@ func ExampleGenerate() {
 	// 320 6347 967
 }
 
-// ExampleClassifyContext classifies under both a whole-run deadline and a
-// per-test budget. A test that exhausts its budget (plus retries) is
-// recorded in Result.Undecided instead of failing the run, so the
-// returned taxonomy is sound but may be missing subsumptions.
-func ExampleClassifyContext() {
+// ExampleOntology_ClassifyWith_budget classifies under both a whole-run
+// deadline and a per-test budget. A test that exhausts its budget (plus
+// retries) is recorded in Result.Undecided instead of failing the run, so
+// the returned taxonomy is sound but may be missing subsumptions.
+func ExampleOntology_ClassifyWith_budget() {
 	tb := parowl.NewTBox("pets")
 	animal := tb.Declare("Animal")
 	dog := tb.Declare("Dog")
@@ -206,7 +185,7 @@ func ExampleClassifyContext() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	res, err := parowl.ClassifyContext(ctx, tb, parowl.Options{
+	res, err := parowl.NewEngine().NewOntology(tb).ClassifyWith(ctx, parowl.Options{
 		Workers:     2,
 		TestTimeout: 100 * time.Millisecond, // budget per sat?/subs? test
 		TestRetries: 1,                      // one retry with a doubled budget

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -30,10 +31,11 @@ func main() {
 	if *scale > 1 {
 		profile = parowl.MiniProfile(profile, *scale)
 	}
-	tbox, err := parowl.Generate(profile, 1)
+	ont, err := parowl.NewEngine().Generate(profile, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
+	tbox := ont.TBox()
 	fmt.Printf("generated %s: %v\n", tbox.Name, parowl.ComputeMetrics(tbox))
 
 	// The corpus is EL, so the saturation reasoner applies — the same
@@ -44,7 +46,7 @@ func main() {
 	}
 
 	start := time.Now()
-	res, err := parowl.Classify(tbox, parowl.Options{
+	res, err := ont.ClassifyWith(context.Background(), parowl.Options{
 		Reasoner:     elr,
 		RandomCycles: 2,
 		CollectTrace: true,

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -17,6 +18,8 @@ import (
 )
 
 func main() {
+	eng := parowl.NewEngine()
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "parowl-pipeline-*")
 	if err != nil {
 		log.Fatal(err)
@@ -41,14 +44,14 @@ func main() {
 			log.Fatalf("writing %s: %v", name, err)
 		}
 	}
-	reloaded, err := parowl.LoadFile(filepath.Join(dir, "onto.obo"))
+	reloaded, err := eng.LoadFile(filepath.Join(dir, "onto.obo"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("reloaded from OBO: %d concepts\n", reloaded.NumNamed())
+	fmt.Printf("reloaded from OBO: %d concepts\n", reloaded.TBox().NumNamed())
 
 	// 3. Classify with full tracing.
-	res, err := parowl.Classify(reloaded, parowl.Options{
+	res, err := reloaded.ClassifyWith(ctx, parowl.Options{
 		Workers:      4,
 		CollectTrace: true,
 	})
@@ -60,14 +63,16 @@ func main() {
 	fmt.Printf("tests: %d (pruned %d without testing)\n", res.Stats.SubsTests, res.Stats.Pruned)
 
 	// 4. Simulate an edit: reload and add an axiom making one root
-	// concept a subclass of another, then diff the classifications.
-	edited, err := parowl.LoadFile(filepath.Join(dir, "onto.obo"))
+	// concept a subclass of another (a loaded TBox stays editable until
+	// its first classification freezes it), then diff the
+	// classifications.
+	edited, err := eng.LoadFile(filepath.Join(dir, "onto.obo"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	named := edited.NamedConcepts()
-	edited.SubClassOf(named[1], named[len(named)-1])
-	res2, err := parowl.Classify(edited, parowl.Options{Workers: 4})
+	named := edited.TBox().NamedConcepts()
+	edited.TBox().SubClassOf(named[1], named[len(named)-1])
+	res2, err := edited.ClassifyWith(ctx, parowl.Options{Workers: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

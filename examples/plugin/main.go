@@ -86,7 +86,8 @@ func main() {
 	tb.SubClassOf(hyper, sports)
 
 	// Run the parallel classifier with the custom plug-in.
-	custom, err := parowl.Classify(tb, parowl.Options{
+	ont := parowl.NewEngine().NewOntology(tb)
+	custom, err := ont.ClassifyWith(context.Background(), parowl.Options{
 		Reasoner: newToldReasoner(tb),
 		Workers:  4,
 	})
@@ -95,7 +96,7 @@ func main() {
 	}
 
 	// And with the built-in tableau: the taxonomies must agree.
-	builtin, err := parowl.Classify(tb, parowl.Options{
+	builtin, err := ont.ClassifyWith(context.Background(), parowl.Options{
 		Reasoner: parowl.NewTableauReasoner(tb),
 		Workers:  4,
 	})

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -29,10 +30,11 @@ func main() {
 	if *scale > 1 {
 		profile = parowl.MiniProfile(profile, *scale)
 	}
-	tbox, err := parowl.Generate(profile, 5)
+	ont, err := parowl.NewEngine().Generate(profile, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
+	tbox := ont.TBox()
 	m := parowl.ComputeMetrics(tbox)
 	fmt.Printf("generated %s: %d concepts, %d QCRs, DL %s\n",
 		tbox.Name, m.Concepts, m.QCRs, m.Expressivity)
@@ -40,7 +42,7 @@ func main() {
 	// Real tableau reasoning over the qualified cardinalities.
 	tab := parowl.NewTableauReasoner(tbox)
 	start := time.Now()
-	res, err := parowl.Classify(tbox, parowl.Options{Reasoner: tab})
+	res, err := ont.ClassifyWith(context.Background(), parowl.Options{Reasoner: tab})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,11 +40,10 @@ func main() {
 	tb.SubClassOf(flying, animal)
 	tb.DisjointClasses(penguin, flying)
 
-	// Classify with defaults: GOMAXPROCS workers, optimized mode, and an
-	// automatically selected reasoner plug-in (the tableau here, because
-	// disjointness with a complement is outside pure EL... actually the
-	// lowering keeps this in EL⊥, so the saturation reasoner is chosen).
-	res, err := parowl.Classify(tb, parowl.Options{})
+	// Classify through an Engine with its defaults: GOMAXPROCS workers,
+	// optimized mode, and an automatically selected reasoner plug-in (the
+	// EL saturation reasoner here: the lowering keeps this TBox in EL⊥).
+	res, err := parowl.NewEngine().NewOntology(tb).Classify(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,11 +4,14 @@ import "math/rand"
 
 // Barrier-free asynchronous classification (Scheduling == Async).
 //
-// The barrier policies rendezvous after every cycle: the coordinator
-// submits a batch, waits for the last straggler, then computes the next
-// batch. Workers that finish early park until the whole pool drains —
-// that parked time is the straggler tail BENCH_sched measures as
-// imbalance. The async driver removes those rendezvous:
+// RoundRobin rendezvouses after every cycle: the coordinator submits a
+// batch, waits for the last straggler, then computes the next batch.
+// Workers that finish early park until the whole pool drains — that
+// parked time is the straggler tail BENCH_sched measures as wait and
+// imbalance. The async driver removes those rendezvous, and its workers
+// run the pool's steal loop: each drains a Chase–Lev deque fed
+// round-robin in hardness order (LPT, from per-concept cost EWMAs) and
+// steals from random victims before parking.
 //
 //   - Phase 1 (random division): a cycle's shuffle depends only on the
 //     rng, never on test results, so cycles are pipelined: the next
@@ -33,14 +36,14 @@ import "math/rand"
 // it. A worker acting on a stale P snapshot merely attempts a claim that
 // fails. Freshness changes which tests never happen; it cannot change
 // any test's outcome — which is why the taxonomy stays byte-identical to
-// the barrier policies.
+// RoundRobin's.
 //
 // Quiescence and epochs: the pool counts submitted-but-unfinished tasks
 // (pool.pending). Full quiescence — pending == 0, every claimed pair's
 // outcome recorded in K or undecided — is required only at phase edges
 // and when a checkpoint is due; each such point closes an epoch
 // (pool.epoch) and is the only place snapshots are cut, so async
-// snapshots are exactly as consistent as barrier-mode ones. With
+// snapshots are exactly as consistent as RoundRobin's barrier ones. With
 // checkpointing off the run quiesces just three times: after the
 // prepass, between phases 1 and 2, and before the hierarchy build.
 //
@@ -48,38 +51,27 @@ import "math/rand"
 // costs it: the coordinator runs prunePass, re-applying Situation 2.3
 // pruning over the epoch's FULL K. The workers' own pruneAfter calls are
 // one-shot — a subsumee fact landing after its superchain's test misses
-// its prune forever, under every policy — so the sweep prunes pairs the
-// barrier policies go on to test with the reasoner.
-
+// its prune forever, under either policy — so the sweep prunes pairs
+// RoundRobin goes on to test with the reasoner.
 
 // runAsync drives phases 1 and 2 barrier-free. On return the pool is
 // quiescent and, on a non-failed run, P is empty.
-func (s *state) runAsync(p *pool, rng *rand.Rand, workers, cycles int, minGain float64, initial int64, opts Options, ck *checkpointer, trace *Trace, skipRandom bool) {
+func (s *state) runAsync(p *pool, rng *rand.Rand, workers, cycles int, ck *checkpointer, trace *Trace, skipRandom bool) {
 	epoch := func() int64 { return s.epochBase + p.epoch.Load() }
 
 	if !skipRandom {
 		before := s.snapshot()
-		prev := s.remainingPossible()
 		for cycle := 1; cycle <= cycles && !s.failed(); cycle++ {
 			s.submitRandomCycle(p, rng, workers)
 			// Quiesce only when something needs the rendezvous: the last
-			// cycle (phase edge), a due checkpoint, or the adaptive
-			// controller's per-cycle gain measurement. Otherwise the next
+			// cycle (phase edge) or a due checkpoint. Otherwise the next
 			// cycle's groups are already queued behind this one's.
-			if cycle == cycles || opts.AdaptiveCycles || ck.due() {
+			if cycle == cycles || ck.due() {
 				rep := p.barrier()
 				s.prunePass() // quiescent: harvest the epoch's late K facts
 				s.record(trace, PhaseRandom, cycle, before, rep)
 				before = s.snapshot()
 				ck.maybeWrite(s, PhaseRandom, false, epoch())
-				if opts.AdaptiveCycles && initial > 0 {
-					rem := s.remainingPossible()
-					gain := float64(prev-rem) / float64(initial)
-					prev = rem
-					if gain < minGain {
-						break // the group-division phase finishes the rest
-					}
-				}
 			} else {
 				// Pipeline, don't rendezvous: queue the next shuffle once
 				// half the pool has gone idle. Stragglers keep running

@@ -216,9 +216,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative cycles", func(o *Options) { o.RandomCycles = -2 }},
 		{"unknown mode", func(o *Options) { o.Mode = Mode(99) }},
 		{"unknown scheduling", func(o *Options) { o.Scheduling = Scheduling(7) }},
-		{"negative gain", func(o *Options) { o.MinCycleGain = -0.5 }},
-		{"gain >= 1", func(o *Options) { o.MinCycleGain = 1.5 }},
-		{"negative group size", func(o *Options) { o.MaxGroupSize = -3 }},
 		{"negative timeout", func(o *Options) { o.TestTimeout = -time.Second }},
 		{"negative retries", func(o *Options) { o.TestRetries = -1 }},
 		{"retries without timeout", func(o *Options) { o.TestRetries = 2 }},

@@ -22,8 +22,8 @@ import (
 // boundaries, and Options.ResumeFrom restores them so a re-run skips all
 // settled work and converges to the same taxonomy.
 //
-// Consistency: a snapshot is taken only at pool quiescence — under the
-// barrier policies between batch barriers, under Async at an epoch edge
+// Consistency: a snapshot is taken only at pool quiescence — under
+// RoundRobin between batch barriers, under Async at an epoch edge
 // (the pending-task counter at zero). In either case every claimed pair
 // (a cleared P bit in optimized mode, a set tested bit in basic mode) has
 // its outcome fully recorded in K or in the undecided list, so restoring

@@ -51,30 +51,14 @@ type Options struct {
 	Seed int64
 	// Mode selects Optimized (default) or Basic.
 	Mode Mode
-	// Scheduling selects RoundRobin (default, the paper's policy),
-	// WorkSharing, WorkStealing (Chase–Lev deques with hardness-ordered
-	// LPT dispatch; see pool.go), or Async (barrier-free: the coordinator
-	// streams work continuously and quiesces only at phase edges and due
-	// checkpoints; see async.go). The taxonomy is identical under every
-	// policy.
+	// Scheduling selects RoundRobin (default, the paper's policy) or
+	// Async (barrier-free: Chase–Lev deques with hardness-ordered LPT
+	// dispatch, streamed continuously and quiescing only at phase edges
+	// and due checkpoints; see pool.go and async.go). The taxonomy is
+	// identical under both.
 	Scheduling Scheduling
 	// CollectTrace records per-cycle statistics and task durations.
 	CollectTrace bool
-	// AdaptiveCycles enables the paper's proposed future-work load
-	// balancing between the two phases: random-division cycles continue
-	// (up to RandomCycles, or 64 when RandomCycles is 0) only while each
-	// cycle still removes at least MinCycleGain of the initial possible
-	// pairs, instead of running a fixed count.
-	AdaptiveCycles bool
-	// MinCycleGain is the adaptive threshold as a fraction of
-	// InitialPossible; 0 means 0.05 (5%).
-	MinCycleGain float64
-	// MaxGroupSize splits phase-2 groups G_X larger than this into
-	// several tasks, improving load balance when the remaining possible
-	// sets are heterogeneous (the paper's Sec. V-C observation that the
-	// group-division phase balances worse than random division). 0 keeps
-	// the paper's one-task-per-concept dispatch.
-	MaxGroupSize int
 	// ELPrepass enables stage 1 of the cheap-first subsumption pipeline:
 	// before random division, the EL-expressible fragment of the TBox is
 	// saturated (internal/el) and every proven subsumption and
@@ -156,16 +140,8 @@ func (o *Options) Validate() error {
 	if o.Mode != Optimized && o.Mode != Basic {
 		return fmt.Errorf("core: unknown Options.Mode %d", o.Mode)
 	}
-	switch o.Scheduling {
-	case RoundRobin, WorkSharing, WorkStealing, Async:
-	default:
+	if o.Scheduling != RoundRobin && o.Scheduling != Async {
 		return fmt.Errorf("core: unknown Options.Scheduling %d", o.Scheduling)
-	}
-	if o.MinCycleGain < 0 || o.MinCycleGain >= 1 {
-		return fmt.Errorf("core: Options.MinCycleGain must be in [0, 1), got %v", o.MinCycleGain)
-	}
-	if o.MaxGroupSize < 0 {
-		return fmt.Errorf("core: Options.MaxGroupSize must be >= 0, got %d", o.MaxGroupSize)
 	}
 	if o.TestTimeout < 0 {
 		return fmt.Errorf("core: Options.TestTimeout must be >= 0, got %v", o.TestTimeout)
@@ -202,7 +178,7 @@ type Stats struct {
 	NodeBudget   int64
 	BranchBudget int64
 	// Steals counts tasks that executed on a different worker than they
-	// were queued to (WorkStealing and Async only; zero otherwise).
+	// were queued to (Async only; zero otherwise).
 	// Deliberately not part of checkpoint snapshots: it describes a
 	// particular run's scheduling, not the classification state.
 	Steals int64
@@ -260,19 +236,11 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	cycles := opts.RandomCycles
 	if cycles <= 0 {
 		cycles = 2
-		if opts.AdaptiveCycles {
-			cycles = 64
-		}
-	}
-	minGain := opts.MinCycleGain
-	if minGain <= 0 {
-		minGain = 0.05
 	}
 	t.Freeze()
 
 	start := time.Now()
 	s := newState(t, opts.Reasoner, opts.Mode == Optimized)
-	s.maxGroupSize = opts.MaxGroupSize
 	s.ctx = ctx
 	s.testTimeout = opts.TestTimeout
 	s.testRetries = opts.TestRetries
@@ -282,10 +250,10 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	if opts.ModelFilter {
 		s.filter = reasoner.AsModelFilter(opts.Reasoner)
 	}
-	if opts.Scheduling.stealing() {
+	if opts.Scheduling == Async {
 		// Per-concept hardness EWMAs drive the LPT submission order; the
-		// slice stays nil under the other policies so their dispatch is
-		// byte-for-byte the seed behaviour.
+		// slice stays nil under RoundRobin so its dispatch is the paper's
+		// i mod w.
 		s.hard = make([]atomic.Int64, s.n)
 	}
 
@@ -359,24 +327,16 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
-	initial := s.remainingPossible()
 	// A snapshot taken during the group phase proves the random phase
 	// finished; re-running it would only no-op on claimed pairs.
 	skipRandom := resumed && resumePhase == PhaseGroup
 	if opts.Scheduling == Async {
-		s.runAsync(p, rng, workers, cycles, minGain, initial, opts, ck, trace, skipRandom)
+		s.runAsync(p, rng, workers, cycles, ck, trace, skipRandom)
 	} else {
 		if !skipRandom {
 			for cycle := 1; cycle <= cycles && !s.failed(); cycle++ {
-				before := s.remainingPossible()
 				s.runRandomCycle(p, rng, workers, cycle, trace)
 				ck.maybeWrite(s, PhaseRandom, false, epoch())
-				if opts.AdaptiveCycles && initial > 0 {
-					gain := float64(before-s.remainingPossible()) / float64(initial)
-					if gain < minGain {
-						break // the group-division phase finishes the rest
-					}
-				}
 			}
 		}
 		for iter := 1; !s.failed(); iter++ {
@@ -499,7 +459,7 @@ func (s *state) runRandomCycle(p *pool, rng *rand.Rand, workers, cycle int, trac
 func (s *state) submitRandomCycle(p *pool, rng *rand.Rand, workers int) {
 	perm := rng.Perm(s.n)
 	groups := splitGroups(perm, workers)
-	if p.scheduling.stealing() {
+	if p.scheduling == Async {
 		// LPT: hardest groups dispatch first so stealing mops up the
 		// cheap tail. The estimate is the pair count (groups are nearly
 		// equal-sized, so this only breaks ties in cycle 1) refined by
@@ -581,30 +541,14 @@ type groupTask struct {
 }
 
 // cutGroupTasks builds phase 2's task list from the current P sets: every
-// concept X with P_X ≠ ∅ contributes a group G_X = P_X (split per
-// maxGroupSize). Under a barrier policy P is quiescent here; under Async
-// it may shrink concurrently, which only makes some tasks find their
-// pairs already claimed.
+// concept X with P_X ≠ ∅ contributes a group G_X = P_X. Under RoundRobin
+// P is quiescent here; under Async it may shrink concurrently, which only
+// makes some tasks find their pairs already claimed.
 func (s *state) cutGroupTasks() []groupTask {
 	var tasks []groupTask
 	for x := 0; x < s.n; x++ {
-		g := s.P[x].Members()
-		if len(g) == 0 {
-			continue
-		}
-		chunks := [][]int{g}
-		if s.maxGroupSize > 0 && len(g) > s.maxGroupSize {
-			chunks = nil
-			for lo := 0; lo < len(g); lo += s.maxGroupSize {
-				hi := lo + s.maxGroupSize
-				if hi > len(g) {
-					hi = len(g)
-				}
-				chunks = append(chunks, g[lo:hi])
-			}
-		}
-		for _, chunk := range chunks {
-			tasks = append(tasks, groupTask{x, chunk})
+		if g := s.P[x].Members(); len(g) > 0 {
+			tasks = append(tasks, groupTask{x, g})
 		}
 	}
 	return tasks
@@ -639,9 +583,6 @@ func (s *state) runGroupCycle(p *pool, iter int, trace *Trace) bool {
 	tasks := s.cutGroupTasks()
 	if len(tasks) == 0 {
 		return false
-	}
-	if p.scheduling.stealing() {
-		s.lptGroupTasks(tasks)
 	}
 	for _, t := range tasks {
 		s.submitGroupTask(p, t)

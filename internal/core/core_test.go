@@ -302,7 +302,7 @@ func TestQuickMatchesBruteForce(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, mode := range []Mode{Basic, Optimized} {
-			for _, sched := range []Scheduling{RoundRobin, WorkSharing} {
+			for _, sched := range allSchedulings {
 				w := 1 + rng.Intn(8)
 				res, err := Classify(tb, Options{
 					Reasoner: r, Workers: w, Mode: mode,

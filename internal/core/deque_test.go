@@ -186,11 +186,11 @@ func TestWorkerQueueResetLateThief(t *testing.T) {
 	}
 }
 
-// TestBarrierAssertsDequesEmpty locks in that the WorkStealing barrier
+// TestBarrierAssertsDequesEmpty locks in that the Async pool's barrier
 // asserts (rather than silently tolerates) a non-empty deque, since
 // checkpoint consistency rests on that invariant.
 func TestBarrierAssertsDequesEmpty(t *testing.T) {
-	p := newPool(2, WorkStealing)
+	p := newPool(2, Async)
 	defer p.close()
 	p.submit(func() time.Duration { return time.Microsecond })
 	p.barrier() // sanity: a normal barrier passes

@@ -15,67 +15,6 @@ import (
 	"parowl/internal/reasoner"
 )
 
-// TestAdaptiveCyclesStopEarly: with a high gain threshold, the adaptive
-// controller must cut the random phase short; the result stays correct.
-func TestAdaptiveCyclesStopEarly(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tb := randomTaxonomyTBox(rng, 30)
-	oracle := reasoner.NewOracle(tb, reasoner.OracleOptions{})
-
-	fixed, err := Classify(tb, Options{
-		Reasoner: oracle, Workers: 4, RandomCycles: 12, CollectTrace: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive, err := Classify(tb, Options{
-		Reasoner: oracle, Workers: 4, RandomCycles: 12, CollectTrace: true,
-		AdaptiveCycles: true, MinCycleGain: 0.25,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !adaptive.Taxonomy.Equal(fixed.Taxonomy) {
-		t.Fatal("adaptive run produced a different taxonomy")
-	}
-	count := func(tr *Trace) int {
-		n := 0
-		for _, c := range tr.Cycles {
-			if c.Phase == PhaseRandom {
-				n++
-			}
-		}
-		return n
-	}
-	if fc, ac := count(fixed.Trace), count(adaptive.Trace); ac >= fc {
-		t.Errorf("adaptive ran %d random cycles, fixed ran %d — no early stop", ac, fc)
-	}
-}
-
-// TestAdaptiveCyclesDefaultBound: AdaptiveCycles with RandomCycles 0 must
-// terminate (bounded at 64) even with a tiny threshold.
-func TestAdaptiveCyclesDefaultBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	tb := randomTaxonomyTBox(rng, 10)
-	oracle := reasoner.NewOracle(tb, reasoner.OracleOptions{})
-	res, err := Classify(tb, Options{
-		Reasoner: oracle, Workers: 2, AdaptiveCycles: true,
-		MinCycleGain: 1e-12, CollectTrace: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	random := 0
-	for _, c := range res.Trace.Cycles {
-		if c.Phase == PhaseRandom {
-			random++
-		}
-	}
-	if random > 64 {
-		t.Errorf("adaptive ran %d random cycles, bound is 64", random)
-	}
-}
-
 // TestToldSubsumersAblation: same taxonomy, strictly fewer plug-in calls
 // on a told-heavy corpus, with the shortcut hits accounted.
 func TestToldSubsumersAblation(t *testing.T) {
@@ -295,35 +234,5 @@ func TestClassifyContextCompletes(t *testing.T) {
 	}
 	if res.Taxonomy == nil {
 		t.Fatal("nil taxonomy")
-	}
-}
-
-// TestMaxGroupSizeCorrectAndBalanced: splitting phase-2 groups must not
-// change the taxonomy and must produce more, smaller tasks.
-func TestMaxGroupSizeCorrectAndBalanced(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	tb := randomTaxonomyTBox(rng, 30)
-	oracle := reasoner.NewOracle(tb, reasoner.OracleOptions{})
-	plain, err := Classify(tb, Options{Reasoner: oracle, Workers: 4, RandomCycles: 1, CollectTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	split, err := Classify(tb, Options{Reasoner: oracle, Workers: 4, RandomCycles: 1, CollectTrace: true, MaxGroupSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !split.Taxonomy.Equal(plain.Taxonomy) {
-		t.Fatal("group splitting changed the taxonomy")
-	}
-	tasks := func(tr *Trace) int {
-		for _, c := range tr.Cycles {
-			if c.Phase == PhaseGroup {
-				return len(c.Tasks)
-			}
-		}
-		return 0
-	}
-	if pt, st := tasks(plain.Trace), tasks(split.Trace); st <= pt {
-		t.Errorf("split tasks %d <= plain tasks %d", st, pt)
 	}
 }

@@ -17,19 +17,12 @@ const (
 	// policy for the group-division phase ("we apply round-robin
 	// scheduling to ensure a good use of all threads").
 	RoundRobin Scheduling = iota
-	// WorkSharing feeds all workers from one shared queue: an idle worker
-	// takes the next task. Benchmarked as an ablation of the paper's
-	// choice.
-	WorkSharing
-	// WorkStealing gives each worker a Chase–Lev lock-free deque fed
-	// round-robin by the coordinator in hardness order (longest processing
-	// time first); an idle worker steals from randomly chosen victims
-	// before parking, so barrier stragglers shed their queued tail. The
-	// paper's Sec. V-C identifies exactly this skew — per-test cost, not
-	// test count — as the limit on speedup.
-	WorkStealing
-	// Async is barrier-free classification: workers consume from the same
-	// Chase–Lev deques as WorkStealing, but the coordinator streams work
+	// Async is barrier-free classification over work-stealing deques: the
+	// coordinator feeds each worker's Chase–Lev deque round-robin in
+	// hardness order (longest processing time first), and an idle worker
+	// steals from randomly chosen victims before parking, so stragglers
+	// shed their queued tail — the per-test cost skew the paper's Sec. V-C
+	// identifies as the limit on speedup. The coordinator streams work
 	// continuously instead of rendezvousing after every cycle. Full
 	// quiescence (the pending-task counter reaching zero) is reached only
 	// at phase edges and when a checkpoint is due; each quiescence point
@@ -41,22 +34,10 @@ const (
 )
 
 func (s Scheduling) String() string {
-	switch s {
-	case WorkSharing:
-		return "worksharing"
-	case WorkStealing:
-		return "workstealing"
-	case Async:
+	if s == Async {
 		return "async"
 	}
 	return "roundrobin"
-}
-
-// stealing reports whether the policy runs workers on the Chase–Lev
-// deque/steal loop (WorkStealing and Async) rather than the plain queue
-// loop.
-func (s Scheduling) stealing() bool {
-	return s == WorkStealing || s == Async
 }
 
 // ParseScheduling maps a policy name (as printed by String) back to the
@@ -65,14 +46,10 @@ func ParseScheduling(name string) (Scheduling, error) {
 	switch name {
 	case "roundrobin":
 		return RoundRobin, nil
-	case "worksharing":
-		return WorkSharing, nil
-	case "workstealing":
-		return WorkStealing, nil
 	case "async":
 		return Async, nil
 	}
-	return 0, fmt.Errorf("core: unknown scheduling policy %q (want roundrobin, worksharing, workstealing, or async)", name)
+	return 0, fmt.Errorf("core: unknown scheduling policy %q (want roundrobin or async)", name)
 }
 
 // task is one unit of pool work; it returns its charged duration.
@@ -108,7 +85,7 @@ type durChunk [durChunkSize]taskSlot
 // nilled so the batch's backing array does not pin completed task
 // closures, and reset recycles the array for the next batch.
 //
-// Under WorkStealing the queue doubles as the worker's inbox: the
+// Under Async the queue doubles as the worker's inbox: the
 // coordinator is not the deque's owner and therefore may not push into
 // it, so tasks land here and the owner drains them into its own deque in
 // one lock acquisition. Thieves may also pop from a victim's inbox —
@@ -169,15 +146,14 @@ func (wq *workerQueue) reset() {
 
 // batchReport is what barrier returns for one barrier-delimited batch:
 // per-task charged durations and executing workers in dispatch order,
-// per-worker charged loads, and — under WorkStealing/Async — per-worker
-// steal counts.
+// per-worker charged loads, and — under Async — per-worker steal counts.
 type batchReport struct {
 	durs    []time.Duration
 	workers []int
 	loads   []time.Duration
 	// steals[w] counts tasks worker w took from other workers' queues;
 	// stolenFrom[w] counts tasks thieves took from worker w's queues.
-	// Both nil unless the pool runs a stealing policy.
+	// Both nil unless the pool runs Async.
 	steals     []int64
 	stolenFrom []int64
 	// waits[w] is the time worker w spent parked waiting for work during
@@ -191,21 +167,19 @@ type batchReport struct {
 //
 // Under RoundRobin each worker owns a queue and a wake channel, so a
 // wakeup can never be consumed by a worker whose queue is empty; under
-// WorkSharing all workers drain queue 0 and share wake channel 0; under
-// WorkStealing and Async each worker drains its round-robin-fed queue
-// into a private Chase–Lev deque and steals from random victims when
-// idle (Async differs only in how the coordinator feeds and paces the
-// pool: continuous waves bounded by waitLow instead of batch+barrier,
-// see async.go). Each
-// queue has its own lock and completed tasks record their duration with
-// an atomic store into a pre-assigned chunk slot, so the only shared
-// lock left (submitMu) is taken by the submitting goroutine alone.
+// Async each worker drains its round-robin-fed queue into a private
+// Chase–Lev deque and steals from random victims when idle, while the
+// coordinator feeds continuous waves bounded by waitLow instead of
+// batch+barrier (see async.go). Each queue has its own lock and
+// completed tasks record their duration with an atomic store into a
+// pre-assigned chunk slot, so the only shared lock left (submitMu) is
+// taken by the submitting goroutine alone.
 type pool struct {
 	workers    int
 	scheduling Scheduling
 
 	queues []workerQueue
-	deques []wsDeque // non-nil only under WorkStealing/Async
+	deques []wsDeque // non-nil only under Async
 
 	// Batch bookkeeping, guarded by submitMu. Only the submitter takes
 	// this lock: tasks store durations straight into their chunk slot,
@@ -221,18 +195,17 @@ type pool struct {
 	// queue locks order the barrier's slice swap before the next batch.
 	busy []time.Duration
 
-	// steals/stolenFrom are this batch's per-worker steal counters
-	// (stealing policies only); totalSteals accumulates across the whole
-	// run for Stats.
+	// steals/stolenFrom are this batch's per-worker steal counters (Async
+	// only); totalSteals accumulates across the whole run for Stats.
 	steals      []atomic.Int64
 	stolenFrom  []atomic.Int64
 	totalSteals atomic.Int64
 
 	// waits[w] accumulates the nanoseconds worker w spent parked on its
 	// wake channel this batch; the barrier swaps them out. This is the
-	// straggler-tail measurement: under a barrier policy an early
-	// finisher parks until the next batch wakes it, under Async it is
-	// re-fed before it parks.
+	// straggler-tail measurement: under RoundRobin an early finisher
+	// parks until the next batch wakes it, under Async it is re-fed
+	// before it parks.
 	waits []atomic.Int64
 
 	// pending counts submitted-but-unfinished tasks; together with
@@ -271,7 +244,7 @@ func newPool(w int, sched Scheduling) *pool {
 		quit:       make(chan struct{}),
 		taskDone:   make(chan struct{}, 1),
 	}
-	if sched.stealing() {
+	if sched == Async {
 		p.deques = make([]wsDeque, w)
 		p.steals = make([]atomic.Int64, w)
 		p.stolenFrom = make([]atomic.Int64, w)
@@ -286,12 +259,9 @@ func newPool(w int, sched Scheduling) *pool {
 	return p
 }
 
-// slotFor returns the queue the next task goes to; the caller must hold
-// submitMu.
+// slotFor returns the queue the next task goes to, round-robin; the
+// caller must hold submitMu.
 func (p *pool) slotFor() int {
-	if p.scheduling == WorkSharing {
-		return 0
-	}
 	slot := p.next % p.workers
 	p.next++
 	return slot
@@ -300,7 +270,7 @@ func (p *pool) slotFor() int {
 // submit enqueues one task for the barrier of the current batch. Task
 // durations are recorded in dispatch order so the virtual-time scheduler
 // can replay the assignment (task i → worker i mod w under RoundRobin;
-// greedy earliest-idle under the stealing policy).
+// greedy earliest-idle under Async).
 func (p *pool) submit(t task) {
 	p.inflight.Add(1)
 	p.pending.Add(1)
@@ -321,9 +291,8 @@ func (p *pool) submit(t task) {
 		}
 		return
 	}
-	// WorkSharing: any worker may take it. WorkStealing: the owner may be
-	// mid-task, and any parked worker can steal it — nudge them all
-	// (non-blocking).
+	// Async: the owner may be mid-task, and any parked worker can steal
+	// it — nudge them all (non-blocking).
 	for i := range p.wake {
 		select {
 		case p.wake[i] <- struct{}{}:
@@ -335,7 +304,7 @@ func (p *pool) submit(t task) {
 // barrier waits for every submitted task to finish and returns the batch
 // report: task durations and executing workers in dispatch order together
 // with the per-worker charged loads (the paper's Sec. V-C load-balancing
-// measurement) and, under WorkStealing, the per-worker steal counts.
+// measurement) and, under Async, the per-worker steal counts.
 func (p *pool) barrier() batchReport {
 	p.inflight.Wait()
 	p.submitMu.Lock()
@@ -357,7 +326,7 @@ func (p *pool) barrier() batchReport {
 	for i := range p.queues {
 		p.queues[i].reset()
 	}
-	if p.scheduling.stealing() {
+	if p.scheduling == Async {
 		// Checkpoints are taken at barriers on the strength of this
 		// invariant: every task of the batch has run, so no deque may
 		// still hold one. The deque indices themselves are monotonic and
@@ -407,23 +376,15 @@ func (p *pool) close() {
 	p.done.Wait()
 }
 
-// take pops a task for worker id under RoundRobin or WorkSharing.
-func (p *pool) take(id int) (*poolTask, bool) {
-	if p.scheduling == WorkSharing {
-		id = 0
-	}
-	return p.queues[id].pop()
-}
-
 func (p *pool) worker(id int) {
 	defer p.done.Done()
-	if p.scheduling.stealing() {
+	if p.scheduling == Async {
 		p.stealWorker(id)
 		return
 	}
 	wake := p.wake[id]
 	for {
-		t, ok := p.take(id)
+		t, ok := p.queues[id].pop()
 		if !ok {
 			if !p.park(id, wake) {
 				return
@@ -437,9 +398,8 @@ func (p *pool) worker(id int) {
 // park blocks worker id on its wake channel, charging the parked time to
 // the worker's wait counter; it returns false when the pool is closing.
 // Parked time is the per-worker straggler-tail metric surfaced as
-// Trace.Cycle.WaitNanos: under barrier policies every early finisher
-// parks here until the whole batch completes and the next one is
-// submitted.
+// Trace.Cycle.WaitNanos: under RoundRobin every early finisher parks
+// here until the whole batch completes and the next one is submitted.
 func (p *pool) park(id int, wake chan struct{}) bool {
 	start := time.Now()
 	select {
@@ -451,7 +411,7 @@ func (p *pool) park(id int, wake chan struct{}) bool {
 	}
 }
 
-// stealWorker is the WorkStealing worker loop: run own work (deque, then
+// stealWorker is the Async worker loop: run own work (deque, then
 // inbox), then try to steal, then yield and retry the steal once, then
 // park on the wake channel. The single retry after a yield is the
 // backoff: it catches a victim that was between its inbox drain and its

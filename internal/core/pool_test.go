@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-var allSchedulings = []Scheduling{RoundRobin, WorkSharing, WorkStealing, Async}
+var allSchedulings = []Scheduling{RoundRobin, Async}
 
 // TestPoolDurationsInDispatchOrder submits more tasks than one duration
 // chunk holds and checks the barrier reports every charged duration in
@@ -54,7 +54,7 @@ func TestPoolDurationsInDispatchOrder(t *testing.T) {
 		if fromDurs != fromLoads {
 			t.Errorf("%v: loads sum to %v, durations to %v", sched, fromLoads, fromDurs)
 		}
-		if sched.stealing() {
+		if sched == Async {
 			var steals, stolen int64
 			for w := 0; w < 4; w++ {
 				steals += rep.steals[w]
@@ -147,11 +147,11 @@ func TestPoolConcurrentSubmitters(t *testing.T) {
 }
 
 // TestPoolStealingBalancesSkew blocks one worker inside a long task while
-// a pile of cheap work sits queued behind it; under WorkStealing the
-// other workers must steal that queued tail (the straggler-rescue path
-// through the victim's inbox), or the barrier would deadlock.
+// a pile of cheap work sits queued behind it; under Async the other
+// workers must steal that queued tail (the straggler-rescue path through
+// the victim's inbox), or the barrier would deadlock.
 func TestPoolStealingBalancesSkew(t *testing.T) {
-	p := newPool(4, WorkStealing)
+	p := newPool(4, Async)
 	defer p.close()
 	started := make(chan struct{})
 	release := make(chan struct{})

@@ -107,9 +107,9 @@ func TestCrossPolicyEquivalenceOntogen(t *testing.T) {
 	}
 }
 
-// TestWorkStealingActuallySteals pins that the policy is live on a real
-// classification: a multi-worker run over a corpus with enough tasks
-// records at least one steal (an always-zero counter would mean the
+// TestWorkStealingActuallySteals pins that Async's steal loop is live on
+// a real classification: a multi-worker run over a corpus with enough
+// tasks records at least one steal (an always-zero counter would mean the
 // stealing path is dead code and the policy silently degenerated to
 // round-robin).
 func TestWorkStealingActuallySteals(t *testing.T) {
@@ -117,10 +117,10 @@ func TestWorkStealingActuallySteals(t *testing.T) {
 	tb := randomTaxonomyTBox(rng, 60)
 	res := classify(t, tb, Options{
 		Reasoner: tableauFactory(tb), Workers: 4,
-		Scheduling: WorkStealing, CollectTrace: true, RandomCycles: 2,
+		Scheduling: Async, CollectTrace: true, RandomCycles: 2,
 	})
 	if res.Stats.Steals == 0 {
-		t.Error("Stats.Steals = 0 on a 4-worker stealing run; stealing never fired")
+		t.Error("Stats.Steals = 0 on a 4-worker async run; stealing never fired")
 	}
 	if got := res.Trace.TotalSteals(); got != res.Stats.Steals {
 		t.Errorf("Trace.TotalSteals() = %d, Stats.Steals = %d; counters disagree", got, res.Stats.Steals)
@@ -138,12 +138,12 @@ func TestWorkStealingActuallySteals(t *testing.T) {
 	}
 }
 
-// TestSchedulingValidation covers the new policy in Options.Validate and
-// the flag parser round-trip.
+// TestSchedulingValidation covers both policies in Options.Validate and
+// the flag parser round-trip; the retired policy names must be refused.
 func TestSchedulingValidation(t *testing.T) {
-	o := Options{Reasoner: reasoner.NewOracle(exampleTBox(), reasoner.OracleOptions{}), Scheduling: WorkStealing}
+	o := Options{Reasoner: reasoner.NewOracle(exampleTBox(), reasoner.OracleOptions{}), Scheduling: Async}
 	if err := o.Validate(); err != nil {
-		t.Fatalf("Validate rejected WorkStealing: %v", err)
+		t.Fatalf("Validate rejected Async: %v", err)
 	}
 	o.Scheduling = Scheduling(99)
 	if err := o.Validate(); err == nil {
@@ -155,76 +155,19 @@ func TestSchedulingValidation(t *testing.T) {
 			t.Fatalf("ParseScheduling(%q) = %v, %v", sched.String(), got, err)
 		}
 	}
-	if _, err := ParseScheduling("lifo"); err == nil {
-		t.Fatal("ParseScheduling accepted an unknown name")
-	}
-}
-
-// TestKillAndResumeWorkStealing proves checkpoints taken under the
-// stealing scheduler restore correctly: runs crashed at arbitrary points
-// and resumed must converge to the taxonomy of an uninterrupted
-// round-robin run. Snapshots are only written at barriers, and the
-// barrier asserts every deque drained, so a snapshot can never capture a
-// stolen-but-unfinished task.
-func TestKillAndResumeWorkStealing(t *testing.T) {
-	seeds := []int64{11, 12, 13}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		rng := rand.New(rand.NewSource(seed))
-		tb := randomMixedTBox(rng, 8+rng.Intn(10))
-		workers := 2 + rng.Intn(7)
-		opts := Options{
-			Workers: workers, Mode: Optimized, Seed: seed,
-			Scheduling: WorkStealing, ELPrepass: rng.Intn(2) == 0,
-		}
-		refOpts := opts
-		refOpts.Scheduling = RoundRobin
-		ref := classify(t, tb, refOpts)
-		totalCalls := ref.Stats.SatTests + ref.Stats.SubsTests
-		path := ckPath(t)
-
-		var final *Result
-		for attempt := 0; ; attempt++ {
-			if attempt > 50 {
-				t.Fatalf("seed %d: no run survived after %d crashes", seed, attempt)
-			}
-			var left atomic.Int64
-			left.Store(rng.Int63n(totalCalls + 1))
-			o := opts
-			o.Reasoner = countdownReasoner{Interface: tableauFactory(tb), left: &left}
-			o.Checkpoint = path
-			if _, err := os.Stat(path); err == nil {
-				o.ResumeFrom = path
-			}
-			res, err := Classify(tb, o)
-			if err != nil {
-				if !errors.Is(err, reasoner.ErrInjected) {
-					t.Fatalf("seed %d attempt %d: unexpected failure: %v", seed, attempt, err)
-				}
-				continue
-			}
-			if res.ResumeError != nil {
-				t.Fatalf("seed %d attempt %d: snapshot rejected: %v", seed, attempt, res.ResumeError)
-			}
-			final = res
-			break
-		}
-		if got, want := final.Taxonomy.Render(), ref.Taxonomy.Render(); got != want {
-			t.Errorf("seed %d (workers %d): resumed stealing taxonomy differs from round-robin reference:\n got:\n%s\nwant:\n%s",
-				seed, workers, got, want)
-		}
-		if len(final.Undecided) != 0 {
-			t.Errorf("seed %d: undecided after resume: %v", seed, final.Undecided)
+	for _, name := range []string{"lifo", "worksharing", "workstealing"} {
+		if _, err := ParseScheduling(name); err == nil {
+			t.Fatalf("ParseScheduling accepted %q", name)
 		}
 	}
 }
 
-// TestKillAndResumeAsync is the same crash loop under the barrier-free
-// driver: its snapshots are cut at quiescence epochs rather than batch
-// barriers, and runs crashed at arbitrary points and resumed must still
-// converge to the taxonomy of an uninterrupted round-robin run.
+// TestKillAndResumeAsync proves checkpoints taken under the barrier-free
+// driver restore correctly: its snapshots are cut at quiescence epochs
+// rather than batch barriers, the barrier asserts every deque drained so
+// a snapshot can never capture a stolen-but-unfinished task, and runs
+// crashed at arbitrary points and resumed must converge to the taxonomy
+// of an uninterrupted round-robin run.
 func TestKillAndResumeAsync(t *testing.T) {
 	seeds := []int64{21, 22, 23}
 	if testing.Short() {

@@ -76,9 +76,6 @@ type state struct {
 	satState []atomic.Int32
 
 	optimized bool
-	// maxGroupSize caps phase-2 task sizes (0 = unbounded, the paper's
-	// dispatch).
-	maxGroupSize int
 
 	// told[x] is the reflexive-transitive closure of x's told named
 	// subsumers (nil unless Options.UseToldSubsumers): if told[y] has x,
@@ -99,10 +96,10 @@ type state struct {
 
 	// hard[x] is an EWMA (α = 1/4) of the charged cost of plug-in tests
 	// involving concept x, stored as fixed-point nanoseconds shifted left
-	// by hardShift; non-nil only under WorkStealing and Async, where it
-	// orders each batch's submission hardest-first (LPT). The blend is a
-	// CAS loop (see observeHard), so concurrent updates from async
-	// workers never lose an observation; read through hardLoad.
+	// by hardShift; non-nil only under Async, where it orders each wave's
+	// submission hardest-first (LPT). The blend is a CAS loop (see
+	// observeHard), so concurrent updates from async workers never lose an
+	// observation; read through hardLoad.
 	hard []atomic.Int64
 
 	// epochBase is the epoch count restored from a resumed snapshot; the
@@ -395,7 +392,7 @@ const hardShift = 8
 // hardness EWMAs. First observation seeds the average; later ones blend
 // with α = 1/4 through a CAS loop, so concurrent observers (async workers
 // publish continuously) each land their update instead of overwriting one
-// another. No-op unless the run scheduled with WorkStealing or Async.
+// another. No-op unless the run scheduled with Async.
 func (s *state) observeHard(x, y int, cost time.Duration) {
 	if s.hard == nil || cost <= 0 {
 		return

@@ -35,21 +35,21 @@ type Cycle struct {
 	// TaskWorkers records, parallel to Tasks, the pool worker that
 	// actually executed each task (-1 for work charged outside the pool,
 	// e.g. the prepass seeding pseudo-task). Under RoundRobin this
-	// replays i mod w; under WorkStealing the assignment is dynamic and
+	// replays i mod w; under Async the assignment is dynamic and
 	// this is the only record of it.
 	TaskWorkers []int
 
 	// Steals and StolenFrom are per-worker steal counters for the cycle
-	// (index = worker id; nil unless the run used WorkStealing or Async):
+	// (index = worker id; nil unless the run used Async):
 	// Steals[w] counts tasks worker w took from other workers' queues,
 	// StolenFrom[w] counts tasks thieves took from worker w's queues.
 	Steals     []int64
 	StolenFrom []int64
 
 	// WaitNanos[w] is the time worker w spent parked waiting for work
-	// during the cycle, in nanoseconds (every policy). Under a barrier
-	// policy this is the straggler tail: an early finisher parks until
-	// the batch's last task completes and the next batch wakes it. Async
+	// during the cycle, in nanoseconds (both policies). Under RoundRobin
+	// this is the straggler tail: an early finisher parks until the
+	// batch's last task completes and the next batch wakes it. Async
 	// exists to shrink exactly this number.
 	WaitNanos []int64
 
@@ -157,7 +157,7 @@ func (t *Trace) TotalPruned() int64 {
 }
 
 // TotalSteals counts tasks that changed workers across the run
-// (WorkStealing only; zero otherwise).
+// (Async only; zero otherwise).
 func (t *Trace) TotalSteals() int64 {
 	var n int64
 	for _, c := range t.Cycles {
@@ -225,7 +225,7 @@ func (t *Trace) OverallImbalance() float64 {
 
 // LoadSummary renders the per-worker load, wait, and steal-count table
 // for the whole run (the paper's Sec. V-C load-balancing table, extended
-// with the stealing counters when the run used WorkStealing or Async).
+// with the stealing counters when the run used Async).
 // The wait column is each worker's parked time — the straggler tail the
 // barrier-free Async policy is built to shrink.
 func (t *Trace) LoadSummary() string {

@@ -1,6 +1,7 @@
 package el
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func mustSubs(t *testing.T, r *Reasoner, sup, sub *dl.Concept, want bool) {
 	t.Helper()
-	got, err := r.Subsumes(sup, sub)
+	got, err := r.Subs(context.Background(), sup, sub)
 	if err != nil {
 		t.Fatalf("Subsumes(%v ⊒ %v): %v", sup, sub, err)
 	}
@@ -90,7 +91,7 @@ func TestBottomPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range []*dl.Concept{a, b} {
-		sat, err := r.IsSatisfiable(x)
+		sat, err := r.Sat(context.Background(), x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func TestBottomPropagation(t *testing.T) {
 			t.Errorf("%v should be unsatisfiable", x)
 		}
 	}
-	sat, err := r.IsSatisfiable(c)
+	sat, err := r.Sat(context.Background(), c)
 	if err != nil || !sat {
 		t.Errorf("C should be satisfiable (err=%v)", err)
 	}
@@ -116,7 +117,7 @@ func TestDisjointnessAsBottom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sat, err := r.IsSatisfiable(c)
+	sat, err := r.Sat(context.Background(), c)
 	if err != nil || sat {
 		t.Errorf("C should be unsatisfiable (sat=%v err=%v)", sat, err)
 	}
@@ -216,7 +217,7 @@ func TestDeepChainStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := r.Subsumes(tb.Factory.Name("D0"), tb.Factory.Name("D1999"))
+	ok, err := r.Subs(context.Background(), tb.Factory.Name("D0"), tb.Factory.Name("D1999"))
 	if err != nil || !ok {
 		t.Fatalf("deep chain subsumption lost: %v %v", ok, err)
 	}

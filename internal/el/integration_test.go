@@ -5,6 +5,7 @@
 package el_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -75,13 +76,13 @@ func TestQuickAgainstTableau(t *testing.T) {
 		tab := tableau.New(tb, tableau.Options{})
 		for _, sub := range tb.NamedConcepts() {
 			for _, sup := range tb.NamedConcepts() {
-				want, err := tab.Subsumes(sup, sub)
+				want, err := tab.Subs(context.Background(), sup, sub)
 				if err != nil {
 					// Node-budget blowup in the cross-check oracle, not a
 					// disagreement: skip the pair.
 					continue
 				}
-				got, err := elr.Subsumes(sup, sub)
+				got, err := elr.Subs(context.Background(), sup, sub)
 				if err != nil {
 					t.Fatalf("seed %d el: %v", seed, err)
 				}
@@ -113,7 +114,7 @@ func TestQuickWorkerCountIrrelevant(t *testing.T) {
 			m := map[string]bool{}
 			for _, sub := range tb.NamedConcepts() {
 				for _, sup := range tb.NamedConcepts() {
-					ok, err := r.Subsumes(sup, sub)
+					ok, err := r.Subs(context.Background(), sup, sub)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -88,11 +88,6 @@ func (r *Reasoner) SaturateContext(ctx context.Context) error {
 	return err
 }
 
-// Saturate is SaturateContext without cancellation.
-//
-// Deprecated: use SaturateContext.
-func (r *Reasoner) Saturate() { _ = r.SaturateContext(context.Background()) }
-
 // atomQuery resolves a query concept to its atom; only ⊤, ⊥ and named
 // concepts of the TBox are queryable.
 func (r *Reasoner) atomQuery(c *dl.Concept) (atom, error) {
@@ -198,20 +193,6 @@ func (r *Reasoner) Seeds(ctx context.Context) (seeds []Seed, unsat []*dl.Concept
 		}
 	}
 	return seeds, unsat, nil
-}
-
-// IsSatisfiable is the context-free convenience form of Sat.
-//
-// Deprecated: use Sat with a context.
-func (r *Reasoner) IsSatisfiable(c *dl.Concept) (bool, error) {
-	return r.Sat(context.Background(), c)
-}
-
-// Subsumes is the context-free convenience form of Subs.
-//
-// Deprecated: use Subs with a context.
-func (r *Reasoner) Subsumes(sup, sub *dl.Concept) (bool, error) {
-	return r.Subs(context.Background(), sup, sub)
 }
 
 // Subsumers returns the named subsumers of named concept c (excluding ⊤,

@@ -1,6 +1,7 @@
 package module
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -143,8 +144,8 @@ func TestQuickModulePreservesEntailments(t *testing.T) {
 		mod := tableau.New(m, tableau.Options{})
 		for _, sub := range seeds {
 			for _, sup := range seeds {
-				fullAns, err1 := full.Subsumes(tb.Factory.Name(sup), tb.Factory.Name(sub))
-				modAns, err2 := mod.Subsumes(m.Factory.Name(sup), m.Factory.Name(sub))
+				fullAns, err1 := full.Subs(context.Background(), tb.Factory.Name(sup), tb.Factory.Name(sub))
+				modAns, err2 := mod.Subs(context.Background(), m.Factory.Name(sup), m.Factory.Name(sub))
 				if err1 != nil || err2 != nil {
 					continue
 				}
@@ -153,8 +154,8 @@ func TestQuickModulePreservesEntailments(t *testing.T) {
 					return false
 				}
 			}
-			fullSat, err1 := full.IsSatisfiable(tb.Factory.Name(sub))
-			modSat, err2 := mod.IsSatisfiable(m.Factory.Name(sub))
+			fullSat, err1 := full.Sat(context.Background(), tb.Factory.Name(sub))
+			modSat, err2 := mod.Sat(context.Background(), m.Factory.Name(sub))
 			if err1 == nil && err2 == nil && fullSat != modSat {
 				t.Logf("seed %d: sat(%s): full=%v module=%v", seed, sub, fullSat, modSat)
 				return false

@@ -265,17 +265,3 @@ func (c *Cached) ImportCache(snap CacheSnapshot) {
 	importShards(&c.sat, snap.Sat)
 	importShards(&c.subs, snap.Subs)
 }
-
-// IsSatisfiable is the context-free convenience form of Sat.
-//
-// Deprecated: use Sat with a context.
-func (c *Cached) IsSatisfiable(x *dl.Concept) (bool, error) {
-	return c.Sat(context.Background(), x)
-}
-
-// Subsumes is the context-free convenience form of Subs.
-//
-// Deprecated: use Subs with a context.
-func (c *Cached) Subsumes(sup, sub *dl.Concept) (bool, error) {
-	return c.Subs(context.Background(), sup, sub)
-}

@@ -176,11 +176,11 @@ func TestCachePortRoundTrip(t *testing.T) {
 	src := NewCached(NewOracle(tb, OracleOptions{}))
 	pairs := [][2]string{{"A", "B"}, {"A", "C"}, {"C", "B"}, {"B", "C"}}
 	for _, p := range pairs {
-		if _, err := src.Subsumes(f.Name(p[0]), f.Name(p[1])); err != nil {
+		if _, err := src.Subs(context.Background(), f.Name(p[0]), f.Name(p[1])); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := src.IsSatisfiable(f.Name("U")); err != nil {
+	if _, err := src.Sat(context.Background(), f.Name("U")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -199,16 +199,16 @@ func TestCachePortRoundTrip(t *testing.T) {
 	dst := NewCached(errReasoner{})
 	dst.ImportCache(snap)
 	for _, p := range pairs {
-		ok, err := dst.Subsumes(f.Name(p[0]), f.Name(p[1]))
+		ok, err := dst.Subs(context.Background(), f.Name(p[0]), f.Name(p[1]))
 		if err != nil {
 			t.Fatalf("imported entry missed for %v: %v", p, err)
 		}
-		want, _ := src.Subsumes(f.Name(p[0]), f.Name(p[1]))
+		want, _ := src.Subs(context.Background(), f.Name(p[0]), f.Name(p[1]))
 		if ok != want {
 			t.Fatalf("imported answer for %v = %v, want %v", p, ok, want)
 		}
 	}
-	if sat, err := dst.IsSatisfiable(f.Name("U")); err != nil || sat {
+	if sat, err := dst.Sat(context.Background(), f.Name("U")); err != nil || sat {
 		t.Fatalf("imported sat entry = %v, %v; want false, nil", sat, err)
 	}
 }

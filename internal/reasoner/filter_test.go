@@ -85,7 +85,7 @@ func TestCachedFilterMemo(t *testing.T) {
 	if !cache.DisprovesSubs(ctx, a, b) {
 		t.Fatal("filter disproof lost")
 	}
-	if got, err := cache.Subsumes(a, b); err != nil || got {
+	if got, err := cache.Subs(context.Background(), a, b); err != nil || got {
 		t.Fatalf("Subsumes after disproof = %v, %v; want false", got, err)
 	}
 	if fk.subsCalls.Load() != 0 {
@@ -101,7 +101,7 @@ func TestCachedFilterMemo(t *testing.T) {
 
 	// Settled positive (plug-in answered true) blocks later disproofs
 	// regardless of what the filter would say.
-	if got, err := cache.Subsumes(c, d); err != nil || !got {
+	if got, err := cache.Subs(context.Background(), c, d); err != nil || !got {
 		t.Fatalf("Subsumes = %v, %v; want true", got, err)
 	}
 	if cache.DisprovesSubs(ctx, c, d) {

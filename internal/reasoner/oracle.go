@@ -257,20 +257,6 @@ func sleepFor(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// IsSatisfiable is the context-free convenience form of Sat.
-//
-// Deprecated: use Sat with a context.
-func (o *Oracle) IsSatisfiable(c *dl.Concept) (bool, error) {
-	return o.Sat(context.Background(), c)
-}
-
-// Subsumes is the context-free convenience form of Subs.
-//
-// Deprecated: use Subs with a context.
-func (o *Oracle) Subsumes(sup, sub *dl.Concept) (bool, error) {
-	return o.Subs(context.Background(), sup, sub)
-}
-
 // VirtualSubsCost implements Virtual.
 func (o *Oracle) VirtualSubsCost(sup, sub *dl.Concept, result bool) time.Duration {
 	if o.subsCost == nil {

@@ -61,41 +61,6 @@ type Interface interface {
 	Subs(ctx context.Context, sup, sub *dl.Concept) (bool, error)
 }
 
-// LegacyInterface is the pre-context plug-in shape. Third-party plug-ins
-// written against it keep working through Adapt.
-//
-// Deprecated: implement Interface (context-threaded) directly.
-type LegacyInterface interface {
-	IsSatisfiable(c *dl.Concept) (bool, error)
-	Subsumes(sup, sub *dl.Concept) (bool, error)
-}
-
-// legacyAdapter bridges a LegacyInterface plug-in into Interface. The
-// context is checked before each call, but a running legacy test cannot
-// be interrupted.
-type legacyAdapter struct{ l LegacyInterface }
-
-// Adapt wraps a context-free legacy plug-in as an Interface. The adapter
-// refuses to start a call on a done context but cannot cancel a call in
-// flight — per-test deadlines degrade to best effort for such plug-ins.
-func Adapt(l LegacyInterface) Interface { return legacyAdapter{l} }
-
-// Sat implements Interface.
-func (a legacyAdapter) Sat(ctx context.Context, c *dl.Concept) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	return a.l.IsSatisfiable(c)
-}
-
-// Subs implements Interface.
-func (a legacyAdapter) Subs(ctx context.Context, sup, sub *dl.Concept) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	return a.l.Subsumes(sup, sub)
-}
-
 // ModelFilter is an optional capability a plug-in may offer alongside
 // Interface: a cheap, sound non-subsumption test. DisprovesSubs reports
 // that sub ⊑ sup definitely does NOT hold — typically by merging cached

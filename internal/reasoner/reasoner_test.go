@@ -42,7 +42,7 @@ func TestOracleClosure(t *testing.T) {
 		{"D", "C", true}, // via A
 	}
 	for _, c := range cases {
-		got, err := o.Subsumes(f.Name(c.sup), f.Name(c.sub))
+		got, err := o.Subs(context.Background(), f.Name(c.sup), f.Name(c.sub))
 		if err != nil {
 			t.Fatalf("%s ⊒ %s: %v", c.sup, c.sub, err)
 		}
@@ -56,19 +56,19 @@ func TestOracleTopBottom(t *testing.T) {
 	tb := oracleTBox()
 	f := tb.Factory
 	o := NewOracle(tb, OracleOptions{})
-	if ok, _ := o.Subsumes(f.Top(), f.Name("C")); !ok {
+	if ok, _ := o.Subs(context.Background(), f.Top(), f.Name("C")); !ok {
 		t.Error("C ⊑ ⊤ false")
 	}
-	if ok, _ := o.Subsumes(f.Name("C"), f.Top()); ok {
+	if ok, _ := o.Subs(context.Background(), f.Name("C"), f.Top()); ok {
 		t.Error("⊤ ⊑ C true")
 	}
-	if sat, _ := o.IsSatisfiable(f.Name("U")); sat {
+	if sat, _ := o.Sat(context.Background(), f.Name("U")); sat {
 		t.Error("U satisfiable despite U ⊑ ⊥")
 	}
-	if ok, _ := o.Subsumes(f.Name("C"), f.Name("U")); !ok {
+	if ok, _ := o.Subs(context.Background(), f.Name("C"), f.Name("U")); !ok {
 		t.Error("unsat U not subsumed by everything")
 	}
-	if _, err := o.Subsumes(f.Name("C"), f.Name("NotDeclared")); err == nil {
+	if _, err := o.Subs(context.Background(), f.Name("C"), f.Name("NotDeclared")); err == nil {
 		t.Error("undeclared concept accepted")
 	}
 }
@@ -81,11 +81,11 @@ func TestOracleTopEquivalence(t *testing.T) {
 	tb.SubClassOf(b, a)
 	tb.Freeze()
 	o := NewOracle(tb, OracleOptions{})
-	if ok, err := o.Subsumes(a, f.Top()); err != nil || !ok {
+	if ok, err := o.Subs(context.Background(), a, f.Top()); err != nil || !ok {
 		t.Errorf("⊤ ⊑ A = %v, %v; want true", ok, err)
 	}
 	// ⊤ ⊑ A and B ⊑ anything-below-top transitively: B ⊑ A directly too.
-	if ok, _ := o.Subsumes(a, b); !ok {
+	if ok, _ := o.Subs(context.Background(), a, b); !ok {
 		t.Error("B ⊑ A false")
 	}
 }
@@ -156,10 +156,10 @@ func TestCachedDedupes(t *testing.T) {
 	c := NewCached(fake)
 	a, b := f.Name("A"), f.Name("B")
 	for i := 0; i < 10; i++ {
-		if _, err := c.Subsumes(a, b); err != nil {
+		if _, err := c.Subs(context.Background(), a, b); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.IsSatisfiable(a); err != nil {
+		if _, err := c.Sat(context.Background(), a); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +167,7 @@ func TestCachedDedupes(t *testing.T) {
 		t.Errorf("underlying calls = %d, want 2", fake.calls)
 	}
 	// Direction matters for subsumption.
-	if _, err := c.Subsumes(b, a); err != nil {
+	if _, err := c.Subs(context.Background(), b, a); err != nil {
 		t.Fatal(err)
 	}
 	if fake.calls != 3 {
@@ -188,10 +188,10 @@ func TestCachedDoesNotCacheErrors(t *testing.T) {
 	tb := oracleTBox()
 	f := tb.Factory
 	c := NewCached(errReasoner{})
-	if _, err := c.IsSatisfiable(f.Name("A")); err == nil {
+	if _, err := c.Sat(context.Background(), f.Name("A")); err == nil {
 		t.Fatal("error swallowed")
 	}
-	if _, err := c.IsSatisfiable(f.Name("A")); err == nil {
+	if _, err := c.Sat(context.Background(), f.Name("A")); err == nil {
 		t.Fatal("error cached as success")
 	}
 }
@@ -251,7 +251,7 @@ func TestCachedSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			entered.Add(1)
-			ok, err := c.Subsumes(a, b)
+			ok, err := c.Subs(context.Background(), a, b)
 			if err != nil || !ok {
 				t.Errorf("Subsumes = %v, %v", ok, err)
 			}
@@ -262,7 +262,7 @@ func TestCachedSingleFlight(t *testing.T) {
 		t.Errorf("underlying calls = %d, want 1 (single-flight)", n)
 	}
 	// The settled answer is served from the cache afterwards.
-	if ok, err := c.Subsumes(a, b); err != nil || !ok {
+	if ok, err := c.Subs(context.Background(), a, b); err != nil || !ok {
 		t.Errorf("cached Subsumes = %v, %v", ok, err)
 	}
 	if n := g.calls.Load(); n != 1 {
@@ -282,7 +282,7 @@ func TestCachedSingleFlightErrorPropagates(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			_, errs[w] = c.Subsumes(f.Name("A"), f.Name("B"))
+			_, errs[w] = c.Subs(context.Background(), f.Name("A"), f.Name("B"))
 		}(w)
 	}
 	wg.Wait()
@@ -291,7 +291,7 @@ func TestCachedSingleFlightErrorPropagates(t *testing.T) {
 			t.Errorf("worker %d: error lost", w)
 		}
 	}
-	if _, err := c.Subsumes(f.Name("A"), f.Name("B")); err == nil {
+	if _, err := c.Subs(context.Background(), f.Name("A"), f.Name("B")); err == nil {
 		t.Error("error cached as success")
 	}
 }
@@ -306,7 +306,7 @@ func TestCachedConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				ok, err := c.Subsumes(f.Name("A"), f.Name("C"))
+				ok, err := c.Subs(context.Background(), f.Name("A"), f.Name("C"))
 				if err != nil || !ok {
 					t.Errorf("C ⊑ A = %v, %v", ok, err)
 					return

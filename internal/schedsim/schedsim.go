@@ -8,11 +8,11 @@
 // figure harness instead runs the real classifier with an oracle plug-in
 // (charging each test its deterministic virtual cost), collects the exact
 // task stream the pool dispatched, and feeds it to Simulate. The simulated
-// pool replays the real pool's policy — round-robin assignment, shared
-// greedy queue, or work stealing (whose virtual-time equivalent is greedy
-// earliest-idle assignment over the LPT-sorted batch) — only the clock is
-// virtual. An overhead model — per-task dispatch cost and a per-cycle
-// barrier whose cost grows with w — reproduces the behaviour the paper
+// pool replays the real pool's policy — round-robin assignment, or Async's
+// work stealing (whose virtual-time equivalent is greedy earliest-idle
+// assignment over the LPT-sorted batch) — only the clock is virtual. An
+// overhead model — per-task dispatch cost and a per-cycle barrier whose
+// cost grows with w — reproduces the behaviour the paper
 // observes: speedup climbs roughly linearly, peaks when partitions n/w get
 // too small, then degrades (Fig. 9(a)).
 package schedsim
@@ -99,25 +99,18 @@ func simulateCycle(tasks []time.Duration, w int, ov Overhead, sched core.Schedul
 		return 0, 0
 	}
 	loads := make([]time.Duration, w)
-	switch sched {
-	case core.WorkSharing:
-		// Greedy: each task goes to the earliest-free worker.
-		for _, t := range tasks {
-			greedyAssign(loads, t, ov)
-		}
-	case core.WorkStealing:
+	if sched == core.Async {
 		// Virtual-time equivalent of stealing: a worker going idle
 		// immediately takes the next pending task, which is exactly
-		// greedy earliest-idle assignment — over the LPT order the real
-		// coordinator dispatched (the trace's Tasks are recorded in
-		// dispatch order, i.e. already hardness-sorted descending when
-		// the run used WorkStealing).
+		// greedy earliest-idle assignment over the LPT order the real
+		// coordinator dispatches (replayed from the measured durations,
+		// which the coordinator's hardness EWMAs only estimate).
 		sorted := append([]time.Duration(nil), tasks...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
 		for _, t := range sorted {
 			greedyAssign(loads, t, ov)
 		}
-	default: // RoundRobin, the paper's policy
+	} else { // RoundRobin, the paper's policy
 		for i, t := range tasks {
 			loads[i%w] += t + ov.PerTask
 		}

@@ -86,7 +86,8 @@ func TestOverheadCausesPeakAndDegradation(t *testing.T) {
 
 func TestHeavyTailCapsSpeedup(t *testing.T) {
 	// One task dominating the cycle bounds speedup by
-	// total/longest — the Fig. 10(b) plateau.
+	// total/longest — the Fig. 10(b) plateau, which even Async's greedy
+	// replay cannot beat.
 	tr := &core.Trace{}
 	cyc := &core.Cycle{Phase: core.PhaseGroup, Index: 1}
 	cyc.Tasks = append(cyc.Tasks, 100*time.Millisecond)
@@ -96,20 +97,20 @@ func TestHeavyTailCapsSpeedup(t *testing.T) {
 	tr.Cycles = []*core.Cycle{cyc}
 	bound := 400.0 / 100.0 // total 400ms / longest 100ms = 4
 	for _, w := range []int{8, 40, 80} {
-		r := Simulate(tr, w, Overhead{}, core.WorkSharing)
+		r := Simulate(tr, w, Overhead{}, core.Async)
 		if r.Speedup > bound+0.01 {
 			t.Errorf("speedup(w=%d) = %.2f exceeds heavy-tail bound %.2f", w, r.Speedup, bound)
 		}
 	}
-	r := Simulate(tr, 80, Overhead{}, core.WorkSharing)
+	r := Simulate(tr, 80, Overhead{}, core.Async)
 	if r.Speedup < 3.5 {
 		t.Errorf("speedup(w=80) = %.2f, want ≈4 plateau", r.Speedup)
 	}
 }
 
-func TestRoundRobinVsWorkSharing(t *testing.T) {
-	// With skewed task sizes, greedy work-sharing beats blind round-robin.
-	tr := &core.Trace{}
+// skewedTrace is one 16-task cycle whose every fourth task costs 10ms
+// and the rest 1ms.
+func skewedTrace() *core.Trace {
 	cyc := &core.Cycle{Phase: core.PhaseGroup, Index: 1}
 	for i := 0; i < 16; i++ {
 		d := time.Millisecond
@@ -118,11 +119,36 @@ func TestRoundRobinVsWorkSharing(t *testing.T) {
 		}
 		cyc.Tasks = append(cyc.Tasks, d)
 	}
-	tr.Cycles = []*core.Cycle{cyc}
+	return &core.Trace{Cycles: []*core.Cycle{cyc}}
+}
+
+func TestRoundRobinVsWorkSharing(t *testing.T) {
+	// With skewed task sizes, Async's greedy earliest-idle replay (work
+	// shared at task granularity) is never slower than blind round-robin.
+	tr := skewedTrace()
 	rr := Simulate(tr, 4, Overhead{}, core.RoundRobin)
-	ws := Simulate(tr, 4, Overhead{}, core.WorkSharing)
-	if ws.Elapsed > rr.Elapsed {
-		t.Errorf("work-sharing (%v) slower than round-robin (%v) on skewed tasks", ws.Elapsed, rr.Elapsed)
+	as := Simulate(tr, 4, Overhead{}, core.Async)
+	if as.Elapsed > rr.Elapsed {
+		t.Errorf("async (%v) slower than round-robin (%v) on skewed tasks", as.Elapsed, rr.Elapsed)
+	}
+}
+
+func TestAsyncReplayIsGreedyNotRoundRobin(t *testing.T) {
+	// Every heavy task sits at a multiple of w = 4, so round-robin stacks
+	// all four on worker 0 (40ms) while the greedy replay gives each
+	// worker one and packs the cheap tail around them (13ms). An Async
+	// trace replayed as i mod w would report 40ms.
+	tr := skewedTrace()
+	rr := Simulate(tr, 4, Overhead{}, core.RoundRobin)
+	as := Simulate(tr, 4, Overhead{}, core.Async)
+	if rr.Elapsed != 40*time.Millisecond {
+		t.Fatalf("round-robin elapsed = %v, want 40ms", rr.Elapsed)
+	}
+	if as.Elapsed != 13*time.Millisecond {
+		t.Errorf("async elapsed = %v, want the greedy makespan 13ms", as.Elapsed)
+	}
+	if as.Runtime != rr.Runtime {
+		t.Errorf("async runtime %v != round-robin runtime %v; replay must only reassign work", as.Runtime, rr.Runtime)
 	}
 }
 

@@ -621,7 +621,8 @@ func TestDrainFlushesQueuedJobs(t *testing.T) {
 // TestSubmitSchedulingOverride: a submit's ?sched= parameter overrides
 // the engine's policy for that one job, the effective policy is surfaced
 // in the status JSON, an async-scheduled job serves the identical
-// taxonomy, and unknown policy names are rejected at admission.
+// taxonomy, and unknown or retired policy names are rejected at
+// admission.
 func TestSubmitSchedulingOverride(t *testing.T) {
 	t.Parallel()
 	text := genOBO(t, 9, 50)
@@ -658,13 +659,15 @@ func TestSubmitSchedulingOverride(t *testing.T) {
 		t.Errorf("default scheduling = %q, want roundrobin", info.Scheduling)
 	}
 
-	resp, err = http.Post(ts.URL+"/ontologies?format=obo&id=bad&sched=lifo",
-		"text/plain", strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("sched=lifo: HTTP %d, want 400", resp.StatusCode)
+	for _, name := range []string{"lifo", "workstealing", "worksharing"} {
+		resp, err = http.Post(ts.URL+"/ontologies?format=obo&id=bad&sched="+name,
+			"text/plain", strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("sched=%s: HTTP %d, want 400", name, resp.StatusCode)
+		}
 	}
 }

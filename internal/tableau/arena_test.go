@@ -1,6 +1,7 @@
 package tableau
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -115,7 +116,7 @@ func TestPooledSolverResetInvariant(t *testing.T) {
 		}
 		s.resetForReuse()
 		checkSolverReset(t, s)
-		want, err := fresh.IsSatisfiable(c)
+		want, err := fresh.Sat(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +135,7 @@ func TestSolverPoolStats(t *testing.T) {
 	tb.SubClassOf(a, tb.Factory.Some(tb.Factory.Role("r"), b))
 	r := New(tb, Options{})
 	for i := 0; i < 50; i++ {
-		if _, err := r.IsSatisfiable(a); err != nil {
+		if _, err := r.Sat(context.Background(), a); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -48,7 +48,7 @@ func TestDisprovesSubsSound(t *testing.T) {
 				if !r.DisprovesSubs(ctx, sup, sub) {
 					continue
 				}
-				holds, err := r.Subsumes(sup, sub)
+				holds, err := r.Subs(context.Background(), sup, sub)
 				if err != nil {
 					continue // budget blowup: nothing to compare
 				}

@@ -156,17 +156,3 @@ func (r *Reasoner) Subs(ctx context.Context, sup, sub *dl.Concept) (bool, error)
 	}
 	return !sat, nil
 }
-
-// IsSatisfiable is the context-free convenience form of Sat.
-//
-// Deprecated: use Sat with a context.
-func (r *Reasoner) IsSatisfiable(c *dl.Concept) (bool, error) {
-	return r.Sat(context.Background(), c)
-}
-
-// Subsumes is the context-free convenience form of Subs.
-//
-// Deprecated: use Subs with a context.
-func (r *Reasoner) Subsumes(sup, sub *dl.Concept) (bool, error) {
-	return r.Subs(context.Background(), sup, sub)
-}

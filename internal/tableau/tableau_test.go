@@ -1,6 +1,7 @@
 package tableau
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -18,7 +19,7 @@ func newEmpty(t *testing.T) (*dl.TBox, *dl.Factory, *Reasoner) {
 
 func mustSat(t *testing.T, r *Reasoner, c *dl.Concept, want bool) {
 	t.Helper()
-	got, err := r.IsSatisfiable(c)
+	got, err := r.Sat(context.Background(), c)
 	if err != nil {
 		t.Fatalf("IsSatisfiable(%v): %v", c, err)
 	}
@@ -29,7 +30,7 @@ func mustSat(t *testing.T, r *Reasoner, c *dl.Concept, want bool) {
 
 func mustSubs(t *testing.T, r *Reasoner, sup, sub *dl.Concept, want bool) {
 	t.Helper()
-	got, err := r.Subsumes(sup, sub)
+	got, err := r.Subs(context.Background(), sup, sub)
 	if err != nil {
 		t.Fatalf("Subsumes(%v, %v): %v", sup, sub, err)
 	}
@@ -280,7 +281,7 @@ func TestNodeBudget(t *testing.T) {
 		cs = append(cs, f.Some(rr, f.Name(string(rune('A'+i)))))
 	}
 	r := New(tb, Options{MaxNodes: 3})
-	_, err := r.IsSatisfiable(f.And(cs...))
+	_, err := r.Sat(context.Background(), f.And(cs...))
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
@@ -291,7 +292,7 @@ func TestStatsCounters(t *testing.T) {
 	f := tb.Factory
 	a, b := tb.Declare("A"), tb.Declare("B")
 	r := New(tb, Options{})
-	if _, err := r.Subsumes(b, a); err != nil {
+	if _, err := r.Subs(context.Background(), b, a); err != nil {
 		t.Fatal(err)
 	}
 	if r.Stats().SubsTests.Load() != 1 || r.Stats().SatTests.Load() != 1 {
@@ -365,7 +366,7 @@ func TestQuickPropositionalAgainstTruthTables(t *testing.T) {
 				break
 			}
 		}
-		got, err := r.IsSatisfiable(c)
+		got, err := r.Sat(context.Background(), c)
 		return err == nil && got == want
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 400}); err != nil {
@@ -383,21 +384,21 @@ func TestQuickSubsumptionCoherence(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randALC(f, rng, 3)
 		d := randALC(f, rng, 3)
-		subs, err := r.Subsumes(d, c)
+		subs, err := r.Subs(context.Background(), d, c)
 		if err != nil {
 			return true // budget blowups are acceptable here
 		}
 		if !subs {
 			return true
 		}
-		satC, err1 := r.IsSatisfiable(c)
+		satC, err1 := r.Sat(context.Background(), c)
 		if err1 != nil {
 			return true
 		}
 		if !satC {
 			return true
 		}
-		both, err2 := r.IsSatisfiable(f.And(c, d))
+		both, err2 := r.Sat(context.Background(), f.And(c, d))
 		return err2 == nil && both
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
@@ -438,7 +439,7 @@ func TestConcurrentReasonerUse(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		go func() {
 			for i := 0; i < 50; i++ {
-				got, err := r.Subsumes(f.Some(rr, c), a)
+				got, err := r.Subs(context.Background(), f.Some(rr, c), a)
 				if err != nil {
 					done <- err
 					return
@@ -496,8 +497,8 @@ func TestModelMergingAgreesWithPlain(t *testing.T) {
 		merged := New(tb, Options{ModelMerging: true})
 		for _, sub := range tb.NamedConcepts() {
 			for _, sup := range tb.NamedConcepts() {
-				want, err1 := plain.Subsumes(sup, sub)
-				got, err2 := merged.Subsumes(sup, sub)
+				want, err1 := plain.Subs(context.Background(), sup, sub)
+				got, err2 := merged.Subs(context.Background(), sup, sub)
 				if err1 != nil || err2 != nil {
 					continue // budget blowups: skip the pair
 				}
@@ -529,7 +530,7 @@ func TestModelMergingSkips(t *testing.T) {
 			if sub == sup {
 				continue
 			}
-			if _, err := r.Subsumes(sup, sub); err != nil {
+			if _, err := r.Subs(context.Background(), sup, sub); err != nil {
 				t.Fatal(err)
 			}
 		}

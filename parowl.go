@@ -19,9 +19,6 @@
 //	snap, _ := ont.Snapshot() // concurrent queries, swap-safe
 //	ok, _ := snap.Subsumes("Organ", "Heart")
 //
-// The pre-handle package-level helpers (Classify, LoadFile, …) remain as
-// deprecated shims over a default Engine; see deprecated.go.
-//
 // Three reasoner plug-ins ship with the package: a tableau reasoner for
 // ALCHQ with transitive roles (the default), an ELK-style saturation
 // reasoner for EL ontologies, and a deterministic oracle with a synthetic
@@ -77,10 +74,6 @@ type (
 	// error wrapping the context's error) once it is cancelled, which is
 	// what makes Options.TestTimeout budgets effective.
 	Reasoner = reasoner.Interface
-	// LegacyReasoner is the pre-context plug-in shape; wrap one with
-	// AdaptReasoner. Such plug-ins cannot be interrupted, so per-test
-	// budgets only bound the time-to-abandon, not the call itself.
-	LegacyReasoner = reasoner.LegacyInterface
 	// ModelFilter is the optional plug-in capability consulted by
 	// Options.ModelFilter: a cheap, sound "definitely not subsumed"
 	// answer that skips the full subs? dispatch.
@@ -98,8 +91,8 @@ type (
 	Stats = core.Stats
 	// Trace is the per-cycle instrumentation record.
 	Trace = core.Trace
-	// Scheduling selects the worker pool's dispatch policy (RoundRobin,
-	// WorkSharing, WorkStealing, or Async).
+	// Scheduling selects the worker pool's dispatch policy (RoundRobin
+	// or Async).
 	Scheduling = core.Scheduling
 	// Profile is a synthetic-corpus generator profile.
 	Profile = ontogen.Profile
@@ -117,14 +110,10 @@ const (
 	ModeBasic = core.Basic
 	// RoundRobin dispatches task i to worker i mod w (the paper's policy).
 	RoundRobin = core.RoundRobin
-	// WorkSharing lets any idle worker take the next task.
-	WorkSharing = core.WorkSharing
-	// WorkStealing gives each worker a lock-free deque and lets idle
-	// workers steal queued tasks from busy ones, with batches submitted
-	// hardest-first (LPT).
-	WorkStealing = core.WorkStealing
-	// Async runs classification barrier-free on the stealing pool:
-	// workers publish results continuously, random-division cycles are
+	// Async runs classification barrier-free on a work-stealing pool:
+	// each worker owns a lock-free deque fed hardest-first (LPT) and
+	// idle workers steal queued tasks from busy ones; workers publish
+	// results continuously, random-division cycles are
 	// pipelined, group-division work is re-cut from the live shared
 	// state below a backlog watermark, and the run quiesces only at
 	// phase edges and due checkpoints (epoch-consistent snapshots),
@@ -151,9 +140,8 @@ const (
 // NewTBox returns an empty TBox to build programmatically.
 func NewTBox(name string) *TBox { return dl.NewTBox(name) }
 
-// ParseScheduling maps a policy name ("roundrobin", "worksharing",
-// "workstealing", "async", as printed by Scheduling.String) back to the
-// constant.
+// ParseScheduling maps a policy name ("roundrobin" or "async", as printed
+// by Scheduling.String) back to the constant.
 func ParseScheduling(name string) (Scheduling, error) { return core.ParseScheduling(name) }
 
 // Format identifies an ontology serialization syntax for Write/WriteFile
@@ -342,11 +330,6 @@ func NewChaosReasoner(r Reasoner, o ChaosOptions) Reasoner { return reasoner.New
 // ParseChaos parses the compact chaos spec used by the -chaos flag of
 // owlclass and owld, e.g. "err=0.01,panic=0.005,slow=2ms,seed=7".
 func ParseChaos(spec string) (ChaosOptions, error) { return reasoner.ParseChaos(spec) }
-
-// AdaptReasoner wraps a pre-context plug-in as a Reasoner. The adapter
-// checks the context before each call but cannot interrupt a call in
-// flight, so prefer implementing the context-aware interface directly.
-func AdaptReasoner(l LegacyReasoner) Reasoner { return reasoner.Adapt(l) }
 
 // Profiles returns the 14 corpus profiles of the paper's Tables IV and V.
 func Profiles() []Profile {

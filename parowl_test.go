@@ -1,6 +1,7 @@
 package parowl
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,9 +22,23 @@ func buildSmallTBox(t *testing.T) *TBox {
 	return tb
 }
 
+// classify runs tb through a default Engine's Ontology handle.
+func classify(tb *TBox, opts Options) (*Result, error) {
+	return NewEngine().NewOntology(tb).ClassifyWith(context.Background(), opts)
+}
+
+// loadFile loads path through a default Engine and returns its TBox.
+func loadFile(path string) (*TBox, error) {
+	o, err := NewEngine().LoadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return o.TBox(), nil
+}
+
 func TestClassifyDefaults(t *testing.T) {
 	tb := buildSmallTBox(t)
-	res, err := Classify(tb, Options{})
+	res, err := classify(tb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,15 +56,16 @@ func TestClassifyDefaults(t *testing.T) {
 
 func TestBaselinesAgree(t *testing.T) {
 	tb := buildSmallTBox(t)
-	par, err := Classify(tb, Options{Workers: 4})
+	par, err := classify(tb, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := ClassifySequential(tb, nil)
+	ont := NewEngine().NewOntology(tb)
+	seq, err := ont.ClassifySequential(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trav, err := ClassifyEnhancedTraversal(tb, nil)
+	trav, err := ont.ClassifyEnhancedTraversal(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +84,7 @@ func TestLoadFileOBOAndFSS(t *testing.T) {
 	if err := os.WriteFile(oboPath, []byte(oboSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tb, err := LoadFile(oboPath)
+	tb, err := loadFile(oboPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +97,14 @@ func TestLoadFileOBOAndFSS(t *testing.T) {
 	if err := os.WriteFile(fssPath, []byte(fssSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tb2, err := LoadFile(fssPath)
+	tb2, err := loadFile(fssPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tb2.NumNamed() != 2 {
 		t.Errorf("fss concepts = %d", tb2.NumNamed())
 	}
-	if _, err := LoadFile(filepath.Join(dir, "absent.obo")); err == nil {
+	if _, err := loadFile(filepath.Join(dir, "absent.obo")); err == nil {
 		t.Error("missing file accepted")
 	}
 }
@@ -97,10 +113,10 @@ func TestWriteFiles(t *testing.T) {
 	dir := t.TempDir()
 	tb := buildSmallTBox(t)
 	ofn := filepath.Join(dir, "out.ofn")
-	if err := WriteFunctionalFile(ofn, tb); err != nil {
+	if err := WriteFile(ofn, tb, FormatFunctional); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadFile(ofn)
+	back, err := loadFile(ofn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +124,14 @@ func TestWriteFiles(t *testing.T) {
 		t.Errorf("round trip lost concepts: %d vs %d", back.NumNamed(), tb.NumNamed())
 	}
 	oboPath := filepath.Join(dir, "out.obo")
-	if err := WriteOBOFile(oboPath, tb); err != nil {
+	if err := WriteFile(oboPath, tb, FormatOBO); err != nil {
 		t.Fatal(err)
 	}
 	omnPath := filepath.Join(dir, "out.omn")
-	if err := WriteManchesterFile(omnPath, tb); err != nil {
+	if err := WriteFile(omnPath, tb, FormatManchester); err != nil {
 		t.Fatal(err)
 	}
-	backOmn, err := LoadFile(omnPath)
+	backOmn, err := loadFile(omnPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +139,11 @@ func TestWriteFiles(t *testing.T) {
 		t.Errorf("manchester round trip lost concepts: %d vs %d", backOmn.NumNamed(), tb.NumNamed())
 	}
 	// Classification semantics must survive the Manchester round trip.
-	want, err := Classify(tb, Options{})
+	want, err := classify(tb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Classify(backOmn, Options{})
+	got, err := classify(backOmn, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +183,7 @@ func TestReasonerConstructors(t *testing.T) {
 		t.Error("EL reasoner accepted negation")
 	}
 	// Auto must fall back to the tableau and still classify.
-	res, err := Classify(alc, Options{})
+	res, err := classify(alc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +216,7 @@ func TestSpeedupSweepShape(t *testing.T) {
 
 func TestTaxonomyRender(t *testing.T) {
 	tb := buildSmallTBox(t)
-	res, err := Classify(tb, Options{})
+	res, err := classify(tb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,15 +241,15 @@ func TestFormatNames(t *testing.T) {
 
 func TestDetectFormat(t *testing.T) {
 	cases := map[string]Format{
-		"onto.obo":            FormatOBO,
-		"dir/ONTO.OBO":        FormatOBO,
-		"onto.omn":            FormatManchester,
-		"onto.manchester":     FormatManchester,
-		"onto.ofn":            FormatFunctional,
-		"onto.owl":            FormatFunctional,
-		"no-extension":        FormatFunctional,
-		"weird.obo.ofn":       FormatFunctional,
-		"/abs/path/file.OMN":  FormatManchester,
+		"onto.obo":           FormatOBO,
+		"dir/ONTO.OBO":       FormatOBO,
+		"onto.omn":           FormatManchester,
+		"onto.manchester":    FormatManchester,
+		"onto.ofn":           FormatFunctional,
+		"onto.owl":           FormatFunctional,
+		"no-extension":       FormatFunctional,
+		"weird.obo.ofn":      FormatFunctional,
+		"/abs/path/file.OMN": FormatManchester,
 	}
 	for path, want := range cases {
 		if got := DetectFormat(path); got != want {
@@ -243,12 +259,12 @@ func TestDetectFormat(t *testing.T) {
 }
 
 // TestWriteFormatDispatch drives the collapsed Write/WriteFile API: one
-// ontology, every format, reload through LoadFile's matching extension
-// dispatch, and identical classification after each round trip.
+// ontology, every format, reload through Engine.LoadFile's matching
+// extension dispatch, and identical classification after each round trip.
 func TestWriteFormatDispatch(t *testing.T) {
 	dir := t.TempDir()
 	tb := buildSmallTBox(t)
-	want, err := Classify(tb, Options{})
+	want, err := classify(tb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,14 +284,14 @@ func TestWriteFormatDispatch(t *testing.T) {
 		if err := WriteFile(path, tb, tc.format); err != nil {
 			t.Fatalf("WriteFile(%s, %v): %v", tc.name, tc.format, err)
 		}
-		back, err := LoadFile(path)
+		back, err := loadFile(path)
 		if err != nil {
-			t.Fatalf("LoadFile(%s): %v", tc.name, err)
+			t.Fatalf("loadFile(%s): %v", tc.name, err)
 		}
 		if back.NumNamed() != tb.NumNamed() {
 			t.Errorf("%s: round trip lost concepts: %d vs %d", tc.name, back.NumNamed(), tb.NumNamed())
 		}
-		got, err := Classify(back, Options{})
+		got, err := classify(back, Options{})
 		if err != nil {
 			t.Fatalf("classifying %s round trip: %v", tc.name, err)
 		}

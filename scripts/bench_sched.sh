@@ -2,15 +2,14 @@
 # bench_sched.sh — scheduler-policy benchmark with commit-over-commit
 # comparison, also available as `make bench-sched`.
 #
-# Runs `benchfig -exp sched` (all four pool policies — round-robin,
-# work-sharing, work-stealing, async — on a skewed corpus with real
-# per-test durations),
-# rotating the previous BENCH_sched.json/.bench to *.prev first. The
+# Runs `benchfig -exp sched` (round-robin against async at 2, 4 and 8
+# workers on a skewed corpus with real per-test durations), rotating the
+# previous BENCH_sched.json/.bench to *.prev first. The
 # corpus comes from scripts/corpus.sh so it is the byte-identical file
 # `make chaos` tortures. When benchstat is installed and a previous run
 # exists, the benchstat-format twins are compared; otherwise the raw rows
 # are printed side by side. Extra arguments are passed to benchfig
-# (e.g. `scripts/bench_sched.sh -schedworkers 4`).
+# (e.g. `scripts/bench_sched.sh -schedworkers 4,16`).
 set -eu
 cd "$(dirname "$0")/.."
 

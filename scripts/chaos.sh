@@ -15,10 +15,9 @@ echo "== subprocess SIGKILL driver (owlclass -checkpoint/-resume)"
 go test -count=1 -v -run 'TestCLIKillAndResume|TestCLIResumeRejectsCorruptSnapshot' .
 echo "== owlclass cross-policy smoke on the shared corpus (scripts/corpus.sh)"
 CORPUS=$(sh scripts/corpus.sh)
-for SCHED in roundrobin worksharing workstealing; do
+for SCHED in roundrobin async; do
     go run ./cmd/owlclass -sched "$SCHED" -workers 4 -prepass "$CORPUS" \
         >".corpus/taxonomy.$SCHED"
 done
-cmp .corpus/taxonomy.roundrobin .corpus/taxonomy.worksharing
-cmp .corpus/taxonomy.roundrobin .corpus/taxonomy.workstealing
+cmp .corpus/taxonomy.roundrobin .corpus/taxonomy.async
 echo "chaos: OK"

@@ -17,10 +17,8 @@ echo "== cheap-first pipeline equivalence suite (-race)"
 go test -race -count=1 -run 'TestQuickPipelineEquivalence|TestPipelineEquivalenceOntogen|TestPipelineReducesCalls|TestPrepassFragmentUnsatConcept' ./internal/core/
 echo "== crash-safety suite: kill-and-resume + chaos soundness (-race)"
 go test -race -count=1 -run 'TestKillAndResumeEquivalence|TestChaosPanicSoundness|TestResumeRejectsBadSnapshots' ./internal/core/
-echo "== scheduler suite: cross-policy equivalence + stealing-deque properties (-race)"
-go test -race -count=1 -run 'TestQuickCrossPolicyEquivalence|TestWorkStealingActuallySteals|TestKillAndResumeWorkStealing|TestSchedulingValidation|TestDequeOwnerThiefProperty|TestDequeLastElementRace|TestWorkerQueueResetLateThief|TestBarrierAssertsDequesEmpty|TestPoolStealingBalancesSkew' ./internal/core/
-echo "== async suite: barrier-free equivalence + epoch checkpoints (-race)"
-go test -race -count=1 -run 'TestKillAndResumeAsync|TestAsyncQuiescesLessThanBarrierMode|TestCheckpointLegacyFileWithoutKernelSection|TestSnapshotKernelDecodeFuzz' ./internal/core/
+echo "== scheduler suite: roundrobin/async equivalence, stealing deques, epoch checkpoints (-race)"
+go test -race -count=1 -run 'TestQuickCrossPolicyEquivalence|TestCrossPolicyEquivalenceOntogen|TestWorkStealingActuallySteals|TestSchedulingValidation|TestDequeOwnerThiefProperty|TestDequeLastElementRace|TestWorkerQueueResetLateThief|TestBarrierAssertsDequesEmpty|TestPoolStealingBalancesSkew|TestKillAndResumeAsync|TestAsyncQuiescesLessThanBarrierMode' ./internal/core/
 
 echo "== query-kernel equivalence suite: kernel vs DAG answers + checkpoint frame corruption (-race)"
 go test -race -count=1 -run 'TestKernelEquivalenceRandom|TestKernelEquivalenceOntogen|TestKernelRoundTrip|TestKernelFileRoundTrip|TestKernelDecodeCorruption|TestAdoptKernelRejectsMismatch' ./internal/taxonomy/
