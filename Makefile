@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify chaos serve-smoke serve-chaos bench bench-tableau bench-classify bench-sched bench-query
+.PHONY: build test verify chaos serve-smoke serve-chaos bench bench-classify bench-sched bench-query
 
 build:
 	$(GO) build ./...
@@ -36,11 +36,6 @@ serve-chaos:
 
 bench:
 	$(GO) test -bench . -benchmem -run xxx ./...
-
-# Hot-path microbenchmarks with arena-reuse counters, written to
-# BENCH_tableau.json for commit-over-commit comparison.
-bench-tableau:
-	$(GO) run ./cmd/benchfig -exp tableau
 
 # End-to-end classification benchmark (real tableau reasoning, cheap-first
 # pipeline off vs on), written to BENCH_classify.json; compares against

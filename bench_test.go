@@ -214,19 +214,27 @@ func BenchmarkSchedulingAblation(b *testing.B) {
 
 // BenchmarkTableauSubsumption measures single subsumption tests on a
 // QCR-bearing corpus — the unit of work the paper's plug-in (HermiT)
-// performs.
+// performs — plain and with pseudo-model merging.
 func BenchmarkTableauSubsumption(b *testing.B) {
 	tb := benchCorpus(b, "bridg.biomedical_domain", 8)
-	tab := tableau.New(tb, tableau.Options{})
 	named := tb.NamedConcepts()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sup := named[i%len(named)]
-		sub := named[(i*7+3)%len(named)]
-		if _, err := tab.Subs(context.Background(), sup, sub); err != nil {
-			b.Fatal(err)
+	for _, mm := range []bool{false, true} {
+		name := "plain"
+		if mm {
+			name = "modelmerging"
 		}
+		b.Run(name, func(b *testing.B) {
+			tab := tableau.New(tb, tableau.Options{ModelMerging: mm})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sup := named[i%len(named)]
+				sub := named[(i*7+3)%len(named)]
+				if _, err := tab.Subs(context.Background(), sup, sub); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -254,6 +262,9 @@ func BenchmarkTableauSatReuse(b *testing.B) {
 	}
 	b.StopTimer()
 	st := tab.Stats()
+	if total := st.SolversReused.Load() + st.SolversAllocated.Load(); total > 0 {
+		b.ReportMetric(float64(st.SolversReused.Load())/float64(total), "solver-reuse-ratio")
+	}
 	if total := st.NodesReused.Load() + st.NodesAllocated.Load(); total > 0 {
 		b.ReportMetric(float64(st.NodesReused.Load())/float64(total), "node-reuse-ratio")
 	}

@@ -119,7 +119,7 @@ func TestCLIOwlclassQueryKernel(t *testing.T) {
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	kernel := filepath.Join(dir, "mini.kernel")
+	ck := filepath.Join(dir, "mini.ck")
 	spec := "subsumes:A,C;subsumes:C,A;ancestors:C;lca:B,C;depth:C"
 	wantLines := []string{
 		"subsumes(A, C) = true",
@@ -129,47 +129,57 @@ func TestCLIOwlclassQueryKernel(t *testing.T) {
 		"depth(C) = 3",
 	}
 
-	out, err := runCmd(t, "owlclass", "-kernel", kernel, "-query", spec, path)
+	// The first run compiles the kernel and checkpoints it with the
+	// finished classification.
+	out, err := runCmd(t, "owlclass", "-checkpoint", ck, "-query", spec, path)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	for _, want := range append([]string{"query kernel saved to"}, wantLines...) {
+	for _, want := range wantLines {
 		if !strings.Contains(out, want) {
 			t.Errorf("first run missing %q:\n%s", want, out)
 		}
 	}
 
-	// The second run must adopt the saved kernel and answer identically.
-	out, err = runCmd(t, "owlclass", "-kernel", kernel, "-query", spec, path)
+	// Resuming the finished run restores it and adopts the checkpointed
+	// kernel: same answers, no warning.
+	out, err = runCmd(t, "owlclass", "-checkpoint", ck, "-resume", ck, "-query", spec, path)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	for _, want := range append([]string{"query kernel adopted from"}, wantLines...) {
+	for _, want := range append([]string{"resumed from checkpoint"}, wantLines...) {
 		if !strings.Contains(out, want) {
-			t.Errorf("adopting run missing %q:\n%s", want, out)
+			t.Errorf("resumed run missing %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "WARNING") {
+		t.Errorf("resumed run warned:\n%s", out)
+	}
 
-	// A corrupted kernel file degrades to recompilation, never wrong
-	// answers or a failed run.
-	data, err := os.ReadFile(kernel)
+	// A corrupted checkpoint degrades to a clean run, never wrong answers
+	// or a failed run.
+	data, err := os.ReadFile(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(kernel, data, 0o644); err != nil {
+	if err := os.WriteFile(ck, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err = runCmd(t, "owlclass", "-kernel", kernel, "-query", spec, path)
+	out, err = runCmd(t, "owlclass", "-checkpoint", ck, "-resume", ck, "-query", spec, path)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	for _, want := range append([]string{"WARNING: saved kernel unreadable"}, wantLines...) {
+	for _, want := range append([]string{"WARNING: checkpoint not resumable"}, wantLines...) {
 		if !strings.Contains(out, want) {
-			t.Errorf("corrupt-kernel run missing %q:\n%s", want, out)
+			t.Errorf("corrupt-checkpoint run missing %q:\n%s", want, out)
 		}
 	}
 
+	// The checkpoint is the only on-disk form of a kernel.
+	if out, err := runCmd(t, "owlclass", "-kernel", filepath.Join(dir, "mini.kernel"), "-query", spec, path); err == nil {
+		t.Errorf("-kernel accepted:\n%s", out)
+	}
 	if out, err := runCmd(t, "owlclass", "-query", "frobnicate:A", path); err == nil {
 		t.Errorf("unknown query op accepted:\n%s", out)
 	}

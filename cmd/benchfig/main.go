@@ -24,7 +24,6 @@
 package main
 
 import (
-	"context"
 	"encoding/csv"
 	"encoding/json"
 	"flag"
@@ -34,7 +33,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"testing"
 	"time"
 
 	"parowl"
@@ -47,14 +45,13 @@ import (
 )
 
 var (
-	expFlag     = flag.String("exp", "all", "experiment: table4|table5|fig9a|fig9b|fig9c|fig10a|fig10b|fig11|balance|future|tableau|classify|sched|query|all")
+	expFlag     = flag.String("exp", "all", "experiment: table4|table5|fig9a|fig9b|fig9c|fig10a|fig10b|fig11|balance|future|classify|sched|query|all")
 	seedFlag    = flag.Int64("seed", 1, "corpus generation and shuffle seed")
 	scaleFlag   = flag.Int("scale", 4, "divide corpus sizes by this factor (1 = full size)")
 	cyclesFlag  = flag.Int("cycles", 2, "random-division cycles for speedup runs")
 	repeatsFlag = flag.Int("repeats", 3, "repetitions per point, averaged (the paper uses 3)")
 	bigNFlag    = flag.Int("bign", 20000, "concept count for the -exp future large-scale run")
 	csvFlag     = flag.String("csv", "", "also write each speedup curve / ratio series as CSV into this directory")
-	benchOut    = flag.String("benchout", "BENCH_tableau.json", "output path for the -exp tableau microbenchmark results")
 
 	classifyOut     = flag.String("classifyout", "BENCH_classify.json", "output path for the -exp classify results")
 	classifyScale   = flag.Int("classifyscale", 16, "corpus scale divisor for -exp classify (real tableau reasoning; larger = faster)")
@@ -82,7 +79,6 @@ func main() {
 		"fig11":    fig11,
 		"balance":  balance,
 		"future":   future,        // not part of "all": several minutes of work
-		"tableau":  tableauHot,    // not part of "all": hot-path microbenchmarks
 		"classify": classifyBench, // not part of "all": real end-to-end reasoning
 		"sched":    schedBench,    // not part of "all": wall-clock scheduler comparison
 		"query":    queryBench,    // not part of "all": kernel-vs-DAG query latency
@@ -468,102 +464,6 @@ func future() error {
 	fmt.Println("good or even better performance for much bigger ontologies\" — the")
 	fmt.Println("larger partitions keep per-cycle overhead negligible, so the speedup")
 	fmt.Println("stays near-linear at 140 workers.")
-	return nil
-}
-
-// benchResult is one row of the BENCH_tableau.json report.
-type benchResult struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-// tableauHot benchmarks the tableau reasoner's hot path (the per-test cost
-// classification pays millions of times) and writes the rows to -benchout
-// as JSON, so successive commits can be diffed mechanically. The same
-// measurements run under `go test -bench 'Tableau' -benchmem`; this
-// experiment is the scriptable variant.
-func tableauHot() error {
-	p, err := scaledProfile("bridg.biomedical_domain")
-	if err != nil {
-		return err
-	}
-	tb, err := p.Generate(*seedFlag)
-	if err != nil {
-		return err
-	}
-	named := tb.NamedConcepts()
-	var results []benchResult
-	record := func(name string, r testing.BenchmarkResult) {
-		results = append(results, benchResult{
-			Name:        name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.NsPerOp()),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		})
-		fmt.Printf("  %-24s %12.0f ns/op %10d B/op %8d allocs/op\n",
-			name, float64(r.NsPerOp()), r.AllocedBytesPerOp(), r.AllocsPerOp())
-	}
-
-	fmt.Printf("tableau: hot-path microbenchmarks on %s (scale 1/%d, %d concepts)\n",
-		p.Name, *scaleFlag, len(named))
-	tab := tableau.New(tb, tableau.Options{})
-	record("Subsumes", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := tab.Subs(context.Background(), named[i%len(named)], named[(i*7+3)%len(named)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	record("SatReuse", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := tab.Sat(context.Background(), named[i%len(named)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	mm := tableau.New(tb, tableau.Options{ModelMerging: true})
-	record("SubsumesModelMerging", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := mm.Subs(context.Background(), named[i%len(named)], named[(i*7+3)%len(named)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-
-	st := tab.Stats()
-	report := struct {
-		Profile    string        `json:"profile"`
-		Scale      int           `json:"scale"`
-		Benchmarks []benchResult `json:"benchmarks"`
-		Arena      struct {
-			SolversReused    int64 `json:"solvers_reused"`
-			SolversAllocated int64 `json:"solvers_allocated"`
-			NodesReused      int64 `json:"nodes_reused"`
-			NodesAllocated   int64 `json:"nodes_allocated"`
-		} `json:"arena"`
-	}{Profile: p.Name, Scale: *scaleFlag, Benchmarks: results}
-	report.Arena.SolversReused = st.SolversReused.Load()
-	report.Arena.SolversAllocated = st.SolversAllocated.Load()
-	report.Arena.NodesReused = st.NodesReused.Load()
-	report.Arena.NodesAllocated = st.NodesAllocated.Load()
-
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*benchOut, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (solver reuse %d/%d, node reuse %d/%d)\n", *benchOut,
-		report.Arena.SolversReused, report.Arena.SolversReused+report.Arena.SolversAllocated,
-		report.Arena.NodesReused, report.Arena.NodesReused+report.Arena.NodesAllocated)
 	return nil
 }
 

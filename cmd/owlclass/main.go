@@ -45,8 +45,7 @@ var (
 	testTimeout = flag.Duration("test-timeout", 0, "budget per sat?/subs? test; expired tests are retried then recorded as undecided (0 = none)")
 	testRetries = flag.Int("test-retries", 0, "escalating retries per timed-out test (each doubles the budget)")
 
-	query      = flag.String("query", "", "answer taxonomy queries from the compiled kernel, e.g. 'subsumes:A,B;ancestors:C;lca:A,B' (ops: subsumes, ancestors, descendants, equivalents, lca, depth)")
-	kernelFile = flag.String("kernel", "", "persist the compiled query kernel at this file: adopted when present (bad frames fall back to recompilation), written after compilation otherwise")
+	query = flag.String("query", "", "answer taxonomy queries from the compiled kernel, e.g. 'subsumes:A,B;ancestors:C;lca:A,B' (ops: subsumes, ancestors, descendants, equivalents, lca, depth); with -checkpoint the kernel rides in the final snapshot and -resume adopts it")
 
 	checkpoint         = flag.String("checkpoint", "", "periodically snapshot classification state to this file (atomic rename)")
 	checkpointInterval = flag.Duration("checkpoint-interval", time.Second, "minimum time between checkpoint snapshots (0 = every phase boundary)")
@@ -129,18 +128,10 @@ func run() error {
 		Checkpoint:         *checkpoint,
 		CheckpointInterval: *checkpointInterval,
 		ResumeFrom:         *resume,
+		// -query answers from the kernel, which also rides along in
+		// -checkpoint snapshots; resuming a completed run adopts it.
+		CompileKernel: *query != "",
 	}
-	// A saved kernel file, when present, replaces post-run compilation:
-	// the classifier skips CompileKernel and the frame is adopted below.
-	// Otherwise -query/-kernel ask the classifier to compile one (which
-	// also rides along in -checkpoint snapshots).
-	adoptKernel := false
-	if *kernelFile != "" {
-		if _, statErr := os.Stat(*kernelFile); statErr == nil {
-			adoptKernel = true
-		}
-	}
-	opts.CompileKernel = (*query != "" || *kernelFile != "") && !adoptKernel
 	switch *mode {
 	case "optimized":
 		opts.Mode = parowl.ModeOptimized
@@ -236,27 +227,6 @@ func run() error {
 	if res.KernelError != nil {
 		fmt.Fprintf(os.Stderr, "owlclass: WARNING: checkpointed kernel unusable, recompiled: %v\n", res.KernelError)
 	}
-	if adoptKernel {
-		if k, kerr := parowl.ReadKernelFile(*kernelFile); kerr != nil {
-			fmt.Fprintf(os.Stderr, "owlclass: WARNING: saved kernel unreadable, recompiling: %v\n", kerr)
-		} else if aerr := res.Taxonomy.AdoptKernel(k); aerr != nil {
-			fmt.Fprintf(os.Stderr, "owlclass: WARNING: saved kernel does not match this ontology, recompiling: %v\n", aerr)
-		} else {
-			fmt.Fprintf(os.Stderr, "owlclass: query kernel adopted from %s\n", *kernelFile)
-		}
-	}
-	if *query != "" || *kernelFile != "" {
-		k := res.Taxonomy.CompileKernel(0) // no-op when adopted or already compiled
-		if *kernelFile != "" && !adoptKernel {
-			if werr := parowl.WriteKernelFile(*kernelFile, k); werr != nil {
-				fmt.Fprintf(os.Stderr, "owlclass: WARNING: kernel not saved: %v\n", werr)
-			} else {
-				fmt.Fprintf(os.Stderr, "owlclass: query kernel saved to %s (%d classes, %d closure bytes)\n",
-					*kernelFile, k.NumClasses(), k.MemoryFootprint())
-			}
-		}
-	}
-
 	if *baseline != "" {
 		var want *parowl.Taxonomy
 		switch *baseline {

@@ -7,6 +7,7 @@ import (
 	"runtime"
 
 	"parowl/internal/dl"
+	"parowl/internal/taxonomy"
 )
 
 // Adoption is the restart path of a long-lived serving process: a daemon
@@ -98,39 +99,33 @@ func Adopt(ctx context.Context, t *dl.TBox, opts AdoptOptions) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	var kernelErr error
-	adopted := false
-	if snap.kernel != nil {
-		// Same discipline as ClassifyContext: AdoptKernel validates node
-		// count and taxonomy fingerprint, so a stale frame can never serve
-		// wrong answers — it only costs a recompile.
-		if err := tax.AdoptKernel(snap.kernel); err != nil {
-			kernelErr = fmt.Errorf("%w: checkpoint kernel rejected: %v", ErrBadSnapshot, err)
-		} else {
-			adopted = true
-		}
-	} else if snap.kernelErr != nil {
-		kernelErr = snap.kernelErr
-	}
-	if !adopted {
-		tax.CompileKernel(workers)
-	}
+	kernelErr := attachKernel(tax, snap, workers)
 	return &Result{
-		Taxonomy: tax,
-		Stats: Stats{
-			SatTests:     s.satTests.Load(),
-			SubsTests:    s.subsTests.Load(),
-			Pruned:       s.pruned.Load(),
-			ToldHits:     s.toldHits.Load(),
-			PreSeeded:    s.preSeeded.Load(),
-			FilterHits:   s.filterHits.Load(),
-			TimedOut:     s.timedOut.Load(),
-			Recovered:    s.recovered.Load(),
-			NodeBudget:   s.nodeBudget.Load(),
-			BranchBudget: s.branchBudget.Load(),
-		},
+		Taxonomy:    tax,
+		Stats:       s.stats(),
 		Undecided:   s.takeUndecided(),
 		Resumed:     true,
 		KernelError: kernelErr,
 	}, nil
+}
+
+// attachKernel gives tax its query kernel: the snapshot's checkpointed
+// frame when it fits, a fresh compile otherwise. AdoptKernel validates
+// the frame's node count and taxonomy fingerprint, so a stale frame can
+// never serve wrong answers — it only costs a recompile. The returned
+// error, wrapping ErrBadSnapshot, says why a checkpointed frame was not
+// used; snap is nil for a run that restored no checkpoint.
+func attachKernel(tax *taxonomy.Taxonomy, snap *snapshot, workers int) error {
+	var err error
+	if snap != nil {
+		err = snap.kernelErr
+		if snap.kernel != nil {
+			if err = tax.AdoptKernel(snap.kernel); err == nil {
+				return nil
+			}
+			err = fmt.Errorf("%w: checkpoint kernel rejected: %v", ErrBadSnapshot, err)
+		}
+	}
+	tax.CompileKernel(workers)
+	return err
 }

@@ -59,7 +59,8 @@ func TestAdoptRejectsIncomplete(t *testing.T) {
 }
 
 // TestAdoptRejectsBadFiles covers the degrade-never-boot-fail inputs the
-// server leans on: missing file, corrupt bytes, wrong ontology.
+// server leans on: missing file, corrupt bytes, a version-1 file, wrong
+// ontology.
 func TestAdoptRejectsBadFiles(t *testing.T) {
 	tb := exampleTBox()
 	path := ckPath(t)
@@ -81,6 +82,14 @@ func TestAdoptRejectsBadFiles(t *testing.T) {
 	}
 	if _, err := Adopt(context.Background(), tb, AdoptOptions{Snapshot: corrupt}); !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("corrupt file: err = %v, want ErrBadSnapshot", err)
+	}
+
+	v1 := path + ".v1"
+	if err := os.WriteFile(v1, withVersion(data, 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Adopt(context.Background(), tb, AdoptOptions{Snapshot: v1}); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("version-1 file: err = %v, want ErrBadSnapshot", err)
 	}
 
 	other := exampleTBox()

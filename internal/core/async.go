@@ -71,7 +71,7 @@ func (s *state) runAsync(p *pool, rng *rand.Rand, workers, cycles int, ck *check
 				s.prunePass() // quiescent: harvest the epoch's late K facts
 				s.record(trace, PhaseRandom, cycle, before, rep)
 				before = s.snapshot()
-				ck.maybeWrite(s, PhaseRandom, false, epoch())
+				ck.write(s, PhaseRandom, false, nil, epoch())
 			} else {
 				// Pipeline, don't rendezvous: queue the next shuffle once
 				// half the pool has gone idle. Stragglers keep running
@@ -137,7 +137,7 @@ func (s *state) runAsync(p *pool, rng *rand.Rand, workers, cycles int, ck *check
 			s.prunePass() // quiescent: harvest the epoch's late K facts
 			s.record(trace, PhaseGroup, iter, before, rep)
 			before = s.snapshot()
-			ck.maybeWrite(s, PhaseGroup, false, epoch())
+			ck.write(s, PhaseGroup, false, nil, epoch())
 		}
 	}
 	// Final quiescence of phase 2: collect whatever ran since the last

@@ -36,11 +36,12 @@ import (
 // File format (all integers little-endian):
 //
 //	[8]byte  magic "PAROWLCK"
-//	uint32   version (currently 1)
+//	uint32   version (currently 2)
 //	uint64   ontology fingerprint (FNV-1a over names + axioms)
 //	uint8    mode (1 = optimized, 0 = basic)
 //	uint8    prepassed
 //	uint8    phase (0 = random, 1 = group)
+//	uint64   epoch — the quiescence count the snapshot was cut at
 //	uint32   n (concept count incl. ⊤)
 //	10×int64 counters
 //	n frames P, n frames K (bitset.Atomic binary frames, self-checksummed)
@@ -50,27 +51,24 @@ import (
 //	         uint16 reason length, reason bytes
 //	uint32   sat cache count; per entry: uint64 key, uint8 val
 //	uint32   subs cache count; per entry: uint64 key, uint8 val
-//	uint8    hasKernel (optional section; absent in pre-kernel files);
-//	         if 1, a taxonomy kernel frame (versioned, self-checksummed)
-//	uint8    epoch marker (1; optional section, absent in pre-epoch
-//	         files); then uint64 epoch — the quiescence count the
-//	         snapshot was cut at
+//	uint8    hasKernel; if 1, a taxonomy kernel frame (versioned,
+//	         self-checksummed) running up to the CRC
 //	uint32   CRC-32 (IEEE) of everything above
 //
-// The trailing whole-file checksum catches truncation; the per-bitset
-// frame checksums catch local corruption with a better error. The kernel
-// section is doubly optional: files written before it existed decode
-// fine (no trailing bytes after the caches), and a kernel frame that
-// fails its own validation only degrades the resume to recompilation —
-// the classification state in P/K is never rejected because of it. The
-// epoch section follows the same trailing-optional pattern one position
-// later: legacy files simply end earlier and restore with epoch 0.
+// Every section is always present, so the decoder has no optional
+// branches; version-1 files, which carried the kernel and epoch as
+// trailing optional sections, are refused like any unknown version. The
+// trailing whole-file checksum catches truncation; the per-bitset frame
+// checksums catch local corruption with a better error. A kernel frame
+// that fails its own validation only degrades the resume to
+// recompilation — the classification state in P/K and the header's
+// epoch are never rejected because of it.
 
 // checkpointMagic identifies parowl checkpoint files.
 var checkpointMagic = [8]byte{'P', 'A', 'R', 'O', 'W', 'L', 'C', 'K'}
 
 // checkpointVersion is bumped on any incompatible format change.
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 // ErrBadSnapshot reports a checkpoint file that is truncated, corrupted,
 // of an unknown version, or inconsistent with the run it is restored
@@ -131,8 +129,7 @@ type snapshot struct {
 	// valid — resume just recompiles).
 	kernel    *taxonomy.Kernel
 	kernelErr error
-	// epoch is the quiescence count the snapshot was cut at (0 for files
-	// written before the epoch section existed).
+	// epoch is the quiescence count the snapshot was cut at.
 	epoch int64
 }
 
@@ -165,6 +162,7 @@ func (s *state) encodeSnapshot(phase Phase, cache reasoner.CacheSnapshot, kern *
 	b = binary.LittleEndian.AppendUint32(b, checkpointVersion)
 	b = binary.LittleEndian.AppendUint64(b, FingerprintTBox(s.tbox))
 	b = append(b, modeByte, prepassByte, phaseByte)
+	b = binary.LittleEndian.AppendUint64(b, uint64(epoch))
 	b = binary.LittleEndian.AppendUint32(b, uint32(s.n))
 	for _, c := range []int64{
 		s.satTests.Load(), s.subsTests.Load(), s.pruned.Load(),
@@ -220,8 +218,6 @@ func (s *state) encodeSnapshot(phase Phase, cache reasoner.CacheSnapshot, kern *
 	} else {
 		b = append(b, 0)
 	}
-	b = append(b, 1) // epoch marker
-	b = binary.LittleEndian.AppendUint64(b, uint64(epoch))
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
@@ -307,6 +303,7 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown phase byte", ErrBadSnapshot)
 	}
+	snap.epoch = int64(r.u64())
 	snap.n = int(r.u32())
 	if r.err != nil {
 		return nil, r.err
@@ -403,44 +400,24 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 	if snap.cache.Subs, err = readEntries("subs"); err != nil {
 		return nil, err
 	}
+	switch r.u8() {
+	case 0:
+	case 1:
+		// The kernel frame runs up to the CRC. One that fails its own
+		// validation is recorded in kernelErr and skipped: the P/K
+		// classification state above it is intact, so rejecting the whole
+		// snapshot would throw away settled work only to rebuild the same
+		// kernel anyway.
+		k, rest, err := taxonomy.DecodeKernel(r.data)
+		if err != nil {
+			snap.kernelErr = fmt.Errorf("%w: kernel frame: %v", ErrBadSnapshot, err)
+		}
+		snap.kernel, r.data = k, rest
+	default:
+		return nil, fmt.Errorf("%w: unknown kernel marker", ErrBadSnapshot)
+	}
 	if r.err != nil {
 		return nil, r.err
-	}
-	// Optional kernel section. Files written before it existed end here;
-	// newer files always carry the hasKernel byte. A kernel frame that
-	// fails its own validation is recorded in kernelErr and skipped: the
-	// P/K classification state above it is intact, so rejecting the whole
-	// snapshot would throw away settled work only to rebuild the same
-	// kernel anyway.
-	if len(r.data) > 0 {
-		switch r.u8() {
-		case 0:
-		case 1:
-			k, rest, err := taxonomy.DecodeKernel(r.data)
-			if err != nil {
-				snap.kernelErr = fmt.Errorf("%w: kernel frame: %v", ErrBadSnapshot, err)
-				r.data = nil
-			} else {
-				snap.kernel = k
-				r.data = rest
-			}
-		default:
-			return nil, fmt.Errorf("%w: unknown kernel marker", ErrBadSnapshot)
-		}
-	}
-	// Optional epoch section, same trailing pattern one position later:
-	// files written before epochs existed end at the caches or the kernel
-	// frame and restore with epoch 0. (A corrupt kernel frame drops the
-	// trailing bytes above, taking the epoch with it — losing a counter,
-	// not classification state.)
-	if len(r.data) > 0 {
-		if m := r.u8(); m != 1 {
-			return nil, fmt.Errorf("%w: unknown epoch marker %d", ErrBadSnapshot, m)
-		}
-		snap.epoch = int64(r.u64())
-		if r.err != nil {
-			return nil, r.err
-		}
 	}
 	if len(r.data) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(r.data))
@@ -551,22 +528,7 @@ type checkpointer struct {
 	err      error // first write failure, reported via Result.CheckpointError
 }
 
-// maybeWrite snapshots the state if the interval has elapsed (an interval
-// ≤ 0 writes at every boundary). force overrides the interval for
-// phase-final snapshots. Failed runs are never snapshotted. epoch is the
-// quiescence count the caller is at; it is recorded in the snapshot.
-func (c *checkpointer) maybeWrite(s *state, phase Phase, force bool, epoch int64) {
-	c.write(s, phase, force, nil, epoch)
-}
-
-// writeKernel force-writes a final snapshot that also carries the
-// compiled taxonomy kernel, so a resume (or server restart) of a
-// completed run skips recompilation.
-func (c *checkpointer) writeKernel(s *state, kern *taxonomy.Kernel, epoch int64) {
-	c.write(s, PhaseGroup, true, kern, epoch)
-}
-
-// due reports whether the next maybeWrite would pass the interval gate.
+// due reports whether an unforced write would pass the interval gate.
 // The Async driver asks before paying for a quiescence epoch: with
 // checkpointing off (nil receiver) or the interval not yet elapsed, it
 // keeps streaming instead of draining the pool for a snapshot nobody
@@ -578,11 +540,14 @@ func (c *checkpointer) due() bool {
 	return c.interval <= 0 || c.last.IsZero() || time.Since(c.last) >= c.interval
 }
 
+// write snapshots the state if the interval has elapsed (an interval ≤ 0
+// writes at every boundary); force overrides the interval for
+// phase-final snapshots. kern, when non-nil, rides along so a resume (or
+// server restart) of a completed run skips recompiling the query kernel.
+// epoch is the quiescence count the caller is at. Failed runs are never
+// snapshotted.
 func (c *checkpointer) write(s *state, phase Phase, force bool, kern *taxonomy.Kernel, epoch int64) {
-	if c == nil || s.failed() {
-		return
-	}
-	if !force && c.interval > 0 && !c.last.IsZero() && time.Since(c.last) < c.interval {
+	if c == nil || s.failed() || !force && !c.due() {
 		return
 	}
 	var cache reasoner.CacheSnapshot

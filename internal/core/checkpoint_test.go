@@ -184,6 +184,7 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 		"truncated": write("trunc.ck", good[:len(good)/2]),
 		"corrupted": write("flip.ck", flipped),
 		"ontology":  otherPath, // valid snapshot of a different ontology
+		"version1":  write("v1.ck", withVersion(good, 1)),
 	}
 	for name, p := range cases {
 		res := classify(t, tb, Options{Workers: 2, ResumeFrom: p})

@@ -260,27 +260,18 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	// Restore a prior run's state before any worker exists; a rejected
 	// snapshot leaves the fresh state untouched and the run starts clean.
 	var (
-		resumed       bool
-		resumeErr     error
-		resumePhase   = PhaseRandom
-		snapKernel    *taxonomy.Kernel
-		snapKernelErr error
+		snap      *snapshot // the restored snapshot; nil on a clean run
+		resumeErr error
 	)
 	if opts.ResumeFrom != "" {
-		snap, err := readSnapshotFile(opts.ResumeFrom)
-		if err == nil {
+		var err error
+		if snap, err = readSnapshotFile(opts.ResumeFrom); err == nil {
 			err = s.restoreSnapshot(snap)
 		}
 		if err != nil {
-			resumeErr = err
-		} else {
-			resumed = true
-			resumePhase = snap.phase
-			snapKernel = snap.kernel
-			snapKernelErr = snap.kernelErr
-			if porter := reasoner.AsCachePorter(opts.Reasoner); porter != nil {
-				porter.ImportCache(snap.cache)
-			}
+			snap, resumeErr = nil, err
+		} else if porter := reasoner.AsCachePorter(opts.Reasoner); porter != nil {
+			porter.ImportCache(snap.cache)
 		}
 	}
 	var ck *checkpointer
@@ -323,27 +314,27 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	// no-op) but wasted.
 	if opts.ELPrepass && !s.prepassed && !s.failed() {
 		s.runPrepass(p, workers, trace)
-		ck.maybeWrite(s, PhaseRandom, false, epoch())
+		ck.write(s, PhaseRandom, false, nil, epoch())
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
 	// A snapshot taken during the group phase proves the random phase
 	// finished; re-running it would only no-op on claimed pairs.
-	skipRandom := resumed && resumePhase == PhaseGroup
+	skipRandom := snap != nil && snap.phase == PhaseGroup
 	if opts.Scheduling == Async {
 		s.runAsync(p, rng, workers, cycles, ck, trace, skipRandom)
 	} else {
 		if !skipRandom {
 			for cycle := 1; cycle <= cycles && !s.failed(); cycle++ {
 				s.runRandomCycle(p, rng, workers, cycle, trace)
-				ck.maybeWrite(s, PhaseRandom, false, epoch())
+				ck.write(s, PhaseRandom, false, nil, epoch())
 			}
 		}
 		for iter := 1; !s.failed(); iter++ {
 			if !s.runGroupCycle(p, iter, trace) {
 				break
 			}
-			ck.maybeWrite(s, PhaseGroup, false, epoch())
+			ck.write(s, PhaseGroup, false, nil, epoch())
 		}
 	}
 	if err := s.errOrNil(); err != nil {
@@ -353,7 +344,7 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 		return nil, fmt.Errorf("core: internal error: %d possible pairs left after group phase", rem)
 	}
 	// Final snapshot: resuming from a completed run converges immediately.
-	ck.maybeWrite(s, PhaseGroup, true, epoch())
+	ck.write(s, PhaseGroup, true, nil, epoch())
 
 	tax, err := s.buildTaxonomy(p, trace)
 	if err != nil {
@@ -361,47 +352,22 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	}
 	var kernelErr error
 	if opts.CompileKernel {
-		adopted := false
-		if snapKernel != nil {
-			// AdoptKernel validates the frame's node count and taxonomy
-			// fingerprint against the taxonomy just built, so a stale or
-			// mismatched kernel can never serve wrong answers.
-			if err := tax.AdoptKernel(snapKernel); err != nil {
-				kernelErr = fmt.Errorf("%w: checkpoint kernel rejected: %v", ErrBadSnapshot, err)
-			} else {
-				adopted = true
-			}
-		} else if snapKernelErr != nil {
-			kernelErr = snapKernelErr
-		}
-		if !adopted {
-			tax.CompileKernel(workers)
-		}
+		kernelErr = attachKernel(tax, snap, workers)
 		// Rewrite the final snapshot with the kernel aboard so the next
 		// resume (or server restart) skips recompilation.
-		ck.writeKernel(s, tax.Kernel(), epoch())
+		ck.write(s, PhaseGroup, true, tax.Kernel(), epoch())
 	}
 	if trace != nil {
 		trace.WallElapsed = time.Since(start)
 	}
+	stats := s.stats()
+	stats.Steals = p.totalSteals.Load()
 	return &Result{
-		Taxonomy: tax,
-		Stats: Stats{
-			SatTests:     s.satTests.Load(),
-			SubsTests:    s.subsTests.Load(),
-			Pruned:       s.pruned.Load(),
-			ToldHits:     s.toldHits.Load(),
-			PreSeeded:    s.preSeeded.Load(),
-			FilterHits:   s.filterHits.Load(),
-			TimedOut:     s.timedOut.Load(),
-			Recovered:    s.recovered.Load(),
-			NodeBudget:   s.nodeBudget.Load(),
-			BranchBudget: s.branchBudget.Load(),
-			Steals:       p.totalSteals.Load(),
-		},
+		Taxonomy:        tax,
+		Stats:           stats,
 		Undecided:       s.takeUndecided(),
 		Trace:           trace,
-		Resumed:         resumed,
+		Resumed:         snap != nil,
 		ResumeError:     resumeErr,
 		CheckpointError: ck.firstErr(),
 		KernelError:     kernelErr,

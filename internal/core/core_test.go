@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -211,6 +212,120 @@ func TestEquivalenceDetection(t *testing.T) {
 			t.Errorf("mode=%v: A ≡ B not detected", mode)
 		}
 	}
+}
+
+// TestConcurrentPrunesKeepReachability replays the workers that resolved
+// the pairs {S, m} for every member m of an equivalence class strictly
+// below S, each holding its pair's claim while the others prune: one
+// after the other in every order, then all at once from separate
+// goroutines. The class's known K edges are mutual or a one-sided cycle
+// (the first directions of pairs still being resolved, or a prepass
+// half-seed). Every member must stay K-reachable from S: a pruneAfter
+// that deletes K_S's edge to a member justified by a member whose own
+// edge is already gone cuts S off from the class, and phase 3 then hangs
+// the class under S's ancestors instead of under S.
+func TestConcurrentPrunesKeepReachability(t *testing.T) {
+	cases := []struct {
+		name  string
+		size  int
+		edges [][2]int // {a, b}: b ∈ K[a], indices into the class
+	}{
+		{"pair", 2, [][2]int{{0, 1}, {1, 0}}},
+		{"one-sided-3-cycle", 3, [][2]int{{0, 1}, {1, 2}, {2, 0}}},
+		{"mutual-3", 3, [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}, {0, 2}, {2, 0}}},
+	}
+	for _, tc := range cases {
+		// setup returns a state in which S's resolvers hold their claims
+		// and have recorded m ⊑ S, with S's row index and the members'.
+		setup := func(t *testing.T) (*state, int, []int) {
+			tb := dl.NewTBox("prune")
+			sup := tb.Declare("S")
+			members := make([]*dl.Concept, tc.size)
+			for i := range members {
+				members[i] = tb.Declare(fmt.Sprintf("M%d", i))
+			}
+			s := newState(tb, tableauFactory(tb), true)
+			is, idx := s.index[sup], make([]int, tc.size)
+			for i, m := range members {
+				idx[i] = s.index[m]
+				s.K[is].Set(idx[i])
+				if !s.claimPair(is, idx[i]) {
+					t.Fatal("fresh pair already claimed")
+				}
+			}
+			for _, e := range tc.edges {
+				s.K[idx[e[0]]].Set(idx[e[1]])
+			}
+			return s, is, idx
+		}
+		check := func(t *testing.T, s *state, is int, idx []int) {
+			for i, m := range idx {
+				if !kReaches(s, is, m) {
+					t.Fatalf("S lost K-reachability to class member M%d", i)
+				}
+			}
+		}
+		for _, order := range permutations(tc.size) {
+			t.Run(fmt.Sprintf("%s/%v", tc.name, order), func(t *testing.T) {
+				s, is, idx := setup(t)
+				for _, m := range order {
+					s.pruneAfter(is, idx[m])
+				}
+				check(t, s, is, idx)
+			})
+		}
+		t.Run(tc.name+"/goroutines", func(t *testing.T) {
+			for round := 0; round < 200; round++ {
+				s, is, idx := setup(t)
+				var wg sync.WaitGroup
+				for _, m := range idx {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						s.pruneAfter(is, m)
+					}()
+				}
+				wg.Wait()
+				check(t, s, is, idx)
+			}
+		})
+	}
+}
+
+// kReaches reports whether to is reachable from from along K edges.
+func kReaches(s *state, from, to int) bool {
+	seen := map[int]bool{from: true}
+	queue := []int{from}
+	for len(queue) > 0 {
+		x := queue[0]
+		queue = queue[1:]
+		if x == to {
+			return true
+		}
+		s.K[x].ForEach(func(y int) bool {
+			if !seen[y] {
+				seen[y] = true
+				queue = append(queue, y)
+			}
+			return true
+		})
+	}
+	return false
+}
+
+// permutations returns every ordering of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for i := 0; i <= len(p); i++ {
+			q := append(append(append([]int{}, p[:i]...), n-1), p[i:]...)
+			out = append(out, q)
+		}
+	}
+	return out
 }
 
 func TestTopEquivalenceDetection(t *testing.T) {

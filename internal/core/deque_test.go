@@ -191,20 +191,19 @@ func TestWorkerQueueResetLateThief(t *testing.T) {
 // checkpoint consistency rests on that invariant.
 func TestBarrierAssertsDequesEmpty(t *testing.T) {
 	p := newPool(2, Async)
-	defer p.close()
 	p.submit(func() time.Duration { return time.Microsecond })
 	p.barrier() // sanity: a normal barrier passes
+	// Stop the workers before sneaking a task into a deque behind the
+	// pool's back: a live worker could run it (it was never counted in
+	// inflight), and a push from this goroutine would break the deque's
+	// owner-only rule.
+	p.close()
 
-	// Sneak a task into a deque behind the pool's back; the next barrier
-	// must panic on the violated invariant.
 	p.deques[0].push(&poolTask{fn: func() time.Duration { return 0 }, cell: &taskSlot{}})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("barrier did not panic on a non-empty deque")
 		}
-		// Leave the deque actually empty so close() does not hang and the
-		// pool can shut down cleanly.
-		p.deques[0].pop()
 	}()
 	p.barrier()
 }

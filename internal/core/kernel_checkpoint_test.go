@@ -22,6 +22,22 @@ func resealSnapshot(data []byte) []byte {
 	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
 }
 
+// Offsets of the fixed-header fields the tests below rewrite: the
+// version follows the magic, the epoch follows the fingerprint and the
+// mode, prepassed and phase bytes.
+const (
+	snapVersionOffset = 8
+	snapEpochOffset   = 8 + 4 + 8 + 3
+)
+
+// withVersion returns data with its version field set to v and the
+// whole-file CRC resealed, so only the version check can refuse it.
+func withVersion(data []byte, v uint32) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(out[snapVersionOffset:], v)
+	return resealSnapshot(out)
+}
+
 // TestKernelCheckpointRoundTrip: a completed run with CompileKernel and
 // Checkpoint persists its kernel; the resumed run adopts it, answers
 // identically, and dispatches no new reasoner calls.
@@ -103,10 +119,24 @@ func TestCheckpointKernelCorruptFrameFallsBack(t *testing.T) {
 	if idx < 0 {
 		t.Fatal("snapshot carries no kernel frame")
 	}
+	pristine, err := decodeSnapshot(data)
+	if err != nil {
+		t.Fatalf("pristine snapshot rejected: %v", err)
+	}
 	// Flip a byte in the middle of the kernel frame's payload.
 	bad := append([]byte(nil), data...)
 	bad[idx+len(kernelFrameMagic)+20] ^= 0x20
-	if err := os.WriteFile(path, resealSnapshot(bad), 0o644); err != nil {
+	bad = resealSnapshot(bad)
+	// The epoch lives in the fixed header, so a bad kernel frame cannot
+	// take it down with it.
+	snap, err := decodeSnapshot(bad)
+	if err != nil {
+		t.Fatalf("corrupt kernel frame rejected the snapshot: %v", err)
+	}
+	if snap.epoch != pristine.epoch {
+		t.Fatalf("epoch after kernel-frame corruption = %d, want %d", snap.epoch, pristine.epoch)
+	}
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -161,60 +191,6 @@ func TestCheckpointKernelMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestCheckpointLegacyFileWithoutKernelSection: files written before the
-// kernel section existed end right after the cache entries, and files
-// written before the epoch section end right after the kernel marker;
-// both must still decode (with epoch 0) and resume, with the kernel
-// compiled fresh.
-func TestCheckpointLegacyFileWithoutKernelSection(t *testing.T) {
-	tb := exampleTBox()
-	path := ckPath(t)
-	classify(t, tb, Options{Workers: 2, Checkpoint: path})
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A kernel-less modern file ends with hasKernel=0, the epoch section
-	// (marker=1 + uint64), then the CRC; strip backwards to reconstruct
-	// the two historical layouts.
-	const tail = 1 + 9 + 4 // hasKernel marker + epoch section + CRC
-	if data[len(data)-tail] != 0 {
-		t.Fatal("expected hasKernel=0 before the epoch section")
-	}
-	if data[len(data)-tail+1] != 1 {
-		t.Fatal("expected epoch marker after hasKernel=0")
-	}
-	// Pre-epoch layout: ends right after the hasKernel marker.
-	preEpoch := resealSnapshot(append(append([]byte(nil), data[:len(data)-13]...), 0, 0, 0, 0))
-	if snap, err := decodeSnapshot(preEpoch); err != nil {
-		t.Fatalf("pre-epoch layout rejected: %v", err)
-	} else if snap.epoch != 0 {
-		t.Fatalf("pre-epoch layout decoded epoch %d, want 0", snap.epoch)
-	}
-	// Pre-kernel layout: ends right after the cache entries.
-	legacy := resealSnapshot(append(append([]byte(nil), data[:len(data)-tail]...), 0, 0, 0, 0))
-	snap, err := decodeSnapshot(legacy)
-	if err != nil {
-		t.Fatalf("legacy layout rejected: %v", err)
-	}
-	if snap.kernel != nil || snap.kernelErr != nil {
-		t.Fatalf("legacy layout produced kernel=%v err=%v", snap.kernel, snap.kernelErr)
-	}
-	if snap.epoch != 0 {
-		t.Fatalf("legacy layout decoded epoch %d, want 0", snap.epoch)
-	}
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res := classify(t, tb, Options{Workers: 2, CompileKernel: true, ResumeFrom: path})
-	if !res.Resumed || res.ResumeError != nil || res.KernelError != nil {
-		t.Fatalf("Resumed=%v ResumeError=%v KernelError=%v", res.Resumed, res.ResumeError, res.KernelError)
-	}
-	if res.Taxonomy.Kernel() == nil {
-		t.Fatal("kernel was not compiled on legacy resume")
-	}
-}
-
 // TestSnapshotKernelDecodeFuzz extends the snapshot mutation fuzz to
 // kernel-bearing files: mutations either fail with ErrBadSnapshot or, if
 // only the kernel frame is damaged behind a re-sealed outer CRC, decode
@@ -235,14 +211,9 @@ func TestSnapshotKernelDecodeFuzz(t *testing.T) {
 	if err != nil || snap.kernel == nil {
 		t.Fatalf("pristine kernel snapshot rejected: %v (kernel %v)", err, snap != nil && snap.kernel != nil)
 	}
-	// The epoch section (marker + uint64) trails the kernel frame; sweep
-	// mutations over the kernel frame only and cover the epoch bytes
-	// separately below.
-	end := len(good) - 13 // epoch marker position
-	if good[end] != 1 {
-		t.Fatal("expected epoch marker after the kernel frame")
-	}
-	for i := idx; i < end; i++ {
+	// The kernel frame runs up to the whole-file CRC: sweep mutations over
+	// all of it.
+	for i := idx; i < len(good)-4; i++ {
 		bad := append([]byte(nil), good...)
 		bad[i] ^= 0x08
 		snap, err := decodeSnapshot(resealSnapshot(bad))
@@ -259,16 +230,16 @@ func TestSnapshotKernelDecodeFuzz(t *testing.T) {
 			t.Fatalf("byte %d: kernelErr = %v, want ErrBadSnapshot", i, snap.kernelErr)
 		}
 	}
-	// A damaged epoch marker must reject the file outright...
+	// A damaged kernel marker must reject the file outright...
 	bad := append([]byte(nil), good...)
-	bad[end] ^= 0x08
+	bad[idx-1] ^= 0x08
 	if _, err := decodeSnapshot(resealSnapshot(bad)); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("epoch marker flip: error = %v, want ErrBadSnapshot", err)
+		t.Fatalf("kernel marker flip: error = %v, want ErrBadSnapshot", err)
 	}
-	// ...while a flipped epoch value is simply a different (valid) epoch:
-	// the field is a counter, not classification state.
+	// ...while a flipped epoch value in the header is simply a different
+	// (valid) epoch: the field is a counter, not classification state.
 	bad = append([]byte(nil), good...)
-	bad[end+1] ^= 0x08
+	bad[snapEpochOffset] ^= 0x08
 	flipped, err := decodeSnapshot(resealSnapshot(bad))
 	if err != nil || flipped.kernel == nil {
 		t.Fatalf("epoch value flip rejected the snapshot: %v (kernel %v)", err, flipped != nil && flipped.kernel != nil)

@@ -82,15 +82,11 @@ func (s *state) resolvePair(u, v int) time.Duration {
 // open — skipped.
 //
 // Unlike pruneAfter, the sweep deliberately does NOT clear K_sup edges.
-// pruneAfter's 2.3.1 deletion is safe there only because a prune CLAIMS
-// the sibling pair, which prevents the symmetric pruneAfter call from
-// ever running; a sweep revisiting both members of an equivalence class
-// below sup would otherwise delete each member's K edge justified by the
-// other's — severing sup's reachability to the whole class. Keeping the
-// edges is always sound (they are entailed facts; the phase-3 transitive
-// reduction removes indirect ones), and it keeps K rows fat, so both
-// later sweep iterations and the workers' own pruneAfter calls see more
-// subsumees to prune through — the sweep is transitive for free.
+// Keeping the edges is always sound (they are entailed facts; the
+// phase-3 transitive reduction removes indirect ones), and it keeps K
+// rows fat, so both later sweep iterations and the workers' own
+// pruneAfter calls see more subsumees to prune through — the sweep is
+// transitive for free.
 func (s *state) prunePass() {
 	if !s.optimized {
 		return // basic mode never prunes (Algorithm 4 tests everything)
@@ -134,13 +130,29 @@ func (s *state) prunePass() {
 //
 // The reverse direction sup ⊑ y is also resolved (false): it would imply
 // sup ⊑ sub, contradicting the failed reverse test. The K-reachability
-// chain sup → sub → y preserves the positive fact for phase 3.
+// chain sup → sub → y preserves the positive fact for phase 3, so K_sup's
+// edge to y goes only while K_sup still holds its edge to sub. Without
+// that check, two workers that each proved a member of a class X ≡ Y
+// below sup would each delete K_sup's edge to the other member, cutting
+// sup off from the class. The check and the deletions run under sup's
+// stripe of pruneMu, and no other code clears K bits while workers run,
+// so each deletion happens while sup → sub is present and sub reaches y;
+// sub ⊏ sup strictly, so that path never uses the deleted edge. Every
+// deletion thus keeps K's reachability, for equivalence classes of any
+// size. In a sequential run the check always passes: the resolver has
+// just set sup → sub.
 func (s *state) pruneAfter(sup, sub int) {
+	mu := &s.pruneMu[sup%len(s.pruneMu)]
+	mu.Lock()
+	defer mu.Unlock()
+	unlink := s.K[sup].Test(sub)
 	s.K[sub].ForEach(func(y int) bool {
 		if y == sup || y == sub {
 			return true
 		}
-		s.K[sup].Clear(y)
+		if unlink {
+			s.K[sup].Clear(y)
+		}
 		if s.claimPair(sup, y) {
 			s.pruned.Add(1)
 		}

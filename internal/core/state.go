@@ -123,11 +123,32 @@ type state struct {
 	nodeBudget   atomic.Int64
 	branchBudget atomic.Int64
 
+	// pruneMu serializes pruneAfter's K edge deletions per sup row,
+	// striped by row index.
+	pruneMu [64]sync.Mutex
+
 	// undecided collects the degraded tests for Result.Undecided.
 	undecidedMu sync.Mutex
 	undecided   []Undecided
 
 	failure atomic.Pointer[classError]
+}
+
+// stats reads the run's reasoner counters. Steals belongs to the pool,
+// not the shared state, and is left zero.
+func (s *state) stats() Stats {
+	return Stats{
+		SatTests:     s.satTests.Load(),
+		SubsTests:    s.subsTests.Load(),
+		Pruned:       s.pruned.Load(),
+		ToldHits:     s.toldHits.Load(),
+		PreSeeded:    s.preSeeded.Load(),
+		FilterHits:   s.filterHits.Load(),
+		TimedOut:     s.timedOut.Load(),
+		Recovered:    s.recovered.Load(),
+		NodeBudget:   s.nodeBudget.Load(),
+		BranchBudget: s.branchBudget.Load(),
+	}
 }
 
 // buildTold computes the told-subsumer closure from the asserted named

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -153,7 +154,7 @@ func TestManifestCorruption(t *testing.T) {
 		me := manifestEntry{
 			ID: id, Name: id, Format: "obo", Fingerprint: "00000000deadbeef",
 			Status: StatusClassified, Generation: 3,
-			Checkpoint: id + ".ck", Kernel: id + ".kf", Source: id + ".src",
+			Checkpoint: id + ".ck", Source: id + ".src",
 			Concepts: 10, Classes: 12,
 		}
 		me.CRC = me.checksum()
@@ -203,6 +204,36 @@ func TestManifestCorruption(t *testing.T) {
 				t.Fatalf("byte %d: entry %s in unexpected status %s", i, me.ID, me.Status)
 			}
 		}
+	}
+
+	// An entry written when the manifest still recorded a standalone
+	// kernel file carries a "kernel" key inside its checksummed encoding.
+	// The key is no longer part of an entry, so the entry fails its CRC
+	// and degrades to interrupted.
+	type kernelKeyEntry struct {
+		manifestEntry
+		Kernel string `json:"kernel"`
+	}
+	old := kernelKeyEntry{manifestEntry: mkEntry("old"), Kernel: "old.kf"}
+	old.CRC = 0
+	oldJSON, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.CRC = crc32.ChecksumIEEE(oldJSON)
+	data, err = json.Marshal(struct {
+		Version int              `json:"version"`
+		Entries []kernelKeyEntry `json:"entries"`
+	}{manifestVersion, []kernelKeyEntry{old}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entries, err = loadManifest(path)
+	if err != nil || len(entries) != 1 || entries[0].Status != StatusInterrupted {
+		t.Fatalf("entry with a kernel key: entries=%v err=%v, want one interrupted entry", entries, err)
 	}
 
 	// A manifest of pure garbage must not fail server boot.
@@ -443,10 +474,26 @@ func TestDeleteOntology(t *testing.T) {
 	}
 	waitStatus(t, ts, "doomed", StatusClassified)
 
-	for _, suffix := range []string{".ck", ".src", ".kf"} {
-		if _, err := os.Stat(filepath.Join(ckdir, "doomed"+suffix)); err != nil {
-			t.Fatalf("artifact doomed%s missing before delete: %v", suffix, err)
+	// The checkpoint is the only on-disk form of the classification: the
+	// dir settles on exactly the checkpoint, the source and the manifest
+	// (a manifest rewrite may still hold its temp file for a moment).
+	want := "doomed.ck doomed.src " + manifestName
+	var got string
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		des, err := os.ReadDir(ckdir)
+		if err != nil {
+			t.Fatal(err)
 		}
+		names := make([]string, len(des))
+		for i, de := range des {
+			names[i] = de.Name()
+		}
+		if got = strings.Join(names, " "); got == want || time.Now().After(deadline) {
+			break
+		}
+	}
+	if got != want {
+		t.Fatalf("checkpoint dir before delete holds %q, want %q", got, want)
 	}
 
 	doDelete := func(id string) int {
@@ -464,7 +511,7 @@ func TestDeleteOntology(t *testing.T) {
 	if code, _, _ := get(t, ts.URL+"/ontologies/doomed"); code != http.StatusNotFound {
 		t.Errorf("status after delete: HTTP %d, want 404", code)
 	}
-	for _, suffix := range []string{".ck", ".src", ".kf"} {
+	for _, suffix := range []string{".ck", ".src"} {
 		if _, err := os.Stat(filepath.Join(ckdir, "doomed"+suffix)); !os.IsNotExist(err) {
 			t.Errorf("artifact doomed%s survived the delete (err=%v)", suffix, err)
 		}

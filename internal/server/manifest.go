@@ -47,7 +47,6 @@ type manifestEntry struct {
 	Generation  uint64 `json:"generation"`
 	Scheduling  string `json:"scheduling,omitempty"`
 	Checkpoint  string `json:"checkpoint,omitempty"` // base name under the checkpoint dir
-	Kernel      string `json:"kernel,omitempty"`     // base name of the standalone kernel file
 	Source      string `json:"source,omitempty"`     // base name of the persisted source document
 	Concepts    int    `json:"concepts,omitempty"`
 	Classes     int    `json:"classes,omitempty"`
@@ -171,7 +170,6 @@ func (e *entry) manifestEntry() manifestEntry {
 		Generation:  e.generation,
 		Scheduling:  e.scheduling,
 		Checkpoint:  filepath.Base(e.checkpoint),
-		Kernel:      filepath.Base(e.kernelPath),
 		Source:      filepath.Base(e.srcPath),
 		Concepts:    e.concepts,
 		Classes:     e.classes,
@@ -179,9 +177,6 @@ func (e *entry) manifestEntry() manifestEntry {
 	}
 	if e.checkpoint == "" {
 		me.Checkpoint = ""
-	}
-	if e.kernelPath == "" {
-		me.Kernel = ""
 	}
 	if e.srcPath == "" {
 		me.Source = ""
@@ -264,9 +259,6 @@ func (s *Server) readoptOne(me manifestEntry) {
 	if me.Checkpoint != "" {
 		e.checkpoint = filepath.Join(s.cfg.CheckpointDir, me.Checkpoint)
 	}
-	if me.Kernel != "" {
-		e.kernelPath = filepath.Join(s.cfg.CheckpointDir, me.Kernel)
-	}
 	if me.Source != "" {
 		e.srcPath = filepath.Join(s.cfg.CheckpointDir, me.Source)
 	}
@@ -281,45 +273,49 @@ func (s *Server) readoptOne(me manifestEntry) {
 	ckPath, srcPath := e.checkpoint, e.srcPath
 	e.mu.Unlock()
 
-	degrade := func(why string, err error) {
+	start := time.Now()
+	ont, res, snap, err := s.adoptFromDisk(srcPath, ckPath, me.Name, format, fp)
+	if err != nil {
 		e.mu.Lock()
 		e.status = StatusInterrupted
-		e.errMsg = fmt.Sprintf("restart re-adoption failed (%s): %v; resubmit to reclassify", why, err)
+		e.errMsg = fmt.Sprintf("restart re-adoption failed: %v; resubmit to reclassify", err)
 		e.mu.Unlock()
-		s.cfg.Logf("owld: readopt %s: %s: %v (degraded to interrupted)", me.ID, why, err)
-	}
-	if ckPath == "" || srcPath == "" {
-		degrade("manifest", errors.New("missing checkpoint or source path"))
-		return
-	}
-	start := time.Now()
-	src, err := os.Open(srcPath)
-	if err != nil {
-		degrade("source", err)
-		return
-	}
-	ont, err := s.cfg.Engine.Load(src, me.Name, format)
-	src.Close()
-	if err != nil {
-		degrade("source parse", err)
-		return
-	}
-	if got := ont.Fingerprint(); got != fp {
-		degrade("fingerprint", fmt.Errorf("source fingerprint %016x does not match manifest %016x", got, fp))
-		return
-	}
-	res, err := ont.Adopt(context.Background(), ckPath)
-	if err != nil {
-		degrade("checkpoint", err)
-		return
-	}
-	snap, err := ont.Snapshot()
-	if err != nil {
-		degrade("snapshot", err)
+		s.cfg.Logf("owld: readopt %s: %v (degraded to interrupted)", me.ID, err)
 		return
 	}
 	e.markAdopted(ont, res, me.Generation, snap.MemoryFootprint(), time.Since(start))
 	s.maybeEvict()
 	s.cfg.Logf("owld: readopt %s: re-adopted generation %d from checkpoint in %v (%d classes, 0 reclassification tests)",
 		me.ID, me.Generation, time.Since(start).Round(time.Millisecond), res.Taxonomy.NumClasses())
+}
+
+// adoptFromDisk is the one path by which a classified entry comes back
+// without reclassifying, at boot and after eviction alike: re-parse the
+// persisted source, check it against the recorded fingerprint, and adopt
+// the completed checkpoint. The error names the step that failed.
+func (s *Server) adoptFromDisk(srcPath, ckPath, name string, format parowl.Format, fp uint64) (*parowl.Ontology, *parowl.Result, *parowl.Snapshot, error) {
+	if srcPath == "" || ckPath == "" {
+		return nil, nil, nil, errors.New("no persisted checkpoint or source path")
+	}
+	src, err := os.Open(srcPath)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("source: %w", err)
+	}
+	ont, err := s.cfg.Engine.Load(src, name, format)
+	src.Close()
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("source parse: %w", err)
+	}
+	if got := ont.Fingerprint(); got != fp {
+		return nil, nil, nil, fmt.Errorf("fingerprint: source fingerprint %016x does not match registry %016x", got, fp)
+	}
+	res, err := ont.Adopt(context.Background(), ckPath)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	snap, err := ont.Snapshot()
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("snapshot: %w", err)
+	}
+	return ont, res, snap, nil
 }

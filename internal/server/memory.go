@@ -1,9 +1,7 @@
 package server
 
 import (
-	"context"
 	"fmt"
-	"os"
 	"time"
 
 	"parowl"
@@ -135,37 +133,18 @@ func (s *Server) reload(e *entry) (*parowl.Snapshot, error) {
 		return nil, parowl.ErrNotClassified
 	}
 
-	degrade := func(why string, err error) error {
+	start := time.Now()
+	ont, _, snap, err := s.adoptFromDisk(srcPath, ckPath, name, format, fp)
+	if err != nil {
 		e.mu.Lock()
 		if e.status == StatusClassified && e.serving == nil {
 			e.status = StatusInterrupted
-			e.errMsg = fmt.Sprintf("demand reload failed (%s): %v; resubmit to reclassify", why, err)
+			e.errMsg = fmt.Sprintf("demand reload failed: %v; resubmit to reclassify", err)
 		}
 		e.mu.Unlock()
 		s.persist()
-		s.cfg.Logf("owld: reload %s: %s: %v (degraded to interrupted)", e.id, why, err)
-		return parowl.ErrNotClassified
-	}
-
-	start := time.Now()
-	src, err := os.Open(srcPath)
-	if err != nil {
-		return nil, degrade("source", err)
-	}
-	ont, err = s.cfg.Engine.Load(src, name, format)
-	src.Close()
-	if err != nil {
-		return nil, degrade("source parse", err)
-	}
-	if got := ont.Fingerprint(); got != fp {
-		return nil, degrade("fingerprint", fmt.Errorf("source fingerprint %016x does not match registry %016x", got, fp))
-	}
-	if _, err := ont.Adopt(context.Background(), ckPath); err != nil {
-		return nil, degrade("checkpoint", err)
-	}
-	snap, err := ont.Snapshot()
-	if err != nil {
-		return nil, degrade("snapshot", err)
+		s.cfg.Logf("owld: reload %s: %v (degraded to interrupted)", e.id, err)
+		return nil, parowl.ErrNotClassified
 	}
 
 	e.mu.Lock()

@@ -66,7 +66,6 @@ type entry struct {
 	format      parowl.Format // source syntax, for restart re-parse
 	fingerprint uint64        // source fingerprint, pairs manifest with checkpoint
 	srcPath     string        // persisted source document under the checkpoint dir
-	kernelPath  string        // standalone kernel file of the last success
 	readopted   bool          // serving state re-adopted at boot, zero reclassification
 
 	// Retry-with-backoff state.
@@ -160,29 +159,9 @@ func (e *entry) gen() uint64 {
 	return e.generation
 }
 
-// snapshot returns the serving generation for queries, or
-// parowl.ErrNotClassified while no classification has succeeded yet.
-// Queries keep being answered from the previous generation while a
-// reclassification runs.
-func (e *entry) snapshot() (*parowl.Snapshot, error) {
-	e.mu.Lock()
-	ont := e.serving
-	e.mu.Unlock()
-	if ont == nil {
-		return nil, parowl.ErrNotClassified
-	}
-	return ont.Snapshot()
-}
-
-// inFlight reports whether a classify job for this entry is admitted,
-// running, waiting out a retry backoff, or being re-adopted at boot (at
-// most one per entry at a time).
-func (e *entry) inFlight() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.inFlightLocked()
-}
-
+// inFlightLocked reports whether a classify job for this entry is
+// admitted, running, waiting out a retry backoff, or being re-adopted at
+// boot (at most one per entry at a time); e.mu must be held.
 func (e *entry) inFlightLocked() bool {
 	return e.status == StatusQueued || e.status == StatusClassifying || e.status == StatusAdopting
 }

@@ -30,8 +30,9 @@ type Config struct {
 	// CheckpointDir, when non-empty, gives every classify job a
 	// checkpoint file <dir>/<id>.ck: jobs snapshot at phase boundaries,
 	// a drained or crashed job resumes from its last snapshot on the
-	// next submission, and completed jobs persist their compiled query
-	// kernel so a server restart warms up without recompiling.
+	// next submission, and a completed job's final snapshot carries its
+	// compiled query kernel so a server restart warms up without
+	// recompiling.
 	CheckpointDir string
 	// CheckpointInterval is the minimum time between snapshots; ≤ 0
 	// writes at every phase boundary.
@@ -373,23 +374,10 @@ func (s *Server) runJob(j *job) {
 		footprint = snap.MemoryFootprint()
 	}
 	j.entry.markDone(j.ont, res, footprint, nil, false)
-	// Persist the compiled kernel standalone as well (the checkpoint
-	// already embeds it): the manifest records both artifacts, and the
-	// kernel file is what eviction conceptually pages out to.
-	if s.cfg.CheckpointDir != "" {
-		if k := res.Taxonomy.Kernel(); k != nil {
-			kf := filepath.Join(s.cfg.CheckpointDir, j.entry.id+".kf")
-			if err := parowl.WriteKernelFile(kf, k); err != nil {
-				s.cfg.Logf("owld: classify %s: kernel file write failed: %v", j.entry.id, err)
-			} else {
-				j.entry.mu.Lock()
-				j.entry.kernelPath = kf
-				j.entry.mu.Unlock()
-			}
-		}
-	}
-	s.persist()
+	// Re-enforce the memory budget before the manifest fsync: the entry
+	// already reads classified, and eviction state is not in the manifest.
 	s.maybeEvict()
+	s.persist()
 	s.cfg.Logf("owld: classify %s: done in %v (%d classes, %d subs tests, resumed=%v)",
 		j.entry.id, time.Since(start).Round(time.Millisecond), res.Taxonomy.NumClasses(), res.Stats.SubsTests, res.Resumed)
 }
@@ -561,7 +549,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDelete removes an ontology from the registry along with its
-// on-disk artifacts (checkpoint, kernel file, persisted source). An
+// on-disk artifacts (checkpoint and persisted source). An
 // in-flight entry must finish (or be drained) first: 409.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
@@ -576,7 +564,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "classification in flight for "+id+"; retry after it finishes")
 		return
 	}
-	paths := []string{e.checkpoint, e.kernelPath, e.srcPath}
+	paths := []string{e.checkpoint, e.srcPath}
 	e.mu.Unlock()
 	s.reg.remove(id)
 	for _, p := range paths {

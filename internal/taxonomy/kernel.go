@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
-	"os"
 	"runtime"
 	"sync"
 
@@ -443,49 +442,4 @@ func DecodeKernel(data []byte) (*Kernel, []byte, error) {
 		return nil, nil, fmt.Errorf("%w: frame checksum mismatch (%08x != %08x)", ErrBadKernel, got, want)
 	}
 	return &Kernel{n: n, cols: cols, anc: anc, desc: desc, depth: depth, fp: fp}, body[4:], nil
-}
-
-// WriteKernelFile writes the kernel frame to path (atomically via a
-// temporary file in the same directory).
-func WriteKernelFile(path string, k *Kernel) error {
-	data := k.AppendBinary(make([]byte, 0, 64+k.MemoryFootprint()))
-	tmp, err := os.CreateTemp(dirOf(path), ".kernel-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' || path[i] == os.PathSeparator {
-			return path[:i+1]
-		}
-	}
-	return "."
-}
-
-// ReadKernelFile reads one kernel frame from path. The kernel is unbound.
-func ReadKernelFile(path string) (*Kernel, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	k, rest, err := DecodeKernel(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadKernel, len(rest))
-	}
-	return k, nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"sort"
 	"testing"
 
@@ -224,31 +223,6 @@ func TestKernelRoundTrip(t *testing.T) {
 		want := collectAnswers(tax1, cs1, pairs)
 		got := collectAnswers(tax2, cs2, pairs)
 		diffAnswers(t, trial, want, got)
-	}
-}
-
-func TestKernelFileRoundTrip(t *testing.T) {
-	tax, _, cs := randomTaxonomy(rand.New(rand.NewSource(5)))
-	k := tax.CompileKernel(0)
-	path := filepath.Join(t.TempDir(), "tax.kernel")
-	if err := WriteKernelFile(path, k); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := ReadKernelFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.NumClasses() != k.NumClasses() || dec.TaxonomyFingerprint() != k.TaxonomyFingerprint() {
-		t.Fatalf("decoded kernel header mismatch")
-	}
-	tax2, _, cs2 := randomTaxonomy(rand.New(rand.NewSource(5)))
-	if err := tax2.AdoptKernel(dec); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range cs2 {
-		if got, want := tax2.Depth(c), tax.Depth(cs[i]); got != want {
-			t.Fatalf("Depth(%s) = %d, want %d", c.Name, got, want)
-		}
 	}
 }
 

@@ -67,7 +67,8 @@ type (
 	// dense node IDs plus ancestor/descendant closure matrices that serve
 	// Subsumes as one bit test and the set queries as word-parallel row
 	// operations. Compile with Taxonomy.CompileKernel, Options.CompileKernel,
-	// or Snapshot.Kernel; persist with WriteKernelFile/ReadKernelFile.
+	// or Snapshot.Kernel; with Options.Checkpoint it persists in the
+	// final snapshot, and a resume adopts it.
 	TaxonomyKernel = taxonomy.Kernel
 	// Reasoner is the plug-in interface behind sat?() and subs?(). Both
 	// methods receive a context; plug-ins must return promptly (with an
@@ -250,18 +251,6 @@ var ErrIncompleteSnapshot = core.ErrIncompleteSnapshot
 // campaigns (and owld's classify retry policy) match it with errors.Is
 // to tell transient injected faults from real failures.
 var ErrChaosFault = reasoner.ErrInjected
-
-// WriteKernelFile persists a compiled kernel to path (atomic rename).
-func WriteKernelFile(path string, k *TaxonomyKernel) error {
-	return taxonomy.WriteKernelFile(path, k)
-}
-
-// ReadKernelFile loads a kernel written by WriteKernelFile. The kernel is
-// unbound; attach it to its taxonomy with Taxonomy.AdoptKernel, which
-// validates the pairing by fingerprint.
-func ReadKernelFile(path string) (*TaxonomyKernel, error) {
-	return taxonomy.ReadKernelFile(path)
-}
 
 // CompareTaxonomies reports the entailment differences from old to new
 // (added/removed subsumptions, unsatisfiability and vocabulary changes).

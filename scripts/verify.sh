@@ -16,13 +16,13 @@ go test -race ./internal/core/... ./internal/tableau/... ./internal/reasoner/...
 echo "== cheap-first pipeline equivalence suite (-race)"
 go test -race -count=1 -run 'TestQuickPipelineEquivalence|TestPipelineEquivalenceOntogen|TestPipelineReducesCalls|TestPrepassFragmentUnsatConcept' ./internal/core/
 echo "== crash-safety suite: kill-and-resume + chaos soundness (-race)"
-go test -race -count=1 -run 'TestKillAndResumeEquivalence|TestChaosPanicSoundness|TestResumeRejectsBadSnapshots' ./internal/core/
+go test -race -count=1 -run 'TestKillAndResumeEquivalence|TestChaosPanicSoundness|TestResumeRejectsBadSnapshots|TestAdoptRejectsBadFiles' ./internal/core/
 echo "== scheduler suite: roundrobin/async equivalence, stealing deques, epoch checkpoints (-race)"
 go test -race -count=1 -run 'TestQuickCrossPolicyEquivalence|TestCrossPolicyEquivalenceOntogen|TestWorkStealingActuallySteals|TestSchedulingValidation|TestDequeOwnerThiefProperty|TestDequeLastElementRace|TestWorkerQueueResetLateThief|TestBarrierAssertsDequesEmpty|TestPoolStealingBalancesSkew|TestKillAndResumeAsync|TestAsyncQuiescesLessThanBarrierMode' ./internal/core/
 
 echo "== query-kernel equivalence suite: kernel vs DAG answers + checkpoint frame corruption (-race)"
-go test -race -count=1 -run 'TestKernelEquivalenceRandom|TestKernelEquivalenceOntogen|TestKernelRoundTrip|TestKernelFileRoundTrip|TestKernelDecodeCorruption|TestAdoptKernelRejectsMismatch' ./internal/taxonomy/
-go test -race -count=1 -run 'TestKernelCheckpointRoundTrip|TestCheckpointKernelCorruptFrameFallsBack|TestCheckpointKernelMismatchRejected|TestCheckpointLegacyFileWithoutKernelSection|TestSnapshotKernelDecodeFuzz' ./internal/core/
+go test -race -count=1 -run 'TestKernelEquivalenceRandom|TestKernelEquivalenceOntogen|TestKernelRoundTrip|TestKernelDecodeCorruption|TestAdoptKernelRejectsMismatch' ./internal/taxonomy/
+go test -race -count=1 -run 'TestKernelCheckpointRoundTrip|TestCheckpointKernelCorruptFrameFallsBack|TestCheckpointKernelMismatchRejected|TestSnapshotKernelDecodeFuzz' ./internal/core/
 
 echo "== owld serving suite: registry + admission + drain (-race)"
 go test -race -count=1 ./internal/server/
