@@ -32,15 +32,18 @@ func TestCLIKillAndResumeAsync(t *testing.T) {
 	}
 
 	// The reference is a plain round-robin run: cross-policy equivalence
-	// means the async crash loop must land on the same bytes.
-	ref, err := exec.Command(owlclass, "-workers", "4", "-cycles", "6", onto).Output()
+	// means the async crash loop must land on the same bytes. Both runs
+	// turn the pipeline off, or the complete EL corpus would be decided
+	// without a plug-in call before the first kill.
+	plain := []string{"-prepass=false", "-modelfilter=false"}
+	ref, err := exec.Command(owlclass, append(plain, "-workers", "4", "-cycles", "6", onto)...).Output()
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
 
 	ck := filepath.Join(dir, "run.ck")
-	common := []string{"-sched", "async", "-workers", "4", "-cycles", "6",
-		"-checkpoint", ck, "-checkpoint-interval", "0", "-chaos", "slow=1ms,seed=1"}
+	common := append(plain, "-sched", "async", "-workers", "4", "-cycles", "6",
+		"-checkpoint", ck, "-checkpoint-interval", "0", "-chaos", "slow=1ms,seed=1")
 
 	kills := 0
 	var final []byte

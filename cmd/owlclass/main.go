@@ -5,7 +5,9 @@
 //	owlclass -profile EMAP#EMAP -workers 8 -stats
 //
 // With -profile, a synthetic corpus from the paper's Tables IV/V is
-// generated instead of reading a file. The command is a thin front end
+// generated instead of reading a file. The cheap-first pipeline (-prepass,
+// -modelfilter) is on by default; -prepass=false -modelfilter=false runs
+// the paper's plain algorithm. The command is a thin front end
 // over the parowl Engine/Ontology handles — the same object surface the
 // owld daemon serves over HTTP.
 package main
@@ -38,8 +40,8 @@ var (
 	dot     = flag.Bool("dot", false, "print the taxonomy in Graphviz DOT format")
 	summary = flag.Bool("summary", false, "print a one-line taxonomy summary")
 	told    = flag.Bool("told", false, "answer told subsumptions without reasoner calls")
-	prepass = flag.Bool("prepass", false, "EL pre-saturation: seed known subsumptions from the EL fragment before testing")
-	mfilter = flag.Bool("modelfilter", false, "consult the plug-in's pseudo-model merge filter before each subs? dispatch")
+	prepass = flag.Bool("prepass", true, "EL pre-saturation: seed known subsumptions from the EL fragment before testing; -prepass=false -modelfilter=false runs the paper's plain algorithm")
+	mfilter = flag.Bool("modelfilter", true, "consult the plug-in's pseudo-model merge filter before each subs? dispatch")
 	timeout = flag.Duration("timeout", 0, "abort classification after this duration (0 = none)")
 
 	testTimeout = flag.Duration("test-timeout", 0, "budget per sat?/subs? test; expired tests are retried then recorded as undecided (0 = none)")

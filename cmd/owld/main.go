@@ -93,6 +93,10 @@ func run() error {
 		return err
 	}
 
+	// The template leaves the cheap-first pipeline off: serve_chaos.sh
+	// proves that a restart reclassifies nothing by restarting under a
+	// reasoner that fails every call, and a prepass that decides an EL
+	// corpus without calling the plug-in would make that proof vacuous.
 	eng := parowl.NewEngine(
 		parowl.WithOptions(parowl.Options{
 			Workers:      *workers,

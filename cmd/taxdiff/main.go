@@ -46,6 +46,8 @@ func main() {
 func run(oldPath, newPath string) (*parowl.TaxonomyDiff, error) {
 	eng := parowl.NewEngine(parowl.WithOptions(parowl.Options{
 		Workers:     *workers,
+		ELPrepass:   true,
+		ModelFilter: true,
 		TestTimeout: *testTimeout,
 		TestRetries: *testRetries,
 	}))

@@ -40,7 +40,11 @@ func TestCLIKillAndResume(t *testing.T) {
 		t.Fatalf("ontogen: %v\n%s", err, out)
 	}
 
-	ref, err := exec.Command(owlclass, "-workers", "4", "-cycles", "6", onto).Output()
+	// Both runs use the paper's plain algorithm: the corpus is complete
+	// EL, so the default pipeline would decide it without a plug-in call
+	// and finish before the first kill.
+	plain := []string{"-prepass=false", "-modelfilter=false"}
+	ref, err := exec.Command(owlclass, append(plain, "-workers", "4", "-cycles", "6", onto)...).Output()
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -49,7 +53,7 @@ func TestCLIKillAndResume(t *testing.T) {
 	// no fault rates, so interrupted runs stay deterministic. Extra random
 	// cycles give the checkpointer more phase boundaries to snapshot at.
 	ck := filepath.Join(dir, "run.ck")
-	common := []string{"-workers", "4", "-cycles", "6", "-checkpoint", ck, "-checkpoint-interval", "0", "-chaos", "slow=1ms,seed=1"}
+	common := append(plain, "-workers", "4", "-cycles", "6", "-checkpoint", ck, "-checkpoint-interval", "0", "-chaos", "slow=1ms,seed=1")
 
 	kills := 0
 	var final []byte

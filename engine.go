@@ -23,9 +23,11 @@ type ReasonerFactory func(*TBox) Reasoner
 // application) builds one Engine at startup and goes through it for all
 // loading and classification.
 //
-// The zero-argument NewEngine() reproduces the package's historical
-// defaults: auto-selected reasoner, optimized mode, round-robin
-// scheduling, GOMAXPROCS workers.
+// The zero-argument NewEngine() uses the package defaults: auto-selected
+// reasoner, optimized mode, round-robin scheduling, GOMAXPROCS workers,
+// and the cheap-first pipeline (Options.ELPrepass and
+// Options.ModelFilter) on. WithOptions replaces the whole template, so
+// WithOptions(Options{}) runs the paper's plain algorithm.
 type Engine struct {
 	base    Options
 	factory ReasonerFactory
@@ -62,9 +64,10 @@ func WithReasoner(f ReasonerFactory) EngineOption {
 	return func(e *Engine) { e.factory = f }
 }
 
-// NewEngine builds an Engine from the given options.
+// NewEngine builds an Engine from the given options, starting from the
+// default template: the cheap-first pipeline on, everything else zero.
 func NewEngine(opts ...EngineOption) *Engine {
-	e := &Engine{}
+	e := &Engine{base: Options{ELPrepass: true, ModelFilter: true}}
 	for _, o := range opts {
 		o(e)
 	}

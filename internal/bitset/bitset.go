@@ -179,6 +179,27 @@ func (s *Set) ForEach(fn func(i int) bool) {
 	}
 }
 
+// Next returns the smallest member ≥ i, or -1 when there is none. Unlike
+// ForEach it lets a caller suspend a scan and resume it later.
+func (s *Set) Next(i int) int {
+	if i < 0 {
+		i = 0
+	}
+	wi := i / wordBits
+	if wi >= len(s.words) {
+		return -1
+	}
+	if w := s.words[wi] >> (uint(i) % wordBits); w != 0 {
+		return i + bits.TrailingZeros64(w)
+	}
+	for wi++; wi < len(s.words); wi++ {
+		if w := s.words[wi]; w != 0 {
+			return wi*wordBits + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}
+
 // Members returns the indices of all set bits in ascending order.
 func (s *Set) Members() []int {
 	out := make([]int, 0, s.Count())

@@ -112,6 +112,31 @@ func TestSetMembersOrdered(t *testing.T) {
 	}
 }
 
+// TestSetNext walks a set with Next from every start position and
+// checks each answer against Members.
+func TestSetNext(t *testing.T) {
+	s := New(300)
+	members := []int{3, 64, 65, 127, 128, 299}
+	for _, i := range members {
+		s.Set(i)
+	}
+	for start := -1; start <= 301; start++ {
+		want := -1
+		for _, m := range members {
+			if m >= start {
+				want = m
+				break
+			}
+		}
+		if got := s.Next(start); got != want {
+			t.Fatalf("Next(%d) = %d, want %d", start, got, want)
+		}
+	}
+	if got := New(0).Next(0); got != -1 {
+		t.Fatalf("Next on an empty set = %d, want -1", got)
+	}
+}
+
 func TestSetString(t *testing.T) {
 	s := New(10)
 	s.Set(1)

@@ -36,8 +36,10 @@ func (m Mode) String() string {
 }
 
 // Options configures a classification run. The zero value (plus a
-// Reasoner) is a sensible default: optimized mode, round-robin
-// scheduling, GOMAXPROCS workers, two random-division cycles.
+// Reasoner) is the paper's algorithm: optimized mode, round-robin
+// scheduling, GOMAXPROCS workers, two random-division cycles, no
+// cheap-first pipeline. parowl.NewEngine's default template adds
+// ELPrepass and ModelFilter.
 type Options struct {
 	// Reasoner is the plug-in deciding sat?/subs?; required.
 	Reasoner reasoner.Interface
@@ -62,11 +64,13 @@ type Options struct {
 	// ELPrepass enables stage 1 of the cheap-first subsumption pipeline:
 	// before random division, the EL-expressible fragment of the TBox is
 	// saturated (internal/el) and every proven subsumption and
-	// unsatisfiability is bulk-seeded into K/satState, stripping the
-	// decided pairs from P (see prepass.go). Sound for any TBox — the
-	// fragment's axioms are a subset of the TBox's, so its conclusions
-	// are entailed — and the taxonomy is identical with or without it.
-	// Savings are reported in Stats.PreSeeded.
+	// unsatisfiability is streamed into K/satState, stripping the decided
+	// pairs from P (see prepass.go). When the whole TBox is EL the
+	// fragment is complete and the prepass decides every pair itself: no
+	// plug-in call follows. Sound for any TBox — the fragment's axioms
+	// are entailed by the TBox's, so its conclusions are too — and the
+	// taxonomy is identical with or without it. Savings are reported in
+	// Stats.PreSeeded.
 	ELPrepass bool
 	// ModelFilter enables stage 2 of the pipeline: when the plug-in
 	// offers the optional reasoner.ModelFilter capability (detected by
@@ -163,8 +167,12 @@ type Stats struct {
 	ToldHits  int64 // positive tests answered from the told hierarchy
 	// PreSeeded counts tests resolved from the EL prepass without a
 	// plug-in dispatch (Options.ELPrepass): sat?() probes answered by a
-	// fragment unsatisfiability, directed subs? tests answered by the
-	// K-shortcircuit, and both directions of each pair stripped outright.
+	// fragment unsatisfiability, or by a complete fragment's saturation
+	// for every other concept; directed subs? tests settled by a proven
+	// fact (one each in basic mode, both directions of each pair stripped
+	// outright in optimized mode) or answered later by the K-shortcircuit;
+	// and, with a complete fragment, every remaining directed test, which
+	// its exact saturation resolves as a non-subsumption.
 	PreSeeded int64
 	// FilterHits counts subs? dispatches skipped because the plug-in's
 	// ModelFilter disproved the subsumption (Options.ModelFilter).
@@ -321,9 +329,14 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	// A snapshot taken during the group phase proves the random phase
 	// finished; re-running it would only no-op on claimed pairs.
 	skipRandom := snap != nil && snap.phase == PhaseGroup
-	if opts.Scheduling == Async {
+	switch {
+	case s.remainingPossible() == 0:
+		// Every pair is decided — by a complete EL prepass, or in the
+		// finished run a snapshot restored — so phases 1 and 2 would only
+		// walk K and P failing claims.
+	case opts.Scheduling == Async:
 		s.runAsync(p, rng, workers, cycles, ck, trace, skipRandom)
-	} else {
+	default:
 		if !skipRandom {
 			for cycle := 1; cycle <= cycles && !s.failed(); cycle++ {
 				s.runRandomCycle(p, rng, workers, cycle, trace)

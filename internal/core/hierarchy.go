@@ -9,16 +9,20 @@ import (
 
 // buildTaxonomy is phase 3 (Sec. III-B, Algorithm 4): once P is empty,
 // the K sets contain the discovered subsumptions. Equivalence classes are
-// contracted, then a partial hierarchy H_X — the direct subsumees of X —
-// is computed for every class in parallel (the divide step), and the
-// conquer step merges them into the final taxonomy.
+// contracted, the contracted K rows are closed transitively in place,
+// then a partial hierarchy H_X — the direct subsumees of X — is computed
+// for every class in parallel (the divide step), and the conquer step
+// merges them into the final taxonomy.
 //
-// Algorithm 4 reduces K_X by deleting every Z ∈ K_Y for Y ∈ K_X. With the
-// Section IV pruning active, K is already partially reduced, so a
-// one-step lookahead could miss indirect subsumees reachable in two or
-// more K-steps; the reduction here therefore removes everything reachable
-// from a K-child through the K-graph, which is exactly the transitive
-// reduction the paper's example computes.
+// Algorithm 4 reduces K_X by deleting every Z ∈ K_Y for Y ∈ K_X. That
+// one-step rule is exact only on transitively closed rows: with the
+// Section IV pruning active K is partially reduced, so an indirect
+// subsumee can sit two or more K-steps below a child, while a complete
+// EL prepass leaves K fully closed. Closing the rows once (closeRows)
+// makes every input the closed case, and the reduction becomes
+// word-parallel row operations (directChildren) — the transitive
+// reduction the paper's example computes. Phase 3 is a pure function of
+// K, so Adopt rebuilds the identical taxonomy from a checkpoint.
 func (s *state) buildTaxonomy(p *pool, trace *Trace) (*taxonomy.Taxonomy, error) {
 	before := s.snapshot()
 	n := s.n
@@ -88,21 +92,37 @@ func (s *state) buildTaxonomy(p *pool, trace *Trace) (*taxonomy.Taxonomy, error)
 		kc[x] = acc
 	}
 
-	// Divide: one parallel task per class computes H_X, the direct
-	// children, by discarding every child reachable from another child.
-	direct := make([][]int, n)
-	for x := 0; x < n; x++ {
-		if kc[x] == nil || kc[x].IsEmpty() {
-			continue
+	// The closure is sequential; it runs as one pool task so the trace
+	// charges it to phase 3 like the reduction that follows.
+	p.submit(func() time.Duration {
+		start := time.Now()
+		closeRows(kc)
+		return time.Since(start)
+	})
+	s.record(trace, PhaseHierarchy, 1, before, p.barrier())
+
+	// Divide: H_X for every class, the classes dealt round-robin over a
+	// few tasks per worker so each task reuses one scratch row.
+	var classes []int
+	for x, row := range kc {
+		if row != nil && !row.IsEmpty() {
+			classes = append(classes, x)
 		}
-		x := x
+	}
+	direct := make([][]int, n)
+	tasks := min(len(classes), 4*p.workers)
+	for t := 0; t < tasks; t++ {
 		p.submit(func() time.Duration {
 			start := time.Now()
-			direct[x] = s.partialHierarchy(x, kc)
+			below := bitset.New(n)
+			for i := t; i < len(classes); i += tasks {
+				x := classes[i]
+				direct[x] = directChildren(kc[x], kc, below)
+			}
 			return time.Since(start)
 		})
 	}
-	s.record(trace, PhaseHierarchy, 1, before, p.barrier())
+	s.record(trace, PhaseHierarchy, 2, s.snapshot(), p.barrier())
 	if err := s.errOrNil(); err != nil {
 		return nil, err
 	}
@@ -127,36 +147,74 @@ func (s *state) buildTaxonomy(p *pool, trace *Trace) (*taxonomy.Taxonomy, error)
 	return b.Build()
 }
 
-// partialHierarchy computes H_X: the members of K_X (contracted) that are
-// not reachable from another member through the contracted K-graph.
-func (s *state) partialHierarchy(x int, kc []*bitset.Set) []int {
-	children := kc[x].Members()
-	if len(children) <= 1 {
-		return children
-	}
-	// Union of everything strictly below each child.
-	below := bitset.New(s.n)
-	var dfs func(y int)
-	dfs = func(y int) {
-		if kc[y] == nil {
-			return
+// closeRows replaces every contracted row kc[x] with its transitive
+// closure — every class below x — in place. Classes are closed children
+// first, in the post-order of an iterative depth-first search over the
+// class DAG, so the rows of x's members are closed when x's is built;
+// like directChildren it then ORs in only the rows of members an earlier
+// member's row does not already cover. One scratch row is allocated. A K
+// cycle between distinct classes can only come from degraded tests
+// leaving an equivalence one-sided; the search ignores the edge that
+// closes it, so the closure may stay partial there, but every bit in it
+// is still a proven subsumption.
+func closeRows(kc []*bitset.Set) {
+	order := make([]int, 0, len(kc))
+	seen := make([]bool, len(kc))
+	type frame struct{ x, next int }
+	var stack []frame
+	for root, row := range kc {
+		if row == nil || seen[root] {
+			continue
 		}
-		kc[y].ForEach(func(z int) bool {
-			if !below.Test(z) {
-				below.Set(z)
-				dfs(z)
+		seen[root] = true
+		stack = append(stack, frame{x: root})
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			y := kc[f.x].Next(f.next)
+			if y < 0 {
+				order = append(order, f.x)
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			f.next = y + 1
+			if !seen[y] {
+				seen[y] = true
+				stack = append(stack, frame{x: y})
+			}
+		}
+	}
+	covered := bitset.New(len(kc))
+	for _, x := range order {
+		covered.ClearAll()
+		kc[x].ForEach(func(y int) bool {
+			if !covered.Test(y) {
+				covered.Union(kc[y])
 			}
 			return true
 		})
+		kc[x].Union(covered)
 	}
-	for _, y := range children {
-		dfs(y)
-	}
-	out := children[:0]
-	for _, y := range children {
+}
+
+// directChildren is Algorithm 4's one-step rule on a closed row: a member
+// Y of K_X is a direct child unless it lies in K_Z for another member Z.
+// below accumulates the union of the members' rows; a member already in
+// it is skipped, because its closed row is inside the row that covered
+// it. below is scratch of the rows' length.
+func directChildren(row *bitset.Set, kc []*bitset.Set, below *bitset.Set) []int {
+	below.ClearAll()
+	row.ForEach(func(y int) bool {
+		if !below.Test(y) {
+			below.Union(kc[y])
+		}
+		return true
+	})
+	var out []int
+	row.ForEach(func(y int) bool {
 		if !below.Test(y) {
 			out = append(out, y)
 		}
-	}
+		return true
+	})
 	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -64,39 +65,103 @@ func randomMixedTBox(rng *rand.Rand, n int) *dl.TBox {
 	return tb
 }
 
+// randomELTBox builds a random ontology inside the EL fragment, so its
+// fragment is complete and the prepass decides every test: told edges,
+// existential restrictions on both sides of ⊑ over a role hierarchy
+// r ⊑ s with s transitive, a defined class, a concept made unsatisfiable
+// by disjointness and a concept equivalent to ⊤. Existential fillers are
+// earlier concepts and the general GCIs (∃ on the left, the defined
+// class's ⊒ half) are few, which keeps the tableau baseline fast.
+func randomELTBox(rng *rand.Rand, n int) *dl.TBox {
+	tb := dl.NewTBox("randel")
+	f := tb.Factory
+	r, s := f.Role("r"), f.Role("s")
+	tb.SubObjectPropertyOf(r, s)
+	tb.TransitiveObjectProperty(s)
+	roles := []*dl.Role{r, s}
+	cs := make([]*dl.Concept, n)
+	for i := range cs {
+		cs[i] = tb.Declare(fmt.Sprintf("C%d", i))
+	}
+	general := 0
+	for i := 1; i < n; i++ {
+		parent, filler := cs[rng.Intn(i)], cs[rng.Intn(i)]
+		role := roles[rng.Intn(len(roles))]
+		switch k := rng.Intn(4); {
+		case k == 0: // existential right side: successors feed the rules below
+			tb.SubClassOf(cs[i], parent)
+			tb.SubClassOf(cs[i], f.Some(role, filler))
+		case k == 1 && general < 2: // existential left side, reached through r ⊑ s and transitivity
+			general++
+			tb.SubClassOf(cs[i], parent)
+			tb.SubClassOf(f.Some(s, filler), cs[i])
+		case k == 2 && general < 2: // defined class
+			general++
+			tb.EquivalentClasses(cs[i], f.And(parent, f.Some(role, filler)))
+		default:
+			tb.SubClassOf(cs[i], parent)
+		}
+	}
+	// C0 is never below another concept, so ⊤ ⊑ C0 makes it ≡ ⊤ without
+	// making ⊤ unsatisfiable.
+	tb.SubClassOf(f.Top(), cs[0])
+	if a, b := cs[1+rng.Intn(n-1)], cs[1+rng.Intn(n-1)]; a != b {
+		tb.DisjointClasses(a, b)
+		tb.SubClassOf(tb.Declare("U"), f.And(a, b))
+	}
+	return tb
+}
+
 // TestQuickPipelineEquivalence is the central safety property of the
-// cheap-first pipeline: for random ontologies — both pure-EL taxonomy
-// shapes and mixed ALC shapes where the fragment is partial — enabling
+// cheap-first pipeline: for random ontologies — pure-EL taxonomy shapes,
+// mixed ALC shapes where the fragment is partial, and EL shapes with
+// roles whose complete fragment decides everything — enabling
 // ELPrepass+ModelFilter must produce the byte-identical taxonomy to the
-// pipeline-off run for every (mode, workers, seed) combination.
+// pipeline-off run for every (mode, scheduling, workers, seed)
+// combination. On the complete-fragment shapes the pipeline-on run must
+// not call the plug-in at all.
 func TestQuickPipelineEquivalence(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		for _, tb := range []*dl.TBox{
 			randomTaxonomyTBox(rng, 4+rng.Intn(10)),
 			randomMixedTBox(rng, 5+rng.Intn(10)),
+			randomELTBox(rng, 4+rng.Intn(8)),
 		} {
+			_, cov := el.NewFragment(tb, el.Options{})
 			r := tableauFactory(tb)
 			for _, mode := range []Mode{Basic, Optimized} {
-				w := 1 + rng.Intn(8)
-				base := Options{
-					Reasoner: r, Workers: w, Mode: mode,
-					Seed: seed, RandomCycles: 1 + rng.Intn(3),
-				}
-				off, err := Classify(tb, pipelineOff(base))
-				if err != nil {
-					t.Logf("seed %d off: %v", seed, err)
-					return false
-				}
-				on, err := Classify(tb, pipelineOn(base))
-				if err != nil {
-					t.Logf("seed %d on: %v", seed, err)
-					return false
-				}
-				if on.Taxonomy.Render() != off.Taxonomy.Render() {
-					t.Logf("seed %d %s mode=%v w=%d:\n on:\n%s\n off:\n%s",
-						seed, tb.Name, mode, w, on.Taxonomy.Render(), off.Taxonomy.Render())
-					return false
+				for _, sched := range allSchedulings {
+					w := 1 + rng.Intn(8)
+					base := Options{
+						Reasoner: r, Workers: w, Mode: mode, Scheduling: sched,
+						Seed: seed, RandomCycles: 1 + rng.Intn(3),
+					}
+					off, err := Classify(tb, pipelineOff(base))
+					if err != nil {
+						t.Logf("seed %d off: %v", seed, err)
+						return false
+					}
+					var calls reasoner.Stats
+					base.Reasoner = reasoner.Counting{R: r, S: &calls}
+					on, err := Classify(tb, pipelineOn(base))
+					if err != nil {
+						t.Logf("seed %d on: %v", seed, err)
+						return false
+					}
+					if on.Taxonomy.Render() != off.Taxonomy.Render() {
+						t.Logf("seed %d %s mode=%v sched=%v w=%d:\n on:\n%s\n off:\n%s",
+							seed, tb.Name, mode, sched, w, on.Taxonomy.Render(), off.Taxonomy.Render())
+						return false
+					}
+					if cov.Complete() {
+						n := calls.SatCalls.Load() + calls.SubsCalls.Load() + calls.FilterHits.Load()
+						if n != 0 || on.Stats.SatTests+on.Stats.SubsTests+on.Stats.FilterHits != 0 {
+							t.Logf("seed %d %s mode=%v sched=%v: complete fragment, yet %d plug-in calls (stats %+v)",
+								seed, tb.Name, mode, sched, n, on.Stats)
+							return false
+						}
+					}
 				}
 			}
 		}
@@ -105,6 +170,21 @@ func TestQuickPipelineEquivalence(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fragmentUnknowns counts the named concepts the prepass leaves to a sat?
+// probe: those a partial EL fragment does not prove unsatisfiable.
+func fragmentUnknowns(t *testing.T, tb *dl.TBox) int64 {
+	t.Helper()
+	frag, cov := el.NewFragment(tb, el.Options{})
+	if cov.Complete() {
+		t.Fatalf("%s: test needs a partial fragment", tb.Name)
+	}
+	n := int64(len(tb.NamedConcepts()))
+	if err := frag.Seeds(context.Background(), func(*dl.Concept) { n-- }, func(_, _ *dl.Concept) {}); err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestPipelineEquivalenceOntogen runs the same identity check on scaled
@@ -152,48 +232,67 @@ func TestPipelineEquivalenceOntogen(t *testing.T) {
 	}
 }
 
-// TestPipelineReducesCalls checks the headline acceptance criterion: on a
-// stock EL corpus the full pipeline must cut the tableau plug-in's
-// sat?+subs? dispatches by at least 30% while the taxonomy stays
-// identical, with the savings visible in the new Stats counters.
+// TestPipelineReducesCalls checks the headline acceptance criterion with
+// the tableau plug-in, at an identical taxonomy. actpathway is pure EL:
+// its complete fragment decides every test in the prepass, so the plug-in
+// sees no call at all. rnao_functional's fragment is partial: there the
+// model filter must disprove non-subsumptions and the pipeline must still
+// cut the plug-in's sat?+subs? dispatches by at least 30%.
 func TestPipelineReducesCalls(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ontogen corpora are slow under -short")
 	}
-	p, ok := ontogen.ByName("actpathway.obo")
-	if !ok {
-		t.Fatal("profile missing")
-	}
-	tb, err := ontogen.Mini(p, 80).Generate(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(opts Options) (*Result, int64) {
-		var stats reasoner.Stats
-		opts.Reasoner = reasoner.Counting{R: tableauFactory(tb), S: &stats}
-		res := classify(t, tb, opts)
-		return res, stats.SatCalls.Load() + stats.SubsCalls.Load()
-	}
-	base := Options{Workers: 4, Mode: Optimized, Seed: 11}
-	off, offCalls := run(pipelineOff(base))
-	on, onCalls := run(pipelineOn(base))
-	if on.Taxonomy.Render() != off.Taxonomy.Render() {
-		t.Fatalf("taxonomies differ:\n on:\n%s\n off:\n%s", on.Taxonomy.Render(), off.Taxonomy.Render())
-	}
-	if on.Stats.PreSeeded == 0 {
-		t.Error("PreSeeded = 0; EL prepass resolved nothing on a pure-EL corpus")
-	}
-	if on.Stats.FilterHits == 0 {
-		t.Error("FilterHits = 0; model filter never disproved a non-subsumption")
-	}
-	if offCalls == 0 {
-		t.Fatal("baseline made no plug-in calls")
-	}
-	reduction := 100 * float64(offCalls-onCalls) / float64(offCalls)
-	t.Logf("plug-in calls: off=%d on=%d reduction=%.1f%% preseeded=%d filterhits=%d",
-		offCalls, onCalls, reduction, on.Stats.PreSeeded, on.Stats.FilterHits)
-	if reduction < 30 {
-		t.Errorf("pipeline reduced plug-in calls by %.1f%%, want >= 30%%", reduction)
+	for _, c := range []struct {
+		profile  string
+		scale    int
+		complete bool
+	}{
+		{"actpathway.obo", 80, true},
+		{"rnao_functional", 12, false},
+	} {
+		t.Run(c.profile, func(t *testing.T) {
+			p, ok := ontogen.ByName(c.profile)
+			if !ok {
+				t.Fatal("profile missing")
+			}
+			tb, err := ontogen.Mini(p, c.scale).Generate(7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(opts Options) (*Result, int64) {
+				var stats reasoner.Stats
+				opts.Reasoner = reasoner.Counting{R: tableauFactory(tb), S: &stats}
+				res := classify(t, tb, opts)
+				return res, stats.SatCalls.Load() + stats.SubsCalls.Load()
+			}
+			base := Options{Workers: 4, Mode: Optimized, Seed: 11}
+			off, offCalls := run(pipelineOff(base))
+			on, onCalls := run(pipelineOn(base))
+			if on.Taxonomy.Render() != off.Taxonomy.Render() {
+				t.Fatalf("taxonomies differ:\n on:\n%s\n off:\n%s", on.Taxonomy.Render(), off.Taxonomy.Render())
+			}
+			if on.Stats.PreSeeded == 0 {
+				t.Error("PreSeeded = 0; EL prepass resolved nothing")
+			}
+			if offCalls == 0 {
+				t.Fatal("baseline made no plug-in calls")
+			}
+			reduction := 100 * float64(offCalls-onCalls) / float64(offCalls)
+			t.Logf("plug-in calls: off=%d on=%d reduction=%.1f%% preseeded=%d filterhits=%d",
+				offCalls, onCalls, reduction, on.Stats.PreSeeded, on.Stats.FilterHits)
+			if c.complete {
+				if onCalls != 0 || on.Stats.FilterHits != 0 {
+					t.Errorf("complete fragment, yet %d plug-in calls and %d filter hits", onCalls, on.Stats.FilterHits)
+				}
+				return
+			}
+			if on.Stats.FilterHits == 0 {
+				t.Error("FilterHits = 0; model filter never disproved a non-subsumption")
+			}
+			if reduction < 30 {
+				t.Errorf("pipeline reduced plug-in calls by %.1f%%, want >= 30%%", reduction)
+			}
+		})
 	}
 }
 
@@ -227,15 +326,16 @@ func TestPrepassFragmentUnsatConcept(t *testing.T) {
 	}
 }
 
-// TestPrepassCountersExample pins the prepass bookkeeping on the paper's
-// running example, which is pure EL: every positive subsumption is proven
-// before the random-division phase, so the plug-in's sat?() load is
-// exactly the per-concept sweep (⊤ is pinned satisfiable, never probed)
-// and its subs? load shrinks to the non-subsumption directions the
-// fragment cannot decide.
+// TestPrepassCountersExample pins the prepass bookkeeping. The paper's
+// running example is pure EL, so its complete fragment decides every
+// test: the plug-in sees no call, and each settled sat? probe (⊤ is
+// pinned satisfiable, never probed) and each directed test of each pair
+// counts once in PreSeeded. One non-EL axiom makes the fragment partial:
+// the plug-in's sat? load is then exactly one sweep probe per concept
+// the fragment did not prove unsatisfiable, and its subs? load shrinks to
+// the directions the fragment cannot decide.
 func TestPrepassCountersExample(t *testing.T) {
-	tb := exampleTBox()
-	run := func(prepass bool) (*Result, *reasoner.Stats) {
+	run := func(tb *dl.TBox, prepass bool) (*Result, *reasoner.Stats) {
 		var stats reasoner.Stats
 		r := reasoner.Counting{R: tableauFactory(tb), S: &stats}
 		res := classify(t, tb, Options{
@@ -243,24 +343,44 @@ func TestPrepassCountersExample(t *testing.T) {
 		})
 		return res, &stats
 	}
-	off, offStats := run(false)
-	on, onStats := run(true)
-	if on.Stats.PreSeeded == 0 {
-		t.Fatal("PreSeeded = 0 on a pure-EL ontology")
+	same := func(on, off *Result) {
+		t.Helper()
+		if on.Taxonomy.Render() != off.Taxonomy.Render() {
+			t.Fatalf("taxonomies differ\n on:\n%s\n off:\n%s",
+				on.Taxonomy.Render(), off.Taxonomy.Render())
+		}
+		if on.Trace == nil || len(on.Trace.Cycles) == 0 || on.Trace.Cycles[0].Phase != PhasePrepass {
+			t.Fatalf("trace should start with a prepass cycle: %v", on.Trace)
+		}
 	}
-	if got, want := onStats.SatCalls.Load(), int64(len(tb.NamedConcepts())); got != want {
-		t.Errorf("plug-in sat? calls = %d, want %d (one sweep probe per named concept)", got, want)
+
+	tb := exampleTBox()
+	off, _ := run(tb, false)
+	on, onStats := run(tb, true)
+	same(on, off)
+	if calls := onStats.SatCalls.Load() + onStats.SubsCalls.Load(); calls != 0 {
+		t.Errorf("complete fragment, yet %d plug-in calls", calls)
+	}
+	n := int64(len(tb.NamedConcepts())) + 1 // with ⊤
+	if got, want := on.Stats.PreSeeded, (n-1)+n*(n-1); got != want {
+		t.Errorf("PreSeeded = %d, want %d (every sat? probe and both directions of every pair)", got, want)
+	}
+
+	partial := exampleTBox()
+	f := partial.Factory
+	partial.SubClassOf(f.Name("D"), f.All(f.Role("r"), f.Name("E")))
+	off, offStats := run(partial, false)
+	on, onStats = run(partial, true)
+	same(on, off)
+	if on.Stats.PreSeeded == 0 {
+		t.Error("PreSeeded = 0 on an ontology whose told hierarchy is EL")
+	}
+	if got, want := onStats.SatCalls.Load(), fragmentUnknowns(t, partial); got != want {
+		t.Errorf("plug-in sat? calls = %d, want %d (one sweep probe per concept not proven unsatisfiable)", got, want)
 	}
 	if onStats.SubsCalls.Load() >= offStats.SubsCalls.Load() {
 		t.Errorf("prepass did not reduce subs? calls: on=%d off=%d",
 			onStats.SubsCalls.Load(), offStats.SubsCalls.Load())
-	}
-	if on.Taxonomy.Render() != off.Taxonomy.Render() {
-		t.Fatalf("taxonomies differ\n on:\n%s\n off:\n%s",
-			on.Taxonomy.Render(), off.Taxonomy.Render())
-	}
-	if on.Trace == nil || len(on.Trace.Cycles) == 0 || on.Trace.Cycles[0].Phase != PhasePrepass {
-		t.Fatalf("trace should start with a prepass cycle: %v", on.Trace)
 	}
 }
 

@@ -77,7 +77,8 @@ func (s *state) resolvePair(u, v int) time.Duration {
 // claimed and no mutual K edge implies strictness: a tested pair decided
 // both directions (one positive), a pruned pair asserted strictness when
 // claimed, and the prepass claims a half-proven pair only for
-// equivalences (mutual K) or the ⊤-trivial case. An UNclaimed pair with
+// equivalences (mutual K), the ⊤-trivial case, or under a complete
+// fragment, whose unproven converses are false. An UNclaimed pair with
 // a one-sided K edge is a prepass half-seed whose converse is still
 // open — skipped.
 //

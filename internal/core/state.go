@@ -288,8 +288,8 @@ func (s *state) errOrNil() error {
 }
 
 // sat memoizes sat?(x). On discovering an unsatisfiable concept it empties
-// P_x and removes x from every other P (Algorithm 2's unsat handling):
-// x ≡ ⊥, so no subsumption test involving x is ever needed.
+// P_x and removes x from every other P (Algorithm 2's unsat handling, see
+// markUnsat).
 func (s *state) sat(x int) bool {
 	switch s.satState[x].Load() {
 	case satYes:
@@ -316,15 +316,24 @@ func (s *state) sat(x int) bool {
 		s.satState[x].Store(satYes)
 		return true
 	}
-	if s.satState[x].CompareAndSwap(satUnknown, satNo) {
-		s.P[x].ClearAll()
-		for y := 0; y < s.n; y++ {
-			if y != x {
-				s.P[y].Clear(x)
-			}
+	s.markUnsat(x)
+	return false
+}
+
+// markUnsat records x as unsatisfiable unless its state is already
+// decided, and reports whether it did. x ≡ ⊥, so P_x empties and x
+// leaves every other P: no subsumption test involving x is ever needed.
+func (s *state) markUnsat(x int) bool {
+	if !s.satState[x].CompareAndSwap(satUnknown, satNo) {
+		return false
+	}
+	s.P[x].ClearAll()
+	for y := 0; y < s.n; y++ {
+		if y != x {
+			s.P[y].Clear(x)
 		}
 	}
-	return false
+	return true
 }
 
 // remainingPossible is |R_O| = Σ|P_X| (paper Definition 1/3), counting

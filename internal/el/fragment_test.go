@@ -2,6 +2,7 @@ package el
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"parowl/internal/dl"
@@ -88,36 +89,40 @@ func TestFragmentSeeds(t *testing.T) {
 	tb.SubClassOf(c, f.And(a, f.All(r, b))) // weakened to C ⊑ A
 	tb.SubClassOf(u, f.Bottom())
 	frag, _ := NewFragment(tb, Options{})
-	seeds, unsat, err := frag.Seeds(context.Background())
+	type fact struct{ sub, sup *dl.Concept }
+	var (
+		seeds []fact
+		unsat []*dl.Concept
+	)
+	err := frag.Seeds(context.Background(),
+		func(c *dl.Concept) {
+			if len(seeds) > 0 {
+				t.Errorf("unsat %v reported after a subsumption", c)
+			}
+			unsat = append(unsat, c)
+		},
+		func(sub, sup *dl.Concept) { seeds = append(seeds, fact{sub, sup}) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(unsat) != 1 || unsat[0] != u {
 		t.Fatalf("unsat = %v, want [U]", unsat)
 	}
-	has := func(sub, sup *dl.Concept) bool {
-		for _, s := range seeds {
-			if s.Sub == sub && s.Sup == sup {
-				return true
-			}
-		}
-		return false
-	}
-	for _, want := range []struct{ sub, sup *dl.Concept }{
+	for _, want := range []fact{
 		{a, b}, {c, a}, {c, b}, // told, weakened-kept, transitive
 	} {
-		if !has(want.sub, want.sup) {
+		if !slices.Contains(seeds, want) {
 			t.Errorf("seeds missing %v ⊑ %v (got %v)", want.sub, want.sup, seeds)
 		}
 	}
 	for _, s := range seeds {
-		if s.Sub == s.Sup {
+		if s.sub == s.sup {
 			t.Errorf("reflexive seed %v", s)
 		}
-		if s.Sup.Op == dl.OpTop {
-			t.Errorf("trivial ⊤ seed for %v", s.Sub)
+		if s.sup.Op == dl.OpTop {
+			t.Errorf("trivial ⊤ seed for %v", s.sub)
 		}
-		if s.Sub == u || s.Sup == u {
+		if s.sub == u || s.sup == u {
 			t.Errorf("seed involves unsatisfiable concept: %v", s)
 		}
 	}

@@ -153,46 +153,46 @@ func (r *Reasoner) DisprovesSubs(ctx context.Context, sup, sub *dl.Concept) bool
 	return err == nil && !ok
 }
 
-// Seed is one directed subsumption fact proven by saturation: Sub ⊑ Sup
-// holds in every model of the (possibly fragment) TBox.
-type Seed struct {
-	Sub, Sup *dl.Concept
-}
-
-// Seeds saturates under ctx and exports the proven conclusions about the
-// TBox's named concepts, for bulk-seeding a classifier: the directed
-// subsumptions between distinct named concepts (including ⊤ ⊑ C facts,
-// which witness equivalence to ⊤) and the concepts proven
-// unsatisfiable. Saturation is sound for whatever axiom subset it was
-// given, so every seed holds for the full TBox even when this reasoner
-// covers only its EL fragment. Facts about unsatisfiable concepts are
-// omitted (the unsat list subsumes them), as are the trivial X ⊑ ⊤ and
-// X ⊑ X facts. If ⊤ itself is unsatisfiable the fragment is
-// inconsistent; ⊤ is then excluded from the unsat list but every named
-// concept appears in it.
-func (r *Reasoner) Seeds(ctx context.Context) (seeds []Seed, unsat []*dl.Concept, err error) {
+// Seeds saturates under ctx and streams the proven conclusions about the
+// TBox's named concepts to a classifier, one fact at a time and without
+// materializing them: unsat receives every named concept proven
+// unsatisfiable, and only after all of them, subsumes receives every
+// directed subsumption sub ⊑ sup between distinct satisfiable named
+// concepts (including ⊤ ⊑ C facts, which witness equivalence to ⊤).
+// The trivial X ⊑ ⊤ and X ⊑ X facts are omitted. Saturation is sound
+// for whatever axiom subset it was given, so every fact holds for the
+// full TBox even when this reasoner covers only its EL fragment; when
+// the coverage is Complete the facts are also exhaustive. If ⊤ itself
+// is unsatisfiable the fragment is inconsistent: every named concept is
+// then reported to unsat (⊤ never is) and no subsumption follows. Both
+// callbacks run on the calling goroutine.
+func (r *Reasoner) Seeds(ctx context.Context, unsat func(c *dl.Concept), subsumes func(sub, sup *dl.Concept)) error {
 	sat, err := r.ensure(ctx)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	consider := append([]*dl.Concept{r.tbox.Factory.Top()}, r.tbox.NamedConcepts()...)
-	for _, c := range consider {
-		a := r.n.atomOf[c]
-		if sat.ctxs[a].hasSub(atomBottom) {
-			if c.Op != dl.OpTop {
-				unsat = append(unsat, c)
-			}
-			continue
-		}
-		for _, s := range sat.ctxs[a].snapshotSubs() {
-			sc := r.n.conceptOf[s]
-			if sc == nil || sc == c || sc.Op != dl.OpName {
-				continue // fresh name, reflexive fact, or ⊤/⊥
-			}
-			seeds = append(seeds, Seed{Sub: c, Sup: sc})
+	bottom := func(c *dl.Concept) bool { return sat.ctxs[r.n.atomOf[c]].hasSub(atomBottom) }
+	named := r.tbox.NamedConcepts()
+	for _, c := range named {
+		if bottom(c) {
+			unsat(c)
 		}
 	}
-	return seeds, unsat, nil
+	emit := func(c *dl.Concept) {
+		if bottom(c) {
+			return
+		}
+		sat.ctxs[r.n.atomOf[c]].forEachSub(func(s atom) {
+			if sc := r.n.conceptOf[s]; sc != nil && sc != c && sc.Op == dl.OpName {
+				subsumes(c, sc) // fresh names, reflexive facts and ⊤/⊥ are skipped
+			}
+		})
+	}
+	emit(r.tbox.Factory.Top())
+	for _, c := range named {
+		emit(c)
+	}
+	return nil
 }
 
 // Subsumers returns the named subsumers of named concept c (excluding ⊤,

@@ -151,6 +151,16 @@ func (c *atomCtx) snapshotSubs() []atom {
 	return out
 }
 
+// forEachSub calls fn for every member of S(A) under A's lock, so fn
+// must not call back into the saturation.
+func (c *atomCtx) forEachSub(fn func(atom)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for s := range c.subs {
+		fn(s)
+	}
+}
+
 func (c *atomCtx) hasSub(x atom) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

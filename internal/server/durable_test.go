@@ -111,9 +111,9 @@ func TestRestartReadopt(t *testing.T) {
 	ts1.Close()
 
 	// Second server: same checkpoint dir, reasoner that fails every call.
-	eng := parowl.NewEngine(parowl.WithReasoner(func(tb *parowl.TBox) parowl.Reasoner {
+	eng := plainEngine(func(tb *parowl.TBox) parowl.Reasoner {
 		return deadReasoner{}
-	}))
+	})
 	_, ts2 := newTestServer(t, Config{CheckpointDir: ckdir, Engine: eng})
 	waitReady(t, ts2)
 
@@ -432,9 +432,9 @@ func TestClassifyRetryBackoff(t *testing.T) {
 	// A permanently chaos-failing job exhausts the budget and fails with
 	// the attempt count preserved.
 	var calls2 atomic.Int64
-	eng2 := parowl.NewEngine(parowl.WithReasoner(func(tb *parowl.TBox) parowl.Reasoner {
+	eng2 := plainEngine(func(tb *parowl.TBox) parowl.Reasoner {
 		return &flakyReasoner{inner: parowl.NewAutoReasoner(tb), calls: &calls2, failN: 1 << 40}
-	}))
+	})
 	_, ts2 := newTestServer(t, Config{
 		Engine: eng2, RetryBudget: 2,
 		RetryBaseDelay: time.Millisecond, RetryMaxDelay: 4 * time.Millisecond,
@@ -448,9 +448,9 @@ func TestClassifyRetryBackoff(t *testing.T) {
 	}
 
 	// A non-transient failure is not retried at all.
-	eng3 := parowl.NewEngine(parowl.WithReasoner(func(tb *parowl.TBox) parowl.Reasoner {
+	eng3 := plainEngine(func(tb *parowl.TBox) parowl.Reasoner {
 		return deadReasoner{}
-	}))
+	})
 	_, ts3 := newTestServer(t, Config{Engine: eng3, RetryBudget: 3, RetryBaseDelay: time.Millisecond})
 	if code, _ := submit(t, ts3, "dead", "", text); code != http.StatusAccepted {
 		t.Fatal("submit dead")
@@ -531,10 +531,10 @@ func TestDeleteOntology(t *testing.T) {
 
 	// An in-flight entry cannot be deleted.
 	gate := newGate(nil)
-	eng := parowl.NewEngine(parowl.WithReasoner(func(tb *parowl.TBox) parowl.Reasoner {
+	eng := plainEngine(func(tb *parowl.TBox) parowl.Reasoner {
 		gate.inner = parowl.NewAutoReasoner(tb)
 		return gate
-	}))
+	})
 	_, ts2 := newTestServer(t, Config{Engine: eng})
 	if code, _ := submit(t, ts2, "busy", "", text); code != http.StatusAccepted {
 		t.Fatal("submit busy")

@@ -217,6 +217,15 @@ func gateByName(g *gatedReasoner) parowl.ReasonerFactory {
 	}
 }
 
+// plainEngine builds an Engine whose plug-ins come from f, with an
+// explicit template as owld builds its own: the cheap-first pipeline is
+// off, so every classification reaches the plug-in the test gates, fails
+// or counts. With the default template a complete EL fragment would be
+// decided by the prepass without a single plug-in call.
+func plainEngine(f parowl.ReasonerFactory) *parowl.Engine {
+	return parowl.NewEngine(parowl.WithOptions(parowl.Options{}), parowl.WithReasoner(f))
+}
+
 // TestLifecycle drives submit → classify → query end to end and checks
 // every query answer is byte-identical to the library evaluator (the
 // same code path `owlclass -query` prints).
@@ -313,7 +322,7 @@ func TestQueriesDuringClassification(t *testing.T) {
 	name := pickNames(t, ref, 1)[0]
 
 	gate := newGate(nil)
-	eng := parowl.NewEngine(parowl.WithReasoner(gateByName(gate)))
+	eng := plainEngine(gateByName(gate))
 	_, ts := newTestServer(t, Config{Engine: eng})
 
 	if code, body := submit(t, ts, "fast", "", fastText); code != http.StatusAccepted {
@@ -411,7 +420,7 @@ func TestResubmitSwapsServingState(t *testing.T) {
 	}
 
 	gate := newGate(nil)
-	eng := parowl.NewEngine(parowl.WithReasoner(gateByName(gate)))
+	eng := plainEngine(gateByName(gate))
 	_, ts := newTestServer(t, Config{Engine: eng})
 
 	if code, body := submit(t, ts, "onto", "", oldText); code != http.StatusAccepted {
@@ -453,7 +462,7 @@ func TestAdmissionControl(t *testing.T) {
 		gate.inner = parowl.NewAutoReasoner(tb)
 		return gate // every classification parks until released
 	}
-	eng := parowl.NewEngine(parowl.WithReasoner(factory))
+	eng := plainEngine(factory)
 	_, ts := newTestServer(t, Config{Engine: eng, QueueDepth: 1, ClassifyJobs: 1})
 
 	if code, body := submit(t, ts, "o1", "", text); code != http.StatusAccepted {
@@ -594,7 +603,7 @@ func TestDrainFlushesQueuedJobs(t *testing.T) {
 		gate.inner = parowl.NewAutoReasoner(tb)
 		return gate
 	}
-	eng := parowl.NewEngine(parowl.WithReasoner(factory))
+	eng := plainEngine(factory)
 	s, ts := newTestServer(t, Config{Engine: eng, QueueDepth: 4, ClassifyJobs: 1})
 
 	if code, _ := submit(t, ts, "running", "", text); code != http.StatusAccepted {

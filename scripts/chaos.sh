@@ -16,7 +16,7 @@ go test -count=1 -v -run 'TestCLIKillAndResume|TestCLIResumeRejectsCorruptSnapsh
 echo "== owlclass cross-policy smoke on the shared corpus (scripts/corpus.sh)"
 CORPUS=$(sh scripts/corpus.sh)
 for SCHED in roundrobin async; do
-    go run ./cmd/owlclass -sched "$SCHED" -workers 4 -prepass "$CORPUS" \
+    go run ./cmd/owlclass -sched "$SCHED" -workers 4 "$CORPUS" \
         >".corpus/taxonomy.$SCHED"
 done
 cmp .corpus/taxonomy.roundrobin .corpus/taxonomy.async

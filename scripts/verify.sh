@@ -13,8 +13,8 @@ echo "== go test ./..."
 go test ./...
 echo "== go test -race (core, tableau, reasoner, el, taxonomy, bitset)"
 go test -race ./internal/core/... ./internal/tableau/... ./internal/reasoner/... ./internal/el/... ./internal/taxonomy/... ./internal/bitset/...
-echo "== cheap-first pipeline equivalence suite (-race)"
-go test -race -count=1 -run 'TestQuickPipelineEquivalence|TestPipelineEquivalenceOntogen|TestPipelineReducesCalls|TestPrepassFragmentUnsatConcept' ./internal/core/
+echo "== cheap-first pipeline equivalence suite, brute force included (-race)"
+go test -race -count=1 -run 'TestQuickPipelineEquivalence|TestPipelineEquivalenceOntogen|TestPipelineReducesCalls|TestPrepassFragmentUnsatConcept|TestQuickMatchesBruteForce' ./internal/core/
 echo "== crash-safety suite: kill-and-resume + chaos soundness (-race)"
 go test -race -count=1 -run 'TestKillAndResumeEquivalence|TestChaosPanicSoundness|TestResumeRejectsBadSnapshots|TestAdoptRejectsBadFiles' ./internal/core/
 echo "== scheduler suite: roundrobin/async equivalence, stealing deques, epoch checkpoints (-race)"
