@@ -12,6 +12,7 @@ package parowl
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -271,17 +272,36 @@ func BenchmarkTableauSatReuse(b *testing.B) {
 }
 
 // BenchmarkELSaturation measures one-shot concurrent saturation of a
-// Table IV corpus (the ELK-style competitor).
+// Table IV corpus (the ELK-style competitor) at one worker and at
+// GOMAXPROCS: WBbt at 1/8, and at 1/3, the corpus of perfbench's
+// classify-el. Like perfbench's el.saturate_s it times SaturateContext
+// alone, not normalization, so that layer can be checked between
+// perfbench runs:
+//
+//	go test -run '^$' -bench ELSaturation -benchmem .
 func BenchmarkELSaturation(b *testing.B) {
-	tb := benchCorpus(b, "WBbt.obo", 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := el.New(tb, el.Options{Workers: 4})
-		if err != nil {
-			b.Fatal(err)
+	workers := []int{1}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		workers = append(workers, p)
+	}
+	for _, scale := range []int{8, 3} {
+		tb := benchCorpus(b, "WBbt.obo", scale)
+		for _, w := range workers {
+			b.Run(fmt.Sprintf("WBbt-%d/workers=%d", scale, w), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					r, err := el.New(tb, el.Options{Workers: w})
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if err := r.SaturateContext(context.Background()); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
-		_ = r.SaturateContext(context.Background())
 	}
 }
 

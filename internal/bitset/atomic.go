@@ -36,16 +36,37 @@ func (a *Atomic) check(i int) {
 func (a *Atomic) Set(i int) bool {
 	a.check(i)
 	mask := uint64(1) << (uint(i) % wordBits)
-	old := a.words[i/wordBits].Or(mask)
-	return old&mask == 0
+	return orOld(&a.words[i/wordBits], mask)&mask == 0
 }
 
 // Clear clears bit i and reports whether it was previously set.
 func (a *Atomic) Clear(i int) bool {
 	a.check(i)
 	mask := uint64(1) << (uint(i) % wordBits)
-	old := a.words[i/wordBits].And(^mask)
-	return old&mask != 0
+	return andOld(&a.words[i/wordBits], ^mask)&mask != 0
+}
+
+// orOld ORs v into *w and returns the previous value; andOld is the AND
+// counterpart. They are CompareAndSwap loops rather than the
+// value-returning atomic.Uint64.Or/And, which go1.24.0 miscompiles on
+// amd64: the scratch register of its CAS loop can clobber a live value
+// of the caller. A word that already holds the result costs one load.
+func orOld(w *atomic.Uint64, v uint64) uint64 {
+	for {
+		old := w.Load()
+		if old|v == old || w.CompareAndSwap(old, old|v) {
+			return old
+		}
+	}
+}
+
+func andOld(w *atomic.Uint64, v uint64) uint64 {
+	for {
+		old := w.Load()
+		if old&v == old || w.CompareAndSwap(old, old&v) {
+			return old
+		}
+	}
 }
 
 // Test reports whether bit i is set.
@@ -72,11 +93,44 @@ func (a *Atomic) FillAll() {
 	}
 }
 
+// FillRange sets every bit in [lo, hi), one atomic OR per word.
+func (a *Atomic) FillRange(lo, hi int) {
+	if lo < 0 || hi > a.n || lo > hi {
+		panic(fmt.Sprintf("bitset: range [%d,%d) out of range [0,%d)", lo, hi, a.n))
+	}
+	for lo < hi {
+		w := lo / wordBits
+		end := min(hi, (w+1)*wordBits)
+		a.words[w].Or(rangeMask(lo%wordBits, end-w*wordBits))
+		lo = end
+	}
+}
+
+// rangeMask returns a word with bits [lo, hi) set, 0 ≤ lo < hi ≤ 64.
+func rangeMask(lo, hi int) uint64 {
+	return (^uint64(0) >> uint(wordBits-(hi-lo))) << uint(lo)
+}
+
 // ClearAll clears every bit.
 func (a *Atomic) ClearAll() {
 	for w := range a.words {
 		a.words[w].Store(0)
 	}
+}
+
+// ClearSet clears every bit of s, one atomic AND per word, and reports
+// how many of them were set. s must have capacity Len().
+func (a *Atomic) ClearSet(s *Set) int {
+	if s.n != a.n {
+		panic(fmt.Sprintf("bitset: size mismatch %d vs %d", s.n, a.n))
+	}
+	c := 0
+	for i, w := range s.words {
+		if w != 0 {
+			c += bits.OnesCount64(andOld(&a.words[i], ^w) & w)
+		}
+	}
+	return c
 }
 
 // Count returns the number of set bits in a word-by-word snapshot.
@@ -162,6 +216,35 @@ func (m *Matrix) Set(r, c int) bool { return m.bits.Set(m.idx(r, c)) }
 
 // TestAndSet atomically sets (r,c) and reports whether it was already set.
 func (m *Matrix) TestAndSet(r, c int) bool { return m.bits.TestAndSet(m.idx(r, c)) }
+
+// SetRow sets every column of row r that s holds and returns the columns
+// that were clear before: the row-wise TestAndSet. The row need not be
+// word-aligned; each touched word is updated with one atomic OR, so the
+// returned bits are exact under concurrent writers. s must have capacity
+// Cols().
+func (m *Matrix) SetRow(r int, s *Set) *Set {
+	if r < 0 || r >= m.rows {
+		panic(fmt.Sprintf("bitset: row %d out of range [0,%d)", r, m.rows))
+	}
+	if s.n != m.cols {
+		panic(fmt.Sprintf("bitset: set size %d does not match %d cols", s.n, m.cols))
+	}
+	fresh := New(m.cols)
+	for k, w := range s.words {
+		if w == 0 {
+			continue
+		}
+		p := r*m.cols + k*wordBits
+		wi, sh := p/wordBits, uint(p%wordBits)
+		lo := w << sh
+		fresh.words[k] = (lo &^ orOld(&m.bits.words[wi], lo)) >> sh
+		// A shift by 64 yields 0, so an aligned row never spills.
+		if hi := w >> (wordBits - sh); hi != 0 {
+			fresh.words[k] |= (hi &^ orOld(&m.bits.words[wi+1], hi)) << (wordBits - sh)
+		}
+	}
+	return fresh
+}
 
 // Count returns the number of set bits in a snapshot.
 func (m *Matrix) Count() int { return m.bits.Count() }

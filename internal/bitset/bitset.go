@@ -36,6 +36,18 @@ func New(n int) *Set {
 	return &Set{n: n, words: make([]uint64, wordsFor(n))}
 }
 
+// FromWords returns a Set of capacity n that takes ownership of words as
+// its backing store: bit i is bit i%64 of words[i/64]. len(words) must be
+// wordsFor(n); bits at and beyond n are cleared.
+func FromWords(n int, words []uint64) *Set {
+	if len(words) != wordsFor(n) {
+		panic(fmt.Sprintf("bitset: %d words for %d bits, want %d", len(words), n, wordsFor(n)))
+	}
+	s := &Set{n: n, words: words}
+	s.trimTail()
+	return s
+}
+
 // Len returns the capacity of the set in bits.
 func (s *Set) Len() int { return s.n }
 

@@ -1,0 +1,131 @@
+package bitset
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// TestOrTransposeMatchesPerBit checks the blocked transpose against a
+// per-bit transpose on random square matrices, including sizes that end
+// inside, exactly at and just past a 64-bit block, with some rows nil.
+func TestOrTransposeMatchesPerBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 63, 64, 65, 130, 2263} {
+		rows := make([]*Set, n)
+		for r := range rows {
+			if rng.Intn(8) == 0 {
+				continue
+			}
+			rows[r] = New(n)
+			for k := rng.Intn(n/4 + 2); k > 0; k-- {
+				rows[r].Set(rng.Intn(n))
+			}
+		}
+		got := make([]*Atomic, n)
+		want := make([]*Set, n)
+		for c := range got {
+			got[c], want[c] = NewAtomic(n), New(n)
+			if rng.Intn(4) == 0 {
+				// Bits already present must survive the OR.
+				b := rng.Intn(n)
+				got[c].Set(b)
+				want[c].Set(b)
+			}
+		}
+		for r, row := range rows {
+			if row != nil {
+				row.ForEach(func(c int) bool { want[c].Set(r); return true })
+			}
+		}
+		OrTranspose(got, rows)
+		for c := range got {
+			if g := got[c].Snapshot(); !g.Equal(want[c]) {
+				t.Fatalf("n=%d: column %d = %v, want %v", n, c, g, want[c])
+			}
+		}
+	}
+}
+
+// TestFillRangeMatchesPerBit checks the word-level range fill against
+// per-bit sets, over every range of a few sizes around word boundaries.
+func TestFillRangeMatchesPerBit(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 129} {
+		for lo := 0; lo <= n; lo++ {
+			for hi := lo; hi <= n; hi++ {
+				got, want := NewAtomic(n), New(n)
+				got.FillRange(lo, hi)
+				for i := lo; i < hi; i++ {
+					want.Set(i)
+				}
+				if g := got.Snapshot(); !g.Equal(want) {
+					t.Fatalf("n=%d FillRange(%d,%d) = %v, want %v", n, lo, hi, g, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRowWiseOpsMatchPerBit checks SetRow on an unaligned matrix against
+// per-bit TestAndSet, and ClearSet against per-bit Clear.
+func TestRowWiseOpsMatchPerBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, cols := range []int{1, 7, 63, 64, 65, 130} {
+		rows := 5
+		got, want := NewMatrix(rows, cols), NewMatrix(rows, cols)
+		for i := 0; i < rows*cols/3; i++ {
+			r, c := rng.Intn(rows), rng.Intn(cols)
+			got.Set(r, c)
+			want.Set(r, c)
+		}
+		for r := 0; r < rows; r++ {
+			s := New(cols)
+			for i := 0; i < cols/2+1; i++ {
+				s.Set(rng.Intn(cols))
+			}
+			fresh := got.SetRow(r, s)
+			wantFresh := New(cols)
+			s.ForEach(func(c int) bool {
+				if !want.TestAndSet(r, c) {
+					wantFresh.Set(c)
+				}
+				return true
+			})
+			if !fresh.Equal(wantFresh) {
+				t.Fatalf("cols=%d row %d: SetRow fresh = %v, want %v", cols, r, fresh, wantFresh)
+			}
+		}
+		for r := 0; r < rows; r++ {
+			for c := 0; c < cols; c++ {
+				if got.Test(r, c) != want.Test(r, c) {
+					t.Fatalf("cols=%d: bit (%d,%d) = %v, want %v", cols, r, c, got.Test(r, c), want.Test(r, c))
+				}
+			}
+		}
+
+		a, ref := NewAtomic(cols), New(cols)
+		for i := 0; i < cols; i++ {
+			if rng.Intn(2) == 0 {
+				a.Set(i)
+				ref.Set(i)
+			}
+		}
+		clr := New(cols)
+		for i := 0; i < cols/2+1; i++ {
+			clr.Set(rng.Intn(cols))
+		}
+		wantCleared := 0
+		clr.ForEach(func(i int) bool {
+			if ref.Test(i) {
+				wantCleared++
+				ref.Clear(i)
+			}
+			return true
+		})
+		if got := a.ClearSet(clr); got != wantCleared {
+			t.Fatalf("cols=%d: ClearSet cleared %d, want %d", cols, got, wantCleared)
+		}
+		if g := a.Snapshot(); !g.Equal(ref) {
+			t.Fatalf("cols=%d: after ClearSet %v, want %v", cols, g, ref)
+		}
+	}
+}

@@ -603,3 +603,44 @@ func TestExample41SymmetricTesting(t *testing.T) {
 		t.Error("A ≡ ⊤ not discovered")
 	}
 }
+
+// TestNewStateFill checks newState's word-level fills against the paper's
+// initialization done bit by bit: P_x = {y > x} in optimized mode and
+// every y ≠ x in basic mode, K_⊤ = every named concept, and in basic mode
+// each (⊤, X) entry tested and cleared from P_⊤. Sizes n (⊤ included)
+// end inside, at and just past 64-bit words.
+func TestNewStateFill(t *testing.T) {
+	for _, n := range []int{1, 2, 63, 64, 65, 129} {
+		tb := dl.NewTBox("fill")
+		for i := 0; i < n-1; i++ {
+			tb.Declare(fmt.Sprintf("C%d", i))
+		}
+		for _, optimized := range []bool{true, false} {
+			s := newState(tb, tableauFactory(tb), optimized)
+			if s.n != n {
+				t.Fatalf("n = %d, want %d", s.n, n)
+			}
+			top := n - 1
+			for x := 0; x < n; x++ {
+				for y := 0; y < n; y++ {
+					wantP := y > x
+					if !optimized {
+						wantP = y != x && x != top
+					}
+					if got := s.P[x].Test(y); got != wantP {
+						t.Fatalf("n=%d optimized=%v: P[%d] bit %d = %v, want %v", n, optimized, x, y, got, wantP)
+					}
+					wantK := x == top && y != top
+					if got := s.K[x].Test(y); got != wantK {
+						t.Fatalf("n=%d optimized=%v: K[%d] bit %d = %v, want %v", n, optimized, x, y, got, wantK)
+					}
+					if !optimized {
+						if got := s.tested.Test(x, y); got != wantK {
+							t.Fatalf("n=%d: tested(%d,%d) = %v, want %v", n, x, y, got, wantK)
+						}
+					}
+				}
+			}
+		}
+	}
+}

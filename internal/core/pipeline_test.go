@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"parowl/internal/bitset"
 	"parowl/internal/dl"
 	"parowl/internal/el"
 	"parowl/internal/ontogen"
@@ -181,7 +182,7 @@ func fragmentUnknowns(t *testing.T, tb *dl.TBox) int64 {
 		t.Fatalf("%s: test needs a partial fragment", tb.Name)
 	}
 	n := int64(len(tb.NamedConcepts()))
-	if err := frag.Seeds(context.Background(), func(*dl.Concept) { n-- }, func(_, _ *dl.Concept) {}); err != nil {
+	if err := frag.Seeds(context.Background(), func(int) { n-- }, func(int, *bitset.Set) {}); err != nil {
 		t.Fatal(err)
 	}
 	return n
@@ -418,5 +419,96 @@ func TestCachedFilterIntegration(t *testing.T) {
 	if on.Taxonomy.Render() != off.Taxonomy.Render() {
 		t.Fatalf("taxonomies differ\n on:\n%s\n off:\n%s",
 			on.Taxonomy.Render(), off.Taxonomy.Render())
+	}
+}
+
+// TestPrepassRowsMatchPerFact checks the row-wise transfer of a fragment
+// saturation against the per-fact transfer it replaced, written out here
+// over the fragment's Sat/Subs answers: on random mixed (partial
+// fragment) and EL (complete fragment) TBoxes, in both modes, P, K,
+// tested, every satisfiability state and PreSeeded must come out equal.
+func TestPrepassRowsMatchPerFact(t *testing.T) {
+	ctx := context.Background()
+	perFact := func(s *state, frag *el.Reasoner, complete bool) {
+		for x, c := range s.named[:s.top] {
+			if ok, _ := frag.Sat(ctx, c); !ok && s.markUnsat(x) {
+				s.preSeeded.Add(1)
+			}
+		}
+		for sub := range s.named {
+			for sup := range s.named[:s.top] {
+				if sub == sup || s.satState[sub].Load() == satNo || s.satState[sup].Load() == satNo {
+					continue
+				}
+				if ok, _ := frag.Subs(ctx, s.named[sup], s.named[sub]); !ok {
+					continue
+				}
+				s.K[sup].Set(sub)
+				switch {
+				case complete:
+				case !s.optimized:
+					if !s.tested.TestAndSet(sup, sub) {
+						s.P[sup].Clear(sub)
+						s.preSeeded.Add(1)
+					}
+				case s.K[sub].Test(sup) && s.claimPair(sub, sup):
+					s.preSeeded.Add(2)
+				}
+			}
+		}
+		if !complete {
+			return
+		}
+		for x := 0; x < s.n; x++ {
+			if s.satState[x].CompareAndSwap(satUnknown, satYes) {
+				s.preSeeded.Add(1)
+			}
+			s.P[x].ForEach(func(y int) bool {
+				if s.optimized {
+					s.preSeeded.Add(2)
+				} else if !s.tested.TestAndSet(x, y) {
+					s.preSeeded.Add(1)
+				}
+				return true
+			})
+			s.P[x].ClearAll()
+		}
+	}
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		mixed := randomMixedTBox(rng, 5+rng.Intn(60))
+		// A partial fragment that proves ⊤ ⊑ C0 and an equivalence, so
+		// both kinds of mutual pair get claimed.
+		cs := mixed.NamedConcepts()
+		mixed.SubClassOf(mixed.Factory.Top(), cs[0])
+		mixed.EquivalentClasses(cs[1+rng.Intn(len(cs)-1)], cs[1+rng.Intn(len(cs)-1)])
+		for _, tb := range []*dl.TBox{mixed, randomELTBox(rng, 4+rng.Intn(60))} {
+			frag, cov := el.NewFragment(tb, el.Options{Workers: 2})
+			for _, optimized := range []bool{true, false} {
+				got, want := newState(tb, nil, optimized), newState(tb, nil, optimized)
+				if err := got.seed(frag, cov.Complete()); err != nil {
+					t.Fatal(err)
+				}
+				perFact(want, frag, cov.Complete())
+				name := fmt.Sprintf("seed %d %s optimized=%v complete=%v", seed, tb.Name, optimized, cov.Complete())
+				if g, w := got.preSeeded.Load(), want.preSeeded.Load(); g != w {
+					t.Fatalf("%s: PreSeeded %d, per-fact %d", name, g, w)
+				}
+				for x := 0; x < got.n; x++ {
+					if g, w := got.satState[x].Load(), want.satState[x].Load(); g != w {
+						t.Fatalf("%s: satState[%d] %d, per-fact %d", name, x, g, w)
+					}
+					if !got.P[x].Snapshot().Equal(want.P[x].Snapshot()) || !got.K[x].Snapshot().Equal(want.K[x].Snapshot()) {
+						t.Fatalf("%s: row %d: P %v K %v, per-fact P %v K %v", name, x,
+							got.P[x].Snapshot(), got.K[x].Snapshot(), want.P[x].Snapshot(), want.K[x].Snapshot())
+					}
+					for y := 0; !optimized && y < got.n; y++ {
+						if got.tested.Test(x, y) != want.tested.Test(x, y) {
+							t.Fatalf("%s: tested(%d,%d) differs", name, x, y)
+						}
+					}
+				}
+			}
+		}
 	}
 }

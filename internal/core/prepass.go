@@ -3,13 +3,13 @@ package core
 import (
 	"time"
 
-	"parowl/internal/dl"
+	"parowl/internal/bitset"
 	"parowl/internal/el"
 )
 
 // runPrepass is stage 1 of the cheap-first subsumption pipeline
 // (Options.ELPrepass): saturate the EL-expressible fragment of the TBox
-// and stream its conclusions into the run's shared state before the
+// and write its conclusions into the run's shared state before the
 // random-division phase dispatches a single plug-in test.
 //
 // Soundness rests on monotonicity of entailment: the fragment keeps only
@@ -22,15 +22,16 @@ import (
 //  1. a fragment-unsatisfiable concept is resolved the way sat() resolves
 //     a plug-in "no" — satState ← satNo and every P entry involving the
 //     concept cleared;
-//  2. each proven sub ⊑ sup is set straight into K as el.Seeds streams
-//     it; nothing is materialized. When the fragment is partial, the
-//     proven facts also strip P: in basic mode the directed entry is
-//     claimed, in optimized mode a pair is claimed only when both
-//     directions are decided — the converse sup ⊑ sub is proven iff K_sub
-//     holds sup, which covers an equivalence streamed in either order and
-//     the trivial sub = ⊤ case (K_⊤ holds every concept). A half-decided
-//     pair stays claimable for its remaining direction, which the
-//     K-shortcircuit in testDirected then answers for free;
+//  2. el.Seeds hands over each satisfiable concept's row of proven
+//     subsumers, indexed as s.named is; the rows and columns of
+//     unsatisfiable concepts are masked out, and the rows are written
+//     into K (K_sup holds sub) by a blocked 64×64 transpose. When the
+//     fragment is partial, the proven facts also strip P, row by row
+//     (claimProven): in basic mode the directed entries are claimed, in
+//     optimized mode a pair is claimed only when both directions are
+//     proven. A half-decided pair stays claimable for its remaining
+//     direction, which the K-shortcircuit in testDirected then answers
+//     for free;
 //  3. when the fragment is complete (el.Coverage.Complete) its saturation
 //     is exact for the whole TBox — the property the EL plug-in's
 //     DisprovesSubs relies on — so the prepass decides everything: every
@@ -49,44 +50,16 @@ import (
 //
 // Every probe and directed test settled here is counted in
 // Stats.PreSeeded. A prepass abandoned by context cancellation poisons
-// the run like any cancelled phase; seeding is otherwise all-or-nothing
-// per fact and the classification proceeds correctly from whatever was
-// transferred.
+// the run like any cancelled phase, before any row reaches K.
 func (s *state) runPrepass(p *pool, workers int, trace *Trace) {
 	before := s.snapshot()
 	start := time.Now()
 	s.prepassed = true
 	frag, cov := el.NewFragment(s.tbox, el.Options{Workers: workers})
-	complete := cov.Complete()
-	err := frag.Seeds(s.ctx, func(c *dl.Concept) {
-		if s.markUnsat(s.index[c]) {
-			s.preSeeded.Add(1)
-		}
-	}, func(subC, supC *dl.Concept) {
-		sub, sup := s.index[subC], s.index[supC]
-		if s.satState[sub].Load() == satNo || s.satState[sup].Load() == satNo {
-			return
-		}
-		s.K[sup].Set(sub)
-		switch {
-		case complete:
-			// decideRest settles every pair at once.
-		case !s.optimized:
-			if !s.tested.TestAndSet(sup, sub) {
-				s.P[sup].Clear(sub)
-				s.preSeeded.Add(1)
-			}
-		case s.K[sub].Test(sup) && s.claimPair(sub, sup):
-			s.preSeeded.Add(2)
-		}
-	})
-	if err != nil {
+	if err := s.seed(frag, cov.Complete()); err != nil {
 		// el saturation fails only on context cancellation.
 		s.fail(err)
 		return
-	}
-	if complete {
-		s.decideRest()
 	}
 	seedDur := time.Since(start)
 
@@ -116,6 +89,65 @@ func (s *state) runPrepass(p *pool, workers int, trace *Trace) {
 	s.record(trace, PhasePrepass, 1, before, rep)
 }
 
+// seed transfers the saturation of frag into the shared state: steps 1
+// to 3 of runPrepass. complete reports that frag covers the whole TBox.
+func (s *state) seed(frag *el.Reasoner, complete bool) error {
+	rows := make([]*bitset.Set, s.n)
+	var unsat *bitset.Set // every satNo concept, once the last unsat is in
+	err := frag.Seeds(s.ctx, func(x int) {
+		if s.markUnsat(x) {
+			s.preSeeded.Add(1)
+		}
+	}, func(x int, sups *bitset.Set) {
+		if unsat == nil {
+			unsat = bitset.New(s.n)
+			for y := range s.satState {
+				if s.satState[y].Load() == satNo {
+					unsat.Set(y)
+				}
+			}
+		}
+		if !unsat.Test(x) {
+			sups.Subtract(unsat)
+			rows[x] = sups
+		}
+	})
+	if err != nil {
+		return err
+	}
+	bitset.OrTranspose(s.K, rows)
+	if complete {
+		s.decideRest()
+	} else {
+		s.claimProven(rows)
+	}
+	return nil
+}
+
+// claimProven strips from P what a partial fragment proved, once rows
+// (rows[x] = the proven subsumers of x) are in K. In basic mode every
+// directed test (x, y) with y ∈ K_x is claimed in tested and leaves P_x;
+// an entry claimed before the prepass (K_⊤'s) is not counted again. In
+// optimized mode the pair {x, y} is claimed when both directions are
+// proven: y ∈ rows[x] (x ⊑ y) and y ∈ K_x (y ⊑ x), where x ⊑ ⊤ needs no
+// proof. P_x holds only y > x, so each pair is claimed from its smaller
+// side and counts two directed tests.
+func (s *state) claimProven(rows []*bitset.Set) {
+	for x, row := range rows {
+		switch {
+		case !s.optimized:
+			claimed := s.tested.SetRow(x, s.K[x].Snapshot())
+			s.P[x].ClearSet(claimed)
+			s.preSeeded.Add(int64(claimed.Count()))
+		case row != nil:
+			row.Set(s.top)
+			both := s.K[x].Snapshot()
+			both.Intersect(row)
+			s.preSeeded.Add(2 * int64(s.P[x].ClearSet(both)))
+		}
+	}
+}
+
 // decideRest resolves everything a complete fragment left unproven: its
 // saturation is the exact subsumption relation, so a concept not proven
 // unsatisfiable is satisfiable and a pair not proven is a
@@ -130,12 +162,7 @@ func (s *state) decideRest() {
 		if s.optimized {
 			s.preSeeded.Add(2 * int64(s.P[x].Count()))
 		} else {
-			s.P[x].ForEach(func(y int) bool {
-				if !s.tested.TestAndSet(x, y) {
-					s.preSeeded.Add(1)
-				}
-				return true
-			})
+			s.preSeeded.Add(int64(s.tested.SetRow(x, s.P[x].Snapshot()).Count()))
 		}
 		s.P[x].ClearAll()
 	}

@@ -245,9 +245,7 @@ func newState(t *dl.TBox, r reasoner.Interface, optimized bool) *state {
 	if optimized {
 		// Pair (x,y) lives at the smaller index: P_x = {y | y > x}.
 		for x := 0; x < n; x++ {
-			for y := x + 1; y < n; y++ {
-				s.P[x].Set(y)
-			}
+			s.P[x].FillRange(x+1, n)
 		}
 	} else {
 		for x := 0; x < n; x++ {
@@ -262,12 +260,10 @@ func newState(t *dl.TBox, r reasoner.Interface, optimized bool) *state {
 	// (X, ⊤), in optimized mode the single stored pair {X, ⊤} keeps both
 	// directions alive.
 	s.satState[s.top].Store(satYes)
-	for x := 0; x < n-1; x++ {
-		s.K[s.top].Set(x)
-		if !s.optimized {
-			s.tested.Set(s.top, x)
-			s.P[s.top].Clear(x)
-		}
+	s.K[s.top].FillRange(0, n-1)
+	if !s.optimized {
+		s.tested.SetRow(s.top, s.K[s.top].Snapshot())
+		s.P[s.top].ClearAll()
 	}
 	return s
 }

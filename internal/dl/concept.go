@@ -238,9 +238,44 @@ func (f *Factory) Not(c *Concept) *Concept {
 	return n
 }
 
-// cachedNeg returns the already-computed complement of c, or nil.
-func (f *Factory) cachedNeg(c *Concept) *Concept {
-	return c.neg.Load()
+// lookupNot returns the NNF complement of c if it is already interned,
+// and nil otherwise, without interning anything. nary folds a
+// complementary pair through it, so a concept's interned form does not
+// depend on which negations were built before it: an operand's complement
+// can be among the operands only if it is interned. ⊓ and ⊔ need no
+// lookup, as their complement is the dual connective, which flattening
+// keeps out of either's operand list.
+func (f *Factory) lookupNot(c *Concept) *Concept {
+	if n := c.neg.Load(); n != nil {
+		return n
+	}
+	var buf [32]byte
+	switch c.Op {
+	case OpName:
+		return f.lookup(append(append(buf[:0], "!N"...), c.Name...))
+	case OpNot:
+		return c.Args[0]
+	case OpSome:
+		if n := f.lookupNot(c.Args[0]); n != nil {
+			return f.lookup(quantKey(buf[:0], 'A', c.Role, 0, n))
+		}
+	case OpAll:
+		if n := f.lookupNot(c.Args[0]); n != nil {
+			return f.lookup(quantKey(buf[:0], 'E', c.Role, 0, n))
+		}
+	case OpMin: // N ≥ 2: ≥1 is built as ∃
+		return f.lookup(quantKey(buf[:0], 'M', c.Role, c.N-1, c.Args[0]))
+	case OpMax: // N ≥ 1: ≤0 is built as ∀
+		return f.lookup(quantKey(buf[:0], 'm', c.Role, c.N+1, c.Args[0]))
+	}
+	return nil
+}
+
+// lookup returns the concept interned under key, or nil.
+func (f *Factory) lookup(key []byte) *Concept {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.concepts[string(key)]
 }
 
 // buildNot constructs ¬c pushed into NNF.
@@ -333,7 +368,7 @@ func (f *Factory) nary(op Op, args []*Concept) *Concept {
 		uniq = append(uniq, a)
 	}
 	for _, a := range uniq {
-		n := f.cachedNeg(a)
+		n := f.lookupNot(a)
 		if n == nil {
 			continue
 		}
@@ -422,12 +457,15 @@ func (f *Factory) Max(n int, r *Role, c *Concept) *Concept {
 
 func (f *Factory) quant(tag byte, op Op, r *Role, n int, c *Concept) *Concept {
 	var keyBuf [16]byte
-	key := keyBuf[:0]
+	return f.internBytes(quantKey(keyBuf[:0], tag, r, n, c), &Concept{Op: op, Role: r, N: n, Args: []*Concept{c}})
+}
+
+// quantKey appends the interning key of a quantified concept to key.
+func quantKey(key []byte, tag byte, r *Role, n int, c *Concept) []byte {
 	key = append(key, tag)
 	key = appendID(key, r.ID)
 	key = appendID(key, int32(n))
-	key = appendID(key, c.ID)
-	return f.internBytes(key, &Concept{Op: op, Role: r, N: n, Args: []*Concept{c}})
+	return appendID(key, c.ID)
 }
 
 func appendID(b []byte, id int32) []byte {

@@ -186,6 +186,22 @@ func TestNonELRejected(t *testing.T) {
 	}
 }
 
+// namedSubsumers counts the named concepts that subsume c, c included.
+func namedSubsumers(t *testing.T, r *Reasoner, c *dl.Concept) int {
+	t.Helper()
+	n := 0
+	for _, sup := range r.TBox().NamedConcepts() {
+		ok, err := r.Subs(context.Background(), sup, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			n++
+		}
+	}
+	return n
+}
+
 func TestSubsumersList(t *testing.T) {
 	tb := dl.NewTBox("list")
 	a, b, c := tb.Declare("A"), tb.Declare("B"), tb.Declare("C")
@@ -195,12 +211,8 @@ func TestSubsumersList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs, err := r.Subsumers(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(subs) != 3 { // A, B, C
-		t.Fatalf("Subsumers(A) = %v", subs)
+	if n := namedSubsumers(t, r, a); n != 3 { // A, B, C
+		t.Fatalf("A has %d named subsumers, want 3", n)
 	}
 }
 
@@ -221,12 +233,8 @@ func TestDeepChainStress(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("deep chain subsumption lost: %v %v", ok, err)
 	}
-	subs, err := r.Subsumers(tb.Factory.Name("D1999"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(subs) != 2000 {
-		t.Errorf("subsumers = %d, want 2000", len(subs))
+	if n := namedSubsumers(t, r, tb.Factory.Name("D1999")); n != 2000 {
+		t.Errorf("subsumers = %d, want 2000", n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"parowl/internal/bitset"
 	"parowl/internal/dl"
 )
 
@@ -89,19 +90,42 @@ func TestFragmentSeeds(t *testing.T) {
 	tb.SubClassOf(c, f.And(a, f.All(r, b))) // weakened to C ⊑ A
 	tb.SubClassOf(u, f.Bottom())
 	frag, _ := NewFragment(tb, Options{})
+	named := tb.NamedConcepts()
+	top := len(named)
 	type fact struct{ sub, sup *dl.Concept }
 	var (
 		seeds []fact
 		unsat []*dl.Concept
+		rows  []int
 	)
 	err := frag.Seeds(context.Background(),
-		func(c *dl.Concept) {
-			if len(seeds) > 0 {
-				t.Errorf("unsat %v reported after a subsumption", c)
+		func(i int) {
+			if len(rows) > 0 {
+				t.Errorf("unsat %v reported after a row", named[i])
 			}
-			unsat = append(unsat, c)
+			unsat = append(unsat, named[i])
 		},
-		func(sub, sup *dl.Concept) { seeds = append(seeds, fact{sub, sup}) })
+		func(i int, sups *bitset.Set) {
+			if sups.Len() != top+1 {
+				t.Fatalf("row %d has capacity %d, want %d", i, sups.Len(), top+1)
+			}
+			if len(rows) > 0 && i <= rows[len(rows)-1] {
+				t.Errorf("row %d after row %d", i, rows[len(rows)-1])
+			}
+			rows = append(rows, i)
+			sub := f.Top()
+			if i < top {
+				sub = named[i]
+			}
+			sups.ForEach(func(j int) bool {
+				sup := f.Top()
+				if j < top {
+					sup = named[j]
+				}
+				seeds = append(seeds, fact{sub, sup})
+				return true
+			})
+		})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,69 +6,21 @@ package el_test
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"parowl/internal/core"
-	"parowl/internal/dl"
 	"parowl/internal/el"
 	"parowl/internal/tableau"
 )
-
-// randomELTBox builds a random EL TBox over nNames concepts. Left-hand
-// sides always contain a named conjunct — the axiom shape of real OBO/ORE
-// ontologies (SubClassOf/EquivalentClasses on a named class) and the shape
-// the tableau's absorption handles without internalizing global
-// disjunctions; bare ∃r.C left sides make the cross-check oracle
-// (the tableau) exponentially slow without affecting the EL reasoner.
-func randomELTBox(rng *rand.Rand, nNames, nAxioms int) *dl.TBox {
-	tb := dl.NewTBox("rand")
-	f := tb.Factory
-	names := make([]*dl.Concept, nNames)
-	for i := range names {
-		names[i] = tb.Declare(fmt.Sprintf("N%d", i))
-	}
-	roles := []*dl.Role{f.Role("r"), f.Role("s")}
-	if rng.Intn(2) == 0 {
-		tb.SubObjectPropertyOf(roles[0], roles[1])
-	}
-	if rng.Intn(2) == 0 {
-		tb.TransitiveObjectProperty(roles[rng.Intn(2)])
-	}
-	var elConcept func(depth int) *dl.Concept
-	elConcept = func(depth int) *dl.Concept {
-		if depth <= 0 || rng.Intn(3) == 0 {
-			return names[rng.Intn(nNames)]
-		}
-		if rng.Intn(2) == 0 {
-			return f.And(elConcept(depth-1), elConcept(depth-1))
-		}
-		return f.Some(roles[rng.Intn(2)], elConcept(depth-1))
-	}
-	for i := 0; i < nAxioms; i++ {
-		lhs := names[rng.Intn(nNames)]
-		if rng.Intn(3) == 0 {
-			lhs = f.And(lhs, elConcept(1))
-		}
-		if rng.Intn(4) == 0 {
-			// Genus-differentia definition: A ≡ B ⊓ C, the shape OBO
-			// intersection_of definitions take; both directions absorb.
-			tb.EquivalentClasses(names[rng.Intn(nNames)], f.And(names[rng.Intn(nNames)], elConcept(1)))
-			continue
-		}
-		tb.SubClassOf(lhs, elConcept(2))
-	}
-	return tb
-}
 
 // TestQuickAgainstTableau cross-checks the saturation against the tableau
 // reasoner on random EL TBoxes: every named-pair subsumption must agree.
 func TestQuickAgainstTableau(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tb := randomELTBox(rng, 5, 6)
+		tb := el.RandomELTBox(rng, 5, 6)
 		elr, err := el.New(tb, el.Options{Workers: 2})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -104,9 +56,9 @@ func TestQuickAgainstTableau(t *testing.T) {
 func TestQuickWorkerCountIrrelevant(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tb := randomELTBox(rng, 6, 8)
+		tb := el.RandomELTBox(rng, 6, 8)
 		var results []map[string]bool
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 4, 8} {
 			r, err := el.New(tb, el.Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
@@ -123,9 +75,11 @@ func TestQuickWorkerCountIrrelevant(t *testing.T) {
 			}
 			results = append(results, m)
 		}
-		for k, v := range results[0] {
-			if results[1][k] != v {
-				return false
+		for _, res := range results[1:] {
+			for k, v := range results[0] {
+				if res[k] != v {
+					return false
+				}
 			}
 		}
 		return true
@@ -140,7 +94,7 @@ func TestQuickWorkerCountIrrelevant(t *testing.T) {
 func TestClassifyDirect(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tb := randomELTBox(rng, 8, 10)
+		tb := el.RandomELTBox(rng, 8, 10)
 		r, err := el.New(tb, el.Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)

@@ -25,6 +25,10 @@ const (
 	atomBottom atom = 1
 )
 
+// namedAtom is the atom of the i-th concept of TBox.NamedConcepts():
+// newBuilder numbers them in that order right after ⊤ and ⊥.
+func namedAtom(i int) atom { return atom(i + 2) }
+
 // ErrNotEL is wrapped by New when the TBox uses constructors outside
 // EL(H+): anything but ⊤, ⊥, names, ⊓ and ∃.
 type notELError struct{ c *dl.Concept }
@@ -52,6 +56,9 @@ type normalized struct {
 	exRHS       [][]roleAtom      // exRHS[A] = {(r,B) | A ⊑ ∃r.B}
 	exLHS       []map[atom][]atom // exLHS[r][B] = {C | ∃r.B ⊑ C}
 	exLHSFiller [][]roleAtom      // exLHSFiller[B] = {(r,C) | ∃r.B ⊑ C}
+	// exLHSMask[r] is the bit row over atoms of the keys of exLHS[r], nil
+	// when r has none: CR4 scans S(B) ∩ exLHSMask[r] word by word.
+	exLHSMask [][]uint64
 
 	transitive []bool    // transitive[r]
 	supers     [][]int32 // direct super-roles per role
@@ -395,5 +402,16 @@ func (n *normalized) finishIndexes() {
 	n.exLHSFiller = grow(n.exLHSFiller, n.numAtoms-1)
 	if n.exLHS == nil {
 		n.exLHS = make([]map[atom][]atom, n.numRoles)
+	}
+	n.exLHSMask = make([][]uint64, n.numRoles)
+	for r, idx := range n.exLHS {
+		if len(idx) == 0 {
+			continue
+		}
+		mask := make([]uint64, (n.numAtoms+63)/64)
+		for b := range idx {
+			mask[b>>6] |= 1 << (uint(b) & 63)
+		}
+		n.exLHSMask[r] = mask
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
+	"parowl/internal/bitset"
 	"parowl/internal/dl"
 	"parowl/internal/taxonomy"
 )
@@ -23,15 +25,16 @@ type Options struct {
 // Saturation runs lazily on the first query and observes that query's
 // context: when the context is cancelled mid-saturation the partial state
 // is discarded (never served) and the next query re-runs saturation from
-// scratch under its own context.
+// scratch under its own context. The finished saturation is published
+// through an atomic pointer, so queries after it take no lock.
 type Reasoner struct {
 	tbox     *dl.TBox
 	n        *normalized
 	opts     Options
 	complete bool // the normalization covers the whole TBox, not a fragment
 
-	mu  sync.Mutex
-	sat *saturation // non-nil only once fully saturated
+	mu  sync.Mutex                 // serializes saturation runs
+	sat atomic.Pointer[saturation] // set once fully saturated
 }
 
 // New normalizes the TBox; it fails if the TBox leaves the EL fragment
@@ -61,13 +64,16 @@ func NewFragment(t *dl.TBox, opts Options) (*Reasoner, Coverage) {
 func (r *Reasoner) TBox() *dl.TBox { return r.tbox }
 
 // ensure saturates on first use. A cancelled saturation leaves r.sat nil
-// so a later call retries; concurrent first queries serialize on the
-// mutex exactly as they previously did on sync.Once.
+// so a later call retries; concurrent first queries serialize on r.mu,
+// and every later query returns from the atomic load.
 func (r *Reasoner) ensure(ctx context.Context) (*saturation, error) {
+	if s := r.sat.Load(); s != nil {
+		return s, nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.sat != nil {
-		return r.sat, nil
+	if s := r.sat.Load(); s != nil {
+		return s, nil
 	}
 	workers := r.opts.Workers
 	if workers <= 0 {
@@ -77,7 +83,7 @@ func (r *Reasoner) ensure(ctx context.Context) (*saturation, error) {
 	if err := s.run(ctx, workers); err != nil {
 		return nil, fmt.Errorf("el: saturation abandoned: %w", err)
 	}
-	r.sat = s
+	r.sat.Store(s)
 	return s, nil
 }
 
@@ -110,7 +116,7 @@ func (r *Reasoner) Sat(ctx context.Context, c *dl.Concept) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return !sat.ctxs[a].hasSub(atomBottom), nil
+	return !sat.has(a, atomBottom), nil
 }
 
 // Subs reports whether sup subsumes sub (sub ⊑ sup) for named concepts
@@ -127,7 +133,7 @@ func (r *Reasoner) Subs(ctx context.Context, sup, sub *dl.Concept) (bool, error)
 	if err != nil {
 		return false, err
 	}
-	if sat.ctxs[sa].hasSub(atomBottom) {
+	if sat.has(sa, atomBottom) {
 		return true, nil // unsatisfiable concepts are subsumed by everything
 	}
 	if sup.Op == dl.OpBottom {
@@ -137,7 +143,7 @@ func (r *Reasoner) Subs(ctx context.Context, sup, sub *dl.Concept) (bool, error)
 	if err != nil {
 		return false, err
 	}
-	return sat.ctxs[sa].hasSub(pa), nil
+	return sat.has(sa, pa), nil
 }
 
 // DisprovesSubs reports that sub ⊑ sup definitely does not hold. It
@@ -153,71 +159,66 @@ func (r *Reasoner) DisprovesSubs(ctx context.Context, sup, sub *dl.Concept) bool
 	return err == nil && !ok
 }
 
-// Seeds saturates under ctx and streams the proven conclusions about the
-// TBox's named concepts to a classifier, one fact at a time and without
-// materializing them: unsat receives every named concept proven
-// unsatisfiable, and only after all of them, subsumes receives every
-// directed subsumption sub ⊑ sup between distinct satisfiable named
-// concepts (including ⊤ ⊑ C facts, which witness equivalence to ⊤).
-// The trivial X ⊑ ⊤ and X ⊑ X facts are omitted. Saturation is sound
-// for whatever axiom subset it was given, so every fact holds for the
-// full TBox even when this reasoner covers only its EL fragment; when
-// the coverage is Complete the facts are also exhaustive. If ⊤ itself
-// is unsatisfiable the fragment is inconsistent: every named concept is
-// then reported to unsat (⊤ never is) and no subsumption follows. Both
-// callbacks run on the calling goroutine.
-func (r *Reasoner) Seeds(ctx context.Context, unsat func(c *dl.Concept), subsumes func(sub, sup *dl.Concept)) error {
+// Seeds saturates under ctx and hands a classifier the proven
+// conclusions about the TBox's named concepts as whole rows. Concepts are
+// indexed as in TBox.NamedConcepts(), with ⊤ at index
+// len(NamedConcepts()): the order internal/core numbers them in.
+//
+// unsat receives every named concept proven unsatisfiable and, only after
+// all of them, row receives in ascending order each satisfiable index i
+// with its subsumer row: the set, over the same indices, of every named
+// concept j ≠ i with i ⊑ j. The trivial X ⊑ ⊤ is left out, so no row holds
+// ⊤ and ⊤'s own row holds the concepts equivalent to ⊤. Each row is
+// freshly allocated and belongs to the callee. Saturation is sound for
+// whatever axiom subset it was given, so every conclusion holds for the
+// full TBox even when this reasoner covers only its EL fragment; when the
+// coverage is Complete they are also exhaustive. If ⊤ itself is
+// unsatisfiable the fragment is inconsistent: every named concept is then
+// reported to unsat (⊤ never is) and no row follows. Both callbacks run on
+// the calling goroutine.
+func (r *Reasoner) Seeds(ctx context.Context, unsat func(i int), row func(i int, sups *bitset.Set)) error {
 	sat, err := r.ensure(ctx)
 	if err != nil {
 		return err
 	}
-	bottom := func(c *dl.Concept) bool { return sat.ctxs[r.n.atomOf[c]].hasSub(atomBottom) }
-	named := r.tbox.NamedConcepts()
-	for _, c := range named {
-		if bottom(c) {
-			unsat(c)
+	named := len(r.tbox.NamedConcepts())
+	for i := 0; i < named; i++ {
+		if sat.has(namedAtom(i), atomBottom) {
+			unsat(i)
 		}
 	}
-	emit := func(c *dl.Concept) {
-		if bottom(c) {
-			return
+	for i := 0; i <= named; i++ {
+		a := atomTop
+		if i < named {
+			a = namedAtom(i)
 		}
-		sat.ctxs[r.n.atomOf[c]].forEachSub(func(s atom) {
-			if sc := r.n.conceptOf[s]; sc != nil && sc != c && sc.Op == dl.OpName {
-				subsumes(c, sc) // fresh names, reflexive facts and ⊤/⊥ are skipped
-			}
-		})
-	}
-	emit(r.tbox.Factory.Top())
-	for _, c := range named {
-		emit(c)
+		if !sat.has(a, atomBottom) {
+			row(i, sat.namedRow(a, i, named))
+		}
 	}
 	return nil
 }
 
-// Subsumers returns the named subsumers of named concept c (excluding ⊤,
-// including c itself), or all named concepts if c is unsatisfiable.
-func (r *Reasoner) Subsumers(c *dl.Concept) ([]*dl.Concept, error) {
-	sat, err := r.ensure(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	a, err := r.atomQuery(c)
-	if err != nil {
-		return nil, err
-	}
-	if sat.ctxs[a].hasSub(atomBottom) {
-		out := make([]*dl.Concept, len(r.tbox.NamedConcepts()))
-		copy(out, r.tbox.NamedConcepts())
-		return out, nil
-	}
-	var out []*dl.Concept
-	for _, s := range sat.ctxs[a].snapshotSubs() {
-		if c := r.n.conceptOf[s]; c != nil && c.Op == dl.OpName {
-			out = append(out, c)
+// namedRow returns S(a) restricted to the named concepts, over their
+// NamedConcepts() indices (capacity named+1, the last index being ⊤'s),
+// without index self and without ⊤. Named atoms follow ⊤ and ⊥, so the
+// row is the slab row shifted down two bits, one word at a time.
+func (s *saturation) namedRow(a atom, self, named int) *bitset.Set {
+	src := s.row(a)
+	words := make([]uint64, (named+64)/64)
+	for k := range words {
+		w := src[k].Load() >> 2
+		if k+1 < len(src) {
+			w |= src[k+1].Load() << 62
 		}
+		words[k] = w
 	}
-	return out, nil
+	row := bitset.FromWords(named+1, words)
+	row.Clear(named) // the first fresh atom, not ⊤
+	if self < named {
+		row.Clear(self)
+	}
+	return row
 }
 
 // Classify computes the full taxonomy directly from the saturation — the
@@ -239,20 +240,18 @@ func (r *Reasoner) ClassifyContext(ctx context.Context) (*taxonomy.Taxonomy, err
 	named := r.tbox.NamedConcepts()
 	subs := make(map[*dl.Concept]map[*dl.Concept]bool, len(named))
 	unsat := make(map[*dl.Concept]bool)
-	for _, c := range named {
-		a := r.n.atomOf[c]
-		if sat.ctxs[a].hasSub(atomBottom) {
+	for i, c := range named {
+		row := map[*dl.Concept]bool{c: true}
+		subs[c] = row
+		a := namedAtom(i)
+		if sat.has(a, atomBottom) {
 			unsat[c] = true
-			subs[c] = map[*dl.Concept]bool{c: true}
 			continue
 		}
-		row := map[*dl.Concept]bool{c: true}
-		for _, s := range sat.ctxs[a].snapshotSubs() {
-			if sc := r.n.conceptOf[s]; sc != nil && sc.Op == dl.OpName {
-				row[sc] = true
-			}
-		}
-		subs[c] = row
+		sat.namedRow(a, i, len(named)).ForEach(func(j int) bool {
+			row[named[j]] = true
+			return true
+		})
 	}
 	return taxonomy.FromSubsumers(r.tbox.Factory, subs, unsat)
 }

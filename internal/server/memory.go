@@ -95,20 +95,24 @@ func (s *Server) maybeEvict() {
 	}
 }
 
-// residentSnapshot returns a query-ready Snapshot for the entry, paying
-// a demand reload when the entry was evicted. It also touches the LRU
-// clock.
-func (s *Server) residentSnapshot(e *entry) (*parowl.Snapshot, error) {
+// residentSnapshot returns a query-ready Snapshot for the entry and the
+// generation it serves, paying a demand reload when the entry was
+// evicted. It also touches the LRU clock. The generation is read in the
+// same critical section that picks the serving state, since a finished
+// classification replaces both at once: read separately, a reply could
+// carry the next generation's number with the previous one's answers.
+func (s *Server) residentSnapshot(e *entry) (*parowl.Snapshot, uint64, error) {
 	e.mu.Lock()
-	ont := e.serving
+	ont, gen := e.serving, e.generation
 	reloadable := ont == nil && e.status == StatusClassified && e.srcPath != "" && e.checkpoint != ""
 	e.lastUsed = time.Now()
 	e.mu.Unlock()
 	if ont != nil {
-		return ont.Snapshot()
+		snap, err := ont.Snapshot()
+		return snap, gen, err
 	}
 	if !reloadable {
-		return nil, parowl.ErrNotClassified
+		return nil, 0, parowl.ErrNotClassified
 	}
 	return s.reload(e)
 }
@@ -117,20 +121,21 @@ func (s *Server) residentSnapshot(e *entry) (*parowl.Snapshot, error) {
 // the same entry single-flight behind reloadMu — one decode, everyone
 // served. A reload failure (checkpoint rotted since eviction) degrades
 // the entry to interrupted, exactly like a failed boot-time re-adoption.
-func (s *Server) reload(e *entry) (*parowl.Snapshot, error) {
+func (s *Server) reload(e *entry) (*parowl.Snapshot, uint64, error) {
 	e.reloadMu.Lock()
 	defer e.reloadMu.Unlock()
 
 	e.mu.Lock()
-	ont := e.serving
+	ont, gen := e.serving, e.generation
 	srcPath, ckPath, name, format, fp := e.srcPath, e.checkpoint, e.name, e.format, e.fingerprint
 	still := e.status == StatusClassified
 	e.mu.Unlock()
 	if ont != nil {
-		return ont.Snapshot() // another waiter already reloaded
+		snap, err := ont.Snapshot() // another waiter already reloaded
+		return snap, gen, err
 	}
 	if !still {
-		return nil, parowl.ErrNotClassified
+		return nil, 0, parowl.ErrNotClassified
 	}
 
 	start := time.Now()
@@ -144,7 +149,7 @@ func (s *Server) reload(e *entry) (*parowl.Snapshot, error) {
 		e.mu.Unlock()
 		s.persist()
 		s.cfg.Logf("owld: reload %s: %v (degraded to interrupted)", e.id, err)
-		return nil, parowl.ErrNotClassified
+		return nil, 0, parowl.ErrNotClassified
 	}
 
 	e.mu.Lock()
@@ -158,5 +163,5 @@ func (s *Server) reload(e *entry) (*parowl.Snapshot, error) {
 	s.reloads.Add(1)
 	s.cfg.Logf("owld: reload %s: re-adopted evicted state in %v", e.id, time.Since(start).Round(time.Millisecond))
 	s.maybeEvict()
-	return snap, nil
+	return snap, gen, nil
 }

@@ -52,6 +52,10 @@ type entry struct {
 	checkpoint string             // checkpoint path of the last job, if any
 	scheduling string             // scheduling policy of the last started job
 	resumed    bool               // last run restored from a checkpoint
+	// generation changes with serving, under mu. It survives restarts
+	// (restored from the manifest) and evict/reload cycles, which is why
+	// the X-Parowl-Generation header is served from it rather than from
+	// the per-handle Snapshot generation.
 	generation uint64
 	concepts   int
 	classes    int
@@ -147,16 +151,6 @@ func (e *entry) info() StatusInfo {
 		info.Stats = &stats
 	}
 	return info
-}
-
-// gen returns the entry's classification generation. It survives daemon
-// restarts (restored from the manifest) and evict/reload cycles, which is
-// why the HTTP X-Parowl-Generation header is served from it rather than
-// from the per-handle Snapshot generation.
-func (e *entry) gen() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.generation
 }
 
 // inFlightLocked reports whether a classify job for this entry is

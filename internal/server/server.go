@@ -629,16 +629,17 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// servingSnapshot resolves an id to its query-ready generation, writing
-// the HTTP error itself when there is none yet. Evicted entries pay a
-// demand reload here (see memory.go).
-func (s *Server) servingSnapshot(w http.ResponseWriter, id string) (*parowl.Snapshot, *entry, bool) {
+// servingSnapshot resolves an id to its query-ready snapshot and the
+// generation that snapshot belongs to, writing the HTTP error itself when
+// there is none yet. Evicted entries pay a demand reload here (see
+// memory.go).
+func (s *Server) servingSnapshot(w http.ResponseWriter, id string) (*parowl.Snapshot, uint64, bool) {
 	e := s.reg.get(id)
 	if e == nil {
 		writeErr(w, http.StatusNotFound, "unknown ontology "+id)
-		return nil, nil, false
+		return nil, 0, false
 	}
-	snap, err := s.residentSnapshot(e)
+	snap, gen, err := s.residentSnapshot(e)
 	if err != nil {
 		// Classified state does not exist yet (first classification still
 		// queued, running, failed, or interrupted): tell the client to
@@ -646,18 +647,18 @@ func (s *Server) servingSnapshot(w http.ResponseWriter, id string) (*parowl.Snap
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusConflict,
 			fmt.Sprintf("ontology %s not classified yet (status %s)", id, e.info().Status))
-		return nil, nil, false
+		return nil, 0, false
 	}
-	return snap, e, true
+	return snap, gen, true
 }
 
 func (s *Server) handleTaxonomy(w http.ResponseWriter, r *http.Request) {
-	snap, e, ok := s.servingSnapshot(w, r.PathValue("id"))
+	snap, gen, ok := s.servingSnapshot(w, r.PathValue("id"))
 	if !ok {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Header().Set("X-Parowl-Generation", strconv.FormatUint(e.gen(), 10))
+	w.Header().Set("X-Parowl-Generation", strconv.FormatUint(gen, 10))
 	io.WriteString(w, snap.Taxonomy().Render())
 }
 
@@ -695,7 +696,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "empty query spec (use ?q=subsumes:A,B;ancestors:C)")
 		return
 	}
-	snap, e, ok := s.servingSnapshot(w, r.PathValue("id"))
+	snap, gen, ok := s.servingSnapshot(w, r.PathValue("id"))
 	if !ok {
 		return
 	}
@@ -706,9 +707,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	// Coalesce identical in-flight evaluations: requests for the same
 	// (ontology, generation, spec) ride one kernel sweep. The generation
-	// in the key is the entry generation — stable across evict/reload, so
-	// coalesced answers are byte-identical by construction.
-	gen := e.gen()
+	// in the key is the entry generation of snap — stable across
+	// evict/reload, so coalesced answers are byte-identical by
+	// construction.
 	key := r.PathValue("id") + "\x00" + strconv.FormatUint(gen, 10) + "\x00" + spec
 	lines, err, shared := s.flights.do(ctx, key, func() ([]string, error) {
 		if s.onQueryEval != nil {
@@ -752,7 +753,7 @@ func (s *Server) handleSubsumes(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, `empty batch (want {"pairs": [["Sup","Sub"], ...]})`)
 		return
 	}
-	snap, e, ok := s.servingSnapshot(w, r.PathValue("id"))
+	snap, gen, ok := s.servingSnapshot(w, r.PathValue("id"))
 	if !ok {
 		return
 	}
@@ -770,7 +771,7 @@ func (s *Server) handleSubsumes(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	w.Header().Set("X-Parowl-Generation", strconv.FormatUint(e.gen(), 10))
+	w.Header().Set("X-Parowl-Generation", strconv.FormatUint(gen, 10))
 	writeJSON(w, map[string]any{"results": results})
 }
 

@@ -451,6 +451,98 @@ func TestResubmitSwapsServingState(t *testing.T) {
 	}
 }
 
+// parkedBody is a request body that yields its JSON, then parks its next
+// Read until release is closed, announcing on parked that it got there.
+type parkedBody struct {
+	data            []byte
+	parked, release chan struct{}
+}
+
+func (b *parkedBody) Read(p []byte) (int, error) {
+	if len(b.data) > 0 {
+		n := copy(p, b.data)
+		b.data = b.data[n:]
+		return n, nil
+	}
+	close(b.parked)
+	<-b.release
+	return 0, io.EOF
+}
+
+// TestSubsumesGenerationMatchesAnswers publishes a new generation while
+// a batch subsumes request holds the previous one's snapshot, and checks
+// that the reply's X-Parowl-Generation names the generation its answers
+// came from. The handler decodes the JSON, picks its snapshot, and then
+// reads ?timeout= through FormValue, which drains a form-encoded body:
+// parkedBody holds the handler exactly there while the resubmission
+// lands.
+func TestSubsumesGenerationMatchesAnswers(t *testing.T) {
+	t.Parallel()
+	oldText, newText := genOBO(t, 21, 60), genOBO(t, 22, 90)
+	oldRef, newRef := refSnapshot(t, oldText), refSnapshot(t, newText)
+	var pair [2]string
+	var oldWant bool
+	var names []string
+	for _, node := range oldRef.Taxonomy().Nodes() {
+		if name := node.Canonical().Name; name != "" {
+			names = append(names, name)
+		}
+	}
+	for _, sup := range names {
+		for _, sub := range names {
+			o, oerr := oldRef.SubsumesBatch([][2]string{{sup, sub}})
+			n, nerr := newRef.SubsumesBatch([][2]string{{sup, sub}})
+			if oerr == nil && nerr == nil && o[0] != n[0] && pair[0] == "" {
+				pair, oldWant = [2]string{sup, sub}, o[0]
+			}
+		}
+	}
+	if pair[0] == "" {
+		t.Fatal("no pair answered differently by the two generations; pick new seeds")
+	}
+
+	s, ts := newTestServer(t, Config{Engine: plainEngine(nil)})
+	if code, body := submit(t, ts, "onto", "", oldText); code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d: %s", code, body)
+	}
+	if gen := waitStatus(t, ts, "onto", StatusClassified).Generation; gen != 1 {
+		t.Fatalf("first generation = %d, want 1", gen)
+	}
+
+	body := &parkedBody{
+		data:    []byte(fmt.Sprintf(`{"pairs": [[%q, %q]]}`, pair[0], pair[1])),
+		parked:  make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	req := httptest.NewRequest(http.MethodPost, "/ontologies/onto/subsumes", body)
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	req.SetPathValue("id", "onto")
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.handleSubsumes(rec, req)
+	}()
+	<-body.parked
+	if code, text := submit(t, ts, "onto", "", newText); code != http.StatusAccepted {
+		t.Fatalf("resubmit: HTTP %d: %s", code, text)
+	}
+	if gen := waitStatus(t, ts, "onto", StatusClassified).Generation; gen != 2 {
+		t.Fatalf("second generation = %d, want 2", gen)
+	}
+	close(body.release)
+	<-done
+
+	var reply struct{ Results []bool }
+	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || len(reply.Results) != 1 {
+		t.Fatalf("reply %q: %v", rec.Body.String(), err)
+	}
+	gen := rec.Header().Get("X-Parowl-Generation")
+	if want := map[bool]string{oldWant: "1", !oldWant: "2"}[reply.Results[0]]; gen != want {
+		t.Fatalf("reply says generation %s, but its answer %v is generation %s's", gen, reply.Results[0], want)
+	}
+}
+
 // TestAdmissionControl fills the classify queue and checks overflow gets
 // 429 + Retry-After without leaving ghost registry entries.
 func TestAdmissionControl(t *testing.T) {

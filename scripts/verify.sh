@@ -13,6 +13,9 @@ echo "== go test ./..."
 go test ./...
 echo "== go test -race (core, tableau, reasoner, el, taxonomy, bitset)"
 go test -race ./internal/core/... ./internal/tableau/... ./internal/reasoner/... ./internal/el/... ./internal/taxonomy/... ./internal/bitset/...
+echo "== EL saturation suite: sequential oracle, worker counts, cancellation, row seeding (-race -count=10)"
+go test -race -count=10 -run 'TestSaturationMatchesOracle|TestQuickWorkerCountIrrelevant|TestSaturationCancelled|TestFragmentSeeds' ./internal/el/
+go test -race -count=10 -run 'TestPrepassCountersExample|TestNewStateFill' ./internal/core/
 echo "== cheap-first pipeline equivalence suite, brute force included (-race)"
 go test -race -count=1 -run 'TestQuickPipelineEquivalence|TestPipelineEquivalenceOntogen|TestPipelineReducesCalls|TestPrepassFragmentUnsatConcept|TestQuickMatchesBruteForce' ./internal/core/
 echo "== crash-safety suite: kill-and-resume + chaos soundness (-race)"
