@@ -215,23 +215,28 @@ func BenchmarkSchedulingAblation(b *testing.B) {
 
 // BenchmarkTableauSubsumption measures single subsumption tests on a
 // QCR-bearing corpus — the unit of work the paper's plug-in (HermiT)
-// performs — plain and with pseudo-model merging.
+// performs — plain, and filtered the way the classifier's model filter
+// runs them: DisprovesSubs first, Subs only when it answers "don't know".
 func BenchmarkTableauSubsumption(b *testing.B) {
 	tb := benchCorpus(b, "bridg.biomedical_domain", 8)
 	named := tb.NamedConcepts()
-	for _, mm := range []bool{false, true} {
+	for _, filtered := range []bool{false, true} {
 		name := "plain"
-		if mm {
-			name = "modelmerging"
+		if filtered {
+			name = "filtered"
 		}
 		b.Run(name, func(b *testing.B) {
-			tab := tableau.New(tb, tableau.Options{ModelMerging: mm})
+			ctx := context.Background()
+			tab := tableau.New(tb, tableau.Options{})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sup := named[i%len(named)]
 				sub := named[(i*7+3)%len(named)]
-				if _, err := tab.Subs(context.Background(), sup, sub); err != nil {
+				if filtered && tab.DisprovesSubs(ctx, sup, sub) {
+					continue
+				}
+				if _, err := tab.Subs(ctx, sup, sub); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -328,21 +333,22 @@ func BenchmarkSequentialBaselines(b *testing.B) {
 	})
 }
 
-// BenchmarkModelMergingAblation compares plain tableau classification
-// against the pseudo-model-merging variant on a Table V mini corpus: most
-// tests are non-subsumptions that merging answers without a tableau run.
-func BenchmarkModelMergingAblation(b *testing.B) {
+// BenchmarkModelFilterAblation compares plain tableau classification
+// with and without the classifier's model filter (Options.ModelFilter) on
+// a Table V mini corpus: most tests are non-subsumptions that the
+// tableau's pseudo-model merge disproves without a tableau run.
+func BenchmarkModelFilterAblation(b *testing.B) {
 	tb := benchCorpus(b, "nskisimple_functional", 16)
-	for _, mm := range []bool{false, true} {
-		name := "plain"
-		if mm {
-			name = "modelmerging"
+	for _, filter := range []bool{false, true} {
+		name := "off"
+		if filter {
+			name = "on"
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r := tableau.New(tb, tableau.Options{ModelMerging: mm})
-				if _, err := core.Classify(tb, core.Options{Reasoner: r, Workers: 2}); err != nil {
+				r := tableau.New(tb, tableau.Options{})
+				if _, err := core.Classify(tb, core.Options{Reasoner: r, Workers: 2, ModelFilter: filter}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -5,11 +5,13 @@ package parowl_test
 // flag surface.
 
 import (
+	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // runCmd builds and runs a command from ./cmd with the given arguments.
@@ -176,14 +178,44 @@ func TestCLIOwlclassQueryKernel(t *testing.T) {
 		}
 	}
 
-	// The checkpoint is the only on-disk form of a kernel.
-	if out, err := runCmd(t, "owlclass", "-kernel", filepath.Join(dir, "mini.kernel"), "-query", spec, path); err == nil {
-		t.Errorf("-kernel accepted:\n%s", out)
-	}
 	if out, err := runCmd(t, "owlclass", "-query", "frobnicate:A", path); err == nil {
 		t.Errorf("unknown query op accepted:\n%s", out)
 	}
 	if out, err := runCmd(t, "owlclass", "-query", "depth:Nope", path); err == nil {
 		t.Errorf("unknown concept accepted:\n%s", out)
+	}
+}
+
+// TestCLIRetiredSurfaces: flags and plug-in names that were removed must
+// be refused with a non-zero exit, never silently ignored. The checkpoint
+// is the only on-disk form of a kernel (-kernel); told subsumers (-told),
+// the checkpointed plug-in cache (-cache) and the model-merging tableau
+// (tableau-mm) are subsumed by the default cheap-first pipeline.
+func TestCLIRetiredSurfaces(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "mini.obo")
+	if err := os.WriteFile(path, []byte("[Term]\nid: A\n\n[Term]\nid: B\nis_a: A\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	owlclass := buildCmd(t, dir, "owlclass")
+	for _, args := range [][]string{
+		{"-kernel", filepath.Join(dir, "mini.kernel"), "-query", "depth:B"},
+		{"-told"},
+		{"-cache"},
+		{"-reasoner", "tableau-mm"},
+	} {
+		if out, err := exec.Command(owlclass, append(args, path)...).CombinedOutput(); err == nil {
+			t.Errorf("owlclass %v accepted:\n%s", args, out)
+		}
+	}
+	// owld validates -reasoner before it listens; the deadline only
+	// guards against a daemon that starts serving instead, which the
+	// exit-code check then reports (a killed process has no exit code).
+	owld := buildCmd(t, dir, "owld")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, owld, "-addr", "127.0.0.1:0", "-reasoner", "tableau-mm").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() <= 0 {
+		t.Errorf("owld -reasoner tableau-mm: err = %v, want a non-zero exit\n%s", err, out)
 	}
 }

@@ -135,7 +135,7 @@ func queryBenchProfile(p ontogen.Profile) (*queryProfileResult, error) {
 	oracle := reasoner.NewOracle(tb, reasoner.OracleOptions{})
 	res, err := core.Classify(tb, core.Options{
 		Reasoner: oracle, Workers: *queryWorkers, RandomCycles: *cyclesFlag,
-		Seed: *seedFlag, UseToldSubsumers: true,
+		Seed: *seedFlag,
 	})
 	if err != nil {
 		return nil, err

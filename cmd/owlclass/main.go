@@ -31,7 +31,7 @@ var (
 	seed    = flag.Int64("seed", 1, "shuffle / generation seed")
 	mode    = flag.String("mode", "optimized", "optimized | basic")
 	sched   = flag.String("sched", "roundrobin", "roundrobin | async")
-	plugin  = flag.String("reasoner", "auto", "auto | tableau | tableau-mm | el")
+	plugin  = flag.String("reasoner", "auto", "auto | tableau | el")
 	profile = flag.String("profile", "", "generate this Table IV/V profile instead of reading a file")
 	scale   = flag.Int("scale", 1, "shrink the generated profile by this factor")
 	stats   = flag.Bool("stats", false, "print test statistics instead of the taxonomy")
@@ -39,9 +39,8 @@ var (
 	loads   = flag.Bool("loads", false, "print the per-worker load and steal-count summary (paper Sec. V-C)")
 	dot     = flag.Bool("dot", false, "print the taxonomy in Graphviz DOT format")
 	summary = flag.Bool("summary", false, "print a one-line taxonomy summary")
-	told    = flag.Bool("told", false, "answer told subsumptions without reasoner calls")
 	prepass = flag.Bool("prepass", true, "EL pre-saturation: seed known subsumptions from the EL fragment before testing; -prepass=false -modelfilter=false runs the paper's plain algorithm")
-	mfilter = flag.Bool("modelfilter", true, "consult the plug-in's pseudo-model merge filter before each subs? dispatch")
+	mfilter = flag.Bool("modelfilter", true, "consult the plug-in's model filter, a cheap non-subsumption probe, before each subs? dispatch")
 	timeout = flag.Duration("timeout", 0, "abort classification after this duration (0 = none)")
 
 	testTimeout = flag.Duration("test-timeout", 0, "budget per sat?/subs? test; expired tests are retried then recorded as undecided (0 = none)")
@@ -52,7 +51,6 @@ var (
 	checkpoint         = flag.String("checkpoint", "", "periodically snapshot classification state to this file (atomic rename)")
 	checkpointInterval = flag.Duration("checkpoint-interval", time.Second, "minimum time between checkpoint snapshots (0 = every phase boundary)")
 	resume             = flag.String("resume", "", "restore classification state from this checkpoint file; an invalid snapshot falls back to a clean run")
-	cache              = flag.Bool("cache", false, "memoize plug-in answers; with -checkpoint, settled answers are carried in snapshots")
 	chaos              = flag.String("chaos", "", "inject reasoner faults, e.g. err=0.01,panic=0.005,hang=0.002,budget=0.01,slow=2ms,seed=7 (testing only)")
 	moduleOf           = flag.String("module", "", "extract the ⊥-locality module for this comma-separated concept list before classifying")
 	metrics            = flag.Bool("metrics", false, "print the ontology metrics row and exit")
@@ -122,7 +120,6 @@ func run() error {
 		RandomCycles:       *cycles,
 		Seed:               *seed,
 		CollectTrace:       *trace || *loads,
-		UseToldSubsumers:   *told,
 		ELPrepass:          *prepass,
 		ModelFilter:        *mfilter,
 		TestTimeout:        *testTimeout,
@@ -150,8 +147,6 @@ func run() error {
 	case "auto": // nil: ClassifyWith falls back to the Engine's selection
 	case "tableau":
 		opts.Reasoner = parowl.NewTableauReasoner(tbox)
-	case "tableau-mm":
-		opts.Reasoner = parowl.NewTableauReasonerMM(tbox)
 	case "el":
 		r, err := parowl.NewELReasoner(tbox)
 		if err != nil {
@@ -160,17 +155,6 @@ func run() error {
 		opts.Reasoner = r
 	default:
 		return fmt.Errorf("unknown -reasoner %q", *plugin)
-	}
-	if *cache {
-		// A cached plug-in memoizes settled answers; with -checkpoint they
-		// also ride along in snapshots so resumed runs skip re-proving
-		// them. Opt-in: the classifier's own P/K machinery already avoids
-		// duplicate tests within a run, so for a single uncheckpointed run
-		// the memo is pure overhead.
-		if opts.Reasoner == nil {
-			opts.Reasoner = parowl.NewAutoReasoner(tbox)
-		}
-		opts.Reasoner = parowl.NewCachedReasoner(opts.Reasoner)
 	}
 	if *chaos != "" {
 		copts, err := parowl.ParseChaos(*chaos)
@@ -275,14 +259,11 @@ func run() error {
 		fmt.Printf("subs tests:  %d\n", res.Stats.SubsTests)
 		fmt.Printf("sat tests:   %d\n", res.Stats.SatTests)
 		fmt.Printf("pruned:      %d pairs resolved without testing\n", res.Stats.Pruned)
-		if res.Stats.ToldHits > 0 {
-			fmt.Printf("told hits:   %d tests answered from asserted axioms\n", res.Stats.ToldHits)
-		}
 		if res.Stats.PreSeeded > 0 {
 			fmt.Printf("preseeded:   %d tests resolved by the EL prepass\n", res.Stats.PreSeeded)
 		}
 		if res.Stats.FilterHits > 0 {
-			fmt.Printf("filter hits: %d subs? dispatches skipped by pseudo-model merging\n", res.Stats.FilterHits)
+			fmt.Printf("filter hits: %d subs? dispatches skipped by the plug-in's model filter\n", res.Stats.FilterHits)
 		}
 		if res.Stats.TimedOut > 0 {
 			fmt.Printf("timed out:   %d tests abandoned after exhausting their budget\n", res.Stats.TimedOut)

@@ -59,7 +59,7 @@ var (
 	workers = flag.Int("workers", 0, "classification worker pool size (0 = GOMAXPROCS)")
 	cycles  = flag.Int("cycles", 2, "random-division cycles")
 	sched   = flag.String("sched", "roundrobin", "default scheduling policy: roundrobin | async (per-submit ?sched= overrides)")
-	plugin  = flag.String("reasoner", "auto", "auto | tableau | tableau-mm | el")
+	plugin  = flag.String("reasoner", "auto", "auto | tableau | el")
 	chaos   = flag.String("chaos", "", "inject reasoner faults, e.g. slow=1ms,seed=7 (testing only)")
 
 	readyFile = flag.String("ready-file", "", "write the server's base URL to this file once listening (for scripts)")
@@ -75,7 +75,7 @@ func main() {
 
 func run() error {
 	switch *plugin {
-	case "auto", "tableau", "tableau-mm", "el":
+	case "auto", "tableau", "el":
 	default:
 		return fmt.Errorf("unknown -reasoner %q", *plugin)
 	}
@@ -108,8 +108,6 @@ func run() error {
 			switch *plugin {
 			case "tableau":
 				r = parowl.NewTableauReasoner(tb)
-			case "tableau-mm":
-				r = parowl.NewTableauReasonerMM(tb)
 			case "el":
 				el, err := parowl.NewELReasoner(tb)
 				if err != nil {

@@ -3,10 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"testing"
-
-	"parowl/internal/reasoner"
 )
 
 // TestAdoptCompletedCheckpoint proves the daemon-restart contract: a
@@ -48,7 +47,7 @@ func TestAdoptRejectsIncomplete(t *testing.T) {
 	tb := exampleTBox()
 	s := newState(tb, adoptReasoner{}, true)
 	path := ckPath(t)
-	data := s.encodeSnapshot(PhaseRandom, reasoner.CacheSnapshot{}, nil, 0)
+	data := s.encodeSnapshot(PhaseRandom, nil, 0)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +58,8 @@ func TestAdoptRejectsIncomplete(t *testing.T) {
 }
 
 // TestAdoptRejectsBadFiles covers the degrade-never-boot-fail inputs the
-// server leans on: missing file, corrupt bytes, a version-1 file, wrong
-// ontology.
+// server leans on: missing file, corrupt bytes, version-1 and version-2
+// files, wrong ontology.
 func TestAdoptRejectsBadFiles(t *testing.T) {
 	tb := exampleTBox()
 	path := ckPath(t)
@@ -84,12 +83,14 @@ func TestAdoptRejectsBadFiles(t *testing.T) {
 		t.Fatalf("corrupt file: err = %v, want ErrBadSnapshot", err)
 	}
 
-	v1 := path + ".v1"
-	if err := os.WriteFile(v1, withVersion(data, 1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Adopt(context.Background(), tb, AdoptOptions{Snapshot: v1}); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("version-1 file: err = %v, want ErrBadSnapshot", err)
+	for _, v := range []uint32{1, 2} {
+		old := fmt.Sprintf("%s.v%d", path, v)
+		if err := os.WriteFile(old, withVersion(data, v), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Adopt(context.Background(), tb, AdoptOptions{Snapshot: old}); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("version-%d file: err = %v, want ErrBadSnapshot", v, err)
+		}
 	}
 
 	other := exampleTBox()

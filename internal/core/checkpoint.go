@@ -12,63 +12,64 @@ import (
 
 	"parowl/internal/bitset"
 	"parowl/internal/dl"
-	"parowl/internal/reasoner"
 	"parowl/internal/taxonomy"
 )
 
 // Checkpoint snapshots make a classification run crash-safe: the shared
-// P/K/tested bitsets, satisfiability states, undecided pairs, and the
-// plug-in's settled cache entries are written to disk at phase/batch
-// boundaries, and Options.ResumeFrom restores them so a re-run skips all
-// settled work and converges to the same taxonomy.
+// P/K/tested bitsets, satisfiability states and undecided pairs are
+// written to disk at phase/batch boundaries, and Options.ResumeFrom
+// restores them so a re-run skips all settled work and converges to the
+// same taxonomy.
 //
 // Consistency: a snapshot is taken only at pool quiescence — under
 // RoundRobin between batch barriers, under Async at an epoch edge
 // (the pending-task counter at zero). In either case every claimed pair
 // (a cleared P bit in optimized mode, a set tested bit in basic mode) has
 // its outcome fully recorded in K or in the undecided list, so restoring
-// the snapshot can never lose a claim's answer. Each quiescence point
-// closes an epoch, and the snapshot records the epoch count it was cut
-// at (monotonic across resumes). A poisoned run (s.failed()) is never
-// snapshotted: its workers may have claimed pairs whose outcome was
-// abandoned mid-flight.
+// the snapshot can never lose a claim's answer. For the same reason no
+// plug-in memo is persisted: every answer it could hold is already in
+// the bitsets, and a resumed run never asks for one again. Each
+// quiescence point closes an epoch, and the snapshot records the epoch
+// count it was cut at (monotonic across resumes). A poisoned run
+// (s.failed()) is never snapshotted: its workers may have claimed pairs
+// whose outcome was abandoned mid-flight.
 //
 // File format (all integers little-endian):
 //
 //	[8]byte  magic "PAROWLCK"
-//	uint32   version (currently 2)
+//	uint32   version (currently 3)
 //	uint64   ontology fingerprint (FNV-1a over names + axioms)
 //	uint8    mode (1 = optimized, 0 = basic)
 //	uint8    prepassed
 //	uint8    phase (0 = random, 1 = group)
 //	uint64   epoch — the quiescence count the snapshot was cut at
 //	uint32   n (concept count incl. ⊤)
-//	10×int64 counters
+//	9×int64  counters (sat, subs, pruned, preseeded, filter hits, timed
+//	         out, recovered, node budget, branch budget)
 //	n frames P, n frames K (bitset.Atomic binary frames, self-checksummed)
 //	uint8    hasTested; if 1, a bitset.Matrix frame
 //	n bytes  satState values (0/1/2)
 //	uint32   undecided count; per entry: int32 sup (−1 = nil), int32 sub,
 //	         uint16 reason length, reason bytes
-//	uint32   sat cache count; per entry: uint64 key, uint8 val
-//	uint32   subs cache count; per entry: uint64 key, uint8 val
 //	uint8    hasKernel; if 1, a taxonomy kernel frame (versioned,
 //	         self-checksummed) running up to the CRC
 //	uint32   CRC-32 (IEEE) of everything above
 //
 // Every section is always present, so the decoder has no optional
-// branches; version-1 files, which carried the kernel and epoch as
-// trailing optional sections, are refused like any unknown version. The
-// trailing whole-file checksum catches truncation; the per-bitset frame
-// checksums catch local corruption with a better error. A kernel frame
-// that fails its own validation only degrades the resume to
-// recompilation — the classification state in P/K and the header's
-// epoch are never rejected because of it.
+// branches. Older versions are refused like any unknown version: v1
+// carried the kernel and epoch as trailing optional sections, v2 a
+// tenth counter (told hits) and a plug-in cache section. The trailing
+// whole-file checksum catches truncation; the per-bitset frame checksums
+// catch local corruption with a better error. A kernel frame that fails
+// its own validation only degrades the resume to recompilation — the
+// classification state in P/K and the header's epoch are never rejected
+// because of it.
 
 // checkpointMagic identifies parowl checkpoint files.
 var checkpointMagic = [8]byte{'P', 'A', 'R', 'O', 'W', 'L', 'C', 'K'}
 
 // checkpointVersion is bumped on any incompatible format change.
-const checkpointVersion = 2
+const checkpointVersion = 3
 
 // ErrBadSnapshot reports a checkpoint file that is truncated, corrupted,
 // of an unknown version, or inconsistent with the run it is restored
@@ -117,12 +118,11 @@ type snapshot struct {
 	prepassed   bool
 	phase       Phase
 	n           int
-	counters    [10]int64
+	counters    [9]int64
 	P, K        []*bitset.Atomic
 	tested      *bitset.Matrix
 	satState    []int32
 	undecided   []undecidedRef
-	cache       reasoner.CacheSnapshot
 	// kernel is the decoded (unbound) taxonomy query kernel, when the
 	// snapshot carried one and it decoded cleanly; kernelErr records a
 	// kernel frame that failed validation (the snapshot itself stays
@@ -144,7 +144,7 @@ type undecidedRef struct {
 // barriers on a non-failed run; see the consistency note above. kern,
 // when non-nil, is appended as the optional kernel section so a resume
 // of a completed run skips recompiling the query kernel.
-func (s *state) encodeSnapshot(phase Phase, cache reasoner.CacheSnapshot, kern *taxonomy.Kernel, epoch int64) []byte {
+func (s *state) encodeSnapshot(phase Phase, kern *taxonomy.Kernel, epoch int64) []byte {
 	phaseByte := byte(0)
 	if phase == PhaseGroup {
 		phaseByte = 1
@@ -166,7 +166,7 @@ func (s *state) encodeSnapshot(phase Phase, cache reasoner.CacheSnapshot, kern *
 	b = binary.LittleEndian.AppendUint32(b, uint32(s.n))
 	for _, c := range []int64{
 		s.satTests.Load(), s.subsTests.Load(), s.pruned.Load(),
-		s.toldHits.Load(), s.preSeeded.Load(), s.filterHits.Load(),
+		s.preSeeded.Load(), s.filterHits.Load(),
 		s.timedOut.Load(), s.recovered.Load(),
 		s.nodeBudget.Load(), s.branchBudget.Load(),
 	} {
@@ -200,17 +200,6 @@ func (s *state) encodeSnapshot(phase Phase, cache reasoner.CacheSnapshot, kern *
 		b = binary.LittleEndian.AppendUint32(b, uint32(int32(s.index[u.Sub])))
 		b = binary.LittleEndian.AppendUint16(b, uint16(len(u.Reason)))
 		b = append(b, u.Reason...)
-	}
-	for _, entries := range [][]reasoner.CacheEntry{cache.Sat, cache.Subs} {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(entries)))
-		for _, e := range entries {
-			b = binary.LittleEndian.AppendUint64(b, e.Key)
-			v := byte(0)
-			if e.Val {
-				v = 1
-			}
-			b = append(b, v)
-		}
 	}
 	if kern != nil {
 		b = append(b, 1)
@@ -374,32 +363,6 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 		}
 		snap.undecided = append(snap.undecided, undecidedRef{sup: sup, sub: sub, reason: reason})
 	}
-	readEntries := func(what string) ([]reasoner.CacheEntry, error) {
-		ne := int(r.u32())
-		if r.err != nil {
-			return nil, r.err
-		}
-		if ne > len(r.data)/9 { // 8-byte key + 1-byte val
-			return nil, fmt.Errorf("%w: implausible %s cache count %d", ErrBadSnapshot, what, ne)
-		}
-		out := make([]reasoner.CacheEntry, 0, ne)
-		for i := 0; i < ne; i++ {
-			key := r.u64()
-			val := r.u8()
-			if val > 1 {
-				return nil, fmt.Errorf("%w: %s cache value %d", ErrBadSnapshot, what, val)
-			}
-			out = append(out, reasoner.CacheEntry{Key: key, Val: val == 1})
-		}
-		return out, nil
-	}
-	var err error
-	if snap.cache.Sat, err = readEntries("sat"); err != nil {
-		return nil, err
-	}
-	if snap.cache.Subs, err = readEntries("subs"); err != nil {
-		return nil, err
-	}
 	switch r.u8() {
 	case 0:
 	case 1:
@@ -455,13 +418,12 @@ func (s *state) restoreSnapshot(snap *snapshot) error {
 	s.satTests.Store(snap.counters[0])
 	s.subsTests.Store(snap.counters[1])
 	s.pruned.Store(snap.counters[2])
-	s.toldHits.Store(snap.counters[3])
-	s.preSeeded.Store(snap.counters[4])
-	s.filterHits.Store(snap.counters[5])
-	s.timedOut.Store(snap.counters[6])
-	s.recovered.Store(snap.counters[7])
-	s.nodeBudget.Store(snap.counters[8])
-	s.branchBudget.Store(snap.counters[9])
+	s.preSeeded.Store(snap.counters[3])
+	s.filterHits.Store(snap.counters[4])
+	s.timedOut.Store(snap.counters[5])
+	s.recovered.Store(snap.counters[6])
+	s.nodeBudget.Store(snap.counters[7])
+	s.branchBudget.Store(snap.counters[8])
 	s.epochBase = snap.epoch
 	s.undecided = s.undecided[:0]
 	for _, u := range snap.undecided {
@@ -522,7 +484,6 @@ func writeFileAtomic(path string, data []byte) error {
 type checkpointer struct {
 	path     string
 	interval time.Duration
-	porter   reasoner.CachePorter // may be nil
 	last     time.Time
 	wrote    int   // snapshots written
 	err      error // first write failure, reported via Result.CheckpointError
@@ -550,11 +511,7 @@ func (c *checkpointer) write(s *state, phase Phase, force bool, kern *taxonomy.K
 	if c == nil || s.failed() || !force && !c.due() {
 		return
 	}
-	var cache reasoner.CacheSnapshot
-	if c.porter != nil {
-		cache = c.porter.ExportCache()
-	}
-	if err := writeFileAtomic(c.path, s.encodeSnapshot(phase, cache, kern, epoch)); err != nil {
+	if err := writeFileAtomic(c.path, s.encodeSnapshot(phase, kern, epoch)); err != nil {
 		if c.err == nil {
 			c.err = fmt.Errorf("core: checkpoint write: %w", err)
 		}

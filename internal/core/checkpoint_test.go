@@ -54,7 +54,7 @@ type countdownReasoner struct {
 }
 
 // Unwrap exposes the underlying reasoner so the classifier still finds
-// its ModelFilter/CachePorter capabilities through the decorator.
+// its ModelFilter capability through the decorator.
 func (c countdownReasoner) Unwrap() reasoner.Interface { return c.Interface }
 
 func (c countdownReasoner) tick() error {
@@ -202,6 +202,7 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 		"corrupted": write("flip.ck", flipped),
 		"ontology":  otherPath, // valid snapshot of a different ontology
 		"version1":  write("v1.ck", withVersion(good, 1)),
+		"version2":  write("v2.ck", withVersion(good, 2)),
 	}
 	for name, p := range cases {
 		res := classify(t, tb, Options{Workers: 2, ResumeFrom: p})
@@ -259,30 +260,6 @@ func TestSnapshotDecodeFuzz(t *testing.T) {
 		} else if !errors.Is(err, ErrBadSnapshot) {
 			t.Fatalf("iteration %d: error does not wrap ErrBadSnapshot: %v", i, err)
 		}
-	}
-}
-
-// TestCheckpointCachePort: with a Cached plug-in, settled answers travel
-// through the snapshot and pre-settle the resumed run's cache.
-func TestCheckpointCachePort(t *testing.T) {
-	tb := exampleTBox()
-	path := ckPath(t)
-	cached := reasoner.NewCached(tableauFactory(tb))
-	classify(t, tb, Options{Workers: 2, Reasoner: cached, Checkpoint: path})
-	if n := len(cached.ExportCache().Subs); n == 0 {
-		t.Fatal("no subs entries settled in the source cache")
-	}
-
-	fresh := reasoner.NewCached(tableauFactory(tb))
-	res := classify(t, tb, Options{Workers: 2, Reasoner: fresh, ResumeFrom: path})
-	if !res.Resumed {
-		t.Fatalf("not resumed: %v", res.ResumeError)
-	}
-	want := cached.ExportCache()
-	got := fresh.ExportCache()
-	if len(got.Sat) < len(want.Sat) || len(got.Subs) < len(want.Subs) {
-		t.Fatalf("imported cache smaller than exported: %d/%d sat, %d/%d subs",
-			len(got.Sat), len(want.Sat), len(got.Subs), len(want.Subs))
 	}
 }
 

@@ -79,13 +79,6 @@ type Options struct {
 	// plug-ins without the capability. Savings are reported in
 	// Stats.FilterHits.
 	ModelFilter bool
-	// UseToldSubsumers answers subsumption tests whose truth follows
-	// from the told (asserted) named hierarchy without calling the
-	// reasoner plug-in — a standard classifier optimization the paper
-	// deliberately leaves out ("without enhanced optimizations", Sec. V),
-	// provided here as an ablation. Sound for any plug-in: told axioms
-	// are entailed.
-	UseToldSubsumers bool
 	// TestTimeout bounds each individual sat?/subs? plug-in call. A call
 	// that exceeds its budget is retried with the budget doubled, up to
 	// TestRetries times; when the final attempt also times out the test
@@ -164,7 +157,6 @@ type Stats struct {
 	SatTests  int64 // sat?() plug-in calls
 	SubsTests int64 // subs?() plug-in calls
 	Pruned    int64 // pairs resolved without a plug-in call (Sec. IV)
-	ToldHits  int64 // positive tests answered from the told hierarchy
 	// PreSeeded counts tests resolved from the EL prepass without a
 	// plug-in dispatch (Options.ELPrepass): sat?() probes answered by a
 	// fragment unsatisfiability, or by a complete fragment's saturation
@@ -252,9 +244,6 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	s.ctx = ctx
 	s.testTimeout = opts.TestTimeout
 	s.testRetries = opts.TestRetries
-	if opts.UseToldSubsumers {
-		s.buildTold()
-	}
 	if opts.ModelFilter {
 		s.filter = reasoner.AsModelFilter(opts.Reasoner)
 	}
@@ -278,17 +267,11 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 		}
 		if err != nil {
 			snap, resumeErr = nil, err
-		} else if porter := reasoner.AsCachePorter(opts.Reasoner); porter != nil {
-			porter.ImportCache(snap.cache)
 		}
 	}
 	var ck *checkpointer
 	if opts.Checkpoint != "" {
-		ck = &checkpointer{
-			path:     opts.Checkpoint,
-			interval: opts.CheckpointInterval,
-			porter:   reasoner.AsCachePorter(opts.Reasoner),
-		}
+		ck = &checkpointer{path: opts.Checkpoint, interval: opts.CheckpointInterval}
 	}
 
 	if ctx.Done() != nil {
@@ -389,12 +372,12 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 
 // counterSnapshot captures the reasoner counters to compute per-cycle
 // deltas.
-type counterSnapshot struct{ sat, subs, pruned, told, preSeeded, filterHits int64 }
+type counterSnapshot struct{ sat, subs, pruned, preSeeded, filterHits int64 }
 
 func (s *state) snapshot() counterSnapshot {
 	return counterSnapshot{
 		s.satTests.Load(), s.subsTests.Load(), s.pruned.Load(),
-		s.toldHits.Load(), s.preSeeded.Load(), s.filterHits.Load(),
+		s.preSeeded.Load(), s.filterHits.Load(),
 	}
 }
 
@@ -415,7 +398,6 @@ func (s *state) record(trace *Trace, phase Phase, index int, before counterSnaps
 		SubsTests:         now.subs - before.subs,
 		SatTests:          now.sat - before.sat,
 		Pruned:            now.pruned - before.pruned,
-		ToldHits:          now.told - before.told,
 		PreSeeded:         now.preSeeded - before.preSeeded,
 		FilterHits:        now.filterHits - before.filterHits,
 		RemainingPossible: s.remainingPossible(),

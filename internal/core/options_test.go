@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"strings"
 	"sync/atomic"
@@ -11,55 +10,8 @@ import (
 	"time"
 
 	"parowl/internal/dl"
-
 	"parowl/internal/reasoner"
 )
-
-// TestToldSubsumersAblation: same taxonomy, strictly fewer plug-in calls
-// on a told-heavy corpus, with the shortcut hits accounted.
-func TestToldSubsumersAblation(t *testing.T) {
-	tb := chainTBox(14) // every subsumption is told: maximal shortcut value
-	oracle := reasoner.NewOracle(tb, reasoner.OracleOptions{})
-	plain, err := Classify(tb, Options{Reasoner: oracle, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	told, err := Classify(tb, Options{Reasoner: oracle, Workers: 3, UseToldSubsumers: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !told.Taxonomy.Equal(plain.Taxonomy) {
-		t.Fatal("told-subsumer run produced a different taxonomy")
-	}
-	if told.Stats.ToldHits == 0 {
-		t.Error("no told hits on a pure chain")
-	}
-	if told.Stats.SubsTests >= plain.Stats.SubsTests {
-		t.Errorf("told run used %d tests, plain %d — no reduction",
-			told.Stats.SubsTests, plain.Stats.SubsTests)
-	}
-}
-
-// TestToldSubsumersCorrectAcrossRandomOntologies property-checks that the
-// shortcut never changes results.
-func TestToldSubsumersCorrectAcrossRandomOntologies(t *testing.T) {
-	for seed := int64(0); seed < 15; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		tb := randomTaxonomyTBox(rng, 4+rng.Intn(12))
-		r := tableauFactory(tb)
-		plain, err := Classify(tb, Options{Reasoner: r, Workers: 3, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		told, err := Classify(tb, Options{Reasoner: r, Workers: 3, Seed: seed, UseToldSubsumers: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !told.Taxonomy.Equal(plain.Taxonomy) {
-			t.Fatalf("seed %d: told shortcut changed the taxonomy", seed)
-		}
-	}
-}
 
 // TestWorkerLoadsRecorded: the trace must carry per-worker loads whose sum
 // matches the cycle runtime, and a sane imbalance factor.
@@ -151,43 +103,6 @@ func TestPluginPanicRecovered(t *testing.T) {
 			t.Fatalf("after=%d: no taxonomy", after)
 		}
 	}
-}
-
-// TestToldDisjointShortcut: asserted disjointness between satisfiable
-// branches answers the cross-branch tests negatively without the plug-in.
-func TestToldDisjointShortcut(t *testing.T) {
-	tb := dl.NewTBox("disjtold")
-	a, b := tb.Declare("A"), tb.Declare("B")
-	var below []*dl.Concept
-	for i := 0; i < 5; i++ {
-		ca := tb.Declare(fmt.Sprintf("A%d", i))
-		cb := tb.Declare(fmt.Sprintf("B%d", i))
-		tb.SubClassOf(ca, a)
-		tb.SubClassOf(cb, b)
-		below = append(below, ca, cb)
-	}
-	tb.DisjointClasses(a, b)
-	r := tableauFactory(tb)
-	plain, err := Classify(tb, Options{Reasoner: r, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	told, err := Classify(tb, Options{Reasoner: r, Workers: 2, UseToldSubsumers: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !told.Taxonomy.Equal(plain.Taxonomy) {
-		t.Fatal("told-disjoint shortcut changed the taxonomy")
-	}
-	// Every A-branch × B-branch pair (both directions) plus the told
-	// positives are answered without the reasoner.
-	if told.Stats.ToldHits < 50 {
-		t.Errorf("told hits = %d, expected the cross-branch tests covered", told.Stats.ToldHits)
-	}
-	if told.Stats.SubsTests >= plain.Stats.SubsTests {
-		t.Errorf("no test reduction: %d vs %d", told.Stats.SubsTests, plain.Stats.SubsTests)
-	}
-	_ = below
 }
 
 // slowReasoner answers correctly but takes a while per call, honoring

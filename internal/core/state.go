@@ -77,15 +77,6 @@ type state struct {
 
 	optimized bool
 
-	// told[x] is the reflexive-transitive closure of x's told named
-	// subsumers (nil unless Options.UseToldSubsumers): if told[y] has x,
-	// then y ⊑ x follows from asserted axioms and needs no reasoner call.
-	told []*bitset.Set
-	// disjPairs holds asserted named disjointness pairs; together with
-	// told they justify negative answers (told-disjoint satisfiable
-	// concepts cannot subsume one another).
-	disjPairs [][2]int
-
 	// filter is the plug-in's optional ModelFilter capability (non-nil
 	// only with Options.ModelFilter and a capable plug-in): a cheap sound
 	// non-subsumption probe consulted before dispatching subs?.
@@ -111,7 +102,6 @@ type state struct {
 	satTests   atomic.Int64
 	subsTests  atomic.Int64
 	pruned     atomic.Int64 // pairs resolved without a reasoner call
-	toldHits   atomic.Int64 // tests answered from the told closure
 	preSeeded  atomic.Int64 // tests resolved from EL prepass seeding
 	filterHits atomic.Int64 // subs? dispatches skipped by the model filter
 	timedOut   atomic.Int64 // tests abandoned on budget expiry
@@ -141,70 +131,12 @@ func (s *state) stats() Stats {
 		SatTests:     s.satTests.Load(),
 		SubsTests:    s.subsTests.Load(),
 		Pruned:       s.pruned.Load(),
-		ToldHits:     s.toldHits.Load(),
 		PreSeeded:    s.preSeeded.Load(),
 		FilterHits:   s.filterHits.Load(),
 		TimedOut:     s.timedOut.Load(),
 		Recovered:    s.recovered.Load(),
 		NodeBudget:   s.nodeBudget.Load(),
 		BranchBudget: s.branchBudget.Load(),
-	}
-}
-
-// buildTold computes the told-subsumer closure from the asserted named
-// hierarchy (SubClassOf/EquivalentClasses edges between names, including
-// named conjuncts on the right side). Read-only after construction.
-func (s *state) buildTold() {
-	n := s.n
-	parents := make([][]int, n)
-	addEdge := func(sub, sup *dl.Concept) {
-		si, ok := s.index[sub]
-		if !ok {
-			return
-		}
-		switch sup.Op {
-		case dl.OpName, dl.OpTop:
-			if pi, ok := s.index[sup]; ok {
-				parents[si] = append(parents[si], pi)
-			}
-		case dl.OpAnd:
-			for _, arg := range sup.Args {
-				if arg.Op == dl.OpName {
-					if pi, ok := s.index[arg]; ok {
-						parents[si] = append(parents[si], pi)
-					}
-				}
-			}
-		}
-	}
-	for _, ax := range s.tbox.AsGCIs() {
-		addEdge(ax.Sub, ax.Sup)
-	}
-	for _, ax := range s.tbox.Axioms() {
-		if ax.Kind == dl.AxDisjoint && ax.Sub.Op == dl.OpName && ax.Sup.Op == dl.OpName {
-			a, aok := s.index[ax.Sub]
-			b, bok := s.index[ax.Sup]
-			if aok && bok {
-				s.disjPairs = append(s.disjPairs, [2]int{a, b})
-			}
-		}
-	}
-	s.told = make([]*bitset.Set, n)
-	var visit func(i int, acc *bitset.Set)
-	visit = func(i int, acc *bitset.Set) {
-		if acc.Test(i) {
-			return
-		}
-		acc.Set(i)
-		for _, p := range parents[i] {
-			visit(p, acc)
-		}
-	}
-	for i := 0; i < n; i++ {
-		acc := bitset.New(n)
-		visit(i, acc)
-		acc.Set(s.top) // everything is below ⊤
-		s.told[i] = acc
 	}
 }
 
@@ -355,24 +287,6 @@ func (s *state) testDirected(x, y int) (bool, time.Duration) {
 		// the TBox, so the positive answer needs no plug-in call.
 		s.preSeeded.Add(1)
 		return true, 0
-	}
-	if s.told != nil {
-		if s.told[y].Test(x) {
-			// y ⊑ x is asserted (transitively): no reasoner call needed.
-			s.toldHits.Add(1)
-			s.K[x].Set(y)
-			return true, 0
-		}
-		// Told disjointness refutes subsumption: if ancestors of x and y
-		// are asserted disjoint, y ⊑ x would make y unsatisfiable — but
-		// the caller already established sat?(y).
-		for _, pr := range s.disjPairs {
-			if (s.told[x].Test(pr[0]) && s.told[y].Test(pr[1])) ||
-				(s.told[x].Test(pr[1]) && s.told[y].Test(pr[0])) {
-				s.toldHits.Add(1)
-				return false, 0
-			}
-		}
 	}
 	if s.filter != nil && s.filterDisproves(x, y) {
 		// The filter's "definitely not subsumed" verdict is sound, so the

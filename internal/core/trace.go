@@ -59,15 +59,13 @@ type Cycle struct {
 	WorkerLoads []time.Duration
 
 	// SubsTests and SatTests count reasoner calls during this cycle;
-	// Pruned counts pairs resolved without a call. ToldHits counts tests
-	// answered from the told-subsumer closure (optional optimization).
-	// PreSeeded counts tests resolved from the EL prepass seeding and
-	// FilterHits the subs? dispatches skipped by the model filter (the
-	// cheap-first pipeline's counters; zero with the pipeline off).
+	// Pruned counts pairs resolved without a call. PreSeeded counts tests
+	// resolved from the EL prepass seeding and FilterHits the subs?
+	// dispatches skipped by the model filter (the cheap-first pipeline's
+	// counters; zero with the pipeline off).
 	SubsTests  int64
 	SatTests   int64
 	Pruned     int64
-	ToldHits   int64
 	PreSeeded  int64
 	FilterHits int64
 

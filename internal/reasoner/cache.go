@@ -204,8 +204,7 @@ func (c *Cached) Unwrap() Interface { return c.r }
 // CacheEntry is one settled answer in a portable cache snapshot. Keys are
 // the same dense-concept-ID compounds Cached uses internally, so a
 // snapshot is only meaningful for the same TBox (IDs are assigned in
-// first-use order and are stable across re-parses of the same ontology —
-// checkpoints guard this with an ontology fingerprint).
+// first-use order and are stable across re-parses of the same ontology).
 type CacheEntry struct {
 	Key uint64
 	Val bool
@@ -218,9 +217,9 @@ type CacheSnapshot struct {
 }
 
 // CachePorter is an optional capability: exporting and importing settled
-// answers, so classification checkpoints can persist tableau work that is
-// not yet reflected in the shared bitsets. Implementations must be safe
-// for concurrent use.
+// answers. Classification checkpoints do not carry them: a snapshot is
+// cut at quiescence, where P, K and tested already hold every answer a
+// memo could supply. Implementations must be safe for concurrent use.
 type CachePorter interface {
 	ExportCache() CacheSnapshot
 	ImportCache(CacheSnapshot)
@@ -250,8 +249,8 @@ func importShards(shards *[cacheShards]cacheShard, entries []CacheEntry) {
 }
 
 // ExportCache implements CachePorter. Each shard is read under its own
-// lock; entries settled while the export runs may or may not appear,
-// which is fine for checkpointing (the snapshot is a subset of truth).
+// lock; entries settled while the export runs may or may not appear (the
+// snapshot is a subset of truth).
 func (c *Cached) ExportCache() CacheSnapshot {
 	return CacheSnapshot{
 		Sat:  exportShards(&c.sat),

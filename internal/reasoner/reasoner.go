@@ -103,8 +103,8 @@ func AsModelFilter(r Interface) ModelFilter {
 }
 
 // AsCachePorter returns r's CachePorter capability (the ability to export
-// and import settled answers, used by classification checkpoints), or nil
-// if neither r nor any plug-in it wraps implements it.
+// and import settled answers), or nil if neither r nor any plug-in it
+// wraps implements it.
 func AsCachePorter(r Interface) CachePorter {
 	for r != nil {
 		if cp, ok := r.(CachePorter); ok {

@@ -7,6 +7,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -141,6 +142,55 @@ func TestRestartReadopt(t *testing.T) {
 		if _, _, q := get(t, queryURL(ts2, id, want[id].spec)); q != want[id].query {
 			t.Errorf("%s: post-restart query answers differ:\n got %q\nwant %q", id, q, want[id].query)
 		}
+	}
+}
+
+// TestReadoptRefusesOldCheckpoint: a classified entry whose checkpoint
+// carries an older format version (its version field rewritten to 2 and
+// the CRC resealed, so only the version check can refuse it) comes back
+// interrupted at boot instead of serving or failing the boot, and a
+// resubmit reclassifies it to the same taxonomy.
+func TestReadoptRefusesOldCheckpoint(t *testing.T) {
+	t.Parallel()
+	ckdir := t.TempDir()
+	text := genOBO(t, 63, 80)
+	s1, ts1 := newTestServer(t, Config{CheckpointDir: ckdir})
+	if code, body := submit(t, ts1, "old", "", text); code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d: %s", code, body)
+	}
+	waitStatus(t, ts1, "old", StatusClassified)
+	_, _, want := get(t, ts1.URL+"/ontologies/old/taxonomy")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s1.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	ts1.Close()
+
+	ck := filepath.Join(ckdir, "old.ck")
+	data, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[8:], 2) // the version follows the 8-byte magic
+	body := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(body))
+	if err := os.WriteFile(ck, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := newTestServer(t, Config{CheckpointDir: ckdir})
+	waitReady(t, ts2)
+	info := waitStatus(t, ts2, "old", StatusInterrupted)
+	if !strings.Contains(info.Error, "unsupported version 2") {
+		t.Errorf("interrupted entry's error = %q, want the version refusal", info.Error)
+	}
+	if code, body := submit(t, ts2, "old", "", text); code != http.StatusAccepted {
+		t.Fatalf("resubmit: HTTP %d: %s", code, body)
+	}
+	waitStatus(t, ts2, "old", StatusClassified)
+	if _, _, got := get(t, ts2.URL+"/ontologies/old/taxonomy"); got != want {
+		t.Errorf("reclassified taxonomy differs (%d vs %d bytes)", len(got), len(want))
 	}
 }
 

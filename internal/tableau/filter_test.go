@@ -12,7 +12,9 @@ import (
 
 // TestDisprovesSubsSound property-checks the filter's one-sided contract:
 // whenever DisprovesSubs answers true, the full tableau must agree the
-// subsumption does not hold. False answers promise nothing.
+// subsumption does not hold. False answers promise nothing. Half the
+// ontologies carry a role inclusion r ⊑ s, so merges across ∃/∀ and
+// number restrictions on related roles are exercised too.
 func TestDisprovesSubsSound(t *testing.T) {
 	ctx := context.Background()
 	check := func(seed int64) bool {
@@ -25,6 +27,9 @@ func TestDisprovesSubsSound(t *testing.T) {
 			cs[i] = tb.Declare(fmt.Sprintf("M%d", i))
 		}
 		roles := []*dl.Role{f.Role("r"), f.Role("s")}
+		if rng.Intn(2) == 0 {
+			tb.SubObjectPropertyOf(roles[0], roles[1])
+		}
 		for i, k := 0, 3+rng.Intn(6); i < k; i++ {
 			sub := cs[rng.Intn(n)]
 			switch rng.Intn(6) {
@@ -42,7 +47,7 @@ func TestDisprovesSubsSound(t *testing.T) {
 				tb.SubClassOf(sub, cs[rng.Intn(n)])
 			}
 		}
-		r := New(tb, Options{}) // filter works with ModelMerging off
+		r := New(tb, Options{})
 		for _, sub := range tb.NamedConcepts() {
 			for _, sup := range tb.NamedConcepts() {
 				if !r.DisprovesSubs(ctx, sup, sub) {

@@ -114,14 +114,13 @@ func (mc *modelCache) put(c *dl.Concept, pm *pmodel) {
 // DisprovesSubs reports that sub ⊑ sup definitely does not hold, by
 // merging the cached pseudo models of sub and ¬sup: mergeable models
 // witness a model of sub ⊓ ¬sup, so the subsumption fails. It
-// implements the classifier's optional ModelFilter capability and is
-// independent of Options.ModelMerging (which applies the same check
-// inside Subs). A nil pseudo model — budget blowup or cancellation
-// while building it — or an unsatisfiable side answers false ("don't
-// know"): an unsatisfiable sub is subsumed by everything, and an
-// unsatisfiable ¬sup makes sup equivalent to ⊤. The pseudo models are
-// extracted from the pooled solver arenas before release and hold only
-// interned factory objects, so the probe is safe for concurrent use
+// implements the classifier's optional ModelFilter capability and is the
+// one place pseudo-model merging runs. A nil pseudo model — budget blowup
+// or cancellation while building it — or an unsatisfiable side answers
+// false ("don't know"): an unsatisfiable sub is subsumed by everything,
+// and an unsatisfiable ¬sup makes sup equivalent to ⊤. The pseudo models
+// are extracted from the pooled solver arenas before release and hold
+// only interned factory objects, so the probe is safe for concurrent use
 // from every worker.
 func (r *Reasoner) DisprovesSubs(ctx context.Context, sup, sub *dl.Concept) bool {
 	pmSub := r.pseudoModel(ctx, sub)

@@ -24,12 +24,6 @@ type Options struct {
 	// single test may explore; 0 means DefaultMaxBranches. Exceeding it
 	// returns ErrBranchBudget.
 	MaxBranches int
-	// ModelMerging enables the pseudo-model merging optimization: a
-	// subsumption test subs?(D, C) whose cached pseudo models of C and
-	// ¬D merge is answered false without a tableau run. Off by default
-	// (the paper evaluates its architecture without enhanced reasoner
-	// optimizations).
-	ModelMerging bool
 }
 
 // Stats counts reasoner activity with atomic counters, safe to read while
@@ -38,7 +32,7 @@ type Stats struct {
 	SatTests   atomic.Int64 // calls answered by a tableau run
 	SubsTests  atomic.Int64 // Subs calls (each is one sat test)
 	Nodes      atomic.Int64 // completion-graph nodes created, cumulative
-	MergeSkips atomic.Int64 // non-subsumptions decided by model merging
+	MergeSkips atomic.Int64 // DisprovesSubs hits: non-subsumptions shown by model merging
 	Cancelled  atomic.Int64 // tests abandoned on context cancellation
 
 	// Arena effectiveness counters (see arena.go). A warm classification
@@ -130,26 +124,13 @@ func (r *Reasoner) Sat(ctx context.Context, c *dl.Concept) (bool, error) {
 }
 
 // Subs reports whether sup subsumes sub (sub ⊑ sup) with respect to the
-// TBox, by testing the unsatisfiability of sub ⊓ ¬sup. With
-// Options.ModelMerging, mergeable cached pseudo models of sub and ¬sup
-// decide the (far more common) negative answer without a tableau run.
+// TBox, by testing the unsatisfiability of sub ⊓ ¬sup. Every call runs
+// the tableau; the cheap pseudo-model merge that settles most negatives
+// is DisprovesSubs, which the classifier consults first (the model
+// filter).
 func (r *Reasoner) Subs(ctx context.Context, sup, sub *dl.Concept) (bool, error) {
 	r.stats.SubsTests.Add(1)
 	f := r.tbox.Factory
-	if r.opts.ModelMerging {
-		pmSub := r.pseudoModel(ctx, sub)
-		if pmSub != nil && !pmSub.sat {
-			return true, nil // unsatisfiable sub is subsumed by everything
-		}
-		pmNeg := r.pseudoModel(ctx, f.Not(sup))
-		if pmNeg != nil && !pmNeg.sat {
-			return true, nil // ¬sup unsatisfiable: sup ≡ ⊤
-		}
-		if pmSub != nil && pmNeg != nil && mergeable(pmSub, pmNeg) {
-			r.stats.MergeSkips.Add(1)
-			return false, nil
-		}
-	}
 	sat, err := r.Sat(ctx, f.And(sub, f.Not(sup)))
 	if err != nil {
 		return false, err

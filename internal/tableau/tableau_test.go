@@ -3,7 +3,6 @@ package tableau
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -455,92 +454,6 @@ func TestConcurrentReasonerUse(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// TestModelMergingAgreesWithPlain property-checks that the pseudo-model
-// merging optimization never changes an answer: for random ontologies and
-// all named pairs, Subsumes with merging equals Subsumes without.
-func TestModelMergingAgreesWithPlain(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tb := dl.NewTBox("mm")
-		f := tb.Factory
-		n := 4 + rng.Intn(4)
-		cs := make([]*dl.Concept, n)
-		for i := range cs {
-			cs[i] = tb.Declare(fmt.Sprintf("M%d", i))
-		}
-		roles := []*dl.Role{f.Role("r"), f.Role("s")}
-		if rng.Intn(2) == 0 {
-			tb.SubObjectPropertyOf(roles[0], roles[1])
-		}
-		for i, k := 0, 3+rng.Intn(6); i < k; i++ {
-			sub := cs[rng.Intn(n)]
-			switch rng.Intn(6) {
-			case 0:
-				tb.SubClassOf(sub, f.Some(roles[rng.Intn(2)], cs[rng.Intn(n)]))
-			case 1:
-				tb.SubClassOf(sub, f.All(roles[rng.Intn(2)], cs[rng.Intn(n)]))
-			case 2:
-				tb.SubClassOf(sub, f.Min(2, roles[rng.Intn(2)], cs[rng.Intn(n)]))
-			case 3:
-				tb.SubClassOf(sub, f.Max(1+rng.Intn(2), roles[rng.Intn(2)], cs[rng.Intn(n)]))
-			case 4:
-				tb.DisjointClasses(sub, cs[rng.Intn(n)])
-			default:
-				tb.SubClassOf(sub, cs[rng.Intn(n)])
-			}
-		}
-		plain := New(tb, Options{})
-		merged := New(tb, Options{ModelMerging: true})
-		for _, sub := range tb.NamedConcepts() {
-			for _, sup := range tb.NamedConcepts() {
-				want, err1 := plain.Subs(context.Background(), sup, sub)
-				got, err2 := merged.Subs(context.Background(), sup, sub)
-				if err1 != nil || err2 != nil {
-					continue // budget blowups: skip the pair
-				}
-				if got != want {
-					t.Logf("seed %d: %v ⊑ %v: merged=%v plain=%v", seed, sub, sup, got, want)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestModelMergingSkips: on a flat ontology of unrelated concepts, almost
-// every test is a non-subsumption the merging decides without a tableau
-// run.
-func TestModelMergingSkips(t *testing.T) {
-	tb := dl.NewTBox("flat")
-	f := tb.Factory
-	for i := 0; i < 10; i++ {
-		tb.SubClassOf(tb.Declare(fmt.Sprintf("F%d", i)), f.Some(f.Role(fmt.Sprintf("q%d", i)), tb.Declare(fmt.Sprintf("G%d", i))))
-	}
-	r := New(tb, Options{ModelMerging: true})
-	for _, sub := range tb.NamedConcepts() {
-		for _, sup := range tb.NamedConcepts() {
-			if sub == sup {
-				continue
-			}
-			if _, err := r.Subs(context.Background(), sup, sub); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if skips := r.Stats().MergeSkips.Load(); skips == 0 {
-		t.Error("no merge skips on a flat ontology")
-	} else {
-		total := r.Stats().SubsTests.Load()
-		if float64(skips) < 0.5*float64(total) {
-			t.Errorf("merge skipped only %d of %d tests", skips, total)
 		}
 	}
 }

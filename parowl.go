@@ -264,14 +264,6 @@ func NewTableauReasoner(t *TBox) Reasoner {
 	return tableau.New(t, tableau.Options{})
 }
 
-// NewTableauReasonerMM returns the tableau plug-in with the pseudo-model
-// merging optimization enabled: non-subsumptions whose cached pseudo
-// models merge are answered without a tableau run (the classic
-// Racer/FaCT++ optimization; benchmarked as an ablation).
-func NewTableauReasonerMM(t *TBox) Reasoner {
-	return tableau.New(t, tableau.Options{ModelMerging: true})
-}
-
 // NewELReasoner returns the saturation-based plug-in; it fails if the
 // TBox leaves the EL fragment.
 func NewELReasoner(t *TBox) (Reasoner, error) {
@@ -303,17 +295,12 @@ var (
 	HeavyTailCost = reasoner.HeavyTailCost
 )
 
-// NewCachedReasoner wraps a plug-in with the sharded single-flight memo
-// table. A cached plug-in also gains the cache export/import capability
-// that lets classification checkpoints (Options.Checkpoint) persist
-// settled answers across a crash.
-func NewCachedReasoner(r Reasoner) Reasoner { return reasoner.NewCached(r) }
-
 // NewChaosReasoner wraps a plug-in with deterministic fault injection
 // (random errors, panics, hangs, budget exhaustion, added latency) for
-// crash-safety and degradation testing. Compose it outside other
-// decorators: NewChaosReasoner(NewCachedReasoner(r), o), never the
-// reverse. Panics on invalid options.
+// crash-safety and degradation testing. Make it the outermost layer of
+// a decorated plug-in: a decorator wrapped around it, such as a memo with
+// single-flight bookkeeping, could be unwound mid-update by an injected
+// panic. Panics on invalid options.
 func NewChaosReasoner(r Reasoner, o ChaosOptions) Reasoner { return reasoner.NewChaos(r, o) }
 
 // ParseChaos parses the compact chaos spec used by the -chaos flag of

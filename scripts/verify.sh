@@ -1,7 +1,9 @@
 #!/bin/sh
 # verify.sh — the repository's pre-merge gate, also available as `make verify`:
-# full build, vet, every test, and the race detector over the packages with
-# concurrent hot paths (classifier core, tableau arenas, caching layer).
+# full build, vet, every test (the perfbench module's too, so a removal that
+# breaks the benchmark's test build fails here), and the race detector over
+# the packages with concurrent hot paths (classifier core, tableau arenas,
+# caching layer).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -11,6 +13,8 @@ echo "== go vet ./..."
 go vet ./...
 echo "== go test ./..."
 go test ./...
+echo "== perfbench: the benchmark module's own build and tests"
+(cd perfbench && go test ./...)
 echo "== go test -race (core, tableau, reasoner, el, taxonomy, bitset)"
 go test -race ./internal/core/... ./internal/tableau/... ./internal/reasoner/... ./internal/el/... ./internal/taxonomy/... ./internal/bitset/...
 echo "== EL saturation suite: sequential oracle, worker counts, cancellation, row seeding (-race -count=10)"
