@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"parowl/internal/bitset"
 	"parowl/internal/core"
 	"parowl/internal/el"
 	"parowl/internal/ontogen"
@@ -242,6 +243,58 @@ func BenchmarkTableauSubsumption(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkModelFilterRows measures the model filter over every ordered
+// pair of nskisimple/3's concepts and ⊤ (the classify-qcr corpus), in the
+// two forms the tableau offers: FilterRows' column index and one row of
+// word-wide bit operations per concept, against one DisprovesSubs merge
+// per pair. Every pseudo model is cached before timing (Sat keeps pm(y), a first
+// pass builds each pm(¬x)), so both sides time the merging alone.
+func BenchmarkModelFilterRows(b *testing.B) {
+	tb := benchCorpus(b, "nskisimple_functional", 3)
+	cs := append(tb.NamedConcepts(), tb.Factory.Top())
+	ctx := context.Background()
+	tab := tableau.New(tb, tableau.Options{})
+	for _, c := range tb.NamedConcepts() {
+		if _, err := tab.Sat(ctx, c); err != nil {
+			b.Fatal(err)
+		}
+	}
+	out := bitset.New(len(cs))
+	rows := func() (hits int) {
+		row := tab.FilterRows(ctx, cs)
+		for x := range cs {
+			row(x, out)
+			hits += out.Count()
+		}
+		return hits
+	}
+	want := rows()
+	b.Run("rows", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if got := rows(); got != want {
+				b.Fatalf("%d hits, want %d", got, want)
+			}
+		}
+	})
+	b.Run("pairwise", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			hits := 0
+			for _, sup := range cs {
+				for _, sub := range cs {
+					if tab.DisprovesSubs(ctx, sup, sub) {
+						hits++
+					}
+				}
+			}
+			if hits != want {
+				b.Fatalf("%d hits, want %d", hits, want)
+			}
+		}
+	})
 }
 
 // BenchmarkTableauSatReuse measures repeated satisfiability tests served

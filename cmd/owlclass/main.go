@@ -40,7 +40,7 @@ var (
 	dot     = flag.Bool("dot", false, "print the taxonomy in Graphviz DOT format")
 	summary = flag.Bool("summary", false, "print a one-line taxonomy summary")
 	prepass = flag.Bool("prepass", true, "EL pre-saturation: seed known subsumptions from the EL fragment before testing; -prepass=false -modelfilter=false runs the paper's plain algorithm")
-	mfilter = flag.Bool("modelfilter", true, "consult the plug-in's model filter, a cheap non-subsumption probe, before each subs? dispatch")
+	mfilter = flag.Bool("modelfilter", true, "build the plug-in's model-filter rows, cheap non-subsumption proofs, and consult them before each subs? dispatch")
 	timeout = flag.Duration("timeout", 0, "abort classification after this duration (0 = none)")
 
 	testTimeout = flag.Duration("test-timeout", 0, "budget per sat?/subs? test; expired tests are retried then recorded as undecided (0 = none)")

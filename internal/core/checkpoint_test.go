@@ -54,7 +54,7 @@ type countdownReasoner struct {
 }
 
 // Unwrap exposes the underlying reasoner so the classifier still finds
-// its ModelFilter capability through the decorator.
+// its RowFilter capability through the decorator.
 func (c countdownReasoner) Unwrap() reasoner.Interface { return c.Interface }
 
 func (c countdownReasoner) tick() error {

@@ -73,10 +73,11 @@ type Options struct {
 	// Stats.PreSeeded.
 	ELPrepass bool
 	// ModelFilter enables stage 2 of the pipeline: when the plug-in
-	// offers the optional reasoner.ModelFilter capability (detected by
-	// type assertion), it is consulted before every subs? dispatch and a
-	// "definitely not subsumed" answer skips the full test. Ignored for
-	// plug-ins without the capability. Savings are reported in
+	// offers the optional reasoner.RowFilter capability (found through
+	// reasoner.AsRowFilter), the prepass settles every concept's sat?
+	// and builds one disproof row per concept still in an open pair, and
+	// a "definitely not subsumed" bit skips the full subs? test. Ignored
+	// for plug-ins without the capability. Savings are reported in
 	// Stats.FilterHits.
 	ModelFilter bool
 	// TestTimeout bounds each individual sat?/subs? plug-in call. A call
@@ -167,7 +168,7 @@ type Stats struct {
 	// its exact saturation resolves as a non-subsumption.
 	PreSeeded int64
 	// FilterHits counts subs? dispatches skipped because the plug-in's
-	// ModelFilter disproved the subsumption (Options.ModelFilter).
+	// row filter disproved the subsumption (Options.ModelFilter).
 	FilterHits int64
 	TimedOut   int64 // tests abandoned after exhausting their budget
 	Recovered  int64 // plug-in panics recovered into per-test errors
@@ -244,8 +245,9 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	s.ctx = ctx
 	s.testTimeout = opts.TestTimeout
 	s.testRetries = opts.TestRetries
+	var rows reasoner.RowFilter
 	if opts.ModelFilter {
-		s.filter = reasoner.AsModelFilter(opts.Reasoner)
+		rows = reasoner.AsRowFilter(opts.Reasoner)
 	}
 	if opts.Scheduling == Async {
 		// Per-concept hardness EWMAs drive the LPT submission order; the
@@ -301,10 +303,15 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	epoch := func() int64 { return s.epochBase + p.epoch.Load() }
 
 	// A snapshot whose prepass already ran restored its seeded facts;
-	// re-running the prepass over a resumed state would be sound (claims
-	// no-op) but wasted.
-	if opts.ELPrepass && !s.prepassed && !s.failed() {
-		s.runPrepass(p, workers, trace)
+	// re-running the seeding over a resumed state would be sound (claims
+	// no-op) but wasted. The filter's rows are never checkpointed, so a
+	// resumed run with pairs left builds them again.
+	seed := opts.ELPrepass && !s.prepassed
+	if rows != nil && s.remainingPossible() == 0 {
+		rows = nil
+	}
+	if (seed || rows != nil) && !s.failed() {
+		s.runPrepass(p, workers, seed, rows, trace)
 		ck.write(s, PhaseRandom, false, nil, epoch())
 	}
 
@@ -333,6 +340,7 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 			ck.write(s, PhaseGroup, false, nil, epoch())
 		}
 	}
+	s.disproved = nil // n² bits that phase 3 does not read
 	if err := s.errOrNil(); err != nil {
 		return nil, fmt.Errorf("core: classification failed: %w", err)
 	}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -156,7 +158,7 @@ func TestQuickPipelineEquivalence(t *testing.T) {
 						return false
 					}
 					if cov.Complete() {
-						n := calls.SatCalls.Load() + calls.SubsCalls.Load() + calls.FilterHits.Load()
+						n := calls.SatCalls.Load() + calls.SubsCalls.Load()
 						if n != 0 || on.Stats.SatTests+on.Stats.SubsTests+on.Stats.FilterHits != 0 {
 							t.Logf("seed %d %s mode=%v sched=%v: complete fragment, yet %d plug-in calls (stats %+v)",
 								seed, tb.Name, mode, sched, n, on.Stats)
@@ -386,8 +388,8 @@ func TestPrepassCountersExample(t *testing.T) {
 }
 
 // TestPipelineWithELPlugin runs the pipeline with the EL reasoner itself
-// as the plug-in (complete fragment ⇒ its ModelFilter capability is
-// live), crossing the two cheap deciders against each other.
+// as the plug-in, crossing the prepass's fragment saturation against the
+// plug-in's own.
 func TestPipelineWithELPlugin(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 10; i++ {
@@ -405,20 +407,110 @@ func TestPipelineWithELPlugin(t *testing.T) {
 	}
 }
 
-// TestCachedFilterIntegration checks the decorator chain end to end: a
-// Cached(tableau) plug-in must keep the ModelFilter capability, and the
-// pipeline must classify identically through it.
+// TestCachedFilterIntegration checks the decorator chain end to end: the
+// tableau's RowFilter capability must be found through a Cached
+// decorator, its rows must settle tests, and the pipeline must classify
+// identically through it.
 func TestCachedFilterIntegration(t *testing.T) {
 	tb := randomMixedTBox(rand.New(rand.NewSource(9)), 12)
 	r := reasoner.NewCached(tableau.New(tb, tableau.Options{}))
-	if reasoner.AsModelFilter(r) == nil {
-		t.Fatal("Cached(tableau) lost the ModelFilter capability")
+	if reasoner.AsRowFilter(r) == nil {
+		t.Fatal("Cached(tableau) hides the RowFilter capability")
 	}
 	off := classify(t, tb, pipelineOff(Options{Reasoner: r, Workers: 4}))
 	on := classify(t, tb, pipelineOn(Options{Reasoner: r, Workers: 4}))
 	if on.Taxonomy.Render() != off.Taxonomy.Render() {
 		t.Fatalf("taxonomies differ\n on:\n%s\n off:\n%s",
 			on.Taxonomy.Render(), off.Taxonomy.Render())
+	}
+	if on.Stats.FilterHits == 0 {
+		t.Error("no filter hits through Cached")
+	}
+}
+
+// faultyRows wraps the tableau with a row filter that misbehaves on cue:
+// with indexPanics FilterRows panics before indexing, and onRow runs
+// after each real row is filled, so a panic there must discard a row that
+// is already complete. rows counts the rows asked for.
+type faultyRows struct {
+	*tableau.Reasoner
+	indexPanics bool
+	onRow       func(x int)
+	rows        *atomic.Int64
+}
+
+func (f faultyRows) FilterRows(ctx context.Context, cs []*dl.Concept) func(int, *bitset.Set) {
+	if f.indexPanics {
+		panic("faulty index")
+	}
+	row := f.Reasoner.FilterRows(ctx, cs)
+	return func(x int, out *bitset.Set) {
+		f.rows.Add(1)
+		row(x, out)
+		f.onRow(x)
+	}
+}
+
+// TestRowFilterFaults: the model filter is advisory. A row filter that
+// panics — while indexing, in every row, or in every other row — costs
+// only the rows it loses: with and without the EL prepass, in both
+// modes, the run completes with the pipeline-off taxonomy and no
+// undecided test, and a run that lost every row has no filter hit. A
+// context cancelled mid-build fails the run with the context error.
+func TestRowFilterFaults(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 4; i++ {
+		tb := randomMixedTBox(rng, 8+rng.Intn(8))
+		r := tableau.New(tb, tableau.Options{})
+		off := classify(t, tb, pipelineOff(Options{Reasoner: r, Workers: 3}))
+		var rows atomic.Int64
+		for _, fault := range []struct {
+			name string
+			f    faultyRows
+			lost bool
+		}{
+			{"index", faultyRows{Reasoner: r, indexPanics: true, rows: &rows}, true},
+			{"every row", faultyRows{Reasoner: r, onRow: func(int) { panic("faulty row") }, rows: &rows}, true},
+			{"odd rows", faultyRows{Reasoner: r, onRow: func(x int) {
+				if x%2 == 1 {
+					panic("faulty row")
+				}
+			}, rows: &rows}, false},
+		} {
+			for _, prepass := range []bool{false, true} {
+				for _, mode := range []Mode{Basic, Optimized} {
+					rows.Store(0)
+					res := classify(t, tb, Options{Reasoner: fault.f, Workers: 3, Mode: mode, ELPrepass: prepass, ModelFilter: true})
+					where := fmt.Sprintf("tbox %d, %s fault, prepass=%v, mode=%v", i, fault.name, prepass, mode)
+					if res.Taxonomy.Render() != off.Taxonomy.Render() {
+						t.Fatalf("%s: taxonomy differs from pipeline-off\n got:\n%s\nwant:\n%s",
+							where, res.Taxonomy.Render(), off.Taxonomy.Render())
+					}
+					if len(res.Undecided) != 0 {
+						t.Errorf("%s: undecided tests %v", where, res.Undecided)
+					}
+					if fault.lost && res.Stats.FilterHits != 0 {
+						t.Errorf("%s: %d filter hits from lost rows", where, res.Stats.FilterHits)
+					}
+					if !prepass && !fault.f.indexPanics && rows.Load() == 0 {
+						t.Errorf("%s: no row was built", where)
+					}
+				}
+			}
+		}
+	}
+
+	tb := randomMixedTBox(rand.New(rand.NewSource(6)), 12)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var rows atomic.Int64
+	f := faultyRows{Reasoner: tableau.New(tb, tableau.Options{}), onRow: func(int) { cancel() }, rows: &rows}
+	_, err := ClassifyContext(ctx, tb, Options{Reasoner: f, Workers: 3, ModelFilter: true})
+	if rows.Load() == 0 {
+		t.Fatal("no row was built, so nothing was cancelled mid-build")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled mid-build: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -161,6 +161,21 @@ type batchReport struct {
 	waits []int64
 }
 
+// merge appends o's tasks to r and adds o's per-worker counters to r's,
+// so two barrier-delimited batches are recorded as one cycle.
+func (r *batchReport) merge(o batchReport) {
+	r.durs = append(r.durs, o.durs...)
+	r.workers = append(r.workers, o.workers...)
+	for i := range r.loads {
+		r.loads[i] += o.loads[i]
+		r.waits[i] += o.waits[i]
+	}
+	for i := range r.steals {
+		r.steals[i] += o.steals[i]
+		r.stolenFrom[i] += o.stolenFrom[i]
+	}
+}
+
 // pool is the fixed worker pool of Algorithm 1 (createWorkerPool). It is
 // created once per classification run and reused across phases; each
 // phase submits a batch of tasks and waits on the barrier.

@@ -4,20 +4,25 @@ import (
 	"time"
 
 	"parowl/internal/bitset"
+	"parowl/internal/dl"
 	"parowl/internal/el"
+	"parowl/internal/reasoner"
 )
 
-// runPrepass is stage 1 of the cheap-first subsumption pipeline
-// (Options.ELPrepass): saturate the EL-expressible fragment of the TBox
-// and write its conclusions into the run's shared state before the
-// random-division phase dispatches a single plug-in test.
+// runPrepass runs the cheap-first subsumption pipeline's stages before
+// the random-division phase dispatches a single plug-in test: stage 1
+// (Options.ELPrepass, when seed is set) saturates the EL-expressible
+// fragment of the TBox and writes its conclusions into the run's shared
+// state; a parallel sat?() sweep then settles every concept; and stage 2
+// (Options.ModelFilter, when rf is the plug-in's row filter) builds the
+// filter's disproof rows.
 //
-// Soundness rests on monotonicity of entailment: the fragment keeps only
-// axioms entailed by the TBox (non-EL axioms are dropped, conjunctive
-// right sides weakened — see el.NewFragment), so every subsumption or
-// unsatisfiability the saturation derives holds for the full TBox. The
-// transfer mirrors exactly what the paper's algorithms would have done
-// had the plug-in answered those tests:
+// Soundness of stage 1 rests on monotonicity of entailment: the fragment
+// keeps only axioms entailed by the TBox (non-EL axioms are dropped,
+// conjunctive right sides weakened — see el.NewFragment), so every
+// subsumption or unsatisfiability the saturation derives holds for the
+// full TBox. The transfer mirrors exactly what the paper's algorithms
+// would have done had the plug-in answered those tests:
 //
 //  1. a fragment-unsatisfiable concept is resolved the way sat() resolves
 //     a plug-in "no" — satState ← satNo and every P entry involving the
@@ -33,12 +38,11 @@ import (
 //     direction, which the K-shortcircuit in testDirected then answers
 //     for free;
 //  3. when the fragment is complete (el.Coverage.Complete) its saturation
-//     is exact for the whole TBox — the property the EL plug-in's
-//     DisprovesSubs relies on — so the prepass decides everything: every
-//     concept it did not prove unsatisfiable is satisfiable, and every
-//     pair it did not prove is a non-subsumption. P is emptied (basic mode
-//     also sets the tested entries) and no sat?, subs? or filter call
-//     follows;
+//     is exact for the whole TBox, so the prepass decides everything:
+//     every concept it did not prove unsatisfiable is satisfiable, and
+//     every pair it did not prove is a non-subsumption. P is emptied
+//     (basic mode also sets the tested entries) and no sat?, subs? or
+//     filter call follows;
 //  4. otherwise every concept whose satisfiability is still unknown gets
 //     its sat?() probe here, in parallel. The baseline runs sat?() exactly
 //     once per concept anyway, so this adds nothing — but it is required
@@ -46,20 +50,25 @@ import (
 //     claim all of a concept's pairs without any test touching it, and a
 //     concept satisfiable in a partial fragment may still be
 //     unsatisfiable in the full TBox, which only a real probe can
-//     discover.
+//     discover. The sweep is also what the row filter indexes: each
+//     probe leaves the concept's pseudo model with the plug-in.
 //
-// Every probe and directed test settled here is counted in
+// Every probe and directed test settled by stage 1 is counted in
 // Stats.PreSeeded. A prepass abandoned by context cancellation poisons
-// the run like any cancelled phase, before any row reaches K.
-func (s *state) runPrepass(p *pool, workers int, trace *Trace) {
+// the run like any cancelled phase, before any row reaches K. The trace
+// records the whole prepass, row build included, as one PhasePrepass
+// cycle.
+func (s *state) runPrepass(p *pool, workers int, seed bool, rf reasoner.RowFilter, trace *Trace) {
 	before := s.snapshot()
 	start := time.Now()
-	s.prepassed = true
-	frag, cov := el.NewFragment(s.tbox, el.Options{Workers: workers})
-	if err := s.seed(frag, cov.Complete()); err != nil {
-		// el saturation fails only on context cancellation.
-		s.fail(err)
-		return
+	if seed {
+		s.prepassed = true
+		frag, cov := el.NewFragment(s.tbox, el.Options{Workers: workers})
+		if err := s.seed(frag, cov.Complete()); err != nil {
+			// el saturation fails only on context cancellation.
+			s.fail(err)
+			return
+		}
 	}
 	seedDur := time.Since(start)
 
@@ -86,7 +95,80 @@ func (s *state) runPrepass(p *pool, workers int, trace *Trace) {
 	// no pool worker (-1), keeping durs and workers aligned.
 	rep.durs = append([]time.Duration{seedDur}, rep.durs...)
 	rep.workers = append([]int{-1}, rep.workers...)
+	if rf != nil && !s.failed() && s.remainingPossible() > 0 {
+		rep.merge(s.buildRows(p, rf))
+	}
 	s.record(trace, PhasePrepass, 1, before, rep)
+}
+
+// buildRows is stage 2's set-up, run once every concept's satisfiability
+// is settled: it fills disproved with one row per satisfiable concept
+// still in an open pair, each built on the pool from rf's column index.
+// The filter is advisory — a pair it leaves unsettled is decided by
+// subs? — so a panicking index build leaves every row out and a
+// panicking row build leaves its row out, instead of failing the run. A
+// run cancelled mid-build fails with the context error. The sequential
+// index build is charged as a pseudo-task on no pool worker (-1).
+func (s *state) buildRows(p *pool, rf reasoner.RowFilter) batchReport {
+	start := time.Now()
+	open := bitset.New(s.n)
+	for x, px := range s.P {
+		if row := px.Snapshot(); !row.IsEmpty() {
+			open.Set(x)
+			open.Union(row)
+		}
+	}
+	cs := make([]*dl.Concept, s.n)
+	open.ForEach(func(x int) bool {
+		if s.satState[x].Load() == satYes {
+			cs[x] = s.named[x]
+		}
+		return true
+	})
+	var row func(int, *bitset.Set)
+	if !advisory(func() { row = rf.FilterRows(s.ctx, cs) }) || row == nil {
+		cs = nil
+	}
+	idxDur := time.Since(start)
+	s.disproved = make([]*bitset.Set, s.n)
+	for x, c := range cs {
+		if c == nil {
+			continue
+		}
+		p.submit(func() time.Duration {
+			if s.failed() {
+				return 0
+			}
+			start := time.Now()
+			out := bitset.New(s.n)
+			if advisory(func() { row(x, out) }) {
+				s.disproved[x] = out
+			}
+			return time.Since(start)
+		})
+	}
+	rep := p.barrier()
+	if err := s.ctx.Err(); err != nil {
+		// Rows built after cancellation may be emptier than they should
+		// be (still sound), but the run must not complete as if whole.
+		s.fail(err)
+	}
+	rep.durs = append([]time.Duration{idxDur}, rep.durs...)
+	rep.workers = append([]int{-1}, rep.workers...)
+	return rep
+}
+
+// advisory runs one model-filter call and reports whether it returned
+// normally. A panic is absorbed on purpose: the caller then drops what
+// the call produced, and the pairs it would have settled go to subs?.
+func advisory(call func()) (ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	call()
+	return true
 }
 
 // seed transfers the saturation of frag into the shared state: steps 1

@@ -77,10 +77,12 @@ type state struct {
 
 	optimized bool
 
-	// filter is the plug-in's optional ModelFilter capability (non-nil
-	// only with Options.ModelFilter and a capable plug-in): a cheap sound
-	// non-subsumption probe consulted before dispatching subs?.
-	filter reasoner.ModelFilter
+	// disproved[x] bit y: the plug-in's model filter showed y ⋢ x, so
+	// subs?(x, y) needs no dispatch. Built by the prepass from the
+	// reasoner.RowFilter capability (Options.ModelFilter) for the
+	// satisfiable concepts still in an open pair, nil rows elsewhere;
+	// dropped when phase 2 ends.
+	disproved []*bitset.Set
 	// prepassed is set once the EL prepass has seeded K, enabling the
 	// K-shortcircuit in testDirected; when off the hot path pays nothing.
 	prepassed bool
@@ -288,7 +290,7 @@ func (s *state) testDirected(x, y int) (bool, time.Duration) {
 		s.preSeeded.Add(1)
 		return true, 0
 	}
-	if s.filter != nil && s.filterDisproves(x, y) {
+	if s.disproved != nil && s.disproved[x] != nil && s.disproved[x].Test(y) {
 		// The filter's "definitely not subsumed" verdict is sound, so the
 		// negative is final: no K update, no plug-in dispatch.
 		s.filterHits.Add(1)
@@ -355,18 +357,6 @@ func (s *state) observeHard(x, y int, cost time.Duration) {
 // hardLoad returns concept c's hardness EWMA in whole nanoseconds.
 func (s *state) hardLoad(c int) int64 {
 	return s.hard[c].Load() >> hardShift
-}
-
-// filterDisproves asks the ModelFilter whether y ⊑ x is impossible. A
-// panicking filter is treated as "don't know" — the probe is advisory
-// and must never poison the run.
-func (s *state) filterDisproves(x, y int) (hit bool) {
-	defer func() {
-		if recover() != nil {
-			hit = false
-		}
-	}()
-	return s.filter.DisprovesSubs(s.ctx, s.named[x], s.named[y])
 }
 
 // resolveBasic performs the basic-mode directed test of Algorithm 2 /

@@ -7,6 +7,7 @@ import (
 
 	"parowl/internal/bitset"
 	"parowl/internal/dl"
+	"parowl/internal/reasoner"
 )
 
 // mixedTBox has one axiom of each coverage class: a kept EL axiom, a
@@ -51,32 +52,23 @@ func TestFragmentCompleteOnPureEL(t *testing.T) {
 	if !cov.Complete() {
 		t.Fatalf("pure EL TBox: coverage = %+v, want complete", cov)
 	}
-	// A complete fragment is the real reasoner: its answers are exact, so
-	// its ModelFilter capability is live.
-	if !frag.DisprovesSubs(context.Background(), f.Name("A"), f.Name("B")) {
-		t.Error("complete fragment failed to disprove a non-subsumption")
-	}
-	if frag.DisprovesSubs(context.Background(), f.Name("B"), f.Name("A")) {
-		t.Error("complete fragment disproved a true subsumption")
-	}
+	// A complete fragment is the real reasoner: its answers are exact.
+	mustSubs(t, frag, f.Name("B"), f.Name("A"), true)
+	mustSubs(t, frag, f.Name("A"), f.Name("B"), false)
 }
 
 // TestFragmentNeverDisproves is the soundness switch: a partial fragment
-// proves but never refutes, so its ModelFilter capability must answer
-// "don't know" for every pair — including pairs it could not prove.
+// proves but never refutes — its saturation is only a lower bound — so
+// the EL reasoner must not offer the classifier a model filter, partial
+// or complete (a complete fragment is decided by the prepass before any
+// filter could run).
 func TestFragmentNeverDisproves(t *testing.T) {
-	tb := mixedTBox()
-	frag, cov := NewFragment(tb, Options{})
+	frag, cov := NewFragment(mixedTBox(), Options{})
 	if cov.Complete() {
 		t.Fatal("test needs a partial fragment")
 	}
-	ctx := context.Background()
-	for _, sub := range tb.NamedConcepts() {
-		for _, sup := range tb.NamedConcepts() {
-			if frag.DisprovesSubs(ctx, sup, sub) {
-				t.Fatalf("partial fragment disproved %v ⊑ %v", sub, sup)
-			}
-		}
+	if reasoner.AsRowFilter(frag) != nil || reasoner.AsModelFilter(frag) != nil {
+		t.Error("the EL reasoner offers a model filter")
 	}
 }
 

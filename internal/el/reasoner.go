@@ -28,10 +28,9 @@ type Options struct {
 // scratch under its own context. The finished saturation is published
 // through an atomic pointer, so queries after it take no lock.
 type Reasoner struct {
-	tbox     *dl.TBox
-	n        *normalized
-	opts     Options
-	complete bool // the normalization covers the whole TBox, not a fragment
+	tbox *dl.TBox
+	n    *normalized
+	opts Options
 
 	mu  sync.Mutex                 // serializes saturation runs
 	sat atomic.Pointer[saturation] // set once fully saturated
@@ -45,7 +44,7 @@ func New(t *dl.TBox, opts Options) (*Reasoner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reasoner{tbox: t, n: n, opts: opts, complete: true}, nil
+	return &Reasoner{tbox: t, n: n, opts: opts}, nil
 }
 
 // NewFragment builds a reasoner over the EL-expressible fragment of any
@@ -57,7 +56,7 @@ func New(t *dl.TBox, opts Options) (*Reasoner, error) {
 func NewFragment(t *dl.TBox, opts Options) (*Reasoner, Coverage) {
 	t.Freeze()
 	n, cov := newNormalizedFragment(t)
-	return &Reasoner{tbox: t, n: n, opts: opts, complete: cov.Complete()}, cov
+	return &Reasoner{tbox: t, n: n, opts: opts}, cov
 }
 
 // TBox returns the TBox this reasoner answers for.
@@ -144,19 +143,6 @@ func (r *Reasoner) Subs(ctx context.Context, sup, sub *dl.Concept) (bool, error)
 		return false, err
 	}
 	return sat.has(sa, pa), nil
-}
-
-// DisprovesSubs reports that sub ⊑ sup definitely does not hold. It
-// implements the classifier's optional ModelFilter capability: for a
-// complete EL reasoner the saturation is complete, so a missing
-// subsumer is a proof of non-subsumption. A fragment reasoner never
-// disproves anything — its saturation is only a lower bound.
-func (r *Reasoner) DisprovesSubs(ctx context.Context, sup, sub *dl.Concept) bool {
-	if !r.complete {
-		return false
-	}
-	ok, err := r.Subs(ctx, sup, sub)
-	return err == nil && !ok
 }
 
 // Seeds saturates under ctx and hands a classifier the proven

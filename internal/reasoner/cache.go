@@ -40,7 +40,6 @@ const cacheShards = 64
 // of a failed flight receives the error, and the next caller retries.
 type Cached struct {
 	r    Interface
-	mf   ModelFilter // non-nil iff r offers the capability
 	sat  [cacheShards]cacheShard
 	subs [cacheShards]cacheShard
 }
@@ -59,13 +58,11 @@ type flight struct {
 	err  error
 }
 
-// NewCached wraps r with a memo table. If r offers the ModelFilter
-// capability the wrapper forwards it, integrated with the memo: a
-// settled answer is consulted before probing, and a successful disproof
-// settles the pair as a negative so later Subs calls skip both the
-// single-flight path and the plug-in.
+// NewCached wraps r with a memo table. Capabilities such as RowFilter
+// are not forwarded by Cached itself; AsRowFilter finds them on r
+// through Unwrap.
 func NewCached(r Interface) *Cached {
-	return &Cached{r: r, mf: AsModelFilter(r)}
+	return &Cached{r: r}
 }
 
 // shardOf hashes a key to its shard with a 64-bit mix (splitmix64
@@ -138,14 +135,6 @@ func (s *cacheShard) do(ctx context.Context, key uint64, fn func(context.Context
 	}
 }
 
-// peek returns the settled answer for key without joining any flight.
-func (s *cacheShard) peek(key uint64) (val, ok bool) {
-	s.mu.Lock()
-	val, ok = s.vals[key]
-	s.mu.Unlock()
-	return val, ok
-}
-
 // put settles key to val unless already settled.
 func (s *cacheShard) put(key uint64, val bool) {
 	s.mu.Lock()
@@ -156,28 +145,6 @@ func (s *cacheShard) put(key uint64, val bool) {
 		s.vals[key] = val
 	}
 	s.mu.Unlock()
-}
-
-// DisprovesSubs implements ModelFilter when the underlying plug-in does.
-// A memoized answer short-circuits the probe in both directions — a
-// settled negative disproves for free, a settled positive can never be
-// disproved — and a fresh disproof is recorded as a settled negative so
-// subsequent Subs calls for the pair bypass the single-flight miss path
-// entirely.
-func (c *Cached) DisprovesSubs(ctx context.Context, sup, sub *dl.Concept) bool {
-	if c.mf == nil {
-		return false
-	}
-	key := subsKey(sup, sub)
-	shard := &c.subs[shardOf(key)]
-	if val, ok := shard.peek(key); ok {
-		return !val
-	}
-	if !c.mf.DisprovesSubs(ctx, sup, sub) {
-		return false
-	}
-	shard.put(key, false)
-	return true
 }
 
 // Sat implements Interface.
@@ -197,8 +164,7 @@ func (c *Cached) Subs(ctx context.Context, sup, sub *dl.Concept) (bool, error) {
 }
 
 // Unwrap implements Wrapper so capability probes reach the wrapped
-// plug-in. Note Cached implements ModelFilter itself (memo-integrated),
-// so AsModelFilter never walks past it.
+// plug-in.
 func (c *Cached) Unwrap() Interface { return c.r }
 
 // CacheEntry is one settled answer in a portable cache snapshot. Keys are

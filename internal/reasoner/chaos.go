@@ -88,7 +88,7 @@ func NewChaos(r Interface, opts ChaosOptions) *Chaos {
 	return &Chaos{r: r, opts: opts}
 }
 
-// Unwrap implements Wrapper so capability probes (ModelFilter,
+// Unwrap implements Wrapper so capability probes (RowFilter,
 // CachePorter) reach the wrapped plug-in; chaos does not intercept those
 // paths.
 func (c *Chaos) Unwrap() Interface { return c.r }

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"sync/atomic"
 
+	"parowl/internal/bitset"
 	"parowl/internal/dl"
 )
 
@@ -61,18 +62,29 @@ type Interface interface {
 	Subs(ctx context.Context, sup, sub *dl.Concept) (bool, error)
 }
 
-// ModelFilter is an optional capability a plug-in may offer alongside
-// Interface: a cheap, sound non-subsumption test. DisprovesSubs reports
-// that sub ⊑ sup definitely does NOT hold — typically by merging cached
-// pseudo-models of sub and ¬sup, in the spirit of tableau model-merging
-// heuristics — without running a full test. False means "don't know",
-// never "subsumed": callers may skip the expensive Subs dispatch on
-// true, and must fall through to Subs on false.
+// RowFilter is an optional capability a plug-in may offer alongside
+// Interface: a cheap, sound non-subsumption test answered a whole row at
+// a time. FilterRows indexes the concepts cs — typically from pseudo
+// models it cached while answering Sat — and returns row, which sets out
+// (len(cs) bits) to exactly the y for which cs[y] ⊑ cs[x] definitely does
+// NOT hold. A clear bit means "don't know", never "subsumed": callers
+// may skip the expensive Subs dispatch for a set bit and must fall
+// through to Subs otherwise. A nil cs[i] is left out of the index: it is
+// never disproved and its own row is empty.
 //
-// Implementations must be safe for concurrent use and cheap relative to
-// Subs; they should not be budgeted or retried. The classifier detects
-// the capability by type assertion, so plug-ins opt in just by
+// row must be safe for concurrent use with distinct out sets. Neither
+// call is budgeted or retried; a cancelled ctx may leave rows emptier
+// than they would have been, which is still sound. The classifier
+// detects the capability through AsRowFilter, so plug-ins opt in just by
 // implementing the method.
+type RowFilter interface {
+	FilterRows(ctx context.Context, cs []*dl.Concept) (row func(x int, out *bitset.Set))
+}
+
+// ModelFilter is the pairwise form of RowFilter: DisprovesSubs reports
+// that sub ⊑ sup definitely does NOT hold, false meaning "don't know".
+// The classifier consults RowFilter only; ModelFilter remains for
+// callers that probe single pairs.
 type ModelFilter interface {
 	DisprovesSubs(ctx context.Context, sup, sub *dl.Concept) bool
 }
@@ -84,39 +96,36 @@ type Wrapper interface {
 	Unwrap() Interface
 }
 
+// AsRowFilter returns r's RowFilter capability, or nil if neither r nor
+// any plug-in it wraps implements it. Decorators that transform answers
+// should implement RowFilter themselves to intercept it; pass-through
+// decorators get chain discovery for free.
+func AsRowFilter(r Interface) RowFilter { return capability[RowFilter](r) }
+
 // AsModelFilter returns r's ModelFilter capability, or nil if neither r
-// nor any plug-in it wraps implements it. Decorators that transform
-// answers should implement ModelFilter themselves to intercept the probe;
-// pass-through decorators get chain discovery for free.
-func AsModelFilter(r Interface) ModelFilter {
-	for r != nil {
-		if mf, ok := r.(ModelFilter); ok {
-			return mf
-		}
-		w, ok := r.(Wrapper)
-		if !ok {
-			return nil
-		}
-		r = w.Unwrap()
-	}
-	return nil
-}
+// nor any plug-in it wraps implements it.
+func AsModelFilter(r Interface) ModelFilter { return capability[ModelFilter](r) }
 
 // AsCachePorter returns r's CachePorter capability (the ability to export
 // and import settled answers), or nil if neither r nor any plug-in it
 // wraps implements it.
-func AsCachePorter(r Interface) CachePorter {
+func AsCachePorter(r Interface) CachePorter { return capability[CachePorter](r) }
+
+// capability returns the first plug-in along r's Unwrap chain that
+// implements T, or T's zero value.
+func capability[T any](r Interface) T {
 	for r != nil {
-		if cp, ok := r.(CachePorter); ok {
-			return cp
+		if c, ok := r.(T); ok {
+			return c
 		}
 		w, ok := r.(Wrapper)
 		if !ok {
-			return nil
+			break
 		}
 		r = w.Unwrap()
 	}
-	return nil
+	var zero T
+	return zero
 }
 
 // Factory builds a plug-in reasoner for a TBox. Classifier options carry a
@@ -127,9 +136,6 @@ type Factory func(t *dl.TBox) (Interface, error)
 type Stats struct {
 	SatCalls  atomic.Int64
 	SubsCalls atomic.Int64
-	// FilterHits counts DisprovesSubs probes that answered true, each of
-	// which typically stands in for an avoided Subs call.
-	FilterHits atomic.Int64
 }
 
 // Counting wraps a reasoner so every call is tallied in Stats.
@@ -148,18 +154,6 @@ func (c Counting) Sat(ctx context.Context, x *dl.Concept) (bool, error) {
 func (c Counting) Subs(ctx context.Context, sup, sub *dl.Concept) (bool, error) {
 	c.S.SubsCalls.Add(1)
 	return c.R.Subs(ctx, sup, sub)
-}
-
-// DisprovesSubs forwards the wrapped plug-in's ModelFilter capability,
-// tallying hits. A Counting around a filterless plug-in still satisfies
-// ModelFilter but never disproves anything.
-func (c Counting) DisprovesSubs(ctx context.Context, sup, sub *dl.Concept) bool {
-	mf := AsModelFilter(c.R)
-	if mf == nil || !mf.DisprovesSubs(ctx, sup, sub) {
-		return false
-	}
-	c.S.FilterHits.Add(1)
-	return true
 }
 
 // Unwrap implements Wrapper so capability probes reach the wrapped

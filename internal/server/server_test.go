@@ -226,6 +226,40 @@ func plainEngine(f parowl.ReasonerFactory) *parowl.Engine {
 	return parowl.NewEngine(parowl.WithOptions(parowl.Options{}), parowl.WithReasoner(f))
 }
 
+// TestTaxonomyBodyLinearInEdges: a stack of k diamonds has 2^k paths
+// from ⊤ to its last term, but GET taxonomy expands each node once, so
+// the body is one line per direct edge plus the root, byte-identical to
+// the library's Render.
+func TestTaxonomyBodyLinearInEdges(t *testing.T) {
+	t.Parallel()
+	const k = 16
+	var obo strings.Builder
+	obo.WriteString("format-version: 1.2\n\n[Term]\nid: A00\n")
+	for i := 0; i < k; i++ {
+		fmt.Fprintf(&obo, "\n[Term]\nid: B%02d\nis_a: A%02d\n", i, i)
+		fmt.Fprintf(&obo, "\n[Term]\nid: C%02d\nis_a: A%02d\n", i, i)
+		fmt.Fprintf(&obo, "\n[Term]\nid: A%02d\nis_a: B%02d\nis_a: C%02d\n", i+1, i, i)
+	}
+	text := obo.String()
+	ref := refSnapshot(t, text)
+
+	_, ts := newTestServer(t, Config{CheckpointDir: t.TempDir()})
+	if code, body := submit(t, ts, "diamonds", "", text); code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d: %s", code, body)
+	}
+	waitStatus(t, ts, "diamonds", StatusClassified)
+	code, _, body := get(t, ts.URL+"/ontologies/diamonds/taxonomy")
+	if code != http.StatusOK {
+		t.Fatalf("taxonomy: HTTP %d", code)
+	}
+	if lines, want := strings.Count(body, "\n"), 2+4*k; lines != want {
+		t.Errorf("taxonomy body has %d lines, want %d (⊤, A00, then 4 per diamond)", lines, want)
+	}
+	if body != ref.Taxonomy().Render() {
+		t.Errorf("taxonomy body differs from the library's Render")
+	}
+}
+
 // TestLifecycle drives submit → classify → query end to end and checks
 // every query answer is byte-identical to the library evaluator (the
 // same code path `owlclass -query` prints).

@@ -2,6 +2,7 @@ package tableau
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"parowl/internal/dl"
@@ -16,41 +17,49 @@ import (
 // pmodel(C) and pmodel(¬D) merge).
 type pmodel struct {
 	sat bool // false: the concept itself is unsatisfiable
-	pos map[*dl.Concept]bool
-	neg map[*dl.Concept]bool
+	// pos holds the dense IDs of the concept names in the root label and
+	// neg those of the names it negates, each sorted ascending — the same
+	// IDs labelSet indexes by, so merging is a merge of two sorted runs
+	// and FilterRows reads them as column numbers.
+	pos, neg []int32
 	// exists are the roles of ∃/≥ root entries (successor-creating);
 	// univ are the roles of ∀/≤ root entries (successor-constraining).
 	exists []*dl.Role
 	univ   []*dl.Role
 }
 
+// unsatModel is the pseudo model of every unsatisfiable concept.
+var unsatModel = &pmodel{}
+
 // extractPModel summarizes the root node of a completed graph. The pmodel
-// holds only interned factory objects (concepts, roles), never arena
-// state, so it safely outlives the pooled solver that produced it.
+// holds only concept IDs and interned roles, never arena state, so it
+// safely outlives the pooled solver that produced it.
 func extractPModel(g *graph) *pmodel {
-	root := g.nodes[0]
-	m := &pmodel{sat: true, pos: map[*dl.Concept]bool{}, neg: map[*dl.Concept]bool{}}
-	seenEx := map[*dl.Role]bool{}
-	seenUv := map[*dl.Role]bool{}
-	for _, c := range root.label.order {
+	m := &pmodel{sat: true}
+	for _, c := range g.nodes[0].label.order {
 		switch c.Op {
 		case dl.OpName:
-			m.pos[c] = true
+			m.pos = append(m.pos, c.ID)
 		case dl.OpNot:
-			m.neg[c.Args[0]] = true
+			m.neg = append(m.neg, c.Args[0].ID)
 		case dl.OpSome, dl.OpMin:
-			if !seenEx[c.Role] {
-				seenEx[c.Role] = true
-				m.exists = append(m.exists, c.Role)
-			}
+			m.exists = appendRole(m.exists, c.Role)
 		case dl.OpAll, dl.OpMax:
-			if !seenUv[c.Role] {
-				seenUv[c.Role] = true
-				m.univ = append(m.univ, c.Role)
-			}
+			m.univ = appendRole(m.univ, c.Role)
 		}
 	}
+	slices.Sort(m.pos)
+	slices.Sort(m.neg)
 	return m
+}
+
+// appendRole adds r to rs unless present; root labels quantify over a
+// handful of roles, so a scan beats a set.
+func appendRole(rs []*dl.Role, r *dl.Role) []*dl.Role {
+	if slices.Contains(rs, r) {
+		return rs
+	}
+	return append(rs, r)
 }
 
 // mergeable reports whether the glued interpretation is clash-free:
@@ -62,20 +71,25 @@ func mergeable(a, b *pmodel) bool {
 	if !a.sat || !b.sat {
 		return false
 	}
-	for c := range a.pos {
-		if b.neg[c] {
-			return false
-		}
-	}
-	for c := range b.pos {
-		if a.neg[c] {
-			return false
-		}
-	}
-	if rolesInteract(a.exists, b.univ) || rolesInteract(b.exists, a.univ) {
+	if sortedMeet(a.pos, b.neg) || sortedMeet(b.pos, a.neg) {
 		return false
 	}
-	return true
+	return !rolesInteract(a.exists, b.univ) && !rolesInteract(b.exists, a.univ)
+}
+
+// sortedMeet reports whether two ascending ID runs share an element.
+func sortedMeet(a, b []int32) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return true
+		}
+	}
+	return false
 }
 
 func rolesInteract(exists, univ []*dl.Role) bool {
@@ -113,15 +127,14 @@ func (mc *modelCache) put(c *dl.Concept, pm *pmodel) {
 
 // DisprovesSubs reports that sub ⊑ sup definitely does not hold, by
 // merging the cached pseudo models of sub and ¬sup: mergeable models
-// witness a model of sub ⊓ ¬sup, so the subsumption fails. It
-// implements the classifier's optional ModelFilter capability and is the
-// one place pseudo-model merging runs. A nil pseudo model — budget blowup
-// or cancellation while building it — or an unsatisfiable side answers
-// false ("don't know"): an unsatisfiable sub is subsumed by everything,
-// and an unsatisfiable ¬sup makes sup equivalent to ⊤. The pseudo models
-// are extracted from the pooled solver arenas before release and hold
-// only interned factory objects, so the probe is safe for concurrent use
-// from every worker.
+// witness a model of sub ⊓ ¬sup, so the subsumption fails. It is the
+// pairwise form of FilterRows, which answers the same question for a
+// whole row at once and is tested against it. A nil pseudo model —
+// budget blowup or cancellation while building it — or an unsatisfiable
+// side answers false ("don't know"): an unsatisfiable sub is subsumed by
+// everything, and an unsatisfiable ¬sup makes sup equivalent to ⊤. The
+// pseudo models hold no arena state, so the probe is safe for concurrent
+// use from every worker.
 func (r *Reasoner) DisprovesSubs(ctx context.Context, sup, sub *dl.Concept) bool {
 	pmSub := r.pseudoModel(ctx, sub)
 	if pmSub == nil || !pmSub.sat {
@@ -139,28 +152,16 @@ func (r *Reasoner) DisprovesSubs(ctx context.Context, sup, sub *dl.Concept) bool
 }
 
 // pseudoModel returns the cached pseudo model of c, running a
-// satisfiability test to build it on first use. Errors (budget blowups,
-// cancellation) yield a nil model, which disables merging for c.
+// satisfiability test to build it on first use. A named concept's model
+// is usually cached already, by the Sat call that decided it. Errors
+// (budget blowups, cancellation) yield a nil model, which disables
+// merging for c.
 func (r *Reasoner) pseudoModel(ctx context.Context, c *dl.Concept) *pmodel {
 	if pm, ok := r.models.get(c); ok {
 		return pm
 	}
-	s := r.acquireSolver()
-	s.bindContext(ctx)
-	s.start(c)
-	sat, _, err := s.solve()
-	// Extract before release: the graph is arena state and is recycled the
-	// moment the solver returns to the pool.
-	var pm *pmodel
-	if err == nil {
-		if sat {
-			pm = extractPModel(s.g)
-		} else {
-			pm = &pmodel{sat: false}
-		}
-	}
-	r.releaseSolver(s)
-	if pm == nil {
+	_, pm, err := r.solve(ctx, c, true)
+	if err != nil {
 		return nil
 	}
 	r.models.put(c, pm)

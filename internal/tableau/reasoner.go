@@ -32,7 +32,7 @@ type Stats struct {
 	SatTests   atomic.Int64 // calls answered by a tableau run
 	SubsTests  atomic.Int64 // Subs calls (each is one sat test)
 	Nodes      atomic.Int64 // completion-graph nodes created, cumulative
-	MergeSkips atomic.Int64 // DisprovesSubs hits: non-subsumptions shown by model merging
+	MergeSkips atomic.Int64 // DisprovesSubs hits: non-subsumptions shown by pairwise model merging
 	Cancelled  atomic.Int64 // tests abandoned on context cancellation
 
 	// Arena effectiveness counters (see arena.go). A warm classification
@@ -109,24 +109,49 @@ func (r *Reasoner) Stats() *Stats { return &r.stats }
 
 // Sat reports whether concept c is satisfiable with respect to the TBox.
 // When ctx is cancelled or its deadline passes, the test is abandoned and
-// the context error is returned.
+// the context error is returned. A decided named concept keeps the pseudo
+// model of the root label the test completed (or the unsatisfiable
+// marker), so the model filter needs no second run of the same concept.
 func (r *Reasoner) Sat(ctx context.Context, c *dl.Concept) (bool, error) {
 	r.stats.SatTests.Add(1)
+	keep := false
+	if c.Op == dl.OpName {
+		_, cached := r.models.get(c)
+		keep = !cached
+	}
+	sat, pm, err := r.solve(ctx, c, keep)
+	if err != nil && ctx.Err() != nil {
+		r.stats.Cancelled.Add(1)
+	}
+	if pm != nil {
+		r.models.put(c, pm)
+	}
+	return sat, err
+}
+
+// solve runs one satisfiability test of c on a pooled solver. With keep
+// set and the test decided, it also returns c's pseudo model, extracted
+// before the solver's arenas are recycled.
+func (r *Reasoner) solve(ctx context.Context, c *dl.Concept, keep bool) (bool, *pmodel, error) {
 	s := r.acquireSolver()
 	s.bindContext(ctx)
 	s.start(c)
 	sat, _, err := s.solve()
-	r.releaseSolver(s)
-	if err != nil && ctx.Err() != nil {
-		r.stats.Cancelled.Add(1)
+	var pm *pmodel
+	if keep && err == nil {
+		pm = unsatModel
+		if sat {
+			pm = extractPModel(s.g)
+		}
 	}
-	return sat, err
+	r.releaseSolver(s)
+	return sat, pm, err
 }
 
 // Subs reports whether sup subsumes sub (sub ⊑ sup) with respect to the
 // TBox, by testing the unsatisfiability of sub ⊓ ¬sup. Every call runs
 // the tableau; the cheap pseudo-model merge that settles most negatives
-// is DisprovesSubs, which the classifier consults first (the model
+// is FilterRows, whose rows the classifier consults first (the model
 // filter).
 func (r *Reasoner) Subs(ctx context.Context, sup, sub *dl.Concept) (bool, error) {
 	r.stats.SubsTests.Add(1)

@@ -249,29 +249,39 @@ func (t *Taxonomy) MemoryFootprint() int {
 	return total
 }
 
-// Render writes the taxonomy as an indented tree rooted at ⊤, with nodes
-// reachable through several parents printed once per parent. The output is
-// deterministic.
+// renderRepeat ends a line of Render that repeats a node whose subtree
+// is printed at its first occurrence above.
+const renderRepeat = " (*)"
+
+// Render writes the taxonomy as an indented tree rooted at ⊤, children
+// sorted by label. A node with several parents is expanded only at its
+// first occurrence in that walk; each later occurrence is one line ending
+// in " (*)". Every direct edge so appears exactly once and the
+// output is linear in nodes plus edges, while a tree-shaped taxonomy
+// renders as a plain indented tree. The output is deterministic.
 func (t *Taxonomy) Render() string {
 	var b strings.Builder
-	var walk func(n *Node, depth int, seen map[*Node]int)
-	walk = func(n *Node, depth int, seen map[*Node]int) {
-		fmt.Fprintf(&b, "%s%s\n", strings.Repeat("  ", depth), n.Label())
-		if seen[n] > 8 {
-			return // defensive: should be impossible in a valid DAG
+	expanded := make(map[*Node]bool, len(t.nodes))
+	var walk func(n *Node, depth int)
+	walk = func(n *Node, depth int) {
+		b.WriteString(strings.Repeat("  ", depth))
+		b.WriteString(n.Label())
+		if expanded[n] {
+			b.WriteString(renderRepeat + "\n")
+			return
 		}
-		seen[n]++
+		b.WriteByte('\n')
+		expanded[n] = true
 		kids := append([]*Node(nil), n.children...)
 		sort.Slice(kids, func(i, j int) bool { return kids[i].Label() < kids[j].Label() })
 		for _, k := range kids {
 			if k == t.bottom && len(k.Concepts) == 1 {
 				continue // hide an empty ⊥
 			}
-			walk(k, depth+1, seen)
+			walk(k, depth+1)
 		}
-		seen[n]--
 	}
-	walk(t.top, 0, map[*Node]int{})
+	walk(t.top, 0)
 	return b.String()
 }
 

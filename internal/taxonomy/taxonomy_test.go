@@ -1,6 +1,7 @@
 package taxonomy
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -144,6 +145,39 @@ func TestRenderDeterministic(t *testing.T) {
 	}
 	if r2 := tax.Render(); r1 != r2 {
 		t.Error("Render not deterministic")
+	}
+}
+
+// TestRenderStackedDiamonds: k diamonds stacked on one another give 2^k
+// paths from ⊤ to the last node. Render expands each node once, so it
+// prints one line per direct edge plus the root, and marks exactly the
+// k second arrivals at a diamond's bottom.
+func TestRenderStackedDiamonds(t *testing.T) {
+	const k = 16
+	f := dl.NewFactory()
+	bld := NewBuilder(f)
+	a := func(i int) *dl.Concept { return f.Name(fmt.Sprintf("A%02d", i)) }
+	for i := 0; i < k; i++ {
+		b, c := f.Name(fmt.Sprintf("B%02d", i)), f.Name(fmt.Sprintf("C%02d", i))
+		bld.AddEdge(a(i), b)
+		bld.AddEdge(a(i), c)
+		bld.AddEdge(b, a(i+1))
+		bld.AddEdge(c, a(i+1))
+	}
+	tax, err := bld.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := tax.Render()
+	if lines, want := strings.Count(out, "\n"), 2+4*k; lines != want {
+		t.Errorf("Render printed %d lines, want %d (⊤, A00, then 4 per diamond)", lines, want)
+	}
+	if got := strings.Count(out, renderRepeat+"\n"); got != k {
+		t.Errorf("%d repeat marks, want %d", got, k)
+	}
+	head := "⊤\n  A00\n    B00\n      A01\n        B01\n"
+	if !strings.HasPrefix(out, head) || !strings.Contains(out, "\n    C00\n      A01"+renderRepeat+"\n") {
+		t.Errorf("Render =\n%s", out[:min(len(out), 400)])
 	}
 }
 

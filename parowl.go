@@ -75,10 +75,10 @@ type (
 	// error wrapping the context's error) once it is cancelled, which is
 	// what makes Options.TestTimeout budgets effective.
 	Reasoner = reasoner.Interface
-	// ModelFilter is the optional plug-in capability consulted by
-	// Options.ModelFilter: a cheap, sound "definitely not subsumed"
-	// answer that skips the full subs? dispatch.
-	ModelFilter = reasoner.ModelFilter
+	// RowFilter is the optional plug-in capability consulted by
+	// Options.ModelFilter: cheap, sound "definitely not subsumed" answers,
+	// one row of concepts at a time, that skip the full subs? dispatch.
+	RowFilter = reasoner.RowFilter
 	// Undecided is one reasoner test abandoned under the per-test budget
 	// (see Options.TestTimeout) or recovered from a plug-in panic.
 	Undecided = core.Undecided

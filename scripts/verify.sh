@@ -22,6 +22,9 @@ go test -race -count=10 -run 'TestSaturationMatchesOracle|TestQuickWorkerCountIr
 go test -race -count=10 -run 'TestPrepassCountersExample|TestNewStateFill' ./internal/core/
 echo "== cheap-first pipeline equivalence suite, brute force included (-race)"
 go test -race -count=1 -run 'TestQuickPipelineEquivalence|TestPipelineEquivalenceOntogen|TestPipelineReducesCalls|TestPrepassFragmentUnsatConcept|TestQuickMatchesBruteForce' ./internal/core/
+echo "== model-filter rows: rows vs pairwise merges, panicking and cancelled row builds (-race -count=3)"
+go test -race -count=3 -run 'TestFilterRowsMatchPairwise|TestDisprovesSubsSound' ./internal/tableau/
+go test -race -count=3 -run 'TestRowFilterFaults' ./internal/core/
 echo "== crash-safety suite: kill-and-resume + chaos soundness (-race)"
 go test -race -count=1 -run 'TestKillAndResumeEquivalence|TestChaosPanicSoundness|TestResumeRejectsBadSnapshots|TestAdoptRejectsBadFiles' ./internal/core/
 echo "== scheduler suite: roundrobin/async equivalence, stealing deques, epoch checkpoints (-race)"
