@@ -193,17 +193,18 @@ func run() error {
 	if n := len(res.Undecided); n > 0 {
 		fmt.Fprintf(os.Stderr, "owlclass: WARNING: %d test(s) undecided (budget %v, %d retries); "+
 			"the taxonomy is sound but may be missing subsumptions\n", n, *testTimeout, *testRetries)
-		if res.Stats.TimedOut > 0 {
-			fmt.Fprintf(os.Stderr, "owlclass: WARNING: %d test(s) exceeded the per-test time budget\n", res.Stats.TimedOut)
-		}
-		if res.Stats.NodeBudget > 0 {
-			fmt.Fprintf(os.Stderr, "owlclass: WARNING: %d test(s) exhausted the reasoner's node budget\n", res.Stats.NodeBudget)
-		}
-		if res.Stats.BranchBudget > 0 {
-			fmt.Fprintf(os.Stderr, "owlclass: WARNING: %d test(s) exhausted the reasoner's branch budget\n", res.Stats.BranchBudget)
-		}
-		if res.Stats.Recovered > 0 {
-			fmt.Fprintf(os.Stderr, "owlclass: WARNING: %d reasoner panic(s) recovered\n", res.Stats.Recovered)
+		for _, w := range []struct {
+			n      int64
+			format string
+		}{
+			{res.Stats.TimedOut, "%d test(s) exceeded the per-test time budget"},
+			{res.Stats.NodeBudget, "%d test(s) exhausted the reasoner's node budget"},
+			{res.Stats.BranchBudget, "%d test(s) exhausted the reasoner's branch budget"},
+			{res.Stats.Recovered, "%d reasoner panic(s) recovered"},
+		} {
+			if w.n > 0 {
+				fmt.Fprintf(os.Stderr, "owlclass: WARNING: "+w.format+"\n", w.n)
+			}
 		}
 		for _, u := range res.Undecided {
 			fmt.Fprintf(os.Stderr, "  undecided: %v\n", u)
@@ -256,32 +257,28 @@ func run() error {
 		fmt.Printf("ontology:    %s (%d concepts)\n", tbox.Name, tbox.NumNamed())
 		fmt.Printf("elapsed:     %v\n", elapsed)
 		fmt.Printf("classes:     %d taxonomy nodes\n", res.Taxonomy.NumClasses())
-		fmt.Printf("subs tests:  %d\n", res.Stats.SubsTests)
-		fmt.Printf("sat tests:   %d\n", res.Stats.SatTests)
-		fmt.Printf("pruned:      %d pairs resolved without testing\n", res.Stats.Pruned)
-		if res.Stats.PreSeeded > 0 {
-			fmt.Printf("preseeded:   %d tests resolved by the EL prepass\n", res.Stats.PreSeeded)
-		}
-		if res.Stats.FilterHits > 0 {
-			fmt.Printf("filter hits: %d subs? dispatches skipped by the plug-in's model filter\n", res.Stats.FilterHits)
-		}
-		if res.Stats.TimedOut > 0 {
-			fmt.Printf("timed out:   %d tests abandoned after exhausting their budget\n", res.Stats.TimedOut)
-		}
-		if res.Stats.NodeBudget > 0 {
-			fmt.Printf("node budget: %d tests abandoned on reasoner node-budget exhaustion\n", res.Stats.NodeBudget)
-		}
-		if res.Stats.BranchBudget > 0 {
-			fmt.Printf("branch budget: %d tests abandoned on reasoner branch-budget exhaustion\n", res.Stats.BranchBudget)
-		}
-		if res.Stats.Recovered > 0 {
-			fmt.Printf("recovered:   %d plug-in panics converted to undecided tests\n", res.Stats.Recovered)
-		}
-		if res.Stats.Steals > 0 {
-			fmt.Printf("steals:      %d tasks ran on a different worker than queued\n", res.Stats.Steals)
-		}
-		if len(res.Undecided) > 0 {
-			fmt.Printf("undecided:   %d tests (taxonomy sound but possibly incomplete)\n", len(res.Undecided))
+		// One row per counter; a row marked always prints even at zero.
+		st := res.Stats
+		for _, row := range []struct {
+			n      int64
+			always bool
+			format string
+		}{
+			{st.SubsTests, true, "subs tests:  %d"},
+			{st.SatTests, true, "sat tests:   %d"},
+			{st.Pruned, true, "pruned:      %d pairs resolved without testing"},
+			{st.PreSeeded, false, "preseeded:   %d tests resolved by the EL prepass"},
+			{st.FilterHits, false, "filter hits: %d subs? dispatches skipped by the plug-in's model filter"},
+			{st.TimedOut, false, "timed out:   %d tests abandoned after exhausting their budget"},
+			{st.NodeBudget, false, "node budget: %d tests abandoned on reasoner node-budget exhaustion"},
+			{st.BranchBudget, false, "branch budget: %d tests abandoned on reasoner branch-budget exhaustion"},
+			{st.Recovered, false, "recovered:   %d plug-in panics converted to undecided tests"},
+			{st.Steals, false, "steals:      %d tasks ran on a different worker than queued"},
+			{int64(len(res.Undecided)), false, "undecided:   %d tests (taxonomy sound but possibly incomplete)"},
+		} {
+			if row.always || row.n > 0 {
+				fmt.Printf(row.format+"\n", row.n)
+			}
 		}
 	default:
 		if !*loads {

@@ -90,7 +90,7 @@ func Adopt(ctx context.Context, t *dl.TBox, opts AdoptOptions) (*Result, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p := newPool(workers, RoundRobin)
+	p := newPool(workers, RoundRobin, &s.count.Steals)
 	p.onPanic = func(r any) {
 		s.fail(fmt.Errorf("core: adopt: panic building hierarchy: %v", r))
 	}

@@ -60,17 +60,15 @@ func (s *state) runAsync(p *pool, rng *rand.Rand, workers, cycles int, ck *check
 	epoch := func() int64 { return s.epochBase + p.epoch.Load() }
 
 	if !skipRandom {
-		before := s.snapshot()
 		for cycle := 1; cycle <= cycles && !s.failed(); cycle++ {
 			s.submitRandomCycle(p, rng, workers)
 			// Quiesce only when something needs the rendezvous: the last
 			// cycle (phase edge) or a due checkpoint. Otherwise the next
 			// cycle's groups are already queued behind this one's.
 			if cycle == cycles || ck.due() {
-				rep := p.barrier()
+				c := p.barrier()
 				s.prunePass() // quiescent: harvest the epoch's late K facts
-				s.record(trace, PhaseRandom, cycle, before, rep)
-				before = s.snapshot()
+				s.record(trace, PhaseRandom, cycle, c)
 				ck.write(s, PhaseRandom, false, nil, epoch())
 			} else {
 				// Pipeline, don't rendezvous: queue the next shuffle once
@@ -100,7 +98,6 @@ func (s *state) runAsync(p *pool, rng *rand.Rand, workers, cycles int, ck *check
 	// Quiescent here whether phase 1 ran or a resume skipped it: sweep
 	// once so the first group cut is as thin as the full K allows.
 	s.prunePass()
-	before := s.snapshot()
 	iter := 0
 	for !s.failed() {
 		tasks := s.cutGroupTasks()
@@ -133,17 +130,15 @@ func (s *state) runAsync(p *pool, rng *rand.Rand, workers, cycles int, ck *check
 		}
 		p.waitLow(low)
 		if ck.due() {
-			rep := p.barrier()
+			c := p.barrier()
 			s.prunePass() // quiescent: harvest the epoch's late K facts
-			s.record(trace, PhaseGroup, iter, before, rep)
-			before = s.snapshot()
+			s.record(trace, PhaseGroup, iter, c)
 			ck.write(s, PhaseGroup, false, nil, epoch())
 		}
 	}
 	// Final quiescence of phase 2: collect whatever ran since the last
 	// epoch into one trace record.
-	rep := p.barrier()
-	if len(rep.durs) > 0 {
-		s.record(trace, PhaseGroup, iter, before, rep)
+	if c := p.barrier(); len(c.Tasks) > 0 {
+		s.record(trace, PhaseGroup, iter, c)
 	}
 }

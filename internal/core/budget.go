@@ -128,16 +128,16 @@ func (s *state) recordUndecided(sup, sub *dl.Concept, err error) {
 	switch {
 	case errors.Is(err, errReasonerPanic):
 		reason = "panic"
-		s.recovered.Add(1)
+		s.count.Recovered.Add(1)
 	case errors.Is(err, reasoner.ErrNodeBudget):
 		reason = "node-budget"
-		s.nodeBudget.Add(1)
+		s.count.NodeBudget.Add(1)
 	case errors.Is(err, reasoner.ErrBranchBudget):
 		reason = "branch-budget"
-		s.branchBudget.Add(1)
+		s.count.BranchBudget.Add(1)
 	default:
 		reason = "timeout"
-		s.timedOut.Add(1)
+		s.count.TimedOut.Add(1)
 	}
 	s.undecidedMu.Lock()
 	s.undecided = append(s.undecided, Undecided{Sup: sup, Sub: sub, Reason: reason})

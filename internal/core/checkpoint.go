@@ -44,7 +44,8 @@ import (
 //	uint8    phase (0 = random, 1 = group)
 //	uint64   epoch — the quiescence count the snapshot was cut at
 //	uint32   n (concept count incl. ⊤)
-//	9×int64  counters (sat, subs, pruned, preseeded, filter hits, timed
+//	9×int64  counters: every Stats counter but Steals, in the order of
+//	         Stats.cells (sat, subs, pruned, preseeded, filter hits, timed
 //	         out, recovered, node budget, branch budget)
 //	n frames P, n frames K (bitset.Atomic binary frames, self-checksummed)
 //	uint8    hasTested; if 1, a bitset.Matrix frame
@@ -118,7 +119,7 @@ type snapshot struct {
 	prepassed   bool
 	phase       Phase
 	n           int
-	counters    [9]int64
+	stats       Stats // the persisted counters; Steals stays zero
 	P, K        []*bitset.Atomic
 	tested      *bitset.Matrix
 	satState    []int32
@@ -164,13 +165,8 @@ func (s *state) encodeSnapshot(phase Phase, kern *taxonomy.Kernel, epoch int64) 
 	b = append(b, modeByte, prepassByte, phaseByte)
 	b = binary.LittleEndian.AppendUint64(b, uint64(epoch))
 	b = binary.LittleEndian.AppendUint32(b, uint32(s.n))
-	for _, c := range []int64{
-		s.satTests.Load(), s.subsTests.Load(), s.pruned.Load(),
-		s.preSeeded.Load(), s.filterHits.Load(),
-		s.timedOut.Load(), s.recovered.Load(),
-		s.nodeBudget.Load(), s.branchBudget.Load(),
-	} {
-		b = binary.LittleEndian.AppendUint64(b, uint64(c))
+	for _, c := range s.count.persisted() {
+		b = binary.LittleEndian.AppendUint64(b, uint64(c.Load()))
 	}
 	for _, p := range s.P {
 		b = p.AppendBinary(b)
@@ -302,8 +298,8 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 	if snap.n < 1 || snap.n > len(r.data)/16 {
 		return nil, fmt.Errorf("%w: implausible concept count %d", ErrBadSnapshot, snap.n)
 	}
-	for i := range snap.counters {
-		snap.counters[i] = int64(r.u64())
+	for _, c := range snap.stats.persisted() {
+		*c = int64(r.u64())
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -415,15 +411,10 @@ func (s *state) restoreSnapshot(snap *snapshot) error {
 		s.satState[i].Store(v)
 	}
 	s.prepassed = snap.prepassed
-	s.satTests.Store(snap.counters[0])
-	s.subsTests.Store(snap.counters[1])
-	s.pruned.Store(snap.counters[2])
-	s.preSeeded.Store(snap.counters[3])
-	s.filterHits.Store(snap.counters[4])
-	s.timedOut.Store(snap.counters[5])
-	s.recovered.Store(snap.counters[6])
-	s.nodeBudget.Store(snap.counters[7])
-	s.branchBudget.Store(snap.counters[8])
+	src := snap.stats.persisted()
+	for i, c := range s.count.persisted() {
+		c.Store(*src[i])
+	}
 	s.epochBase = snap.epoch
 	s.undecided = s.undecided[:0]
 	for _, u := range snap.undecided {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -300,5 +301,43 @@ func TestCheckpointWriteFailureDoesNotFailRun(t *testing.T) {
 	want := classify(t, tb, Options{Workers: 2})
 	if res.Taxonomy.Render() != want.Taxonomy.Render() {
 		t.Fatal("taxonomy differs despite checkpoint failure")
+	}
+}
+
+// TestCheckpointCounterLayout pins checkpoint v3's counter section: the
+// nine persisted counters sit right after the 35-byte header in the order
+// sat, subs, pruned, preseeded, filter hits, timed out, recovered, node
+// budget, branch budget, and decode and restore into the same Stats.
+// Steals is not persisted.
+func TestCheckpointCounterLayout(t *testing.T) {
+	tb := exampleTBox()
+	s := newState(tb, nil, true)
+	order := []*atomic.Int64{
+		&s.count.SatTests, &s.count.SubsTests, &s.count.Pruned, &s.count.PreSeeded, &s.count.FilterHits,
+		&s.count.TimedOut, &s.count.Recovered, &s.count.NodeBudget, &s.count.BranchBudget,
+	}
+	for i, c := range order {
+		c.Store(int64(1000 + i))
+	}
+	s.count.Steals.Store(77)
+	data := s.encodeSnapshot(PhaseGroup, nil, 5)
+	const header = 8 + 4 + 8 + 3 + 8 + 4 // magic, version, fingerprint, mode/prepassed/phase, epoch, n
+	for i := range order {
+		if got := int64(binary.LittleEndian.Uint64(data[header+8*i:])); got != int64(1000+i) {
+			t.Errorf("counter %d at offset %d = %d, want %d", i, header+8*i, got, 1000+i)
+		}
+	}
+	snap, err := decodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newState(tb, nil, true)
+	if err := r.restoreSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	want := s.stats()
+	want.Steals = 0
+	if got := r.stats(); got != want {
+		t.Errorf("restored %+v, want %+v", got, want)
 	}
 }

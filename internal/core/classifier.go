@@ -153,11 +153,18 @@ func (o *Options) Validate() error {
 	return nil
 }
 
-// Stats summarizes reasoner usage of one run.
-type Stats struct {
-	SatTests  int64 // sat?() plug-in calls
-	SubsTests int64 // subs?() plug-in calls
-	Pruned    int64 // pairs resolved without a plug-in call (Sec. IV)
+// Stats summarizes reasoner usage of one run: its counters as plain
+// values. The counters are declared once, as the fields of counters; a
+// running classification keeps them in one counters[atomic.Int64]
+// block, and loading that block gives a Stats.
+type Stats = counters[int64]
+
+// counters declares a run's counters over the cell type T: int64 for
+// Stats, atomic.Int64 for the live block the workers add to.
+type counters[T any] struct {
+	SatTests  T // sat?() plug-in calls
+	SubsTests T // subs?() plug-in calls
+	Pruned    T // pairs resolved without a plug-in call (Sec. IV)
 	// PreSeeded counts tests resolved from the EL prepass without a
 	// plug-in dispatch (Options.ELPrepass): sat?() probes answered by a
 	// fragment unsatisfiability, or by a complete fragment's saturation
@@ -166,23 +173,50 @@ type Stats struct {
 	// outright in optimized mode) or answered later by the K-shortcircuit;
 	// and, with a complete fragment, every remaining directed test, which
 	// its exact saturation resolves as a non-subsumption.
-	PreSeeded int64
+	PreSeeded T
 	// FilterHits counts subs? dispatches skipped because the plug-in's
 	// row filter disproved the subsumption (Options.ModelFilter).
-	FilterHits int64
-	TimedOut   int64 // tests abandoned after exhausting their budget
-	Recovered  int64 // plug-in panics recovered into per-test errors
+	FilterHits T
+	TimedOut   T // tests abandoned after exhausting their budget
+	Recovered  T // plug-in panics recovered into per-test errors
 	// NodeBudget and BranchBudget count tests the plug-in itself
 	// abandoned on resource exhaustion (reasoner.ErrNodeBudget /
 	// ErrBranchBudget), kept separate from TimedOut so operators can tell
 	// which degradation fired.
-	NodeBudget   int64
-	BranchBudget int64
+	NodeBudget   T
+	BranchBudget T
 	// Steals counts tasks that executed on a different worker than they
 	// were queued to (Async only; zero otherwise).
-	// Deliberately not part of checkpoint snapshots: it describes a
-	// particular run's scheduling, not the classification state.
-	Steals int64
+	Steals T
+}
+
+// cells lists the counters in their fixed order, the one list every
+// traversal follows: loading and restoring the live block, per-cycle
+// deltas, and checkpoint v3's counter section (persisted). Inserting a
+// counter before Steals changes that section's layout, so it needs a new
+// checkpoint version.
+func (c *counters[T]) cells() []*T {
+	return []*T{
+		&c.SatTests, &c.SubsTests, &c.Pruned, &c.PreSeeded, &c.FilterHits,
+		&c.TimedOut, &c.Recovered, &c.NodeBudget, &c.BranchBudget, &c.Steals,
+	}
+}
+
+// persisted is the checkpointed prefix of cells: every counter but the
+// last, Steals, which describes one run's scheduling, not the
+// classification state.
+func (c *counters[T]) persisted() []*T {
+	cs := c.cells()
+	return cs[:len(cs)-1]
+}
+
+// minus returns the counters of a less those of b.
+func minus(a, b Stats) Stats {
+	bc := b.cells()
+	for i, c := range a.cells() {
+		*c -= *bc[i]
+	}
+	return a
 }
 
 // Result is a completed classification.
@@ -290,8 +324,9 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	var trace *Trace
 	if opts.CollectTrace {
 		trace = &Trace{Workers: workers, Scheduling: opts.Scheduling, InitialPossible: s.remainingPossible()}
+		s.recorded = s.stats() // a resumed run's restored counts are no cycle's
 	}
-	p := newPool(workers, opts.Scheduling)
+	p := newPool(workers, opts.Scheduling, &s.count.Steals)
 	p.onPanic = func(r any) {
 		s.fail(fmt.Errorf("reasoner plug-in panicked: %v", r))
 	}
@@ -364,11 +399,9 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	if trace != nil {
 		trace.WallElapsed = time.Since(start)
 	}
-	stats := s.stats()
-	stats.Steals = p.totalSteals.Load()
 	return &Result{
 		Taxonomy:        tax,
-		Stats:           stats,
+		Stats:           s.stats(),
 		Undecided:       s.takeUndecided(),
 		Trace:           trace,
 		Resumed:         snap != nil,
@@ -378,47 +411,27 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	}, nil
 }
 
-// counterSnapshot captures the reasoner counters to compute per-cycle
-// deltas.
-type counterSnapshot struct{ sat, subs, pruned, preSeeded, filterHits int64 }
-
-func (s *state) snapshot() counterSnapshot {
-	return counterSnapshot{
-		s.satTests.Load(), s.subsTests.Load(), s.pruned.Load(),
-		s.preSeeded.Load(), s.filterHits.Load(),
-	}
-}
-
-func (s *state) record(trace *Trace, phase Phase, index int, before counterSnapshot, rep batchReport) {
+// record appends one trace cycle: c is the task record a barrier
+// returned, and its counters are the delta since the previous record, so
+// the cycles of a trace add up to the counts this run made.
+func (s *state) record(trace *Trace, phase Phase, index int, c *Cycle) {
 	if trace == nil {
 		return
 	}
-	now := s.snapshot()
-	trace.Cycles = append(trace.Cycles, &Cycle{
-		Phase:             phase,
-		Index:             index,
-		Tasks:             rep.durs,
-		TaskWorkers:       rep.workers,
-		WorkerLoads:       rep.loads,
-		Steals:            rep.steals,
-		StolenFrom:        rep.stolenFrom,
-		WaitNanos:         rep.waits,
-		SubsTests:         now.subs - before.subs,
-		SatTests:          now.sat - before.sat,
-		Pruned:            now.pruned - before.pruned,
-		PreSeeded:         now.preSeeded - before.preSeeded,
-		FilterHits:        now.filterHits - before.filterHits,
-		RemainingPossible: s.remainingPossible(),
-	})
+	now := s.stats()
+	c.Phase, c.Index = phase, index
+	c.Stats = minus(now, s.recorded)
+	c.RemainingPossible = s.remainingPossible()
+	s.recorded = now
+	trace.Cycles = append(trace.Cycles, c)
 }
 
 // runRandomCycle is one cycle of phase 1 (Algorithm 1's randomDivision +
 // Algorithm 2): shuffle all concepts, split into w equal groups, and test
 // all pairs within each group.
 func (s *state) runRandomCycle(p *pool, rng *rand.Rand, workers, cycle int, trace *Trace) {
-	before := s.snapshot()
 	s.submitRandomCycle(p, rng, workers)
-	s.record(trace, PhaseRandom, cycle, before, p.barrier())
+	s.record(trace, PhaseRandom, cycle, p.barrier())
 }
 
 // submitRandomCycle dispatches one random-division cycle's groups without
@@ -548,7 +561,6 @@ func (s *state) submitGroupTask(p *pool, t groupTask) {
 // with P_X ≠ ∅ contributes a group G_X = P_X, dispatched round-robin.
 // It reports whether any group was dispatched.
 func (s *state) runGroupCycle(p *pool, iter int, trace *Trace) bool {
-	before := s.snapshot()
 	tasks := s.cutGroupTasks()
 	if len(tasks) == 0 {
 		return false
@@ -556,7 +568,7 @@ func (s *state) runGroupCycle(p *pool, iter int, trace *Trace) bool {
 	for _, t := range tasks {
 		s.submitGroupTask(p, t)
 	}
-	s.record(trace, PhaseGroup, iter, before, p.barrier())
+	s.record(trace, PhaseGroup, iter, p.barrier())
 	return true
 }
 

@@ -9,9 +9,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"parowl/internal/dl"
 	"parowl/internal/el"
+	"parowl/internal/ontogen"
 	"parowl/internal/reasoner"
 	"parowl/internal/tableau"
 )
@@ -90,7 +92,7 @@ func TestExample33Hierarchy(t *testing.T) {
 // with six groups and three workers, round-robin dispatch must assign
 // groups 0,3 to worker 1, groups 1,4 to worker 2, groups 2,5 to worker 3.
 func TestExample32Schedule(t *testing.T) {
-	p := newPool(3, RoundRobin)
+	p := newPool(3, RoundRobin, new(atomic.Int64))
 	defer p.close()
 	var slots []int
 	p.submitMu.Lock()
@@ -106,37 +108,89 @@ func TestExample32Schedule(t *testing.T) {
 	}
 }
 
+// TestStatsAndPruning checks the trace's counter accounting: the
+// cycles' counter deltas add up to the run's Stats, counter by counter,
+// and the per-worker steal records to Stats.Steals, under both policies
+// with the cheap-first pipeline off and on, on the paper's example and on
+// a partial-EL ontogen corpus, the latter also under a chaos plug-in so
+// the degradation counters move. Async's epoch-boundary records are
+// where a lost delta would hide.
 func TestStatsAndPruning(t *testing.T) {
-	tb := exampleTBox()
-	res := classify(t, tb, Options{Workers: 2, Mode: Optimized, CollectTrace: true, RandomCycles: 2})
-	if res.Stats.SubsTests == 0 {
-		t.Error("no subsumption tests recorded")
+	p, ok := ontogen.ByName("rnao_functional")
+	if !ok {
+		t.Fatal("profile missing")
 	}
-	// The chain A ⊒ B ⊒ E guarantees at least one pruning opportunity
-	// across seeds... not strictly for every order, so just check the
-	// trace accounting is consistent.
-	if res.Trace == nil {
-		t.Fatal("trace missing")
+	rnao, err := ontogen.Mini(p, 12).Generate(21)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Trace.InitialPossible == 0 {
-		t.Error("InitialPossible = 0")
+	var degraded Stats // the degradation counters seen across chaos runs
+	for _, tb := range []*dl.TBox{exampleTBox(), rnao} {
+		for _, sched := range allSchedulings {
+			for _, pipeline := range []bool{false, true} {
+				for _, chaos := range []bool{false, true} {
+					if chaos && tb != rnao {
+						continue
+					}
+					name := fmt.Sprintf("%s %v pipeline=%v chaos=%v", tb.Name, sched, pipeline, chaos)
+					opts := Options{
+						Workers: 3, Mode: Optimized, Scheduling: sched, CollectTrace: true,
+						RandomCycles: 2, ELPrepass: pipeline, ModelFilter: pipeline,
+					}
+					if chaos {
+						opts.Reasoner = reasoner.NewChaos(tableauFactory(tb), reasoner.ChaosOptions{
+							Seed: 7, PanicRate: 0.02, HangRate: 0.01, BudgetRate: 0.04,
+						})
+						opts.TestTimeout = 2 * time.Millisecond
+					}
+					res := classify(t, tb, opts)
+					if !pipeline && res.Stats.SubsTests == 0 {
+						t.Errorf("%s: no subsumption tests recorded", name)
+					}
+					if res.Trace == nil {
+						t.Fatalf("%s: trace missing", name)
+					}
+					if res.Trace.InitialPossible == 0 {
+						t.Errorf("%s: InitialPossible = 0", name)
+					}
+					cycles := res.Trace.Cycles
+					if last := cycles[len(cycles)-1]; last.Phase != PhaseHierarchy {
+						t.Errorf("%s: last cycle = %v, want hierarchy", name, last.Phase)
+					}
+					// All pairs resolved: the cycle before the two hierarchy
+					// records must report 0 remaining.
+					if grp := cycles[len(cycles)-3]; grp.RemainingPossible != 0 {
+						t.Errorf("%s: remaining after %v cycle = %d", name, grp.Phase, grp.RemainingPossible)
+					}
+					var sum Stats
+					for _, c := range cycles {
+						sum.SatTests += c.SatTests
+						sum.SubsTests += c.SubsTests
+						sum.Pruned += c.Pruned
+						sum.PreSeeded += c.PreSeeded
+						sum.FilterHits += c.FilterHits
+						sum.TimedOut += c.TimedOut
+						sum.Recovered += c.Recovered
+						sum.NodeBudget += c.NodeBudget
+						sum.BranchBudget += c.BranchBudget
+						sum.Steals += c.Stats.Steals
+					}
+					if sum != res.Stats {
+						t.Errorf("%s: trace counters sum to %+v, Stats %+v", name, sum, res.Stats)
+					}
+					if got := res.Trace.TotalSteals(); got != res.Stats.Steals {
+						t.Errorf("%s: trace per-worker steals %d, Stats.Steals %d", name, got, res.Stats.Steals)
+					}
+					degraded.TimedOut += sum.TimedOut
+					degraded.Recovered += sum.Recovered
+					degraded.NodeBudget += sum.NodeBudget
+					degraded.BranchBudget += sum.BranchBudget
+				}
+			}
+		}
 	}
-	last := res.Trace.Cycles[len(res.Trace.Cycles)-1]
-	if last.Phase != PhaseHierarchy {
-		t.Errorf("last cycle = %v, want hierarchy", last.Phase)
-	}
-	// All pairs resolved: the cycle before hierarchy must report 0
-	// remaining.
-	grp := res.Trace.Cycles[len(res.Trace.Cycles)-2]
-	if grp.RemainingPossible != 0 {
-		t.Errorf("remaining after group phase = %d", grp.RemainingPossible)
-	}
-	var total int64
-	for _, c := range res.Trace.Cycles {
-		total += c.SubsTests
-	}
-	if total != res.Stats.SubsTests {
-		t.Errorf("trace tests %d != stats %d", total, res.Stats.SubsTests)
+	if degraded.TimedOut == 0 || degraded.Recovered == 0 || degraded.NodeBudget == 0 || degraded.BranchBudget == 0 {
+		t.Errorf("chaos runs left a degradation counter at zero: %+v", degraded)
 	}
 }
 

@@ -190,7 +190,7 @@ func TestWorkerQueueResetLateThief(t *testing.T) {
 // asserts (rather than silently tolerates) a non-empty deque, since
 // checkpoint consistency rests on that invariant.
 func TestBarrierAssertsDequesEmpty(t *testing.T) {
-	p := newPool(2, Async)
+	p := newPool(2, Async, new(atomic.Int64))
 	p.submit(func() time.Duration { return time.Microsecond })
 	p.barrier() // sanity: a normal barrier passes
 	// Stop the workers before sneaking a task into a deque behind the

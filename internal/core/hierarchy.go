@@ -24,7 +24,6 @@ import (
 // reduction the paper's example computes. Phase 3 is a pure function of
 // K, so Adopt rebuilds the identical taxonomy from a checkpoint.
 func (s *state) buildTaxonomy(p *pool, trace *Trace) (*taxonomy.Taxonomy, error) {
-	before := s.snapshot()
 	n := s.n
 
 	// Contract equivalence classes: mutual K membership (Algorithm 4's
@@ -99,7 +98,7 @@ func (s *state) buildTaxonomy(p *pool, trace *Trace) (*taxonomy.Taxonomy, error)
 		closeRows(kc)
 		return time.Since(start)
 	})
-	s.record(trace, PhaseHierarchy, 1, before, p.barrier())
+	s.record(trace, PhaseHierarchy, 1, p.barrier())
 
 	// Divide: H_X for every class, the classes dealt round-robin over a
 	// few tasks per worker so each task reuses one scratch row.
@@ -122,7 +121,7 @@ func (s *state) buildTaxonomy(p *pool, trace *Trace) (*taxonomy.Taxonomy, error)
 			return time.Since(start)
 		})
 	}
-	s.record(trace, PhaseHierarchy, 2, s.snapshot(), p.barrier())
+	s.record(trace, PhaseHierarchy, 2, p.barrier())
 	if err := s.errOrNil(); err != nil {
 		return nil, err
 	}

@@ -524,7 +524,7 @@ func TestPrepassRowsMatchPerFact(t *testing.T) {
 	perFact := func(s *state, frag *el.Reasoner, complete bool) {
 		for x, c := range s.named[:s.top] {
 			if ok, _ := frag.Sat(ctx, c); !ok && s.markUnsat(x) {
-				s.preSeeded.Add(1)
+				s.count.PreSeeded.Add(1)
 			}
 		}
 		for sub := range s.named {
@@ -541,10 +541,10 @@ func TestPrepassRowsMatchPerFact(t *testing.T) {
 				case !s.optimized:
 					if !s.tested.TestAndSet(sup, sub) {
 						s.P[sup].Clear(sub)
-						s.preSeeded.Add(1)
+						s.count.PreSeeded.Add(1)
 					}
 				case s.K[sub].Test(sup) && s.claimPair(sub, sup):
-					s.preSeeded.Add(2)
+					s.count.PreSeeded.Add(2)
 				}
 			}
 		}
@@ -553,13 +553,13 @@ func TestPrepassRowsMatchPerFact(t *testing.T) {
 		}
 		for x := 0; x < s.n; x++ {
 			if s.satState[x].CompareAndSwap(satUnknown, satYes) {
-				s.preSeeded.Add(1)
+				s.count.PreSeeded.Add(1)
 			}
 			s.P[x].ForEach(func(y int) bool {
 				if s.optimized {
-					s.preSeeded.Add(2)
+					s.count.PreSeeded.Add(2)
 				} else if !s.tested.TestAndSet(x, y) {
-					s.preSeeded.Add(1)
+					s.count.PreSeeded.Add(1)
 				}
 				return true
 			})
@@ -583,7 +583,7 @@ func TestPrepassRowsMatchPerFact(t *testing.T) {
 				}
 				perFact(want, frag, cov.Complete())
 				name := fmt.Sprintf("seed %d %s optimized=%v complete=%v", seed, tb.Name, optimized, cov.Complete())
-				if g, w := got.preSeeded.Load(), want.preSeeded.Load(); g != w {
+				if g, w := got.count.PreSeeded.Load(), want.count.PreSeeded.Load(); g != w {
 					t.Fatalf("%s: PreSeeded %d, per-fact %d", name, g, w)
 				}
 				for x := 0; x < got.n; x++ {

@@ -144,38 +144,6 @@ func (wq *workerQueue) reset() {
 	wq.mu.Unlock()
 }
 
-// batchReport is what barrier returns for one barrier-delimited batch:
-// per-task charged durations and executing workers in dispatch order,
-// per-worker charged loads, and — under Async — per-worker steal counts.
-type batchReport struct {
-	durs    []time.Duration
-	workers []int
-	loads   []time.Duration
-	// steals[w] counts tasks worker w took from other workers' queues;
-	// stolenFrom[w] counts tasks thieves took from worker w's queues.
-	// Both nil unless the pool runs Async.
-	steals     []int64
-	stolenFrom []int64
-	// waits[w] is the time worker w spent parked waiting for work during
-	// the batch, in nanoseconds (every policy).
-	waits []int64
-}
-
-// merge appends o's tasks to r and adds o's per-worker counters to r's,
-// so two barrier-delimited batches are recorded as one cycle.
-func (r *batchReport) merge(o batchReport) {
-	r.durs = append(r.durs, o.durs...)
-	r.workers = append(r.workers, o.workers...)
-	for i := range r.loads {
-		r.loads[i] += o.loads[i]
-		r.waits[i] += o.waits[i]
-	}
-	for i := range r.steals {
-		r.steals[i] += o.steals[i]
-		r.stolenFrom[i] += o.stolenFrom[i]
-	}
-}
-
 // pool is the fixed worker pool of Algorithm 1 (createWorkerPool). It is
 // created once per classification run and reused across phases; each
 // phase submits a batch of tasks and waits on the barrier.
@@ -211,10 +179,11 @@ type pool struct {
 	busy []time.Duration
 
 	// steals/stolenFrom are this batch's per-worker steal counters (Async
-	// only); totalSteals accumulates across the whole run for Stats.
-	steals      []atomic.Int64
-	stolenFrom  []atomic.Int64
-	totalSteals atomic.Int64
+	// only); runSteals is the run's Stats.Steals cell, which every steal
+	// also adds to.
+	steals     []atomic.Int64
+	stolenFrom []atomic.Int64
+	runSteals  *atomic.Int64
 
 	// waits[w] accumulates the nanoseconds worker w spent parked on its
 	// wake channel this batch; the barrier swaps them out. This is the
@@ -244,8 +213,8 @@ type pool struct {
 	onPanic func(any)
 }
 
-// newPool starts w workers.
-func newPool(w int, sched Scheduling) *pool {
+// newPool starts w workers; runSteals is the counter every steal adds to.
+func newPool(w int, sched Scheduling, runSteals *atomic.Int64) *pool {
 	if w < 1 {
 		w = 1
 	}
@@ -258,6 +227,7 @@ func newPool(w int, sched Scheduling) *pool {
 		wake:       make([]chan struct{}, w),
 		quit:       make(chan struct{}),
 		taskDone:   make(chan struct{}, 1),
+		runSteals:  runSteals,
 	}
 	if sched == Async {
 		p.deques = make([]wsDeque, w)
@@ -316,21 +286,22 @@ func (p *pool) submit(t task) {
 	}
 }
 
-// barrier waits for every submitted task to finish and returns the batch
-// report: task durations and executing workers in dispatch order together
-// with the per-worker charged loads (the paper's Sec. V-C load-balancing
-// measurement) and, under Async, the per-worker steal counts.
-func (p *pool) barrier() batchReport {
+// barrier waits for every submitted task to finish and returns the
+// batch's task record as a Cycle with only its task fields set: task
+// durations and executing workers in dispatch order together with the
+// per-worker charged loads (the paper's Sec. V-C load-balancing
+// measurement), parked times and, under Async, steal counts.
+func (p *pool) barrier() *Cycle {
 	p.inflight.Wait()
 	p.submitMu.Lock()
-	rep := batchReport{
-		durs:    make([]time.Duration, p.count),
-		workers: make([]int, p.count),
+	c := &Cycle{
+		Tasks:       make([]time.Duration, p.count),
+		TaskWorkers: make([]int, p.count),
 	}
-	for i := range rep.durs {
+	for i := range c.Tasks {
 		cell := &p.durs[i/durChunkSize][i%durChunkSize]
-		rep.durs[i] = time.Duration(cell.dur.Load())
-		rep.workers[i] = int(cell.who.Load()) - 1
+		c.Tasks[i] = time.Duration(cell.dur.Load())
+		c.TaskWorkers[i] = int(cell.who.Load()) - 1
 		// A reused slot must not leak into the next batch.
 		cell.dur.Store(0)
 		cell.who.Store(0)
@@ -352,24 +323,24 @@ func (p *pool) barrier() batchReport {
 				panic(fmt.Sprintf("core: pool barrier passed with worker %d's deque non-empty", i))
 			}
 		}
-		rep.steals = make([]int64, p.workers)
-		rep.stolenFrom = make([]int64, p.workers)
+		c.Steals = make([]int64, p.workers)
+		c.StolenFrom = make([]int64, p.workers)
 		for i := 0; i < p.workers; i++ {
-			rep.steals[i] = p.steals[i].Swap(0)
-			rep.stolenFrom[i] = p.stolenFrom[i].Swap(0)
+			c.Steals[i] = p.steals[i].Swap(0)
+			c.StolenFrom[i] = p.stolenFrom[i].Swap(0)
 		}
 	}
-	rep.waits = make([]int64, p.workers)
+	c.WaitNanos = make([]int64, p.workers)
 	for i := 0; i < p.workers; i++ {
-		rep.waits[i] = p.waits[i].Swap(0)
+		c.WaitNanos[i] = p.waits[i].Swap(0)
 	}
-	rep.loads = p.busy
+	c.WorkerLoads = p.busy
 	p.busy = make([]time.Duration, p.workers)
 	// Every barrier pass is a quiescence point: all submitted work has
 	// completed and recorded its outcome. Closing an epoch here gives
 	// snapshots (and the Async driver) a monotonic consistency marker.
 	p.epoch.Add(1)
-	return rep
+	return c
 }
 
 // pendingTasks reports the submitted-but-unfinished task count.
@@ -509,7 +480,7 @@ func (p *pool) trySteal(id int, rng *uint64) (*poolTask, int, bool) {
 func (p *pool) recordSteal(thief, victim int) {
 	p.steals[thief].Add(1)
 	p.stolenFrom[victim].Add(1)
-	p.totalSteals.Add(1)
+	p.runSteals.Add(1)
 }
 
 // runTask executes one task, converting panics into onPanic callbacks so

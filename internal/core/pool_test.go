@@ -16,28 +16,28 @@ var allSchedulings = []Scheduling{RoundRobin, Async}
 // record must name a real worker for every task, whatever the policy.
 func TestPoolDurationsInDispatchOrder(t *testing.T) {
 	for _, sched := range allSchedulings {
-		p := newPool(4, sched)
+		p := newPool(4, sched, new(atomic.Int64))
 		n := durChunkSize + 50 // force a second chunk
 		for i := 0; i < n; i++ {
 			d := time.Duration(i+1) * time.Microsecond
 			p.submit(func() time.Duration { return d })
 		}
 		rep := p.barrier()
-		if len(rep.durs) != n {
-			t.Fatalf("%v: %d durations, want %d", sched, len(rep.durs), n)
+		if len(rep.Tasks) != n {
+			t.Fatalf("%v: %d durations, want %d", sched, len(rep.Tasks), n)
 		}
 		var fromDurs, fromLoads time.Duration
-		for i, d := range rep.durs {
+		for i, d := range rep.Tasks {
 			want := time.Duration(i+1) * time.Microsecond
 			if d != want {
 				t.Fatalf("%v: durs[%d] = %v, want %v (dispatch order)", sched, i, d, want)
 			}
 			fromDurs += d
 		}
-		if len(rep.workers) != n {
-			t.Fatalf("%v: %d worker records, want %d", sched, len(rep.workers), n)
+		if len(rep.TaskWorkers) != n {
+			t.Fatalf("%v: %d worker records, want %d", sched, len(rep.TaskWorkers), n)
 		}
-		for i, w := range rep.workers {
+		for i, w := range rep.TaskWorkers {
 			if w < 0 || w >= 4 {
 				t.Fatalf("%v: task %d ran on worker %d, want 0..3", sched, i, w)
 			}
@@ -45,10 +45,10 @@ func TestPoolDurationsInDispatchOrder(t *testing.T) {
 				t.Fatalf("%v: task %d ran on worker %d, want %d (i mod w)", sched, i, w, i%4)
 			}
 		}
-		if len(rep.loads) != 4 {
-			t.Fatalf("%v: %d worker loads, want 4", sched, len(rep.loads))
+		if len(rep.WorkerLoads) != 4 {
+			t.Fatalf("%v: %d worker loads, want 4", sched, len(rep.WorkerLoads))
 		}
-		for _, l := range rep.loads {
+		for _, l := range rep.WorkerLoads {
 			fromLoads += l
 		}
 		if fromDurs != fromLoads {
@@ -57,17 +57,17 @@ func TestPoolDurationsInDispatchOrder(t *testing.T) {
 		if sched == Async {
 			var steals, stolen int64
 			for w := 0; w < 4; w++ {
-				steals += rep.steals[w]
-				stolen += rep.stolenFrom[w]
+				steals += rep.Steals[w]
+				stolen += rep.StolenFrom[w]
 			}
 			if steals != stolen {
 				t.Errorf("steals total %d but stolenFrom total %d", steals, stolen)
 			}
-		} else if rep.steals != nil || rep.stolenFrom != nil {
+		} else if rep.Steals != nil || rep.StolenFrom != nil {
 			t.Errorf("%v: steal counters reported for a non-stealing pool", sched)
 		}
-		if len(rep.waits) != 4 {
-			t.Errorf("%v: %d wait records, want 4", sched, len(rep.waits))
+		if len(rep.WaitNanos) != 4 {
+			t.Errorf("%v: %d wait records, want 4", sched, len(rep.WaitNanos))
 		}
 		p.close()
 	}
@@ -78,7 +78,7 @@ func TestPoolDurationsInDispatchOrder(t *testing.T) {
 // into the second batch.
 func TestPoolBatchReuse(t *testing.T) {
 	for _, sched := range allSchedulings {
-		p := newPool(3, sched)
+		p := newPool(3, sched, new(atomic.Int64))
 		for i := 0; i < durChunkSize+10; i++ {
 			p.submit(func() time.Duration { return time.Second })
 		}
@@ -92,16 +92,16 @@ func TestPoolBatchReuse(t *testing.T) {
 		if ran.Load() != 5 {
 			t.Fatalf("%v: second batch ran %d tasks, want 5", sched, ran.Load())
 		}
-		if len(rep.durs) != 5 {
-			t.Fatalf("%v: second batch reported %d durations, want 5", sched, len(rep.durs))
+		if len(rep.Tasks) != 5 {
+			t.Fatalf("%v: second batch reported %d durations, want 5", sched, len(rep.Tasks))
 		}
-		for i, d := range rep.durs {
+		for i, d := range rep.Tasks {
 			if d != time.Millisecond {
 				t.Errorf("%v: durs[%d] = %v leaked from the first batch", sched, i, d)
 			}
 		}
 		var total time.Duration
-		for _, l := range rep.loads {
+		for _, l := range rep.WorkerLoads {
 			total += l
 		}
 		if total != 5*time.Millisecond {
@@ -117,7 +117,7 @@ func TestPoolBatchReuse(t *testing.T) {
 // happens-before chains of the pool.
 func TestPoolConcurrentSubmitters(t *testing.T) {
 	for _, sched := range allSchedulings {
-		p := newPool(4, sched)
+		p := newPool(4, sched, new(atomic.Int64))
 		var ran atomic.Int64
 		for batch := 0; batch < 3; batch++ {
 			var submitted sync.WaitGroup
@@ -135,8 +135,8 @@ func TestPoolConcurrentSubmitters(t *testing.T) {
 			}
 			submitted.Wait()
 			rep := p.barrier()
-			if len(rep.durs) != 6*40 {
-				t.Fatalf("%v batch %d: %d durations, want %d", sched, batch, len(rep.durs), 6*40)
+			if len(rep.Tasks) != 6*40 {
+				t.Fatalf("%v batch %d: %d durations, want %d", sched, batch, len(rep.Tasks), 6*40)
 			}
 		}
 		if ran.Load() != 3*6*40 {
@@ -151,7 +151,8 @@ func TestPoolConcurrentSubmitters(t *testing.T) {
 // workers must steal that queued tail (the straggler-rescue path through
 // the victim's inbox), or the barrier would deadlock.
 func TestPoolStealingBalancesSkew(t *testing.T) {
-	p := newPool(4, Async)
+	var runSteals atomic.Int64
+	p := newPool(4, Async, &runSteals)
 	defer p.close()
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -176,22 +177,25 @@ func TestPoolStealingBalancesSkew(t *testing.T) {
 	if got := others.Load(); got != 40 {
 		t.Fatalf("queued tasks ran %d times, want 40", got)
 	}
-	blocked := rep.workers[0]
+	blocked := rep.TaskWorkers[0]
 	// The 40 tasks round-robin over 4 queues, so exactly 10 landed on the
 	// blocked worker's queue — and it could not run any of them.
-	if rep.stolenFrom[blocked] < 10 {
+	if rep.StolenFrom[blocked] < 10 {
 		t.Fatalf("expected worker %d (blocked) to be stolen from >= 10 times, got %d",
-			blocked, rep.stolenFrom[blocked])
+			blocked, rep.StolenFrom[blocked])
 	}
 	var steals, stolen int64
 	for w := 0; w < 4; w++ {
-		steals += rep.steals[w]
-		stolen += rep.stolenFrom[w]
+		steals += rep.Steals[w]
+		stolen += rep.StolenFrom[w]
 	}
 	if steals != stolen {
 		t.Fatalf("steals total %d but stolenFrom total %d", steals, stolen)
 	}
-	if rep.workers[0] == blocked && rep.durs[0] != time.Millisecond {
-		t.Errorf("blocker's charged duration = %v, want 1ms", rep.durs[0])
+	if got := runSteals.Load(); got != steals {
+		t.Errorf("run steal counter %d, per-worker steals %d", got, steals)
+	}
+	if rep.TaskWorkers[0] == blocked && rep.Tasks[0] != time.Millisecond {
+		t.Errorf("blocker's charged duration = %v, want 1ms", rep.Tasks[0])
 	}
 }

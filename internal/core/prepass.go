@@ -59,7 +59,6 @@ import (
 // records the whole prepass, row build included, as one PhasePrepass
 // cycle.
 func (s *state) runPrepass(p *pool, workers int, seed bool, rf reasoner.RowFilter, trace *Trace) {
-	before := s.snapshot()
 	start := time.Now()
 	if seed {
 		s.prepassed = true
@@ -90,15 +89,12 @@ func (s *state) runPrepass(p *pool, workers int, seed bool, rf reasoner.RowFilte
 			return 0
 		})
 	}
-	rep := p.barrier()
-	// The sequential seeding work is charged as a pseudo-task that ran on
-	// no pool worker (-1), keeping durs and workers aligned.
-	rep.durs = append([]time.Duration{seedDur}, rep.durs...)
-	rep.workers = append([]int{-1}, rep.workers...)
+	c := p.barrier()
+	c.chargeOutside(seedDur) // the sequential seeding
 	if rf != nil && !s.failed() && s.remainingPossible() > 0 {
-		rep.merge(s.buildRows(p, rf))
+		c.merge(s.buildRows(p, rf))
 	}
-	s.record(trace, PhasePrepass, 1, before, rep)
+	s.record(trace, PhasePrepass, 1, c)
 }
 
 // buildRows is stage 2's set-up, run once every concept's satisfiability
@@ -107,9 +103,10 @@ func (s *state) runPrepass(p *pool, workers int, seed bool, rf reasoner.RowFilte
 // The filter is advisory — a pair it leaves unsettled is decided by
 // subs? — so a panicking index build leaves every row out and a
 // panicking row build leaves its row out, instead of failing the run. A
-// run cancelled mid-build fails with the context error. The sequential
-// index build is charged as a pseudo-task on no pool worker (-1).
-func (s *state) buildRows(p *pool, rf reasoner.RowFilter) batchReport {
+// run cancelled mid-build fails with the context error. It returns the
+// build's task record, the sequential index build charged outside the
+// pool.
+func (s *state) buildRows(p *pool, rf reasoner.RowFilter) *Cycle {
 	start := time.Now()
 	open := bitset.New(s.n)
 	for x, px := range s.P {
@@ -147,15 +144,14 @@ func (s *state) buildRows(p *pool, rf reasoner.RowFilter) batchReport {
 			return time.Since(start)
 		})
 	}
-	rep := p.barrier()
+	c := p.barrier()
 	if err := s.ctx.Err(); err != nil {
 		// Rows built after cancellation may be emptier than they should
 		// be (still sound), but the run must not complete as if whole.
 		s.fail(err)
 	}
-	rep.durs = append([]time.Duration{idxDur}, rep.durs...)
-	rep.workers = append([]int{-1}, rep.workers...)
-	return rep
+	c.chargeOutside(idxDur)
+	return c
 }
 
 // advisory runs one model-filter call and reports whether it returned
@@ -178,7 +174,7 @@ func (s *state) seed(frag *el.Reasoner, complete bool) error {
 	var unsat *bitset.Set // every satNo concept, once the last unsat is in
 	err := frag.Seeds(s.ctx, func(x int) {
 		if s.markUnsat(x) {
-			s.preSeeded.Add(1)
+			s.count.PreSeeded.Add(1)
 		}
 	}, func(x int, sups *bitset.Set) {
 		if unsat == nil {
@@ -220,12 +216,12 @@ func (s *state) claimProven(rows []*bitset.Set) {
 		case !s.optimized:
 			claimed := s.tested.SetRow(x, s.K[x].Snapshot())
 			s.P[x].ClearSet(claimed)
-			s.preSeeded.Add(int64(claimed.Count()))
+			s.count.PreSeeded.Add(int64(claimed.Count()))
 		case row != nil:
 			row.Set(s.top)
 			both := s.K[x].Snapshot()
 			both.Intersect(row)
-			s.preSeeded.Add(2 * int64(s.P[x].ClearSet(both)))
+			s.count.PreSeeded.Add(2 * int64(s.P[x].ClearSet(both)))
 		}
 	}
 }
@@ -239,12 +235,12 @@ func (s *state) claimProven(rows []*bitset.Set) {
 func (s *state) decideRest() {
 	for x := 0; x < s.n; x++ {
 		if s.satState[x].CompareAndSwap(satUnknown, satYes) {
-			s.preSeeded.Add(1)
+			s.count.PreSeeded.Add(1)
 		}
 		if s.optimized {
-			s.preSeeded.Add(2 * int64(s.P[x].Count()))
+			s.count.PreSeeded.Add(2 * int64(s.P[x].Count()))
 		} else {
-			s.preSeeded.Add(int64(s.tested.SetRow(x, s.P[x].Snapshot()).Count()))
+			s.count.PreSeeded.Add(int64(s.tested.SetRow(x, s.P[x].Snapshot()).Count()))
 		}
 		s.P[x].ClearAll()
 	}

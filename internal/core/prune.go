@@ -111,7 +111,7 @@ func (s *state) prunePass() {
 					return true
 				}
 				if s.claimPair(sup, y) {
-					s.pruned.Add(1)
+					s.count.Pruned.Add(1)
 				}
 				return true
 			})
@@ -155,7 +155,7 @@ func (s *state) pruneAfter(sup, sub int) {
 			s.K[sup].Clear(y)
 		}
 		if s.claimPair(sup, y) {
-			s.pruned.Add(1)
+			s.count.Pruned.Add(1)
 		}
 		return true
 	})

@@ -100,20 +100,11 @@ type state struct {
 	// tagging new snapshots, so epochs stay monotonic across resumes.
 	epochBase int64
 
-	// counters for statistics
-	satTests   atomic.Int64
-	subsTests  atomic.Int64
-	pruned     atomic.Int64 // pairs resolved without a reasoner call
-	preSeeded  atomic.Int64 // tests resolved from EL prepass seeding
-	filterHits atomic.Int64 // subs? dispatches skipped by the model filter
-	timedOut   atomic.Int64 // tests abandoned on budget expiry
-	recovered  atomic.Int64 // plug-in panics converted to per-test errors
-	// nodeBudget / branchBudget count tests the plug-in itself abandoned
-	// on resource exhaustion (reasoner.ErrNodeBudget / ErrBranchBudget),
-	// kept separate from timedOut so operators can tell which degradation
-	// fired.
-	nodeBudget   atomic.Int64
-	branchBudget atomic.Int64
+	// count is the run's counter block, read as a Stats by stats();
+	// recorded is its value at the latest trace record, where the next
+	// cycle's delta starts.
+	count    counters[atomic.Int64]
+	recorded Stats
 
 	// pruneMu serializes pruneAfter's K edge deletions per sup row,
 	// striped by row index.
@@ -126,20 +117,14 @@ type state struct {
 	failure atomic.Pointer[classError]
 }
 
-// stats reads the run's reasoner counters. Steals belongs to the pool,
-// not the shared state, and is left zero.
+// stats loads the run's counter block.
 func (s *state) stats() Stats {
-	return Stats{
-		SatTests:     s.satTests.Load(),
-		SubsTests:    s.subsTests.Load(),
-		Pruned:       s.pruned.Load(),
-		PreSeeded:    s.preSeeded.Load(),
-		FilterHits:   s.filterHits.Load(),
-		TimedOut:     s.timedOut.Load(),
-		Recovered:    s.recovered.Load(),
-		NodeBudget:   s.nodeBudget.Load(),
-		BranchBudget: s.branchBudget.Load(),
+	var st Stats
+	dst := st.cells()
+	for i, c := range s.count.cells() {
+		*dst[i] = c.Load()
 	}
+	return st
 }
 
 type classError struct{ err error }
@@ -228,7 +213,7 @@ func (s *state) sat(x int) bool {
 		return false
 	}
 	ok, err := s.budgetedSat(s.named[x])
-	s.satTests.Add(1)
+	s.count.SatTests.Add(1)
 	if err != nil {
 		if isDegraded(err) {
 			// Conservative fallback: treat the concept as satisfiable, so
@@ -287,18 +272,18 @@ func (s *state) testDirected(x, y int) (bool, time.Duration) {
 		// other K writers are this function (after the claim) and
 		// pruneAfter, which clears bits. The seeded fact is entailed by
 		// the TBox, so the positive answer needs no plug-in call.
-		s.preSeeded.Add(1)
+		s.count.PreSeeded.Add(1)
 		return true, 0
 	}
 	if s.disproved != nil && s.disproved[x] != nil && s.disproved[x].Test(y) {
 		// The filter's "definitely not subsumed" verdict is sound, so the
 		// negative is final: no K update, no plug-in dispatch.
-		s.filterHits.Add(1)
+		s.count.FilterHits.Add(1)
 		return false, 0
 	}
 	start := time.Now()
 	res, err := s.budgetedSubs(s.named[x], s.named[y])
-	s.subsTests.Add(1)
+	s.count.SubsTests.Add(1)
 	if err != nil {
 		if isDegraded(err) {
 			// The pair was already claimed, so the loop progresses; the
@@ -376,10 +361,4 @@ func (s *state) resolveBasic(x, y int) time.Duration {
 	_ = res
 	s.P[x].Clear(y)
 	return cost
-}
-
-// mutex-guarded trace sink; see trace.go.
-type traceSink struct {
-	mu    sync.Mutex
-	trace *Trace
 }

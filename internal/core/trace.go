@@ -17,12 +17,14 @@ const (
 	PhaseHierarchy Phase = "hierarchy" // phase 3: divide-and-conquer taxonomy
 )
 
-// Cycle records one division cycle: the tasks dispatched (with their
-// charged costs, virtual or measured), the reasoner-call counters, and the
-// remaining-possible count after the barrier. Figure 11's Possible and
-// runtime ratios are computed from these records, and the virtual-time
-// scheduler (internal/schedsim) replays the task durations on w simulated
-// workers to produce the speedup curves of Figures 9 and 10.
+// Cycle records one division cycle: the task record its barrier
+// returned (the tasks dispatched, with their charged costs, virtual or
+// measured, and the per-worker loads, waits and steals), the run's
+// counter deltas over the cycle, and the remaining-possible count after
+// the barrier. Figure 11's Possible and runtime ratios are computed from
+// these records, and the virtual-time scheduler (internal/schedsim)
+// replays the task durations on w simulated workers to produce the
+// speedup curves of Figures 9 and 10.
 type Cycle struct {
 	Phase Phase
 	Index int // cycle number within its phase, starting at 1
@@ -43,6 +45,7 @@ type Cycle struct {
 	// (index = worker id; nil unless the run used Async):
 	// Steals[w] counts tasks worker w took from other workers' queues,
 	// StolenFrom[w] counts tasks thieves took from worker w's queues.
+	// Steals shadows the embedded Stats.Steals, the cycle's total.
 	Steals     []int64
 	StolenFrom []int64
 
@@ -58,19 +61,38 @@ type Cycle struct {
 	// analysis compares these across the two phases.
 	WorkerLoads []time.Duration
 
-	// SubsTests and SatTests count reasoner calls during this cycle;
-	// Pruned counts pairs resolved without a call. PreSeeded counts tests
-	// resolved from the EL prepass seeding and FilterHits the subs?
-	// dispatches skipped by the model filter (the cheap-first pipeline's
-	// counters; zero with the pipeline off).
-	SubsTests  int64
-	SatTests   int64
-	Pruned     int64
-	PreSeeded  int64
-	FilterHits int64
+	// Stats holds what the run's counters gained during the cycle:
+	// SubsTests and SatTests count reasoner calls, Pruned pairs resolved
+	// without a call, PreSeeded and FilterHits the cheap-first pipeline's
+	// savings (zero with the pipeline off).
+	Stats
 
 	// RemainingPossible is |R_O| after the cycle's barrier.
 	RemainingPossible int64
+}
+
+// chargeOutside prepends d as a pseudo-task that ran on no pool worker
+// (-1): work the coordinator did itself, kept aligned in Tasks and
+// TaskWorkers.
+func (c *Cycle) chargeOutside(d time.Duration) {
+	c.Tasks = append([]time.Duration{d}, c.Tasks...)
+	c.TaskWorkers = append([]int{-1}, c.TaskWorkers...)
+}
+
+// merge appends o's tasks to c and adds o's per-worker loads, waits and
+// steals to c's, so two barrier-delimited batches are recorded as one
+// cycle.
+func (c *Cycle) merge(o *Cycle) {
+	c.Tasks = append(c.Tasks, o.Tasks...)
+	c.TaskWorkers = append(c.TaskWorkers, o.TaskWorkers...)
+	for i := range c.WorkerLoads {
+		c.WorkerLoads[i] += o.WorkerLoads[i]
+		c.WaitNanos[i] += o.WaitNanos[i]
+	}
+	for i := range c.Steals {
+		c.Steals[i] += o.Steals[i]
+		c.StolenFrom[i] += o.StolenFrom[i]
+	}
 }
 
 // Runtime returns the cycle's summed task durations — the paper's
@@ -134,24 +156,6 @@ func (t *Trace) TotalRuntime() time.Duration {
 		total += c.Runtime()
 	}
 	return total
-}
-
-// TotalSubsTests counts reasoner subsumption calls across the run.
-func (t *Trace) TotalSubsTests() int64 {
-	var n int64
-	for _, c := range t.Cycles {
-		n += c.SubsTests
-	}
-	return n
-}
-
-// TotalPruned counts pairs resolved without a reasoner call.
-func (t *Trace) TotalPruned() int64 {
-	var n int64
-	for _, c := range t.Cycles {
-		n += c.Pruned
-	}
-	return n
 }
 
 // TotalSteals counts tasks that changed workers across the run

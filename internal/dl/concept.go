@@ -203,13 +203,6 @@ func (f *Factory) NumConcepts() int {
 	return len(f.byID)
 }
 
-// ConceptByID returns the concept with the given ID.
-func (f *Factory) ConceptByID(id int32) *Concept {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.byID[id]
-}
-
 // Name returns the interned named concept for name. Names "owl:Thing" and
 // "owl:Nothing" resolve to ⊤ and ⊥.
 func (f *Factory) Name(name string) *Concept {

@@ -48,13 +48,6 @@ func (f *Factory) NumRoles() int {
 	return len(f.rolesByID)
 }
 
-// RoleByID returns the role with the given ID.
-func (f *Factory) RoleByID(id int32) *Role {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.rolesByID[id]
-}
-
 // Roles returns all interned roles in ID order.
 func (f *Factory) Roles() []*Role {
 	f.mu.Lock()

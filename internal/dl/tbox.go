@@ -2,7 +2,6 @@ package dl
 
 import (
 	"fmt"
-	"sort"
 )
 
 // AxiomKind discriminates TBox axiom types.
@@ -81,14 +80,6 @@ type TBox struct {
 	named   []*Concept // declared/used named concepts, in first-use order
 	nameSet map[*Concept]bool
 	frozen  bool
-
-	// frozenConcepts/frozenRoles record how many concepts and roles the
-	// Factory had interned when Freeze ran. IDs below these bounds form
-	// the stable dense identity space that ID-indexed reasoner structures
-	// (unfolding tables, label indexes, caches) are sized against; later
-	// interning only appends IDs above the bounds.
-	frozenConcepts int
-	frozenRoles    int
 }
 
 // NewTBox returns an empty TBox with a fresh Factory.
@@ -185,31 +176,18 @@ func (t *TBox) AnnotationAxiom(c *Concept) {
 }
 
 // Freeze finalizes the TBox: role-hierarchy closures are cached (as maps
-// and as dense-ID bitsets), the dense concept/role ID bounds are
-// snapshotted for ID-indexed reasoner structures, and further mutation
+// and as bitsets over the role IDs interned so far), and further mutation
 // panics. Freeze is idempotent.
 func (t *TBox) Freeze() {
 	if t.frozen {
 		return
 	}
 	t.frozen = true
-	t.frozenConcepts = t.Factory.NumConcepts()
-	t.frozenRoles = t.Factory.NumRoles()
+	numRoles := t.Factory.NumRoles()
 	for _, r := range t.Factory.Roles() {
-		r.freeze(t.frozenRoles)
+		r.freeze(numRoles)
 	}
 }
-
-// Frozen reports whether Freeze has been called.
-func (t *TBox) Frozen() bool { return t.frozen }
-
-// FrozenConcepts returns the number of concepts interned at Freeze time
-// (0 before Freeze). Concept IDs in [0, FrozenConcepts) are stable dense
-// identities.
-func (t *TBox) FrozenConcepts() int { return t.frozenConcepts }
-
-// FrozenRoles is FrozenConcepts for roles.
-func (t *TBox) FrozenRoles() int { return t.frozenRoles }
 
 // Axioms returns the axiom list. The caller must not mutate it.
 func (t *TBox) Axioms() []Axiom { return t.axioms }
@@ -221,19 +199,6 @@ func (t *TBox) NamedConcepts() []*Concept { return t.named }
 
 // NumNamed returns len(NamedConcepts()).
 func (t *TBox) NumNamed() int { return len(t.named) }
-
-// ClassAxioms returns the axioms restricted to class axioms (SubClassOf,
-// Equivalent, Disjoint) in a fresh slice.
-func (t *TBox) ClassAxioms() []Axiom {
-	out := make([]Axiom, 0, len(t.axioms))
-	for _, a := range t.axioms {
-		switch a.Kind {
-		case AxSubClassOf, AxEquivalent, AxDisjoint:
-			out = append(out, a)
-		}
-	}
-	return out
-}
 
 // AsGCIs lowers every class axiom to plain GCIs: C ≡ D becomes C ⊑ D and
 // D ⊑ C; Disjoint(C,D) becomes C ⊓ D ⊑ ⊥.
@@ -252,17 +217,5 @@ func (t *TBox) AsGCIs() []Axiom {
 			out = append(out, Axiom{Kind: AxSubClassOf, Sub: f.And(a.Sub, a.Sup), Sup: f.Bottom()})
 		}
 	}
-	return out
-}
-
-// TopPseudoName is the reserved named concept used by classifiers that need
-// ⊤ to appear as an ordinary taxonomy node.
-const TopPseudoName = "owl:Thing"
-
-// SortedNamed returns NamedConcepts sorted by name, for deterministic output.
-func (t *TBox) SortedNamed() []*Concept {
-	out := make([]*Concept, len(t.named))
-	copy(out, t.named)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

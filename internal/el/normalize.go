@@ -29,7 +29,7 @@ const (
 // newBuilder numbers them in that order right after ⊤ and ⊥.
 func namedAtom(i int) atom { return atom(i + 2) }
 
-// ErrNotEL is wrapped by New when the TBox uses constructors outside
+// notELError is New's error when the TBox uses constructors outside
 // EL(H+): anything but ⊤, ⊥, names, ⊓ and ∃.
 type notELError struct{ c *dl.Concept }
 
@@ -38,7 +38,7 @@ func (e *notELError) Error() string {
 }
 
 // normalized is the indexed normal-form TBox the saturation consumes.
-// All fields are read-only after newNormalized returns.
+// All fields are read-only after newNormalizedFragment returns.
 type normalized struct {
 	tbox     *dl.TBox
 	numAtoms int
@@ -104,8 +104,7 @@ func (c Coverage) String() string {
 	return fmt.Sprintf("kept %d, weakened %d, dropped %d", c.Kept, c.Weakened, c.Dropped)
 }
 
-// newBuilder indexes the TBox's named concepts and roles, the parts of
-// normalization shared by the strict and lenient paths.
+// newBuilder indexes the TBox's named concepts and roles.
 func newBuilder(t *dl.TBox) *builder {
 	f := t.Factory
 	n := &normalized{
@@ -130,26 +129,12 @@ func newBuilder(t *dl.TBox) *builder {
 	return &builder{n: n, fresh: make(map[*dl.Concept]atom)}
 }
 
-// newNormalized lowers the TBox into EL normal forms, or fails with a
-// notELError if any axiom leaves the fragment.
-func newNormalized(t *dl.TBox) (*normalized, error) {
-	b := newBuilder(t)
-	for _, gci := range t.AsGCIs() {
-		if err := b.axiom(gci.Sub, gci.Sup); err != nil {
-			return nil, err
-		}
-	}
-	n := b.n
-	n.numAtoms = len(n.conceptOf)
-	n.finishIndexes()
-	return n, nil
-}
-
-// newNormalizedFragment lowers the EL-expressible subset of the TBox,
-// silently weakening or dropping axioms that leave the fragment. Every
-// emitted normal axiom is entailed by the full TBox, so any consequence
-// of the fragment is a consequence of the TBox (a sound lower bound);
-// the converse holds only when the returned coverage is Complete.
+// newNormalizedFragment lowers the EL-expressible subset of the TBox
+// into EL normal forms, silently weakening or dropping axioms that leave
+// the fragment. Every emitted normal axiom is entailed by the full TBox,
+// so any consequence of the fragment is a consequence of the TBox (a
+// sound lower bound); the converse holds only when the returned coverage
+// is Complete, as it is for a TBox inside EL.
 func newNormalizedFragment(t *dl.TBox) (*normalized, Coverage) {
 	b := newBuilder(t)
 	var cov Coverage
@@ -199,15 +184,9 @@ func (b *builder) atomFor(c *dl.Concept) atom {
 	return b.n.atomOf[c]
 }
 
-// left lowers concept c occurring on the left of ⊑ to a single atom X with
-// c ⊑ X entailed by the emitted normal axioms.
-func (b *builder) left(c *dl.Concept) (atom, error) {
-	if err := checkEL(c); err != nil {
-		return 0, err
-	}
-	return b.leftChecked(c), nil
-}
-
+// leftChecked lowers concept c, which checkEL accepted, occurring on the
+// left of ⊑ to a single atom X with c ⊑ X entailed by the emitted normal
+// axioms.
 func (b *builder) leftChecked(c *dl.Concept) atom {
 	switch c.Op {
 	case dl.OpTop, dl.OpBottom, dl.OpName:
@@ -243,33 +222,23 @@ func (b *builder) leftChecked(c *dl.Concept) atom {
 	return out
 }
 
-// axiom lowers one GCI sub ⊑ sup into normal forms.
-func (b *builder) axiom(sub, sup *dl.Concept) error {
-	if err := checkEL(sub); err != nil {
-		return err
-	}
-	if err := checkEL(sup); err != nil {
-		return err
-	}
-	return b.axiomChecked(sub, sup)
-}
-
-func (b *builder) axiomChecked(sub, sup *dl.Concept) error {
+// axiomChecked lowers one GCI sub ⊑ sup, both sides accepted by
+// checkEL, into normal forms.
+func (b *builder) axiomChecked(sub, sup *dl.Concept) {
 	// Split conjunctions on the right.
 	if sup.Op == dl.OpAnd {
 		for _, arg := range sup.Args {
-			if err := b.axiomChecked(sub, arg); err != nil {
-				return err
-			}
+			b.axiomChecked(sub, arg)
 		}
-		return nil
+		return
 	}
 	// ∃r.D with complex D on the right: introduce A ⊑ D, use ∃r.A.
 	if sup.Op == dl.OpSome && !sup.Args[0].IsAtomic() {
 		a := b.newAtom()
 		lhs := b.leftChecked(sub)
 		b.addExRHS(lhs, sup.Role.ID, a)
-		return b.defineFresh(a, sup.Args[0])
+		b.defineFresh(a, sup.Args[0])
+		return
 	}
 	lhs := b.leftChecked(sub)
 	switch sup.Op {
@@ -282,7 +251,6 @@ func (b *builder) axiomChecked(sub, sup *dl.Concept) error {
 	default:
 		panic("el: axiomChecked on non-EL right side")
 	}
-	return nil
 }
 
 // axiomLenient lowers sub ⊑ sup, keeping as much as the fragment can
@@ -310,39 +278,31 @@ func (b *builder) supLenient(sub, sup *dl.Concept) (kept, dropped int) {
 	if checkEL(sup) != nil {
 		return 0, 1
 	}
-	// axiomChecked can only fail inside defineFresh on a non-EL concept,
-	// which checkEL just ruled out.
-	if err := b.axiomChecked(sub, sup); err != nil {
-		panic(err)
-	}
+	b.axiomChecked(sub, sup)
 	return 1, 0
 }
 
-// defineFresh emits axioms making fresh atom a behave as a ⊑ d.
-func (b *builder) defineFresh(a atom, d *dl.Concept) error {
+// defineFresh emits axioms making fresh atom a behave as a ⊑ d, for a d
+// that checkEL accepted.
+func (b *builder) defineFresh(a atom, d *dl.Concept) {
 	switch d.Op {
 	case dl.OpAnd:
 		for _, arg := range d.Args {
-			if err := b.defineFresh(a, arg); err != nil {
-				return err
-			}
+			b.defineFresh(a, arg)
 		}
-		return nil
 	case dl.OpSome:
 		if !d.Args[0].IsAtomic() {
 			inner := b.newAtom()
 			b.addExRHS(a, d.Role.ID, inner)
-			return b.defineFresh(inner, d.Args[0])
+			b.defineFresh(inner, d.Args[0])
+			return
 		}
 		b.addExRHS(a, d.Role.ID, b.atomFor(d.Args[0]))
-		return nil
 	case dl.OpTop:
-		return nil
 	case dl.OpBottom, dl.OpName:
 		b.addSub(a, b.atomFor(d))
-		return nil
 	default:
-		return &notELError{d}
+		panic("el: defineFresh on non-EL concept")
 	}
 }
 

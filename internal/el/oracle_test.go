@@ -202,7 +202,11 @@ func oracleCases(t *testing.T) []oracleCase {
 func TestSaturationMatchesOracle(t *testing.T) {
 	aborted := 0
 	for _, c := range oracleCases(t) {
-		o := newOracle(c.new(Options{}).n)
+		ref := c.new(Options{})
+		if err := ref.SaturateContext(context.Background()); err != nil { // New normalizes here
+			t.Fatal(err)
+		}
+		o := newOracle(ref.n)
 		for _, w := range []int{1, 2, 4, 8} {
 			r := c.new(Options{Workers: w})
 			if err := r.SaturateContext(context.Background()); err != nil {

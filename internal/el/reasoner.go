@@ -19,32 +19,39 @@ type Options struct {
 }
 
 // Reasoner answers satisfiability and subsumption for named concepts of an
-// ELH+ TBox by one-shot concurrent saturation. After New it is immutable
-// and safe for concurrent use.
+// ELH+ TBox by one-shot concurrent saturation. It is safe for concurrent
+// use.
 //
-// Saturation runs lazily on the first query and observes that query's
-// context: when the context is cancelled mid-saturation the partial state
-// is discarded (never served) and the next query re-runs saturation from
-// scratch under its own context. The finished saturation is published
-// through an atomic pointer, so queries after it take no lock.
+// Normalization (after New) and saturation run lazily on the first query,
+// under that query's context: when the context is cancelled
+// mid-saturation the partial state is discarded (never served) and the
+// next query re-runs saturation from scratch under its own context. The
+// finished saturation is published through an atomic pointer, so queries
+// after it take no lock.
 type Reasoner struct {
 	tbox *dl.TBox
-	n    *normalized
 	opts Options
 
-	mu  sync.Mutex                 // serializes saturation runs
+	mu  sync.Mutex                 // serializes normalization and saturation runs
+	n   *normalized                // NewFragment's, or built on New's first query; guarded by mu
 	sat atomic.Pointer[saturation] // set once fully saturated
 }
 
-// New normalizes the TBox; it fails if the TBox leaves the EL fragment
-// (the caller should then fall back to the tableau reasoner).
+// New checks that the TBox stays inside EL and fails otherwise (the
+// caller should then fall back to the tableau reasoner). Normalization
+// waits for the first query, so a plug-in that is never called costs
+// only the check.
 func New(t *dl.TBox, opts Options) (*Reasoner, error) {
 	t.Freeze()
-	n, err := newNormalized(t)
-	if err != nil {
-		return nil, err
+	for _, gci := range t.AsGCIs() {
+		if err := checkEL(gci.Sub); err != nil {
+			return nil, err
+		}
+		if err := checkEL(gci.Sup); err != nil {
+			return nil, err
+		}
 	}
-	return &Reasoner{tbox: t, n: n, opts: opts}, nil
+	return &Reasoner{tbox: t, opts: opts}, nil
 }
 
 // NewFragment builds a reasoner over the EL-expressible fragment of any
@@ -62,9 +69,10 @@ func NewFragment(t *dl.TBox, opts Options) (*Reasoner, Coverage) {
 // TBox returns the TBox this reasoner answers for.
 func (r *Reasoner) TBox() *dl.TBox { return r.tbox }
 
-// ensure saturates on first use. A cancelled saturation leaves r.sat nil
-// so a later call retries; concurrent first queries serialize on r.mu,
-// and every later query returns from the atomic load.
+// ensure normalizes (after New) and saturates on first use. A cancelled
+// saturation leaves r.sat nil so a later call retries; concurrent first
+// queries serialize on r.mu, and every later query returns from the
+// atomic load.
 func (r *Reasoner) ensure(ctx context.Context) (*saturation, error) {
 	if s := r.sat.Load(); s != nil {
 		return s, nil
@@ -77,6 +85,10 @@ func (r *Reasoner) ensure(ctx context.Context) (*saturation, error) {
 	workers := r.opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+	}
+	if r.n == nil {
+		// New checked the TBox is EL, so its fragment is all of it.
+		r.n, _ = newNormalizedFragment(r.tbox)
 	}
 	s := newSaturation(r.n)
 	if err := s.run(ctx, workers); err != nil {
@@ -93,10 +105,10 @@ func (r *Reasoner) SaturateContext(ctx context.Context) error {
 	return err
 }
 
-// atomQuery resolves a query concept to its atom; only ⊤, ⊥ and named
-// concepts of the TBox are queryable.
-func (r *Reasoner) atomQuery(c *dl.Concept) (atom, error) {
-	if a, ok := r.n.atomOf[c]; ok {
+// atomQuery resolves a query concept to its atom in sat; only ⊤, ⊥ and
+// named concepts of the TBox are queryable.
+func (r *Reasoner) atomQuery(sat *saturation, c *dl.Concept) (atom, error) {
+	if a, ok := sat.n.atomOf[c]; ok {
 		return a, nil
 	}
 	return 0, fmt.Errorf("el: concept %v is not a named concept of TBox %q", c, r.tbox.Name)
@@ -111,7 +123,7 @@ func (r *Reasoner) Sat(ctx context.Context, c *dl.Concept) (bool, error) {
 	if c.Op == dl.OpBottom {
 		return false, nil
 	}
-	a, err := r.atomQuery(c)
+	a, err := r.atomQuery(sat, c)
 	if err != nil {
 		return false, err
 	}
@@ -128,7 +140,7 @@ func (r *Reasoner) Subs(ctx context.Context, sup, sub *dl.Concept) (bool, error)
 	if sup.Op == dl.OpTop || sub.Op == dl.OpBottom {
 		return true, nil
 	}
-	sa, err := r.atomQuery(sub)
+	sa, err := r.atomQuery(sat, sub)
 	if err != nil {
 		return false, err
 	}
@@ -138,7 +150,7 @@ func (r *Reasoner) Subs(ctx context.Context, sup, sub *dl.Concept) (bool, error)
 	if sup.Op == dl.OpBottom {
 		return false, nil
 	}
-	pa, err := r.atomQuery(sup)
+	pa, err := r.atomQuery(sat, sup)
 	if err != nil {
 		return false, err
 	}

@@ -32,12 +32,6 @@ func NewSignature(conceptNames, roleNames []string) *Signature {
 	return s
 }
 
-// HasConcept reports whether the named concept is in the signature.
-func (s *Signature) HasConcept(name string) bool { return s.concepts[name] }
-
-// HasRole reports whether the named role is in the signature.
-func (s *Signature) HasRole(name string) bool { return s.roles[name] }
-
 // addAxiomSignature grows s with every symbol of ax; reports change.
 func (s *Signature) addAxiomSignature(ax dl.Axiom) bool {
 	changed := false

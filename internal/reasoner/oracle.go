@@ -20,7 +20,6 @@ type CostModel func(sup, sub *dl.Concept, result bool) time.Duration
 // on w simulated workers.
 type Virtual interface {
 	VirtualSubsCost(sup, sub *dl.Concept, result bool) time.Duration
-	VirtualSatCost(c *dl.Concept, result bool) time.Duration
 }
 
 // splitmix64 is a tiny deterministic hash used to derive per-pair jitter.
@@ -264,9 +263,6 @@ func (o *Oracle) VirtualSubsCost(sup, sub *dl.Concept, result bool) time.Duratio
 	}
 	return o.subsCost(sup, sub, result)
 }
-
-// VirtualSatCost implements Virtual.
-func (o *Oracle) VirtualSatCost(*dl.Concept, bool) time.Duration { return o.satCost }
 
 type oracleErr struct {
 	c *dl.Concept

@@ -128,10 +128,6 @@ func capability[T any](r Interface) T {
 	return zero
 }
 
-// Factory builds a plug-in reasoner for a TBox. Classifier options carry a
-// Factory so the same classification code runs against any plug-in.
-type Factory func(t *dl.TBox) (Interface, error)
-
 // Stats counts plug-in calls with atomic counters.
 type Stats struct {
 	SatCalls  atomic.Int64

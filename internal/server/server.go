@@ -288,9 +288,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// Draining reports whether Drain has been initiated.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // worker runs classify jobs from the admission queue until drained.
 func (s *Server) worker() {
 	defer s.wg.Done()

@@ -214,10 +214,6 @@ func fingerprintHash(s string) uint64 {
 // NumClasses returns the number of taxonomy nodes the kernel covers.
 func (k *Kernel) NumClasses() int { return k.n }
 
-// TaxonomyFingerprint returns the FNV-1a hash of the source taxonomy's
-// Fingerprint, used to pair a decoded kernel with its taxonomy.
-func (k *Kernel) TaxonomyFingerprint() uint64 { return k.fp }
-
 // MemoryFootprint returns the approximate resident size of the closure
 // matrices and depth table in bytes.
 func (k *Kernel) MemoryFootprint() int {

@@ -5,7 +5,10 @@
 # fails every call, so serving again PROVES re-adoption ran zero
 # reclassification — and finally restart with a resident-memory budget
 # small enough to force eviction, checking demand reloads still answer
-# byte-identical to `owlclass`.
+# byte-identical to `owlclass`. The third corpus has a partial EL
+# fragment, so classifying it calls the plug-in even with the cheap-first
+# pipeline on, and the proof never rests on corpora alone that the EL
+# prepass decides without one.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -25,9 +28,12 @@ go build -o "$WORK/owld" ./cmd/owld
 go build -o "$WORK/owlclass" ./cmd/owlclass
 go build -o "$WORK/ontogen" ./cmd/ontogen
 
-echo "== generating two corpora"
+echo "== generating three corpora"
 "$WORK/ontogen" -profile WBbt.obo -scale 80 -seed 21 -o "$WORK/one.obo"
 "$WORK/ontogen" -profile WBbt.obo -scale 80 -seed 22 -o "$WORK/two.obo"
+# 60 concepts, 26 non-EL constructors: under the default pipeline
+# `owlclass -stats` still makes 57 sat? and 5 subs? calls on it.
+"$WORK/ontogen" -profile rnao_functional -scale 12 -seed 21 -o "$WORK/three.ofn"
 
 CKDIR="$WORK/ck"
 
@@ -60,9 +66,10 @@ kill_owld() {
 }
 
 submit_and_wait() {
-    # submit_and_wait <id> <file>
+    # submit_and_wait <id> <file>; .ofn files go as format=functional.
+    case "$2" in *.ofn) format=functional ;; *) format=obo ;; esac
     code=$(curl -s -o "$WORK/submit.json" -w '%{http_code}' \
-        --data-binary @"$2" "$BASE/ontologies?format=obo&id=$1")
+        --data-binary @"$2" "$BASE/ontologies?format=$format&id=$1")
     [ "$code" = 202 ] || { cat "$WORK/submit.json"; echo "serve-chaos: submit $1: HTTP $code"; exit 1; }
     for _ in $(seq 1 600); do
         status=$(curl -s "$BASE/ontologies/$1" | sed -n 's/.*"status":"\([a-z]*\)".*/\1/p')
@@ -83,8 +90,10 @@ entry_field() {
 }
 
 check_answers() {
-    # check_answers <id> <file> <label>
-    set -- "$1" "$2" "$3" $(grep '^id: ' "$2" | head -n 2 | sed 's/^id: //')
+    # check_answers <id> <file> <label>; the two concepts queried are the
+    # first two declared (OBO `id:` or functional `Declaration(Class(...))`).
+    set -- "$1" "$2" "$3" $(grep -e '^id: ' -e '^Declaration(Class(' "$2" | head -n 2 |
+        sed -e 's/^id: //' -e 's/^Declaration(Class(\(.*\)))$/\1/')
     SPEC="subsumes:$4,$5;ancestors:$4;descendants:$5;lca:$4,$5;depth:$5"
     "$WORK/owlclass" -query "$SPEC" "$2" >"$WORK/$1.cli" 2>/dev/null
     curl -sG --data-urlencode "q=$SPEC" "$BASE/ontologies/$1/query" >"$WORK/$1.http"
@@ -96,15 +105,17 @@ check_answers() {
     echo "   $1: answers byte-identical to owlclass ($3)"
 }
 
-echo "== phase 1: classify both corpora, then SIGKILL the daemon"
+echo "== phase 1: classify every corpus, then SIGKILL the daemon"
 start_owld -workers 4
 submit_and_wait one "$WORK/one.obo"
 submit_and_wait two "$WORK/two.obo"
+submit_and_wait three "$WORK/three.ofn"
 check_answers one "$WORK/one.obo" "before kill"
-# Wait until the manifest has both entries durably classified before the kill.
+check_answers three "$WORK/three.ofn" "before kill"
+# Wait until the manifest has every entry durably classified before the kill.
 for _ in $(seq 1 100); do
     n=$(grep -c '"status": "classified"' "$CKDIR/registry.json" 2>/dev/null || true)
-    [ "${n:-0}" = 2 ] && break
+    [ "${n:-0}" = 3 ] && break
     sleep 0.1
 done
 kill_owld
@@ -112,12 +123,13 @@ echo "   killed (no drain)"
 
 echo "== phase 2: restart under -chaos err=1 — re-adoption must run zero reasoner calls"
 start_owld -workers 4 -chaos err=1,seed=1
-for id in one two; do
+for id in one two three; do
     status=$(entry_field "$id" readopted)
     [ "$status" = true ] || { curl -s "$BASE/ontologies/$id"; echo; echo "serve-chaos: $id not readopted after SIGKILL restart"; exit 1; }
 done
 check_answers one "$WORK/one.obo" "after kill + chaos restart"
 check_answers two "$WORK/two.obo" "after kill + chaos restart"
+check_answers three "$WORK/three.ofn" "after kill + chaos restart"
 kill_owld
 
 echo "== phase 3: restart with a tight memory budget — eviction + demand reload"
@@ -126,12 +138,13 @@ echo "== phase 3: restart with a tight memory budget — eviction + demand reloa
 start_owld -workers 4 -max-resident-bytes 4096
 evictions=$(curl -s "$BASE/healthz" | sed -n 's/.*"evictions":\([0-9]*\).*/\1/p')
 [ "${evictions:-0}" -ge 1 ] || { curl -s "$BASE/healthz"; echo; echo "serve-chaos: no evictions under a 4 KiB budget"; exit 1; }
-for id in one two; do
+for id in one two three; do
     status=$(entry_field "$id" status)
     [ "$status" = classified ] || { echo "serve-chaos: evicted $id lists as $status, want classified"; exit 1; }
 done
 check_answers one "$WORK/one.obo" "after eviction, demand reload"
 check_answers two "$WORK/two.obo" "after eviction, demand reload"
+check_answers three "$WORK/three.ofn" "after eviction, demand reload"
 reloads=$(curl -s "$BASE/healthz" | sed -n 's/.*"reloads":\([0-9]*\).*/\1/p')
 [ "${reloads:-0}" -ge 1 ] || { curl -s "$BASE/healthz"; echo; echo "serve-chaos: queries never paid a demand reload"; exit 1; }
 

@@ -20,6 +20,8 @@ go test -race ./internal/core/... ./internal/tableau/... ./internal/reasoner/...
 echo "== EL saturation suite: sequential oracle, worker counts, cancellation, row seeding (-race -count=10)"
 go test -race -count=10 -run 'TestSaturationMatchesOracle|TestQuickWorkerCountIrrelevant|TestSaturationCancelled|TestFragmentSeeds' ./internal/el/
 go test -race -count=10 -run 'TestPrepassCountersExample|TestNewStateFill' ./internal/core/
+echo "== counter record: cycle deltas sum to Stats under both policies, checkpoint counter layout (-race -count=3)"
+go test -race -count=3 -run 'TestStatsAndPruning|TestCheckpointCounterLayout' ./internal/core/
 echo "== cheap-first pipeline equivalence suite, brute force included (-race)"
 go test -race -count=1 -run 'TestQuickPipelineEquivalence|TestPipelineEquivalenceOntogen|TestPipelineReducesCalls|TestPrepassFragmentUnsatConcept|TestQuickMatchesBruteForce' ./internal/core/
 echo "== model-filter rows: rows vs pairwise merges, panicking and cancelled row builds (-race -count=3)"
