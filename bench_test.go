@@ -10,8 +10,10 @@ package parowl
 // Run: go test -bench=. -benchmem
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -359,6 +361,41 @@ func BenchmarkELSaturation(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkAdopt times a restart's re-adoption on perfbench classify-el's
+// corpus, WBbt at 1/3 scale: Engine.Load parses the OBO bytes and
+// Ontology.Adopt rebuilds the taxonomy from a completed checkpoint that
+// carries its kernel, as owld does at boot and on a cold reload.
+//
+//	go test -run '^$' -bench Adopt -benchmem .
+func BenchmarkAdopt(b *testing.B) {
+	var src bytes.Buffer
+	if err := Write(&src, benchCorpus(b, "WBbt.obo", 3), FormatOBO); err != nil {
+		b.Fatal(err)
+	}
+	eng := NewEngine()
+	ont, err := eng.Load(bytes.NewReader(src.Bytes()), "wbbt", FormatOBO)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ck := filepath.Join(b.TempDir(), "wbbt.ck")
+	opts := eng.Options()
+	opts.Checkpoint, opts.CompileKernel = ck, true
+	if _, err := ont.ClassifyWith(context.Background(), opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh, err := eng.Load(bytes.NewReader(src.Bytes()), "wbbt", FormatOBO)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := fresh.Adopt(context.Background(), ck); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -39,9 +39,12 @@ func appendFrame(b []byte, n int, word func(i int) uint64) []byte {
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 }
 
-// readFrame validates the frame at the head of data and returns the bit
-// capacity, the decoded words, and the bytes following the frame.
-func readFrame(data []byte) (n int, words []uint64, rest []byte, err error) {
+// readFrame validates the frame at the head of data — its length, its
+// checksum and that no bit is set beyond the declared capacity — and
+// returns the bit capacity, the frame's word bytes, and the bytes
+// following the frame. The caller decodes the words where they belong
+// (wordAt), so no intermediate copy is made.
+func readFrame(data []byte) (n int, payload, rest []byte, err error) {
 	if len(data) < 4 {
 		return 0, nil, nil, fmt.Errorf("%w: truncated header (%d bytes)", ErrCorrupt, len(data))
 	}
@@ -54,16 +57,18 @@ func readFrame(data []byte) (n int, words []uint64, rest []byte, err error) {
 	if got := crc32.ChecksumIEEE(data[:total-4]); got != want {
 		return 0, nil, nil, fmt.Errorf("%w: checksum mismatch (%08x != %08x)", ErrCorrupt, got, want)
 	}
-	words = make([]uint64, wordsFor(n))
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(data[4+i*8:])
-	}
-	if rem := n % wordBits; rem != 0 && len(words) > 0 {
-		if words[len(words)-1]&^((1<<uint(rem))-1) != 0 {
+	payload = data[4 : total-4]
+	if rem := n % wordBits; rem != 0 {
+		if wordAt(payload, wordsFor(n)-1)&^((1<<uint(rem))-1) != 0 {
 			return 0, nil, nil, fmt.Errorf("%w: bits set beyond capacity %d", ErrCorrupt, n)
 		}
 	}
-	return n, words, data[total:], nil
+	return n, payload, data[total:], nil
+}
+
+// wordAt decodes word i of a frame's word bytes.
+func wordAt(payload []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(payload[8*i:])
 }
 
 // AppendBinary appends s's binary encoding to b and returns the extended
@@ -94,11 +99,15 @@ func (s *Set) UnmarshalBinary(data []byte) error {
 // ReadSet decodes one Set from the head of data and returns it together
 // with the remaining bytes, for streaming several frames from one buffer.
 func ReadSet(data []byte) (*Set, []byte, error) {
-	n, words, rest, err := readFrame(data)
+	n, payload, rest, err := readFrame(data)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Set{n: n, words: words}, rest, nil
+	s := New(n)
+	for i := range s.words {
+		s.words[i] = wordAt(payload, i)
+	}
+	return s, rest, nil
 }
 
 // AppendBinary appends a word-by-word snapshot of a's contents to b. Like
@@ -130,13 +139,13 @@ func (a *Atomic) UnmarshalBinary(data []byte) error {
 // ReadAtomic decodes one Atomic from the head of data and returns it with
 // the remaining bytes.
 func ReadAtomic(data []byte) (*Atomic, []byte, error) {
-	n, words, rest, err := readFrame(data)
+	n, payload, rest, err := readFrame(data)
 	if err != nil {
 		return nil, nil, err
 	}
 	a := NewAtomic(n)
-	for i, w := range words {
-		a.words[i].Store(w)
+	for i := range a.words {
+		a.words[i].Store(wordAt(payload, i))
 	}
 	return a, rest, nil
 }

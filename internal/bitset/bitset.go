@@ -191,9 +191,12 @@ func (s *Set) ForEach(fn func(i int) bool) {
 	}
 }
 
-// Next returns the smallest member ≥ i, or -1 when there is none. Unlike
-// ForEach it lets a caller suspend a scan and resume it later.
-func (s *Set) Next(i int) int {
+// NextAndNot returns the smallest member ≥ i of s that is not in o, or
+// -1 when there is none, scanning s \ o a word at a time without
+// building it. Unlike ForEach it lets a caller suspend a scan and resume
+// it later. Both sets must have the same capacity.
+func (s *Set) NextAndNot(o *Set, i int) int {
+	s.sameLen(o)
 	if i < 0 {
 		i = 0
 	}
@@ -201,11 +204,11 @@ func (s *Set) Next(i int) int {
 	if wi >= len(s.words) {
 		return -1
 	}
-	if w := s.words[wi] >> (uint(i) % wordBits); w != 0 {
+	if w := (s.words[wi] &^ o.words[wi]) >> (uint(i) % wordBits); w != 0 {
 		return i + bits.TrailingZeros64(w)
 	}
 	for wi++; wi < len(s.words); wi++ {
-		if w := s.words[wi]; w != 0 {
+		if w := s.words[wi] &^ o.words[wi]; w != 0 {
 			return wi*wordBits + bits.TrailingZeros64(w)
 		}
 	}

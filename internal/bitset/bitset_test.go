@@ -112,29 +112,59 @@ func TestSetMembersOrdered(t *testing.T) {
 	}
 }
 
-// TestSetNext walks a set with Next from every start position and
-// checks each answer against Members.
-func TestSetNext(t *testing.T) {
-	s := New(300)
-	members := []int{3, 64, 65, 127, 128, 299}
-	for _, i := range members {
-		s.Set(i)
-	}
-	for start := -1; start <= 301; start++ {
-		want := -1
-		for _, m := range members {
-			if m >= start {
-				want = m
-				break
+// TestNextAndNotMatchesPerBit checks NextAndNot against a per-bit scan
+// of s \ o from every start, on sets of sizes that end inside, at and
+// just past 64-bit words: empty and full ones, members at word edges
+// with o empty, and random ones.
+func TestNextAndNotMatchesPerBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, 63, 64, 65, 130, 257, 300} {
+		for trial := 0; trial < 20; trial++ {
+			s, o := New(n), New(n)
+			switch trial {
+			case 0:
+			case 1:
+				s.FillAll()
+			case 2:
+				s.FillAll()
+				o.FillAll()
+			case 3:
+				for _, i := range []int{3, 63, 64, 65, 127, 128, 299} {
+					if i < n {
+						s.Set(i)
+					}
+				}
+			default:
+				ds, do := 1+rng.Intn(8), 1+rng.Intn(8)
+				for i := 0; i < n; i++ {
+					if rng.Intn(ds) == 0 {
+						s.Set(i)
+					}
+					if rng.Intn(do) == 0 {
+						o.Set(i)
+					}
+				}
+			}
+			for start := -1; start <= n+1; start++ {
+				want := -1
+				for i := max(start, 0); i < n; i++ {
+					if s.Test(i) && !o.Test(i) {
+						want = i
+						break
+					}
+				}
+				if got := s.NextAndNot(o, start); got != want {
+					t.Fatalf("n=%d trial %d: NextAndNot(%d) = %d, want %d (s %v, o %v)", n, trial, start, got, want, s, o)
+				}
 			}
 		}
-		if got := s.Next(start); got != want {
-			t.Fatalf("Next(%d) = %d, want %d", start, got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NextAndNot on sets of different sizes did not panic")
 		}
-	}
-	if got := New(0).Next(0); got != -1 {
-		t.Fatalf("Next on an empty set = %d, want -1", got)
-	}
+	}()
+	New(64).NextAndNot(New(65), 0)
 }
 
 func TestSetString(t *testing.T) {

@@ -1,6 +1,9 @@
 package bitset
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // OrTranspose ORs the transpose of the bit matrix whose rows are rows
 // into dst: every bit c of rows[r] sets bit r of dst[c]. A nil row is
@@ -23,17 +26,8 @@ func OrTranspose(dst []*Atomic, rows []*Set) {
 	}
 	var blk [wordBits]uint64
 	for r0 := 0; r0 < len(rows); r0 += wordBits {
-		band := rows[r0:min(r0+wordBits, len(rows))]
 		for w := 0; w < wordsFor(len(dst)); w++ {
-			var nonzero uint64
-			for k := range blk {
-				blk[k] = 0
-				if k < len(band) && band[k] != nil {
-					blk[k] = band[k].words[w]
-				}
-				nonzero |= blk[k]
-			}
-			if nonzero == 0 {
+			if loadTile(&blk, rows, r0, w) == 0 {
 				continue
 			}
 			transpose64(&blk)
@@ -44,6 +38,56 @@ func OrTranspose(dst []*Atomic, rows []*Set) {
 			}
 		}
 	}
+}
+
+// MutualPairs calls fn(i, j) for every pair i < j of the square bit
+// matrix rows with j ∈ rows[i] and i ∈ rows[j]. A nil row is empty; each
+// other row must have capacity len(rows).
+//
+// It works on 64×64 tiles: for each pair of 64-row bands a ≤ b it
+// transposes tile (b, a) in registers and ANDs it with tile (a, b), so
+// the set bits are exactly the mutual pairs between the two bands and
+// the cost is per tile, not per bit. No transposed copy of the matrix is
+// made. Pairs come band pair by band pair, not in global order.
+func MutualPairs(rows []*Set, fn func(i, j int)) {
+	n := len(rows)
+	for _, row := range rows {
+		if row != nil && row.n != n {
+			panic(fmt.Sprintf("bitset: row size %d in a %d-row square matrix", row.n, n))
+		}
+	}
+	var ab, ba [wordBits]uint64
+	for a := 0; a < wordsFor(n); a++ {
+		for b := a; b < wordsFor(n); b++ {
+			if loadTile(&ab, rows, a*wordBits, b) == 0 || loadTile(&ba, rows, b*wordBits, a) == 0 {
+				continue
+			}
+			transpose64(&ba) // bit j of ba[i]: a*64+i ∈ rows[b*64+j]
+			for i := range ab {
+				m := ab[i] & ba[i]
+				if a == b {
+					m &= ^uint64(0) << uint(i+1) // the diagonal tile: j > i only
+				}
+				for ; m != 0; m &= m - 1 {
+					fn(a*wordBits+i, b*wordBits+bits.TrailingZeros64(m))
+				}
+			}
+		}
+	}
+}
+
+// loadTile fills blk with word w of rows r0..r0+63, zero for rows past
+// the end or nil, and returns the OR of the loaded words.
+func loadTile(blk *[wordBits]uint64, rows []*Set, r0, w int) uint64 {
+	var nonzero uint64
+	for k := range blk {
+		blk[k] = 0
+		if r := r0 + k; r < len(rows) && rows[r] != nil {
+			blk[k] = rows[r].words[w]
+		}
+		nonzero |= blk[k]
+	}
+	return nonzero
 }
 
 // transpose64 transposes the 64×64 bit matrix a in place: bit j of a[i]

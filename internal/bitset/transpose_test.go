@@ -46,6 +46,61 @@ func TestOrTransposeMatchesPerBit(t *testing.T) {
 	}
 }
 
+// TestMutualPairsMatchesPerBit checks the tile-pair scan against per-bit
+// probes of both directions on random square matrices of sizes that end
+// inside, at and just past a 64-bit tile, with some rows nil: every
+// mutual pair i < j is reported exactly once and nothing else is.
+func TestMutualPairsMatchesPerBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 63, 64, 65, 130, 257} {
+		for trial := 0; trial < 10; trial++ {
+			rows := make([]*Set, n)
+			density := 1 + rng.Intn(6)
+			for r := range rows {
+				if rng.Intn(8) == 0 {
+					continue
+				}
+				rows[r] = New(n)
+				for c := 0; c < n; c++ {
+					if rng.Intn(density) == 0 {
+						rows[r].Set(c)
+					}
+				}
+			}
+			has := func(r, c int) bool { return rows[r] != nil && rows[r].Test(c) }
+			want := map[[2]int]bool{}
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					if has(i, j) && has(j, i) {
+						want[[2]int{i, j}] = true
+					}
+				}
+			}
+			got := map[[2]int]bool{}
+			MutualPairs(rows, func(i, j int) {
+				if i >= j || got[[2]int{i, j}] {
+					t.Fatalf("n=%d: pair (%d, %d) out of order or repeated", n, i, j)
+				}
+				got[[2]int{i, j}] = true
+			})
+			if len(got) != len(want) {
+				t.Fatalf("n=%d trial %d: %d mutual pairs, want %d", n, trial, len(got), len(want))
+			}
+			for p := range want {
+				if !got[p] {
+					t.Fatalf("n=%d trial %d: pair %v missed", n, trial, p)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MutualPairs on a non-square matrix did not panic")
+		}
+	}()
+	MutualPairs([]*Set{New(2)}, func(int, int) {})
+}
+
 // TestFillRangeMatchesPerBit checks the word-level range fill against
 // per-bit sets, over every range of a few sizes around word boundaries.
 func TestFillRangeMatchesPerBit(t *testing.T) {

@@ -78,7 +78,7 @@ func Adopt(ctx context.Context, t *dl.TBox, opts AdoptOptions) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	s := newState(t, adoptReasoner{}, snap.optimized)
+	s := stateFor(t, adoptReasoner{}, snap.optimized)
 	s.ctx = ctx
 	if err := s.restoreSnapshot(snap); err != nil {
 		return nil, err

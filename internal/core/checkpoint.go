@@ -385,10 +385,11 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 }
 
 // restoreSnapshot validates snap against this run's ontology and
-// configuration and, on success, replaces the freshly initialized shared
-// state with the snapshot's. Must run before any worker touches the
-// state. The returned error always wraps ErrBadSnapshot; the state is
-// untouched when it fires.
+// configuration and, on success, installs the snapshot's shared state:
+// its P, K and tested sets become the run's, so a state from stateFor
+// needs no fresh ones. Must run before any worker touches the state. The
+// returned error always wraps ErrBadSnapshot; the state is untouched
+// when it fires.
 func (s *state) restoreSnapshot(snap *snapshot) error {
 	if got := FingerprintTBox(s.tbox); got != snap.fingerprint {
 		return fmt.Errorf("%w: ontology fingerprint %016x does not match snapshot %016x (different or modified ontology)",
@@ -404,9 +405,7 @@ func (s *state) restoreSnapshot(snap *snapshot) error {
 	if s.optimized != (snap.tested == nil) {
 		return fmt.Errorf("%w: tested matrix presence inconsistent with mode", ErrBadSnapshot)
 	}
-	copy(s.P, snap.P)
-	copy(s.K, snap.K)
-	s.tested = snap.tested
+	s.P, s.K, s.tested = snap.P, snap.K, snap.tested
 	for i, v := range snap.satState {
 		s.satState[i].Store(v)
 	}

@@ -275,7 +275,7 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	t.Freeze()
 
 	start := time.Now()
-	s := newState(t, opts.Reasoner, opts.Mode == Optimized)
+	s := stateFor(t, opts.Reasoner, opts.Mode == Optimized)
 	s.ctx = ctx
 	s.testTimeout = opts.TestTimeout
 	s.testRetries = opts.TestRetries
@@ -290,8 +290,9 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 		s.hard = make([]atomic.Int64, s.n)
 	}
 
-	// Restore a prior run's state before any worker exists; a rejected
-	// snapshot leaves the fresh state untouched and the run starts clean.
+	// Restore a prior run's state before any worker exists. Fresh P and
+	// K are built only when no snapshot supplies them: a rejected
+	// snapshot leaves the state untouched and the run starts clean.
 	var (
 		snap      *snapshot // the restored snapshot; nil on a clean run
 		resumeErr error
@@ -304,6 +305,9 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 		if err != nil {
 			snap, resumeErr = nil, err
 		}
+	}
+	if snap == nil {
+		s.initSets()
 	}
 	var ck *checkpointer
 	if opts.Checkpoint != "" {

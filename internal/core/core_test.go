@@ -35,6 +35,14 @@ func exampleTBox() *dl.TBox {
 	return tb
 }
 
+// newState returns the state of a fresh run, as ClassifyContext builds
+// it when no snapshot is restored: stateFor's, with initSets' P and K.
+func newState(t *dl.TBox, r reasoner.Interface, optimized bool) *state {
+	s := stateFor(t, r, optimized)
+	s.initSets()
+	return s
+}
+
 func tableauFactory(t *dl.TBox) reasoner.Interface {
 	return tableau.New(t, tableau.Options{})
 }
@@ -658,7 +666,7 @@ func TestExample41SymmetricTesting(t *testing.T) {
 	}
 }
 
-// TestNewStateFill checks newState's word-level fills against the paper's
+// TestNewStateFill checks initSets' word-level fills against the paper's
 // initialization done bit by bit: P_x = {y > x} in optimized mode and
 // every y ≠ x in basic mode, K_⊤ = every named concept, and in basic mode
 // each (⊤, X) entry tested and cleared from P_⊤. Sizes n (⊤ included)

@@ -23,82 +23,28 @@ import (
 // word-parallel row operations (directChildren) — the transitive
 // reduction the paper's example computes. Phase 3 is a pure function of
 // K, so Adopt rebuilds the identical taxonomy from a checkpoint.
+//
+// Every pass over K works on whole 64-bit words, and a member is visited
+// on its own only where it is a mutual pair, a member to remap to its
+// class, or not yet covered. Phase 3 only reads s.K: the final checkpoint
+// re-encodes it afterwards.
 func (s *state) buildTaxonomy(p *pool, trace *Trace) (*taxonomy.Taxonomy, error) {
 	n := s.n
-
-	// Contract equivalence classes: mutual K membership (Algorithm 4's
-	// setEquivalentConcept). Unsatisfiable concepts go to ⊥ and take no
-	// further part.
-	canon := make([]int, n)
-	for i := range canon {
-		canon[i] = i
-	}
-	var find func(int) int
-	find = func(i int) int {
-		for canon[i] != i {
-			canon[i] = canon[canon[i]]
-			i = canon[i]
-		}
-		return i
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra > rb {
-			ra, rb = rb, ra
-		}
-		if ra != rb {
-			canon[rb] = ra
-		}
-	}
-	unsat := func(x int) bool { return s.satState[x].Load() == satNo }
-	for x := 0; x < n; x++ {
-		if unsat(x) {
-			continue
-		}
-		s.K[x].ForEach(func(y int) bool {
-			if !unsat(y) && s.K[y].Test(x) {
-				union(x, y)
-			}
-			return true
-		})
-	}
-
-	// Contracted K-graph over canonical representatives.
-	members := make([][]int, n)
-	for m := 0; m < n; m++ {
-		if !unsat(m) {
-			r := find(m)
-			members[r] = append(members[r], m)
-		}
-	}
-	kc := make([]*bitset.Set, n)
-	for x := 0; x < n; x++ {
-		if unsat(x) || find(x) != x {
-			continue
-		}
-		acc := bitset.New(n)
-		for _, member := range members[x] {
-			s.K[member].ForEach(func(y int) bool {
-				if unsat(y) {
-					return true
-				}
-				if cy := find(y); cy != x {
-					acc.Set(cy)
-				}
-				return true
-			})
-		}
-		kc[x] = acc
-	}
+	start := time.Now()
+	kc, rep := s.contractRows()
+	contracted := time.Since(start)
 
 	// The closure is sequential; it runs as one pool task so the trace
-	// charges it to phase 3 like the reduction that follows.
+	// charges it to phase 3 like the reduction that follows. The
+	// contraction before it is charged to the same record.
 	p.submit(func() time.Duration {
 		start := time.Now()
 		closeRows(kc)
 		return time.Since(start)
 	})
-	s.record(trace, PhaseHierarchy, 1, p.barrier())
+	c := p.barrier()
+	c.chargeOutside(contracted)
+	s.record(trace, PhaseHierarchy, 1, c)
 
 	// Divide: H_X for every class, the classes dealt round-robin over a
 	// few tasks per worker so each task reuses one scratch row.
@@ -121,21 +67,23 @@ func (s *state) buildTaxonomy(p *pool, trace *Trace) (*taxonomy.Taxonomy, error)
 			return time.Since(start)
 		})
 	}
-	s.record(trace, PhaseHierarchy, 2, p.barrier())
+	c = p.barrier()
 	if err := s.errOrNil(); err != nil {
 		return nil, err
 	}
 
-	// Conquer: merge the partial hierarchies top-down into the taxonomy.
+	// Conquer: merge the partial hierarchies top-down into the taxonomy,
+	// charged to the divide step's record.
+	start = time.Now()
 	b := taxonomy.NewBuilder(s.tbox.Factory)
 	for x := 0; x < n; x++ {
 		b.AddConcept(s.named[x])
-		if unsat(x) {
+		if s.satState[x].Load() == satNo {
 			b.MarkUnsatisfiable(s.named[x])
 			continue
 		}
-		if cx := find(x); cx != x {
-			b.MarkEquivalent(s.named[cx], s.named[x])
+		if r := rep[x]; r != x {
+			b.MarkEquivalent(s.named[r], s.named[x])
 		}
 	}
 	for x := 0; x < n; x++ {
@@ -143,7 +91,93 @@ func (s *state) buildTaxonomy(p *pool, trace *Trace) (*taxonomy.Taxonomy, error)
 			b.AddEdge(s.named[x], s.named[child])
 		}
 	}
-	return b.Build()
+	tax, err := b.Build()
+	c.chargeOutside(time.Since(start))
+	s.record(trace, PhaseHierarchy, 2, c)
+	return tax, err
+}
+
+// contractRows loads K once and contracts its equivalence classes
+// (Algorithm 4's setEquivalentConcept). It returns the contracted rows,
+// non-nil exactly at each class's representative, and every concept's
+// representative. Unsatisfiable concepts go to ⊥ and take no further
+// part: their rows are nil and their bits are masked out of every other
+// row, a word at a time.
+//
+// A class is a set of concepts joined by mutual K membership, found from
+// 64×64 tile pairs (bitset.MutualPairs); union-find keeps the smallest
+// index as the root, so the classes and their representatives do not
+// depend on the order the pairs come in. When no class has two members,
+// the loaded rows are the contracted rows. Otherwise each
+// representative's row takes the OR of its members' rows, and the bits
+// of non-representatives move to their representatives.
+func (s *state) contractRows() (kc []*bitset.Set, rep []int) {
+	n := s.n
+	unsat := bitset.New(n)
+	for x := 0; x < n; x++ {
+		if s.satState[x].Load() == satNo {
+			unsat.Set(x)
+		}
+	}
+	masked := !unsat.IsEmpty()
+	kc = make([]*bitset.Set, n)
+	for x := 0; x < n; x++ {
+		if unsat.Test(x) {
+			continue
+		}
+		row := s.K[x].Snapshot()
+		if masked {
+			row.Subtract(unsat)
+		}
+		row.Clear(x)
+		kc[x] = row
+	}
+
+	rep = make([]int, n)
+	for i := range rep {
+		rep[i] = i
+	}
+	find := func(i int) int {
+		for rep[i] != i {
+			rep[i] = rep[rep[i]]
+			i = rep[i]
+		}
+		return i
+	}
+	merged := false
+	bitset.MutualPairs(kc, func(x, y int) {
+		if rx, ry := find(x), find(y); rx != ry {
+			rep[max(rx, ry)] = min(rx, ry)
+			merged = true
+		}
+	})
+	if !merged {
+		return kc, rep
+	}
+
+	// keep holds every index but the non-representatives, so a row's
+	// members outside it are exactly the bits to move.
+	keep := bitset.New(n)
+	keep.FillAll()
+	for x := range rep {
+		if r := find(x); r != x {
+			rep[x] = r
+			keep.Clear(x)
+			kc[r].Union(kc[x])
+			kc[x] = nil
+		}
+	}
+	for r, row := range kc {
+		if row == nil {
+			continue
+		}
+		for m := row.NextAndNot(keep, 0); m >= 0; m = row.NextAndNot(keep, m+1) {
+			row.Clear(m)
+			row.Set(rep[m])
+		}
+		row.Clear(r)
+	}
+	return kc, rep
 }
 
 // closeRows replaces every contracted row kc[x] with its transitive
@@ -151,47 +185,45 @@ func (s *state) buildTaxonomy(p *pool, trace *Trace) (*taxonomy.Taxonomy, error)
 // first, in the post-order of an iterative depth-first search over the
 // class DAG, so the rows of x's members are closed when x's is built;
 // like directChildren it then ORs in only the rows of members an earlier
-// member's row does not already cover. One scratch row is allocated. A K
-// cycle between distinct classes can only come from degraded tests
-// leaving an equivalence one-sided; the search ignores the edge that
-// closes it, so the closure may stay partial there, but every bit in it
-// is still a proven subsumption.
+// member's row does not already cover. Both the search and the closure
+// step over members already seen or covered a word at a time
+// (NextAndNot) and visit the rest in ascending order. A K cycle between
+// distinct classes can only come from degraded tests leaving an
+// equivalence one-sided; the search ignores the edge that closes it, so
+// the closure may stay partial there, but every bit in it is still a
+// proven subsumption.
 func closeRows(kc []*bitset.Set) {
 	order := make([]int, 0, len(kc))
-	seen := make([]bool, len(kc))
+	seen := bitset.New(len(kc))
 	type frame struct{ x, next int }
 	var stack []frame
 	for root, row := range kc {
-		if row == nil || seen[root] {
+		if row == nil || seen.Test(root) {
 			continue
 		}
-		seen[root] = true
+		seen.Set(root)
 		stack = append(stack, frame{x: root})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			y := kc[f.x].Next(f.next)
+			y := kc[f.x].NextAndNot(seen, f.next)
 			if y < 0 {
 				order = append(order, f.x)
 				stack = stack[:len(stack)-1]
 				continue
 			}
 			f.next = y + 1
-			if !seen[y] {
-				seen[y] = true
-				stack = append(stack, frame{x: y})
-			}
+			seen.Set(y)
+			stack = append(stack, frame{x: y})
 		}
 	}
 	covered := bitset.New(len(kc))
 	for _, x := range order {
 		covered.ClearAll()
-		kc[x].ForEach(func(y int) bool {
-			if !covered.Test(y) {
-				covered.Union(kc[y])
-			}
-			return true
-		})
-		kc[x].Union(covered)
+		row := kc[x]
+		for y := row.NextAndNot(covered, 0); y >= 0; y = row.NextAndNot(covered, y+1) {
+			covered.Union(kc[y])
+		}
+		row.Union(covered)
 	}
 }
 
@@ -199,21 +231,16 @@ func closeRows(kc []*bitset.Set) {
 // Y of K_X is a direct child unless it lies in K_Z for another member Z.
 // below accumulates the union of the members' rows; a member already in
 // it is skipped, because its closed row is inside the row that covered
-// it. below is scratch of the rows' length.
+// it. The direct children are row &^ below, returned in ascending order.
+// below is scratch of the rows' length.
 func directChildren(row *bitset.Set, kc []*bitset.Set, below *bitset.Set) []int {
 	below.ClearAll()
-	row.ForEach(func(y int) bool {
-		if !below.Test(y) {
-			below.Union(kc[y])
-		}
-		return true
-	})
+	for y := row.NextAndNot(below, 0); y >= 0; y = row.NextAndNot(below, y+1) {
+		below.Union(kc[y])
+	}
 	var out []int
-	row.ForEach(func(y int) bool {
-		if !below.Test(y) {
-			out = append(out, y)
-		}
-		return true
-	})
+	for y := row.NextAndNot(below, 0); y >= 0; y = row.NextAndNot(below, y+1) {
+		out = append(out, y)
+	}
 	return out
 }

@@ -14,7 +14,10 @@ import (
 )
 
 // TestWorkerLoadsRecorded: the trace must carry per-worker loads whose sum
-// matches the cycle runtime, and a sane imbalance factor.
+// matches the runtime of the tasks the pool ran, and a sane imbalance
+// factor. Work charged outside the pool (worker -1) is in the runtime but
+// in no worker's load: each phase 3 record carries one such task, the
+// contraction in the first and the conquer step in the second.
 func TestWorkerLoadsRecorded(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tb := randomTaxonomyTBox(rng, 25)
@@ -32,13 +35,23 @@ func TestWorkerLoadsRecorded(t *testing.T) {
 		if len(c.WorkerLoads) != 4 {
 			t.Fatalf("cycle %d: %d worker loads, want 4", i, len(c.WorkerLoads))
 		}
-		var sum, runtime int64
+		var sum, pooled int64
 		for _, l := range c.WorkerLoads {
 			sum += int64(l)
 		}
-		runtime = int64(c.Runtime())
-		if sum != runtime {
-			t.Errorf("cycle %d: worker loads sum %d != runtime %d", i, sum, runtime)
+		outside := 0
+		for k, d := range c.Tasks {
+			if c.TaskWorkers[k] < 0 {
+				outside++
+				continue
+			}
+			pooled += int64(d)
+		}
+		if sum != pooled {
+			t.Errorf("cycle %d: worker loads sum %d != pool task runtime %d", i, sum, pooled)
+		}
+		if want := b2i(c.Phase == PhaseHierarchy); outside != want || outside == 1 && c.TaskWorkers[0] != -1 {
+			t.Errorf("cycle %d (%s): %d tasks charged outside the pool, want %d, as the first task", i, c.Phase, outside, want)
 		}
 		if im := c.Imbalance(); im < 1.0-1e-9 && im != 0 {
 			t.Errorf("cycle %d: imbalance %.3f < 1", i, im)

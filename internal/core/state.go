@@ -129,11 +129,10 @@ func (s *state) stats() Stats {
 
 type classError struct{ err error }
 
-// newState initializes P and K per the paper: P_X starts as all other
-// concepts, K_X empty. ⊤ participates as a regular node so that concepts
-// equivalent to ⊤ are discovered (paper Example 3.2 reports A ≡ ⊤), but
-// the trivially true tests X ⊑ ⊤ are pre-seeded into K_⊤.
-func newState(t *dl.TBox, r reasoner.Interface, optimized bool) *state {
+// stateFor returns the state of a run over t without its P, K and
+// tested sets: a restored snapshot supplies them (restoreSnapshot), and
+// initSets builds a fresh run's.
+func stateFor(t *dl.TBox, r reasoner.Interface, optimized bool) *state {
 	named := t.NamedConcepts()
 	n := len(named) + 1
 	s := &state{
@@ -144,24 +143,33 @@ func newState(t *dl.TBox, r reasoner.Interface, optimized bool) *state {
 		top:       n - 1,
 		r:         r,
 		ctx:       context.Background(),
-		P:         make([]*bitset.Atomic, n),
-		K:         make([]*bitset.Atomic, n),
 		satState:  make([]atomic.Int32, n),
 		optimized: optimized,
-	}
-	if !optimized {
-		s.tested = bitset.NewMatrix(n, n)
 	}
 	s.named = append(s.named, named...)
 	s.named = append(s.named, t.Factory.Top())
 	for i, c := range s.named {
 		s.index[c] = i
 	}
+	return s
+}
+
+// initSets initializes P and K per the paper: P_X starts as all other
+// concepts, K_X empty. ⊤ participates as a regular node so that concepts
+// equivalent to ⊤ are discovered (paper Example 3.2 reports A ≡ ⊤), but
+// the trivially true tests X ⊑ ⊤ are pre-seeded into K_⊤.
+func (s *state) initSets() {
+	n := s.n
+	s.P = make([]*bitset.Atomic, n)
+	s.K = make([]*bitset.Atomic, n)
+	if !s.optimized {
+		s.tested = bitset.NewMatrix(n, n)
+	}
 	for i := 0; i < n; i++ {
 		s.P[i] = bitset.NewAtomic(n)
 		s.K[i] = bitset.NewAtomic(n)
 	}
-	if optimized {
+	if s.optimized {
 		// Pair (x,y) lives at the smaller index: P_x = {y | y > x}.
 		for x := 0; x < n; x++ {
 			s.P[x].FillRange(x+1, n)
@@ -184,7 +192,6 @@ func newState(t *dl.TBox, r reasoner.Interface, optimized bool) *state {
 		s.tested.SetRow(s.top, s.K[s.top].Snapshot())
 		s.P[s.top].ClearAll()
 	}
-	return s
 }
 
 // fail records the first error and poisons the run.

@@ -2,7 +2,9 @@ package taxonomy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"parowl/internal/dl"
 )
@@ -81,14 +83,16 @@ func (b *Builder) AddEdge(parent, child *dl.Concept) {
 // below the leaves when it holds unsatisfiable concepts.
 func (b *Builder) Build() (*Taxonomy, error) {
 	f := b.factory
-	classNode := make(map[int]*Node) // union-find root -> node
-	t := &Taxonomy{byConcept: make(map[*dl.Concept]*Node)}
+	classNode := make([]*Node, len(b.concepts)) // union-find root -> node
+	var nodes []*Node
+	t := &Taxonomy{byConcept: make(map[*dl.Concept]*Node, len(b.concepts))}
 	for i, c := range b.concepts {
 		root := b.find(i)
 		n := classNode[root]
 		if n == nil {
 			n = &Node{}
 			classNode[root] = n
+			nodes = append(nodes, n)
 		}
 		n.Concepts = append(n.Concepts, c)
 		t.byConcept[c] = n
@@ -98,13 +102,15 @@ func (b *Builder) Build() (*Taxonomy, error) {
 	if t.top == t.bottom {
 		return nil, fmt.Errorf("taxonomy: ⊤ and ⊥ collapsed (inconsistent input)")
 	}
-	for _, n := range classNode {
-		sort.Slice(n.Concepts, func(i, j int) bool {
-			return classLess(n.Concepts[i], n.Concepts[j])
-		})
+	for _, n := range nodes {
+		if len(n.Concepts) > 1 {
+			sort.Slice(n.Concepts, func(i, j int) bool {
+				return classLess(n.Concepts[i], n.Concepts[j])
+			})
+		}
 	}
 	// Lift edges to nodes.
-	edgeSet := make(map[[2]*Node]bool)
+	edgeSet := make(map[[2]*Node]bool, len(b.edges))
 	for e := range b.edges {
 		p, c := t.byConcept[e[0]], t.byConcept[e[1]]
 		if p == c || c == t.bottom || p == t.bottom {
@@ -118,7 +124,7 @@ func (b *Builder) Build() (*Taxonomy, error) {
 	}
 	// Attach parentless classes under ⊤ and wire ⊥ under the leaves.
 	var leaves []*Node
-	for _, n := range classNode {
+	for _, n := range nodes {
 		if n == t.top || n == t.bottom {
 			continue
 		}
@@ -137,21 +143,31 @@ func (b *Builder) Build() (*Taxonomy, error) {
 		l.children = append(l.children, t.bottom)
 		t.bottom.parents = append(t.bottom.parents, l)
 	}
-	// Deterministic ordering everywhere.
-	for _, n := range classNode {
+	// Deterministic ordering everywhere: each node's label is computed
+	// once, to rank the nodes, and every list sorts by rank.
+	labels := make([]string, len(nodes))
+	for i, n := range nodes {
+		labels[i] = n.Label()
+	}
+	order := make([]int, len(nodes))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(i, j int) int { return strings.Compare(labels[i], labels[j]) })
+	t.nodes = make([]*Node, 0, len(nodes))
+	t.nodes = append(t.nodes, t.top)
+	for r, i := range order {
+		n := nodes[i]
+		n.rank = r
+		if n != t.top && n != t.bottom {
+			t.nodes = append(t.nodes, n)
+		}
+	}
+	t.nodes = append(t.nodes, t.bottom)
+	for _, n := range nodes {
 		sortNodes(n.parents)
 		sortNodes(n.children)
 	}
-	t.nodes = append(t.nodes, t.top)
-	var inner []*Node
-	for _, n := range classNode {
-		if n != t.top && n != t.bottom {
-			inner = append(inner, n)
-		}
-	}
-	sortNodes(inner)
-	t.nodes = append(t.nodes, inner...)
-	t.nodes = append(t.nodes, t.bottom)
 	if err := t.validate(); err != nil {
 		return nil, err
 	}
@@ -176,8 +192,10 @@ func rank(c *dl.Concept) int {
 	}
 }
 
+// sortNodes orders nodes of one taxonomy by label, through the label
+// rank Build gave each node.
 func sortNodes(ns []*Node) {
-	sort.Slice(ns, func(i, j int) bool { return ns[i].Label() < ns[j].Label() })
+	slices.SortFunc(ns, func(a, b *Node) int { return a.rank - b.rank })
 }
 
 // validate checks the taxonomy is a DAG rooted at ⊤.
@@ -187,29 +205,29 @@ func (t *Taxonomy) validate() error {
 		gray  = 1
 		black = 2
 	)
-	color := make(map[*Node]int)
+	color := make([]int8, len(t.nodes)) // by rank
 	var visit func(n *Node) error
 	visit = func(n *Node) error {
-		switch color[n] {
+		switch color[n.rank] {
 		case gray:
 			return fmt.Errorf("taxonomy: cycle through %s", n.Label())
 		case black:
 			return nil
 		}
-		color[n] = gray
+		color[n.rank] = gray
 		for _, c := range n.children {
 			if err := visit(c); err != nil {
 				return err
 			}
 		}
-		color[n] = black
+		color[n.rank] = black
 		return nil
 	}
 	if err := visit(t.top); err != nil {
 		return err
 	}
 	for _, n := range t.nodes {
-		if color[n] != black {
+		if color[n.rank] != black {
 			return fmt.Errorf("taxonomy: node %s unreachable from ⊤", n.Label())
 		}
 	}

@@ -22,6 +22,7 @@ type Node struct {
 
 	parents  []*Node
 	children []*Node
+	rank     int // position in label order among the taxonomy's nodes
 }
 
 // Canonical returns the class representative.
@@ -35,6 +36,9 @@ func (n *Node) Children() []*Node { return n.children }
 
 // Label renders the equivalence class for display.
 func (n *Node) Label() string {
+	if len(n.Concepts) == 1 {
+		return conceptName(n.Concepts[0])
+	}
 	parts := make([]string, len(n.Concepts))
 	for i, c := range n.Concepts {
 		parts[i] = conceptName(c)

@@ -22,6 +22,9 @@ go test -race -count=10 -run 'TestSaturationMatchesOracle|TestQuickWorkerCountIr
 go test -race -count=10 -run 'TestPrepassCountersExample|TestNewStateFill' ./internal/core/
 echo "== counter record: cycle deltas sum to Stats under both policies, checkpoint counter layout (-race -count=3)"
 go test -race -count=3 -run 'TestStatsAndPruning|TestCheckpointCounterLayout' ./internal/core/
+echo "== phase 3: word-parallel contraction, closure and reduction vs the per-bit reference; tile-pair and NextAndNot helpers (-race -count=3)"
+go test -race -count=3 -run 'TestQuickPhase3MatchesPerBit|TestWorkerLoadsRecorded' ./internal/core/
+go test -race -count=3 -run 'TestMutualPairsMatchesPerBit|TestNextAndNotMatchesPerBit' ./internal/bitset/
 echo "== cheap-first pipeline equivalence suite, brute force included (-race)"
 go test -race -count=1 -run 'TestQuickPipelineEquivalence|TestPipelineEquivalenceOntogen|TestPipelineReducesCalls|TestPrepassFragmentUnsatConcept|TestQuickMatchesBruteForce' ./internal/core/
 echo "== model-filter rows: rows vs pairwise merges, panicking and cancelled row builds (-race -count=3)"
