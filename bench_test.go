@@ -400,6 +400,34 @@ func BenchmarkAdopt(b *testing.B) {
 	}
 }
 
+// BenchmarkPairLoop times one owld edit of perfbench serve's edit
+// corpus, actpathway at 1/8 scale: Engine.Load parses the OBO bytes and
+// the paper's plain pair loop classifies them, with owld's template (the
+// cheap-first pipeline off) and the auto plug-in. The corpus is EL, so
+// the plug-in is the EL reasoner and each of its ~750k subs? tests is a
+// bit lookup: the loop's own bookkeeping around the tests is most of
+// what this measures. -cpu sets the worker count.
+//
+//	go test -run '^$' -bench PairLoop -benchmem -cpu 1,2 .
+func BenchmarkPairLoop(b *testing.B) {
+	var src bytes.Buffer
+	if err := Write(&src, benchCorpus(b, "actpathway.obo", 8), FormatOBO); err != nil {
+		b.Fatal(err)
+	}
+	eng := NewEngine(WithOptions(Options{RandomCycles: 2, Scheduling: RoundRobin}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ont, err := eng.Load(bytes.NewReader(src.Bytes()), "edit", FormatOBO)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ont.Classify(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSequentialBaselines compares the two sequential comparators:
 // brute force and enhanced traversal (fewer tests, more coordination).
 func BenchmarkSequentialBaselines(b *testing.B) {

@@ -505,19 +505,19 @@ func splitGroups(seq []int, w int) [][]int {
 // randomDivisionSubsTest is Algorithm 2: test the pairs inside one random
 // group. In basic mode the pairs are directed by sequence position
 // (Example 3.1); in optimized mode each unordered pair is tested
-// symmetrically with pruning (Example 4.1).
+// symmetrically with pruning (Example 4.1). The task tallies its
+// counters locally and is charged once (see charge).
 func (s *state) randomDivisionSubsTest(g []int) time.Duration {
+	start := time.Now()
+	var tally Stats
+	defer s.add(&tally)
 	var cost time.Duration
 	for i := 0; i < len(g) && !s.failed(); i++ {
 		for j := i + 1; j < len(g) && !s.failed(); j++ {
-			if s.optimized {
-				cost += s.resolvePair(g[i], g[j])
-			} else {
-				cost += s.resolveBasic(g[i], g[j])
-			}
+			cost += s.resolve(g[i], g[j], &tally)
 		}
 	}
-	return cost
+	return s.charge(start, cost)
 }
 
 // groupTask is one phase-2 dispatch unit: test every y ∈ g against x.
@@ -576,18 +576,18 @@ func (s *state) runGroupCycle(p *pool, iter int, trace *Trace) bool {
 	return true
 }
 
-// groupDivisionSubsTest is Algorithm 3 for one group G_X.
+// groupDivisionSubsTest is Algorithm 3 for one group G_X, tallied and
+// charged like randomDivisionSubsTest.
 func (s *state) groupDivisionSubsTest(x int, g []int) time.Duration {
+	start := time.Now()
+	var tally Stats
+	defer s.add(&tally)
 	var cost time.Duration
 	for _, y := range g {
 		if s.failed() {
 			break
 		}
-		if s.optimized {
-			cost += s.resolvePair(x, y)
-		} else {
-			cost += s.resolveBasic(x, y)
-		}
+		cost += s.resolve(x, y, &tally)
 	}
-	return cost
+	return s.charge(start, cost)
 }

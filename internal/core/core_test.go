@@ -331,7 +331,7 @@ func TestConcurrentPrunesKeepReachability(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%v", tc.name, order), func(t *testing.T) {
 				s, is, idx := setup(t)
 				for _, m := range order {
-					s.pruneAfter(is, idx[m])
+					s.pruneAfter(is, idx[m], new(Stats))
 				}
 				check(t, s, is, idx)
 			})
@@ -344,7 +344,7 @@ func TestConcurrentPrunesKeepReachability(t *testing.T) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						s.pruneAfter(is, m)
+						s.pruneAfter(is, m, new(Stats))
 					}()
 				}
 				wg.Wait()

@@ -80,13 +80,14 @@ func (s *state) runPrepass(p *pool, workers int, seed bool, rf reasoner.RowFilte
 	for _, g := range splitGroups(unknowns, workers*4) {
 		g := g
 		p.submit(func() time.Duration {
+			start := time.Now()
 			for _, x := range g {
 				if s.failed() {
 					break
 				}
 				s.sat(x)
 			}
-			return 0
+			return s.charge(start, 0)
 		})
 	}
 	c := p.barrier()

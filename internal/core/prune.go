@@ -24,9 +24,9 @@ func (s *state) claimPair(u, v int) bool {
 // resolvePair decides the unordered pair {u, v} in optimized mode
 // (Algorithm 5, pruneNonPossible): claim, satisfiability checks
 // (Situation 1), symmetric subsumption tests (Situation 2.2), and
-// K-based pruning (Situations 2.3.1 and 2.3.2). It returns the charged
-// reasoner cost.
-func (s *state) resolvePair(u, v int) time.Duration {
+// K-based pruning (Situations 2.3.1 and 2.3.2). It counts in tally and
+// returns the tests' summed cost (see testDirected).
+func (s *state) resolvePair(u, v int, tally *Stats) time.Duration {
 	if u == v || s.failed() {
 		return 0
 	}
@@ -37,11 +37,11 @@ func (s *state) resolvePair(u, v int) time.Duration {
 	if !s.sat(a) || !s.sat(b) || s.failed() {
 		return 0 // Situation 1: sat() already emptied the relevant P entries
 	}
-	r1, c1 := s.testDirected(a, b) // subs?(a, b): b ⊑ a
+	r1, c1 := s.testDirected(a, b, tally) // subs?(a, b): b ⊑ a
 	if s.failed() {
 		return c1
 	}
-	r2, c2 := s.testDirected(b, a) // subs?(b, a): a ⊑ b
+	r2, c2 := s.testDirected(b, a, tally) // subs?(b, a): a ⊑ b
 	if s.failed() {
 		return c1 + c2
 	}
@@ -49,9 +49,9 @@ func (s *state) resolvePair(u, v int) time.Duration {
 	case r1 && r2:
 		// Situation 2.2: a ≡ b, recorded as mutual K membership.
 	case r1:
-		s.pruneAfter(a, b) // Situation 2.3 with b ⊑ a
+		s.pruneAfter(a, b, tally) // Situation 2.3 with b ⊑ a
 	case r2:
-		s.pruneAfter(b, a) // Situation 2.3 with a ⊑ b
+		s.pruneAfter(b, a, tally) // Situation 2.3 with a ⊑ b
 	default:
 		// Situation 2.4: no subsumption either way — the counterexamples
 		// of Figs. 6-8 show no sound pruning exists here, so P and K are
@@ -141,8 +141,8 @@ func (s *state) prunePass() {
 // sub ⊏ sup strictly, so that path never uses the deleted edge. Every
 // deletion thus keeps K's reachability, for equivalence classes of any
 // size. In a sequential run the check always passes: the resolver has
-// just set sup → sub.
-func (s *state) pruneAfter(sup, sub int) {
+// just set sup → sub. Each pair it claims counts in tally.Pruned.
+func (s *state) pruneAfter(sup, sub int, tally *Stats) {
 	mu := &s.pruneMu[sup%len(s.pruneMu)]
 	mu.Lock()
 	defer mu.Unlock()
@@ -155,7 +155,7 @@ func (s *state) pruneAfter(sup, sub int) {
 			s.K[sup].Clear(y)
 		}
 		if s.claimPair(sup, y) {
-			s.count.Pruned.Add(1)
+			tally.Pruned++
 		}
 		return true
 	})

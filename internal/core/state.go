@@ -49,6 +49,10 @@ type state struct {
 	top   int // index of ⊤
 
 	r reasoner.Interface
+	// virtual is r's synthetic cost model, nil unless r implements
+	// reasoner.Virtual: the pair loop then charges each test its virtual
+	// cost instead of measured time (see charge).
+	virtual reasoner.Virtual
 
 	// ctx is the run context every reasoner call inherits from;
 	// testTimeout/testRetries implement the per-test budget with
@@ -87,12 +91,13 @@ type state struct {
 	// K-shortcircuit in testDirected; when off the hot path pays nothing.
 	prepassed bool
 
-	// hard[x] is an EWMA (α = 1/4) of the charged cost of plug-in tests
-	// involving concept x, stored as fixed-point nanoseconds shifted left
-	// by hardShift; non-nil only under Async, where it orders each wave's
-	// submission hardest-first (LPT). The blend is a CAS loop (see
-	// observeHard), so concurrent updates from async workers never lose an
-	// observation; read through hardLoad.
+	// hard[x] is an EWMA (α = 1/4) of the per-test cost (virtual, or
+	// measured) of plug-in tests involving concept x, stored as
+	// fixed-point nanoseconds shifted left by hardShift; non-nil only
+	// under Async, where it orders each wave's submission hardest-first
+	// (LPT). The blend is a CAS loop (see observeHard), so concurrent
+	// updates from async workers never lose an observation; read through
+	// hardLoad.
 	hard []atomic.Int64
 
 	// epochBase is the epoch count restored from a resumed snapshot; the
@@ -102,7 +107,8 @@ type state struct {
 
 	// count is the run's counter block, read as a Stats by stats();
 	// recorded is its value at the latest trace record, where the next
-	// cycle's delta starts.
+	// cycle's delta starts. Phase-1/2 tasks tally into a local Stats and
+	// add it here once, when they end (see add).
 	count    counters[atomic.Int64]
 	recorded Stats
 
@@ -127,6 +133,30 @@ func (s *state) stats() Stats {
 	return st
 }
 
+// add adds a finished task's tally to the run's counter block, one
+// atomic add per counter the task moved, so no test writes a shared
+// counter. Tasks defer it, so a task that panics still counts.
+func (s *state) add(tally *Stats) {
+	live := s.count.cells()
+	for i, c := range tally.cells() {
+		if *c != 0 {
+			live[i].Add(*c)
+		}
+	}
+}
+
+// charge is what a finished phase-1/2 task, or a prepass sat? sweep
+// task, is charged: under a reasoner.Virtual plug-in the summed virtual
+// cost of its tests, which the virtual-time scheduler replays; otherwise
+// its wall time since start, the paper's runtime of a thread, claims,
+// sat? probes and pruning included.
+func (s *state) charge(start time.Time, virtual time.Duration) time.Duration {
+	if s.virtual != nil {
+		return virtual
+	}
+	return time.Since(start)
+}
+
 type classError struct{ err error }
 
 // stateFor returns the state of a run over t without its P, K and
@@ -146,6 +176,7 @@ func stateFor(t *dl.TBox, r reasoner.Interface, optimized bool) *state {
 		satState:  make([]atomic.Int32, n),
 		optimized: optimized,
 	}
+	s.virtual, _ = r.(reasoner.Virtual)
 	s.named = append(s.named, named...)
 	s.named = append(s.named, t.Factory.Top())
 	for i, c := range s.named {
@@ -270,44 +301,52 @@ func (s *state) remainingPossible() int64 {
 }
 
 // testDirected runs subs?(x, y) — is y ⊑ x — through the plug-in,
-// recording the result in K/P and returning the verdict. The caller must
-// have claimed the tested bit. Returns the test's charged cost.
-func (s *state) testDirected(x, y int) (bool, time.Duration) {
+// recording the result in K/P, counting the test in tally and returning
+// the verdict. The caller must have claimed the tested bit. Its cost is
+// the test's virtual cost under a reasoner.Virtual plug-in and its
+// measured time when Async's hardness EWMAs need one; otherwise no clock
+// is read and the cost is 0, since the task is charged its wall time.
+func (s *state) testDirected(x, y int, tally *Stats) (bool, time.Duration) {
 	if s.prepassed && s.K[x].Test(y) {
 		// Only the prepass can have set this bit before the directed test
 		// runs: every directed test is claimed exactly once, and the only
 		// other K writers are this function (after the claim) and
 		// pruneAfter, which clears bits. The seeded fact is entailed by
 		// the TBox, so the positive answer needs no plug-in call.
-		s.count.PreSeeded.Add(1)
+		tally.PreSeeded++
 		return true, 0
 	}
 	if s.disproved != nil && s.disproved[x] != nil && s.disproved[x].Test(y) {
 		// The filter's "definitely not subsumed" verdict is sound, so the
 		// negative is final: no K update, no plug-in dispatch.
-		s.count.FilterHits.Add(1)
+		tally.FilterHits++
 		return false, 0
 	}
-	start := time.Now()
+	timed := s.hard != nil && s.virtual == nil
+	var start time.Time
+	if timed {
+		start = time.Now()
+	}
 	res, err := s.budgetedSubs(s.named[x], s.named[y])
-	s.count.SubsTests.Add(1)
-	if err != nil {
-		if isDegraded(err) {
-			// The pair was already claimed, so the loop progresses; the
-			// subsumption is NOT recorded in K (the taxonomy asserts only
-			// proven subsumptions) and the pair is surfaced in
-			// Result.Undecided.
-			s.recordUndecided(s.named[x], s.named[y], err)
-			return false, time.Since(start)
-		}
+	tally.SubsTests++
+	if err != nil && !isDegraded(err) {
 		s.fail(err)
 		return false, 0
 	}
 	var cost time.Duration
-	if v, ok := s.r.(reasoner.Virtual); ok {
-		cost = v.VirtualSubsCost(s.named[x], s.named[y], res)
-	} else {
+	switch {
+	case s.virtual != nil:
+		cost = s.virtual.VirtualSubsCost(s.named[x], s.named[y], res)
+	case timed:
 		cost = time.Since(start)
+	}
+	if err != nil {
+		// Degraded: the pair was already claimed, so the loop progresses;
+		// the subsumption is NOT recorded in K (the taxonomy asserts only
+		// proven subsumptions) and the pair is surfaced in
+		// Result.Undecided.
+		s.recordUndecided(s.named[x], s.named[y], err)
+		return false, cost
 	}
 	s.observeHard(x, y, cost)
 	if res {
@@ -353,8 +392,8 @@ func (s *state) hardLoad(c int) int64 {
 
 // resolveBasic performs the basic-mode directed test of Algorithm 2 /
 // Algorithm 3: claim the pair, check satisfiability, test, update P.
-// It returns the charged cost.
-func (s *state) resolveBasic(x, y int) time.Duration {
+// It counts in tally and returns the test's cost (see testDirected).
+func (s *state) resolveBasic(x, y int, tally *Stats) time.Duration {
 	if x == y || s.failed() {
 		return 0
 	}
@@ -364,8 +403,17 @@ func (s *state) resolveBasic(x, y int) time.Duration {
 	if !s.sat(x) || !s.sat(y) {
 		return 0
 	}
-	res, cost := s.testDirected(x, y)
-	_ = res
+	_, cost := s.testDirected(x, y, tally)
 	s.P[x].Clear(y)
 	return cost
+}
+
+// resolve decides the pair (x, y) in the run's mode: resolvePair's
+// symmetric tests in optimized mode, resolveBasic's directed one in
+// basic mode.
+func (s *state) resolve(x, y int, tally *Stats) time.Duration {
+	if s.optimized {
+		return s.resolvePair(x, y, tally)
+	}
+	return s.resolveBasic(x, y, tally)
 }

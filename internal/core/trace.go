@@ -18,20 +18,24 @@ const (
 )
 
 // Cycle records one division cycle: the task record its barrier
-// returned (the tasks dispatched, with their charged costs, virtual or
-// measured, and the per-worker loads, waits and steals), the run's
-// counter deltas over the cycle, and the remaining-possible count after
-// the barrier. Figure 11's Possible and runtime ratios are computed from
-// these records, and the virtual-time scheduler (internal/schedsim)
-// replays the task durations on w simulated workers to produce the
-// speedup curves of Figures 9 and 10.
+// returned (the tasks dispatched, with their charged costs, and the
+// per-worker loads, waits and steals), the run's counter deltas over
+// the cycle, and the remaining-possible count after the barrier.
+// Figure 11's Possible and runtime ratios are computed from these
+// records, and the virtual-time scheduler (internal/schedsim) replays
+// the task durations on w simulated workers to produce the speedup
+// curves of Figures 9 and 10.
 type Cycle struct {
 	Phase Phase
 	Index int // cycle number within its phase, starting at 1
 
-	// Tasks holds one duration per dispatched task (a group), in
+	// Tasks holds one charged duration per dispatched task (a group), in
 	// dispatch order — the round-robin assignment maps task i to worker
-	// i mod w.
+	// i mod w. A task is charged once, when it ends: its wall time, which
+	// for a random or group task covers its claims, sat? probes and
+	// pruning as well as its tests. Under a reasoner.Virtual plug-in a
+	// random, group or prepass sat? task is charged the summed virtual
+	// cost of its subs? tests instead (0 for a sat? sweep).
 	Tasks []time.Duration
 
 	// TaskWorkers records, parallel to Tasks, the pool worker that

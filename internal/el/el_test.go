@@ -3,6 +3,7 @@ package el
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"parowl/internal/dl"
@@ -294,5 +295,54 @@ func TestDuplicateAxiomsHarmless(t *testing.T) {
 	}
 	if !t1.Equal(t2) {
 		t.Error("duplicate axioms changed the taxonomy")
+	}
+}
+
+// TestQueriesRefuseForeignConcepts checks the guard on the ID-indexed
+// query table: Sat and Subs answer only ⊤, ⊥ and named concepts of the
+// reasoner's own TBox. A complex concept, whose ID lies inside the
+// table, and a named concept of a second TBox declared in the same
+// order, which shares a named concept's ID, both get the "not a named
+// concept" error on either side of Subs.
+func TestQueriesRefuseForeignConcepts(t *testing.T) {
+	build := func(name string) (*dl.TBox, *dl.Concept) {
+		tb := dl.NewTBox(name)
+		f := tb.Factory
+		a, b := tb.Declare("A"), tb.Declare("B")
+		some := f.Some(f.Role("r"), a)
+		tb.SubClassOf(b, a)
+		tb.SubClassOf(tb.Declare("C"), some)
+		return tb, some
+	}
+	tb, some := build("own")
+	other, _ := build("other")
+	r, err := New(tb, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	f := tb.Factory
+	a, b := f.Name("A"), f.Name("B")
+	mustSubs(t, r, a, b, true)
+	foreign := other.Factory.Name("A")
+	if foreign.ID != a.ID {
+		t.Fatalf("second TBox's A has ID %d, want %d", foreign.ID, a.ID)
+	}
+	if some.ID >= f.Name("C").ID {
+		t.Fatalf("∃r.A (ID %d) not below C's ID %d, so it misses the table", some.ID, f.Name("C").ID)
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "not a named concept") {
+			t.Errorf("%s: err = %v, want a \"not a named concept\" error", what, err)
+		}
+	}
+	for _, c := range []*dl.Concept{some, foreign} {
+		_, err := r.Sat(ctx, c)
+		refused(fmt.Sprintf("Sat(%v)", c), err)
+		_, err = r.Subs(ctx, a, c)
+		refused(fmt.Sprintf("Subs(A, %v)", c), err)
+		_, err = r.Subs(ctx, c, b)
+		refused(fmt.Sprintf("Subs(%v, B)", c), err)
 	}
 }

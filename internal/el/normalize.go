@@ -44,9 +44,11 @@ type normalized struct {
 	numAtoms int
 	numRoles int
 
-	// atomOf maps named concepts (and ⊤/⊥) to atoms; conceptOf is the
+	// atomByID maps the Concept.ID of each named concept, ⊤ and ⊥ to its
+	// atom; every other ID below its length holds atomTop, so a lookup
+	// must check conceptOf[a] (see Reasoner.atomQuery). conceptOf is the
 	// inverse for non-fresh atoms (nil entries are fresh names).
-	atomOf    map[*dl.Concept]atom
+	atomByID  []atom
 	conceptOf []*dl.Concept
 
 	// Normal-form axiom indexes.
@@ -108,14 +110,17 @@ func (c Coverage) String() string {
 func newBuilder(t *dl.TBox) *builder {
 	f := t.Factory
 	n := &normalized{
-		tbox:   t,
-		atomOf: map[*dl.Concept]atom{f.Top(): atomTop, f.Bottom(): atomBottom},
-		conj:   make(map[int64][]atom),
+		tbox: t,
+		conj: make(map[int64][]atom),
 	}
-	n.conceptOf = []*dl.Concept{f.Top(), f.Bottom()}
+	n.conceptOf = append([]*dl.Concept{f.Top(), f.Bottom()}, t.NamedConcepts()...)
+	maxID := f.Bottom().ID
 	for _, c := range t.NamedConcepts() {
-		n.atomOf[c] = atom(len(n.conceptOf))
-		n.conceptOf = append(n.conceptOf, c)
+		maxID = max(maxID, c.ID)
+	}
+	n.atomByID = make([]atom, maxID+1)
+	for a, c := range n.conceptOf {
+		n.atomByID[c.ID] = atom(a)
 	}
 	n.numRoles = f.NumRoles()
 	n.transitive = make([]bool, n.numRoles)
@@ -179,9 +184,9 @@ func (b *builder) newAtom() atom {
 	return a
 }
 
-// atomFor returns the atom of an atomic concept.
+// atomFor returns the atom of an atomic concept of the TBox.
 func (b *builder) atomFor(c *dl.Concept) atom {
-	return b.n.atomOf[c]
+	return b.n.atomByID[c.ID]
 }
 
 // leftChecked lowers concept c, which checkEL accepted, occurring on the

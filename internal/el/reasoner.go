@@ -105,11 +105,15 @@ func (r *Reasoner) SaturateContext(ctx context.Context) error {
 	return err
 }
 
-// atomQuery resolves a query concept to its atom in sat; only ⊤, ⊥ and
-// named concepts of the TBox are queryable.
+// atomQuery resolves a query concept to its atom in sat by its ID; only
+// ⊤, ⊥ and named concepts of the TBox are queryable. The conceptOf check
+// refuses a complex concept, and a concept of another factory that
+// happens to share a named concept's ID.
 func (r *Reasoner) atomQuery(sat *saturation, c *dl.Concept) (atom, error) {
-	if a, ok := sat.n.atomOf[c]; ok {
-		return a, nil
+	if id := int(c.ID); id < len(sat.n.atomByID) {
+		if a := sat.n.atomByID[id]; sat.n.conceptOf[a] == c {
+			return a, nil
+		}
 	}
 	return 0, fmt.Errorf("el: concept %v is not a named concept of TBox %q", c, r.tbox.Name)
 }

@@ -20,8 +20,9 @@ go test -race ./internal/core/... ./internal/tableau/... ./internal/reasoner/...
 echo "== EL saturation suite: sequential oracle, worker counts, cancellation, row seeding (-race -count=10)"
 go test -race -count=10 -run 'TestSaturationMatchesOracle|TestQuickWorkerCountIrrelevant|TestSaturationCancelled|TestFragmentSeeds' ./internal/el/
 go test -race -count=10 -run 'TestPrepassCountersExample|TestNewStateFill' ./internal/core/
-echo "== counter record: cycle deltas sum to Stats under both policies, checkpoint counter layout (-race -count=3)"
-go test -race -count=3 -run 'TestStatsAndPruning|TestCheckpointCounterLayout' ./internal/core/
+echo "== counter record: cycle deltas sum to Stats under both policies, checkpoint counter layout, per-task tallies settle every pair once, virtual charges; EL queries refuse foreign concepts (-race -count=3)"
+go test -race -count=3 -run 'TestStatsAndPruning|TestCheckpointCounterLayout|TestPairAccounting|TestOracleChargesVirtualCost' ./internal/core/
+go test -race -count=3 -run 'TestQueriesRefuseForeignConcepts' ./internal/el/
 echo "== phase 3: word-parallel contraction, closure and reduction vs the per-bit reference; tile-pair and NextAndNot helpers (-race -count=3)"
 go test -race -count=3 -run 'TestQuickPhase3MatchesPerBit|TestWorkerLoadsRecorded' ./internal/core/
 go test -race -count=3 -run 'TestMutualPairsMatchesPerBit|TestNextAndNotMatchesPerBit' ./internal/bitset/
