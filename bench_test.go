@@ -334,9 +334,13 @@ func BenchmarkTableauSatReuse(b *testing.B) {
 // BenchmarkELSaturation measures one-shot concurrent saturation of a
 // Table IV corpus (the ELK-style competitor) at one worker and at
 // GOMAXPROCS: WBbt at 1/8, and at 1/3, the corpus of perfbench's
-// classify-el. Like perfbench's el.saturate_s it times SaturateContext
-// alone, not normalization, so that layer can be checked between
-// perfbench runs:
+// classify-el. It times SaturateContext alone, on a fragment NewFragment
+// normalized up front. perfbench's el.saturate_s starts from el.New,
+// which defers normalization to the first query, so it also times the
+// normalization. WBbt-3-live is WBbt/3 plus one DisjointClasses axiom
+// between two leaves: ⊥ becomes derivable, so every role is live and
+// every link is stored, the path a corpus without ⊥ or an ∃ on a left
+// side skips.
 //
 //	go test -run '^$' -bench ELSaturation -benchmem .
 func BenchmarkELSaturation(b *testing.B) {
@@ -344,17 +348,24 @@ func BenchmarkELSaturation(b *testing.B) {
 	if p := runtime.GOMAXPROCS(0); p > 1 {
 		workers = append(workers, p)
 	}
-	for _, scale := range []int{8, 3} {
-		tb := benchCorpus(b, "WBbt.obo", scale)
+	live := withDisjointLeaves(b, benchCorpus(b, "WBbt.obo", 3))
+	for _, c := range []struct {
+		name string
+		tb   *TBox
+	}{
+		{"WBbt-8", benchCorpus(b, "WBbt.obo", 8)},
+		{"WBbt-3", benchCorpus(b, "WBbt.obo", 3)},
+		{"WBbt-3-live", live},
+	} {
 		for _, w := range workers {
-			b.Run(fmt.Sprintf("WBbt-%d/workers=%d", scale, w), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, w), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					// NewFragment normalizes up front (el.New would wait
 					// for the first query), so the timer sees saturation
 					// alone; the fragment of an EL TBox is all of it.
-					r, _ := el.NewFragment(tb, el.Options{Workers: w})
+					r, _ := el.NewFragment(c.tb, el.Options{Workers: w})
 					b.StartTimer()
 					if err := r.SaturateContext(context.Background()); err != nil {
 						b.Fatal(err)
@@ -363,6 +374,24 @@ func BenchmarkELSaturation(b *testing.B) {
 			})
 		}
 	}
+}
+
+// withDisjointLeaves returns a copy of the generated (frozen) corpus tb
+// with DisjointClasses between its last two named concepts, leaves of
+// the generated hierarchy, added through a functional-syntax round trip.
+func withDisjointLeaves(b *testing.B, tb *TBox) *TBox {
+	var src bytes.Buffer
+	if err := Write(&src, tb, FormatFunctional); err != nil {
+		b.Fatal(err)
+	}
+	named := tb.NamedConcepts()
+	text := bytes.TrimSuffix(bytes.TrimSpace(src.Bytes()), []byte(")"))
+	text = fmt.Appendf(text, "DisjointClasses(%s %s)\n)\n", named[len(named)-1].Name, named[len(named)-2].Name)
+	ont, err := NewEngine().Load(bytes.NewReader(text), tb.Name, FormatFunctional)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ont.TBox()
 }
 
 // BenchmarkAdopt times a restart's re-adoption on perfbench classify-el's

@@ -133,6 +133,15 @@ func (a *Atomic) ClearSet(s *Set) int {
 	return c
 }
 
+// Word loads word i of the set: bits 64i to 64i+63.
+func (a *Atomic) Word(i int) uint64 { return a.words[i].Load() }
+
+// ClearWord clears the bits of mask in word i with one atomic AND and
+// returns those of them that were set.
+func (a *Atomic) ClearWord(i int, mask uint64) uint64 {
+	return andOld(&a.words[i], ^mask) & mask
+}
+
 // Count returns the number of set bits in a word-by-word snapshot.
 func (a *Atomic) Count() int {
 	c := 0

@@ -1,6 +1,9 @@
 package core
 
-import "time"
+import (
+	"math/bits"
+	"time"
+)
 
 // order returns the pair in canonical (smaller, larger) index order; the
 // paper stores each possible pair once, at the smaller index (Sec. IV,
@@ -106,15 +109,7 @@ func (s *state) prunePass() {
 			if s.K[sub].Test(sup) {
 				return true // known equivalence: Situation 2.2, no pruning
 			}
-			s.K[sub].ForEach(func(y int) bool {
-				if y == sup || y == sub {
-					return true
-				}
-				if s.claimPair(sup, y) {
-					s.count.Pruned.Add(1)
-				}
-				return true
-			})
+			s.count.Pruned.Add(s.pruneThrough(sup, sub, false))
 			return true
 		})
 	}
@@ -146,17 +141,52 @@ func (s *state) pruneAfter(sup, sub int, tally *Stats) {
 	mu := &s.pruneMu[sup%len(s.pruneMu)]
 	mu.Lock()
 	defer mu.Unlock()
-	unlink := s.K[sup].Test(sub)
-	s.K[sub].ForEach(func(y int) bool {
-		if y == sup || y == sub {
-			return true
+	tally.Pruned += s.pruneThrough(sup, sub, s.K[sup].Test(sub))
+}
+
+// pruneThrough claims the pair {sup, y} for every y ∈ K_sub other than
+// sup and sub, with unlink also deletes those y from K_sup, and returns
+// how many pairs it claimed. It loads K_sub a word at a time and, with
+// unlink, clears the word's members from K_sup with one atomic AND. A
+// member y > sup keeps its pair bit in P_sup, so one more AND claims
+// every such member of the word; a member y < sup keeps it in P_y and
+// is claimed on its own.
+func (s *state) pruneThrough(sup, sub int, unlink bool) int64 {
+	var claimed int64
+	for i := range (s.n + 63) / 64 {
+		w := s.K[sub].Word(i)
+		if i == sup/64 {
+			w &^= 1 << (sup % 64)
+		}
+		if i == sub/64 {
+			w &^= 1 << (sub % 64)
+		}
+		if w == 0 {
+			continue
 		}
 		if unlink {
-			s.K[sup].Clear(y)
+			s.K[sup].ClearWord(i, w)
 		}
-		if s.claimPair(sup, y) {
-			tally.Pruned++
+		above := w & aboveMask(i, sup)
+		if above != 0 {
+			claimed += int64(bits.OnesCount64(s.P[sup].ClearWord(i, above)))
 		}
-		return true
-	})
+		for below := w &^ above; below != 0; below &= below - 1 {
+			if s.P[i*64+bits.TrailingZeros64(below)].Clear(sup) {
+				claimed++
+			}
+		}
+	}
+	return claimed
+}
+
+// aboveMask returns the bits of word i whose indexes exceed x.
+func aboveMask(i, x int) uint64 {
+	switch {
+	case i < x/64:
+		return 0
+	case i > x/64:
+		return ^uint64(0)
+	}
+	return ^uint64(0) << (x % 64) << 1
 }

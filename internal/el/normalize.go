@@ -7,11 +7,14 @@
 // The reasoner normalizes the TBox into the four EL normal forms,
 // saturates subsumer sets S(A) and role links R(r) under the completion
 // rules with a pool of workers, and then answers satisfiability and
-// subsumption queries over named concepts by lookup.
+// subsumption queries over named concepts by lookup. Links exist only
+// for live roles, those whose links some rule reads (see
+// normalized.live); queries read the S(A) rows alone.
 package el
 
 import (
 	"fmt"
+	"slices"
 
 	"parowl/internal/dl"
 )
@@ -64,6 +67,13 @@ type normalized struct {
 
 	transitive []bool    // transitive[r]
 	supers     [][]int32 // direct super-roles per role
+
+	// Side conditions, derived from the complete indexes above by
+	// finishIndexes. live[r]: some rule reads the links of role r, so
+	// the saturation stores them; a dead role's links are never stored.
+	// toldOnly[C]: C ∈ S(A) triggers no rule but CR1.
+	live     []bool
+	toldOnly []bool
 }
 
 type conjEntry struct {
@@ -359,7 +369,20 @@ func grow[T any](s []T, i int) []T {
 }
 
 // finishIndexes pads every per-atom index to numAtoms so the saturation
-// can index without bounds checks.
+// can index without bounds checks, and marks the live roles and the
+// told-only atoms.
+//
+// These are ELK's side conditions on its existential and ⊥ rules
+// (Kazakov, Krötzsch & Simančík, JAR 2014). Only three rules read
+// links: CR4, for roles with an ∃ on a left side (and, through
+// super-role materialisation, every role below one); CR5, only once ⊥
+// enters some S(A) other than S(⊥), which needs ⊥ on the right of a
+// normal axiom or as an ∃-right filler; and CR11, which composes links
+// of one role into links of the same role. A role is live when one of
+// the first two reads its links; CR11 and materialisation of a dead
+// role only make dead links, so dropping them loses no S(A) bit. An atom
+// whose CR2–CR5 loops are all empty once dead links are gone is
+// told-only. Queries read rows alone, so every answer is unchanged.
 func (n *normalized) finishIndexes() {
 	n.subs = grow(n.subs, n.numAtoms-1)
 	n.conjByLeft = grow(n.conjByLeft, n.numAtoms-1)
@@ -378,5 +401,31 @@ func (n *normalized) finishIndexes() {
 			mask[b>>6] |= 1 << (uint(b) & 63)
 		}
 		n.exLHSMask[r] = mask
+	}
+
+	toBottom := func(ra roleAtom) bool { return ra.a == atomBottom }
+	bottom := false // ⊥ can enter some S(A) with A ≠ ⊥
+	for a := range n.numAtoms {
+		bottom = bottom || slices.Contains(n.subs[a], atomBottom) ||
+			slices.ContainsFunc(n.conjByLeft[a], func(e conjEntry) bool { return e.rhs == atomBottom }) ||
+			slices.ContainsFunc(n.exLHSFiller[a], toBottom) ||
+			slices.ContainsFunc(n.exRHS[a], toBottom)
+	}
+	roles := n.tbox.Factory.Roles()[:n.numRoles]
+	var read []*dl.Role // roles with an ∃ on a left side
+	for _, s := range roles {
+		if len(n.exLHS[s.ID]) > 0 {
+			read = append(read, s)
+		}
+	}
+	n.live = make([]bool, n.numRoles)
+	for _, r := range roles {
+		// IsSubRoleOf is reflexive and follows cyclic hierarchies.
+		n.live[r.ID] = bottom || slices.ContainsFunc(read, r.IsSubRoleOf)
+	}
+	n.toldOnly = make([]bool, n.numAtoms)
+	for a := range n.toldOnly {
+		n.toldOnly[a] = atom(a) != atomBottom && len(n.conjByLeft[a]) == 0 && len(n.exLHSFiller[a]) == 0 &&
+			!slices.ContainsFunc(n.exRHS[a], func(ra roleAtom) bool { return n.live[ra.role] })
 	}
 }

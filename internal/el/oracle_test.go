@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"parowl/internal/dl"
@@ -13,8 +14,10 @@ import (
 // oracle is a naive sequential fixpoint of the completion rules over the
 // same normalized indexes the saturation reads, sharing none of its code:
 // plain bool matrices and one global list of links, swept whole, rule by
-// rule, until a sweep adds nothing. A fact the concurrent saturation
-// loses to a race, or derives without cause, shows up as a row mismatch.
+// rule, until a sweep adds nothing. It derives every link, of live and
+// dead roles alike, and decides liveness its own way (liveRoles). A fact
+// the concurrent saturation loses to a race, or derives without cause,
+// shows up as a row mismatch.
 type oracle struct {
 	n       *normalized
 	in      [][]bool  // in[a][c]: c ∈ S(a)
@@ -22,6 +25,7 @@ type oracle struct {
 	links   [][3]atom // (a, r, b)
 	linked  map[[3]atom]bool
 	out     [][]int // out[a]: indices into links of the links leaving a
+	live    []bool  // live[r]: some rule reads r's links
 	changed bool
 }
 
@@ -32,6 +36,7 @@ func newOracle(n *normalized) *oracle {
 		members: make([][]atom, n.numAtoms),
 		linked:  map[[3]atom]bool{},
 		out:     make([][]int, n.numAtoms),
+		live:    liveRoles(n),
 	}
 	for a := range o.in {
 		o.in[a] = make([]bool, n.numAtoms)
@@ -108,8 +113,52 @@ func (o *oracle) sweep() {
 	}
 }
 
-// check compares every subsumer row and every predecessor list of s with
-// the oracle's.
+// liveRoles is the oracle's own reading of the live-role rule, sharing no
+// code with finishIndexes: every role once some normal axiom puts ⊥ on
+// its right or as an ∃ filler, otherwise the roles from which direct
+// super-role steps (n.supers, not Role.IsSubRoleOf) reach a role with an
+// ∃ on a left side, by a fixpoint that ends on cyclic hierarchies.
+func liveRoles(n *normalized) []bool {
+	live := make([]bool, n.numRoles)
+	bottom := false
+	for a := range n.numAtoms {
+		bottom = bottom || slices.Contains(n.subs[a], atomBottom)
+		for _, ra := range n.exRHS[a] {
+			bottom = bottom || ra.a == atomBottom
+		}
+	}
+	for _, rhs := range n.conj {
+		bottom = bottom || slices.Contains(rhs, atomBottom)
+	}
+	for r, idx := range n.exLHS {
+		live[r] = len(idx) > 0
+		for _, rhs := range idx {
+			bottom = bottom || slices.Contains(rhs, atomBottom)
+		}
+	}
+	if bottom {
+		for r := range live {
+			live[r] = true
+		}
+		return live
+	}
+	for changed := true; changed; {
+		changed = false
+		for r, sups := range n.supers {
+			for _, s := range sups {
+				if live[s] && !live[r] {
+					live[r], changed = true, true
+				}
+			}
+		}
+	}
+	return live
+}
+
+// check compares every subsumer row of s with the oracle's, then its
+// stored links with the oracle's links of live roles: each stored link
+// must be one the oracle derived, of a live role, and none of a live
+// role may be missing.
 func (o *oracle) check(t *testing.T, name string, s *saturation) {
 	t.Helper()
 	for a := 0; a < o.n.numAtoms; a++ {
@@ -123,20 +172,40 @@ func (o *oracle) check(t *testing.T, name string, s *saturation) {
 			}
 		}
 	}
-	preds := 0
+	stored := 0
 	for b := range s.links {
 		for _, l := range s.links[b].preds.lists() {
 			for _, a := range l.load() {
-				preds++
+				stored++
+				if !o.live[l.role] {
+					t.Fatalf("%s: link (%d, %d, %d) of dead role stored", name, a, l.role, b)
+				}
 				if !o.linked[[3]atom{a, l.role, atom(b)}] {
 					t.Fatalf("%s: link (%d, %d, %d) not derived by the oracle", name, a, l.role, b)
 				}
 			}
 		}
 	}
-	if preds != len(o.links) {
-		t.Fatalf("%s: %d links, oracle %d", name, preds, len(o.links))
+	want := 0
+	for _, l := range o.links {
+		if o.live[l[1]] {
+			want++
+		}
 	}
+	if stored != want {
+		t.Fatalf("%s: %d links stored, oracle %d of live roles", name, stored, want)
+	}
+}
+
+// storedLinks counts the links s stored.
+func storedLinks(s *saturation) int {
+	k := 0
+	for b := range s.links {
+		for _, l := range s.links[b].preds.lists() {
+			k += len(l.load())
+		}
+	}
+	return k
 }
 
 // oracleCase is one saturation input: a reasoner factory, so every worker
@@ -169,6 +238,33 @@ func oracleCases(t *testing.T) []oracleCase {
 		}
 		strict(fmt.Sprintf("random/%d", seed), tb)
 	}
+	// Without ⊥ a role's links live only at or below a role with an ∃ on
+	// a left side (randomELTBox puts some there), so these mix live and
+	// dead roles.
+	for seed := int64(40); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		strict(fmt.Sprintf("random-no-bottom/%d", seed), randomELTBox(rng, 4+rng.Intn(10), 4+rng.Intn(12)))
+	}
+	for _, c := range liveRoleCases() {
+		strict("live/"+c.name, c.tbox())
+	}
+	// The concept factory folds ∃r.⊥ into ⊥, so ⊥ as an ∃-right filler
+	// exists only as a normal form: A ⊑ ∃r.⊥, B ⊑ ∃r.A, C ⊑ ∃s.B, and no
+	// ∃ on a left side. CR5 must carry ⊥ back to A, B and C.
+	cases = append(cases, oracleCase{"live/bottom-only-as-filler", func(o Options) *Reasoner {
+		tb := dl.NewTBox("bottom-only-as-filler")
+		f := tb.Factory
+		r, s := f.Role("r"), f.Role("s")
+		a, b, c := tb.Declare("A"), tb.Declare("B"), tb.Declare("C")
+		tb.Freeze()
+		bl := newBuilder(tb)
+		bl.addExRHS(bl.atomFor(a), r.ID, atomBottom)
+		bl.addExRHS(bl.atomFor(b), r.ID, bl.atomFor(a))
+		bl.addExRHS(bl.atomFor(c), s.ID, bl.atomFor(b))
+		bl.n.numAtoms = len(bl.n.conceptOf)
+		bl.n.finishIndexes()
+		return &Reasoner{tbox: tb, n: bl.n, opts: o}
+	}})
 	if testing.Short() {
 		return cases
 	}
@@ -194,6 +290,123 @@ func oracleCases(t *testing.T) []oracleCase {
 		}})
 	}
 	return cases
+}
+
+// liveRoleCase is a small TBox over concepts A–D and roles r, s, t
+// (interned in that order, so their IDs ascend) that pins one clause of
+// the live-role rule, with the roles it leaves live.
+type liveRoleCase struct {
+	name  string
+	axiom func(tb *dl.TBox, f *dl.Factory, a, b, c, d *dl.Concept, r, s, t *dl.Role)
+	live  string // the live roles' names
+}
+
+func (c liveRoleCase) tbox() *dl.TBox {
+	tb := dl.NewTBox(c.name)
+	f := tb.Factory
+	a, b, cc, d := tb.Declare("A"), tb.Declare("B"), tb.Declare("C"), tb.Declare("D")
+	r, s, t := f.Role("r"), f.Role("s"), f.Role("t")
+	c.axiom(tb, f, a, b, cc, d, r, s, t)
+	return tb
+}
+
+func liveRoleCases() []liveRoleCase {
+	return []liveRoleCase{
+		{"exists-left-under-one-of-two", func(tb *dl.TBox, f *dl.Factory, a, b, c, d *dl.Concept, r, s, _ *dl.Role) {
+			tb.SubClassOf(a, f.Some(r, b))
+			tb.SubClassOf(a, f.Some(s, b)) // s is dead: its link is derived, never stored
+			tb.SubClassOf(b, d)
+			tb.SubClassOf(f.Some(r, d), c)
+		}, "r"},
+		{"sub-role-of-live-role", func(tb *dl.TBox, f *dl.Factory, a, b, c, _ *dl.Concept, r, s, t *dl.Role) {
+			tb.SubObjectPropertyOf(s, r)
+			tb.SubClassOf(a, f.Some(s, b)) // (A, s, B) gives (A, r, B), so C ∈ S(A)
+			tb.SubClassOf(f.Some(r, b), c)
+			tb.SubClassOf(a, f.Some(t, b))
+		}, "rs"},
+		{"cycle-below-live-role", func(tb *dl.TBox, f *dl.Factory, a, b, c, _ *dl.Concept, r, s, t *dl.Role) {
+			// r ⊑ s ⊑ r, and only r steps up to t: s is live through r,
+			// whose ID is smaller, around the cycle.
+			tb.SubObjectPropertyOf(r, s)
+			tb.SubObjectPropertyOf(s, r)
+			tb.SubObjectPropertyOf(r, t)
+			tb.SubClassOf(a, f.Some(s, b))
+			tb.SubClassOf(f.Some(t, b), c)
+		}, "rst"},
+		{"transitive-dead-role", func(tb *dl.TBox, f *dl.Factory, a, b, c, d *dl.Concept, r, s, t *dl.Role) {
+			// r is live, its transitive super-role t is dead: r's links
+			// are stored, t's materialised and composed ones are not.
+			tb.SubObjectPropertyOf(r, t)
+			tb.TransitiveObjectProperty(t)
+			tb.TransitiveObjectProperty(s)
+			tb.SubClassOf(a, f.Some(r, d))
+			tb.SubClassOf(d, f.Some(r, b))
+			tb.SubClassOf(f.Some(r, b), c)
+			tb.SubClassOf(a, f.Some(s, d))
+			tb.SubClassOf(d, f.Some(s, b))
+		}, "r"},
+		{"bottom-only-by-subs", func(tb *dl.TBox, f *dl.Factory, a, b, c, _ *dl.Concept, r, s, _ *dl.Role) {
+			// No ∃ on a left side, but A ⊑ ⊥ makes every role live: CR5
+			// carries ⊥ back along (B, r, A) and (C, s, B).
+			tb.SubClassOf(a, f.Bottom())
+			tb.SubClassOf(b, f.Some(r, a))
+			tb.SubClassOf(c, f.Some(s, b))
+		}, "rst"},
+	}
+}
+
+// TestLiveRoles checks which roles each hand-built case leaves live, and
+// which links two corpora store: WBbt/8 has no ∃ on a left side and no
+// ⊥, so it stores none of the links the oracle derives; the nskisimple/3
+// fragment derives ⊥, so it keeps all of them.
+func TestLiveRoles(t *testing.T) {
+	for _, c := range liveRoleCases() {
+		r, err := New(c.tbox(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.SaturateContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		var live string
+		for _, role := range r.tbox.Factory.Roles() {
+			if r.n.live[role.ID] {
+				live += role.Name
+			}
+		}
+		if live != c.live {
+			t.Errorf("%s: live roles %q, want %q", c.name, live, c.live)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	for _, tc := range []struct {
+		profile  string
+		scale    int
+		keepsAll bool
+	}{{"WBbt.obo", 8, false}, {"nskisimple_functional", 3, true}} {
+		p, ok := ontogen.ByName(tc.profile)
+		if !ok {
+			t.Fatalf("profile %q not found", tc.profile)
+		}
+		tb, err := ontogen.Mini(p, tc.scale).Generate(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _ := NewFragment(tb, Options{})
+		if err := r.SaturateContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		derived, stored := len(newOracle(r.n).links), storedLinks(r.sat.Load())
+		want := 0
+		if tc.keepsAll {
+			want = derived
+		}
+		if derived == 0 || stored != want {
+			t.Errorf("%s/%d: %d links stored of %d derived, want %d", tc.profile, tc.scale, stored, derived, want)
+		}
+	}
 }
 
 // TestSaturationMatchesOracle checks the concurrent saturation row for row

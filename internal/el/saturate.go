@@ -24,7 +24,8 @@ const subFact int32 = -1
 //     numAtoms × words atomic words, so claiming C ∈ S(A) is one CAS on
 //     one word and testing it is one load.
 //   - Role links are append-only per-role atom lists, kept per context
-//     (see links). Rules iterate them, and the rows, in place.
+//     (see links) and only for live roles (see normalized.live). Rules
+//     iterate them, and the rows, in place.
 //   - A derived fact goes onto the deriving worker's own stack, with no
 //     lock taken and no shared counter written; see pool for how workers
 //     share work and how the run ends.
@@ -174,10 +175,12 @@ func (s *saturation) deriveSub(w *worker, a, c atom) {
 }
 
 // deriveEdge claims the link (a, role, b) and, if it is new, pushes it.
-// Successors are recorded only for transitive roles, the only rule that
-// follows links forwards.
+// A link of a dead role is dropped: no rule reads it (see
+// normalized.live), and this one check covers CR3, super-role
+// materialisation and CR11. Successors are recorded only for transitive
+// roles, the only rule that follows links forwards.
 func (s *saturation) deriveEdge(w *worker, a atom, role int32, b atom) {
-	if !s.links[b].addPred(role, a, s.n.numAtoms) {
+	if !s.n.live[role] || !s.links[b].addPred(role, a, s.n.numAtoms) {
 		return
 	}
 	if s.n.transitive[role] {
@@ -192,6 +195,9 @@ func (s *saturation) processSub(w *worker, a, c atom) {
 	// CR1: C ⊑ D.
 	for _, d := range n.subs[c] {
 		s.deriveSub(w, a, d)
+	}
+	if n.toldOnly[c] {
+		return // CR2–CR5 would find nothing to do
 	}
 	// CR2: C ⊓ B ⊑ D with B already in S(A).
 	for _, e := range n.conjByLeft[c] {
