@@ -72,26 +72,16 @@ func (s *state) buildTaxonomy(p *pool, trace *Trace) (*taxonomy.Taxonomy, error)
 		return nil, err
 	}
 
-	// Conquer: merge the partial hierarchies top-down into the taxonomy,
-	// charged to the divide step's record.
+	// Conquer: merge the partial hierarchies into the taxonomy, straight
+	// from the classes and H_X by index, charged to the divide step's
+	// record. An unsatisfiable concept's class is ⊥.
 	start = time.Now()
-	b := taxonomy.NewBuilder(s.tbox.Factory)
-	for x := 0; x < n; x++ {
-		b.AddConcept(s.named[x])
+	for x := range rep {
 		if s.satState[x].Load() == satNo {
-			b.MarkUnsatisfiable(s.named[x])
-			continue
-		}
-		if r := rep[x]; r != x {
-			b.MarkEquivalent(s.named[r], s.named[x])
+			rep[x] = -1
 		}
 	}
-	for x := 0; x < n; x++ {
-		for _, child := range direct[x] {
-			b.AddEdge(s.named[x], s.named[child])
-		}
-	}
-	tax, err := b.Build()
+	tax, err := taxonomy.Build(s.tbox.Factory, s.named, rep, direct)
 	c.chargeOutside(time.Since(start))
 	s.record(trace, PhaseHierarchy, 2, c)
 	return tax, err

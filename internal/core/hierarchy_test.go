@@ -153,31 +153,23 @@ func refDirectChildren(row *bitset.Set, kc []*bitset.Set, below *bitset.Set) []i
 }
 
 // refBuildTaxonomy is phase 3 run sequentially on the per-bit reference
-// passes, with buildTaxonomy's conquer step.
+// passes, ending in taxonomy.Build with its own classes and children.
 func refBuildTaxonomy(s *state) (*taxonomy.Taxonomy, error) {
 	kc, rep := refContract(s)
 	refCloseRows(kc)
 	below := bitset.New(s.n)
-	b := taxonomy.NewBuilder(s.tbox.Factory)
-	for x := 0; x < s.n; x++ {
-		b.AddConcept(s.named[x])
-		if s.satState[x].Load() == satNo {
-			b.MarkUnsatisfiable(s.named[x])
-			continue
-		}
-		if r := rep[x]; r != x {
-			b.MarkEquivalent(s.named[r], s.named[x])
-		}
-	}
+	children := make([][]int, s.n)
 	for x, row := range kc {
-		if row == nil {
-			continue
-		}
-		for _, child := range refDirectChildren(row, kc, below) {
-			b.AddEdge(s.named[x], s.named[child])
+		if row != nil {
+			children[x] = refDirectChildren(row, kc, below)
 		}
 	}
-	return b.Build()
+	for x := range rep {
+		if s.satState[x].Load() == satNo {
+			rep[x] = -1
+		}
+	}
+	return taxonomy.Build(s.tbox.Factory, s.named, rep, children)
 }
 
 // K shapes for randomPhase3State.

@@ -35,30 +35,35 @@ func EnhancedTraversalContext(ctx context.Context, t *dl.TBox, r reasoner.Interf
 		children: [][]int{nil},
 		concepts: []*dl.Concept{t.Factory.Top()},
 	}
-	b := taxonomy.NewBuilder(t.Factory)
+	// joined lists the concepts that joined an existing node or ⊥;
+	// joinedClass holds that node's index, or -1 for ⊥.
+	var joined []*dl.Concept
+	var joinedClass []int
 	for _, c := range t.NamedConcepts() {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: classification cancelled: %w", err)
 		}
-		b.AddConcept(c)
 		sat, err := r.Sat(ctx, c)
 		if err != nil {
 			return nil, fmt.Errorf("core: sat?(%v): %w", c, err)
 		}
-		if !sat {
-			b.MarkUnsatisfiable(c)
-			continue
+		x := -1
+		if sat {
+			if x, err = e.insert(c); err != nil {
+				return nil, err
+			}
 		}
-		if err := e.insert(c, b); err != nil {
-			return nil, err
-		}
-	}
-	for x := range e.concepts {
-		for _, y := range e.children[x] {
-			b.AddEdge(e.concepts[x], e.concepts[y])
+		if x < 0 || e.concepts[x] != c {
+			joined = append(joined, c)
+			joinedClass = append(joinedClass, x)
 		}
 	}
-	return b.Build()
+	class := make([]int, len(e.concepts), len(e.concepts)+len(joined))
+	for x := range class {
+		class[x] = x
+	}
+	class = append(class, joinedClass...)
+	return taxonomy.Build(t.Factory, append(e.concepts, joined...), class, e.children)
 }
 
 // traversal holds the growing classification DAG; node 0 is ⊤.
@@ -81,26 +86,27 @@ func (e *traversal) subsumes(sup, sub *dl.Concept) (bool, error) {
 	return ok, nil
 }
 
-func (e *traversal) insert(c *dl.Concept, b *taxonomy.Builder) error {
+// insert places the satisfiable concept c in the DAG and returns the node
+// it is in: a new node, or the node of an equivalent concept it joins.
+func (e *traversal) insert(c *dl.Concept) (int, error) {
 	parents, err := e.topSearch(c)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	// Equivalence: a direct subsumer that c also subsumes is equivalent
 	// to c; c then joins that node instead of being inserted.
 	for _, p := range parents {
 		eq, err := e.subsumes(c, e.concepts[p])
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if eq {
-			b.MarkEquivalent(e.concepts[p], c)
-			return nil
+			return p, nil
 		}
 	}
 	children, err := e.bottomSearch(c, parents)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	childSet := make(map[int]bool, len(children))
 	for _, y := range children {
@@ -126,7 +132,7 @@ func (e *traversal) insert(c *dl.Concept, b *taxonomy.Builder) error {
 		}
 		e.parents[y] = append(keep, id)
 	}
-	return nil
+	return id, nil
 }
 
 // topSearch returns the direct subsumers of c: the lowest nodes x with

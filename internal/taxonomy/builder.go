@@ -9,164 +9,100 @@ import (
 	"parowl/internal/dl"
 )
 
-// Builder assembles a Taxonomy from equivalences and direct edges. The
-// classifier's conquer phase feeds it the partial hierarchies H_X; tests
-// and baselines feed it full subsumer sets via FromSubsumers.
-type Builder struct {
-	factory  *dl.Factory
-	concepts []*dl.Concept
-	index    map[*dl.Concept]int
-	parent   []int // union-find
-	unsat    map[*dl.Concept]bool
-	edges    map[[2]*dl.Concept]bool // parent, child (as given)
-}
-
-// NewBuilder returns a Builder over the given factory's ⊤/⊥ plus the
-// named concepts added later.
-func NewBuilder(f *dl.Factory) *Builder {
-	b := &Builder{
-		factory: f,
-		index:   make(map[*dl.Concept]int),
-		unsat:   make(map[*dl.Concept]bool),
-		edges:   make(map[[2]*dl.Concept]bool),
-	}
-	b.AddConcept(f.Top())
-	b.AddConcept(f.Bottom())
-	return b
-}
-
-// AddConcept registers c as a taxonomy member. It is idempotent.
-func (b *Builder) AddConcept(c *dl.Concept) {
-	if _, ok := b.index[c]; ok {
-		return
-	}
-	b.index[c] = len(b.concepts)
-	b.concepts = append(b.concepts, c)
-	b.parent = append(b.parent, len(b.parent))
-}
-
-func (b *Builder) find(i int) int {
-	for b.parent[i] != i {
-		b.parent[i] = b.parent[b.parent[i]]
-		i = b.parent[i]
-	}
-	return i
-}
-
-// MarkEquivalent merges the equivalence classes of x and y.
-func (b *Builder) MarkEquivalent(x, y *dl.Concept) {
-	b.AddConcept(x)
-	b.AddConcept(y)
-	rx, ry := b.find(b.index[x]), b.find(b.index[y])
-	if rx != ry {
-		b.parent[rx] = ry
-	}
-}
-
-// MarkUnsatisfiable places c in the ⊥ class.
-func (b *Builder) MarkUnsatisfiable(c *dl.Concept) {
-	b.AddConcept(c)
-	b.unsat[c] = true
-	b.MarkEquivalent(c, b.factory.Bottom())
-}
-
-// AddEdge records that parent directly subsumes child.
-func (b *Builder) AddEdge(parent, child *dl.Concept) {
-	b.AddConcept(parent)
-	b.AddConcept(child)
-	b.edges[[2]*dl.Concept{parent, child}] = true
-}
-
-// Build produces the immutable Taxonomy: equivalence classes become
-// nodes, edges are lifted to class representatives and deduplicated,
-// parentless satisfiable classes attach below ⊤, and the ⊥ node attaches
-// below the leaves when it holds unsatisfiable concepts.
-func (b *Builder) Build() (*Taxonomy, error) {
-	f := b.factory
-	classNode := make([]*Node, len(b.concepts)) // union-find root -> node
-	var nodes []*Node
-	t := &Taxonomy{byConcept: make(map[*dl.Concept]*Node, len(b.concepts))}
-	for i, c := range b.concepts {
-		root := b.find(i)
-		n := classNode[root]
-		if n == nil {
-			n = &Node{}
-			classNode[root] = n
-			nodes = append(nodes, n)
+// Build assembles the immutable Taxonomy from concepts given by index.
+// class[i] is the index of concepts[i]'s class representative
+// (class[r] == r), or -1 for an unsatisfiable concept, which joins the ⊥
+// node with f.Bottom(). children[r] lists the direct subclasses of
+// representative r, each once; it may be shorter than concepts. concepts
+// must include f.Top().
+//
+// Parentless classes attach below ⊤ and ⊥ attaches below the leaves. Each
+// node's ID is its position in Nodes(): ⊤ = 0, ⊥ = n−1, the rest in label
+// order; every parent and child list ascends by ID, so a child list is in
+// label order too. The classifier's conquer phase, the enhanced traversal
+// and FromSubsumers all end here.
+func Build(f *dl.Factory, concepts []*dl.Concept, class []int, children [][]int) (*Taxonomy, error) {
+	t := &Taxonomy{byConcept: make(map[*dl.Concept]*Node, len(concepts)+1)}
+	t.bottom = &Node{Concepts: []*dl.Concept{f.Bottom()}}
+	t.byConcept[f.Bottom()] = t.bottom
+	at := make([]*Node, len(concepts)) // concept index → its node
+	nodes := []*Node{t.bottom}
+	for i, c := range concepts {
+		n := t.bottom
+		if r := class[i]; r >= 0 {
+			if at[r] == nil {
+				at[r] = &Node{}
+				nodes = append(nodes, at[r])
+			}
+			n = at[r]
 		}
+		at[i] = n
 		n.Concepts = append(n.Concepts, c)
 		t.byConcept[c] = n
 	}
 	t.top = t.byConcept[f.Top()]
-	t.bottom = t.byConcept[f.Bottom()]
 	if t.top == t.bottom {
 		return nil, fmt.Errorf("taxonomy: ⊤ and ⊥ collapsed (inconsistent input)")
 	}
+
+	// IDs: ⊤, then the other nodes in label order, then ⊥. Each label is
+	// computed once, after its class is sorted.
+	mid := make([]*Node, 0, len(nodes))
+	labels := make([]string, 0, len(nodes))
 	for _, n := range nodes {
 		if len(n.Concepts) > 1 {
 			sort.Slice(n.Concepts, func(i, j int) bool {
 				return classLess(n.Concepts[i], n.Concepts[j])
 			})
 		}
-	}
-	// Lift edges to nodes.
-	edgeSet := make(map[[2]*Node]bool, len(b.edges))
-	for e := range b.edges {
-		p, c := t.byConcept[e[0]], t.byConcept[e[1]]
-		if p == c || c == t.bottom || p == t.bottom {
-			continue
-		}
-		edgeSet[[2]*Node{p, c}] = true
-	}
-	for e := range edgeSet {
-		e[0].children = append(e[0].children, e[1])
-		e[1].parents = append(e[1].parents, e[0])
-	}
-	// Attach parentless classes under ⊤ and wire ⊥ under the leaves.
-	var leaves []*Node
-	for _, n := range nodes {
-		if n == t.top || n == t.bottom {
-			continue
-		}
-		if len(n.parents) == 0 {
-			n.parents = append(n.parents, t.top)
-			t.top.children = append(t.top.children, n)
-		}
-		if len(n.children) == 0 {
-			leaves = append(leaves, n)
+		if n != t.top && n != t.bottom {
+			mid = append(mid, n)
+			labels = append(labels, n.Label())
 		}
 	}
-	if len(leaves) == 0 {
-		leaves = []*Node{t.top}
-	}
-	for _, l := range leaves {
-		l.children = append(l.children, t.bottom)
-		t.bottom.parents = append(t.bottom.parents, l)
-	}
-	// Deterministic ordering everywhere: each node's label is computed
-	// once, to rank the nodes, and every list sorts by rank.
-	labels := make([]string, len(nodes))
-	for i, n := range nodes {
-		labels[i] = n.Label()
-	}
-	order := make([]int, len(nodes))
+	order := make([]int, len(mid))
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortFunc(order, func(i, j int) int { return strings.Compare(labels[i], labels[j]) })
 	t.nodes = make([]*Node, 0, len(nodes))
 	t.nodes = append(t.nodes, t.top)
-	for r, i := range order {
-		n := nodes[i]
-		n.rank = r
-		if n != t.top && n != t.bottom {
-			t.nodes = append(t.nodes, n)
-		}
+	for _, i := range order {
+		t.nodes = append(t.nodes, mid[i])
 	}
 	t.nodes = append(t.nodes, t.bottom)
-	for _, n := range nodes {
-		sortNodes(n.parents)
-		sortNodes(n.children)
+	for id, n := range t.nodes {
+		n.id = id
+	}
+
+	// Edges, each list built in ascending ID order: parents by visiting
+	// the parents in ID order, children by visiting the children in ID
+	// order. Parentless classes take ⊤; the leaves take ⊥.
+	kids := make([][]int, len(t.nodes))
+	for r, ys := range children {
+		if len(ys) > 0 {
+			kids[at[r].id] = ys
+		}
+	}
+	for id, ys := range kids {
+		for _, y := range ys {
+			at[y].parents = append(at[y].parents, t.nodes[id])
+		}
+	}
+	inner := t.nodes[:len(t.nodes)-1]
+	for _, n := range inner {
+		if len(n.parents) == 0 && n != t.top {
+			n.parents = append(n.parents, t.top)
+		}
+		for _, p := range n.parents {
+			p.children = append(p.children, n)
+		}
+	}
+	for _, n := range inner {
+		if len(n.children) == 0 {
+			n.children = append(n.children, t.bottom)
+			t.bottom.parents = append(t.bottom.parents, n)
+		}
 	}
 	if err := t.validate(); err != nil {
 		return nil, err
@@ -192,10 +128,10 @@ func rank(c *dl.Concept) int {
 	}
 }
 
-// sortNodes orders nodes of one taxonomy by label, through the label
-// rank Build gave each node.
+// sortNodes orders nodes of one taxonomy by ID, which is label order
+// between ⊤ and ⊥.
 func sortNodes(ns []*Node) {
-	slices.SortFunc(ns, func(a, b *Node) int { return a.rank - b.rank })
+	slices.SortFunc(ns, func(a, b *Node) int { return a.id - b.id })
 }
 
 // validate checks the taxonomy is a DAG rooted at ⊤.
@@ -205,29 +141,29 @@ func (t *Taxonomy) validate() error {
 		gray  = 1
 		black = 2
 	)
-	color := make([]int8, len(t.nodes)) // by rank
+	color := make([]int8, len(t.nodes)) // by ID
 	var visit func(n *Node) error
 	visit = func(n *Node) error {
-		switch color[n.rank] {
+		switch color[n.id] {
 		case gray:
 			return fmt.Errorf("taxonomy: cycle through %s", n.Label())
 		case black:
 			return nil
 		}
-		color[n.rank] = gray
+		color[n.id] = gray
 		for _, c := range n.children {
 			if err := visit(c); err != nil {
 				return err
 			}
 		}
-		color[n.rank] = black
+		color[n.id] = black
 		return nil
 	}
 	if err := visit(t.top); err != nil {
 		return err
 	}
 	for _, n := range t.nodes {
-		if color[n.rank] != black {
+		if color[n.id] != black {
 			return fmt.Errorf("taxonomy: node %s unreachable from ⊤", n.Label())
 		}
 	}
@@ -235,54 +171,67 @@ func (t *Taxonomy) validate() error {
 }
 
 // FromSubsumers builds the taxonomy given, for every named concept, its
-// full set of named subsumers (reflexive). Concepts marked unsatisfiable
-// go to ⊥. This is the reference construction used by the sequential
-// baselines and by tests as ground truth: mutual subsumption becomes
-// equivalence, and direct edges are computed by transitive reduction.
+// full set of named subsumers (reflexive, over the same concepts).
+// Concepts marked unsatisfiable go to ⊥. This is the reference
+// construction used by the sequential baselines and by tests as ground
+// truth: mutual subsumption becomes equivalence, with the first concept
+// by name as the class representative, and direct edges are computed by
+// transitive reduction.
 func FromSubsumers(f *dl.Factory, subsumers map[*dl.Concept]map[*dl.Concept]bool, unsat map[*dl.Concept]bool) (*Taxonomy, error) {
-	b := NewBuilder(f)
-	var sat []*dl.Concept
+	concepts := make([]*dl.Concept, 0, len(subsumers)+1)
 	for c := range subsumers {
-		b.AddConcept(c)
-		if unsat[c] {
-			b.MarkUnsatisfiable(c)
-		} else {
-			sat = append(sat, c)
-		}
+		concepts = append(concepts, c)
 	}
-	sort.Slice(sat, func(i, j int) bool { return sat[i].Name < sat[j].Name })
-	// Equivalences: mutual subsumption.
-	strict := make(map[*dl.Concept][]*dl.Concept, len(sat)) // strict subsumers
-	for _, c := range sat {
+	slices.SortFunc(concepts, func(a, b *dl.Concept) int { return strings.Compare(a.Name, b.Name) })
+	index := make(map[*dl.Concept]int, len(concepts))
+	for i, c := range concepts {
+		index[c] = i
+	}
+	named := len(concepts)
+	concepts = append(concepts, f.Top())
+	class := make([]int, len(concepts))
+	class[named] = named
+	strict := make([][]*dl.Concept, named) // strict subsumers
+	for i, c := range concepts[:named] {
+		class[i] = i
+		if unsat[c] {
+			class[i] = -1
+			continue
+		}
 		for s := range subsumers[c] {
 			if s == c || unsat[s] || s.Op != dl.OpName {
 				continue
 			}
 			if subsumers[s][c] {
-				b.MarkEquivalent(c, s)
+				class[i] = min(class[i], index[s])
 			} else {
-				strict[c] = append(strict[c], s)
+				strict[i] = append(strict[i], s)
 			}
 		}
 	}
-	// Direct edges: s is a direct subsumer of c if no other strict
-	// subsumer of c is strictly below s.
-	for _, c := range sat {
-		for _, s := range strict[c] {
+	// Direct edges, one per pair of representatives: s is a direct
+	// subsumer of c if no other strict subsumer of c is strictly below s.
+	children := make([][]int, named)
+	for i, ss := range strict {
+		if class[i] != i {
+			continue
+		}
+		for _, s := range ss {
+			j := index[s]
+			if class[j] != j {
+				continue
+			}
 			direct := true
-			for _, mid := range strict[c] {
-				if mid == s || subsumers[mid][s] && subsumers[s][mid] {
-					continue
-				}
-				if subsumers[mid][s] { // mid ⊑ s strictly: s not direct
+			for _, mid := range ss {
+				if subsumers[mid][s] && !subsumers[s][mid] { // mid ⊑ s strictly: s not direct
 					direct = false
 					break
 				}
 			}
 			if direct {
-				b.AddEdge(s, c)
+				children[j] = append(children[j], i)
 			}
 		}
 	}
-	return b.Build()
+	return Build(f, concepts, class, children)
 }

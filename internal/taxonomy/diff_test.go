@@ -7,26 +7,10 @@ import (
 	"parowl/internal/dl"
 )
 
-func buildTax(t *testing.T, f *dl.Factory, edges [][2]string, unsat ...string) *Taxonomy {
-	t.Helper()
-	b := NewBuilder(f)
-	for _, e := range edges {
-		b.AddEdge(f.Name(e[0]), f.Name(e[1]))
-	}
-	for _, u := range unsat {
-		b.MarkUnsatisfiable(f.Name(u))
-	}
-	tax, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tax
-}
-
 func TestDiffIdentical(t *testing.T) {
 	f := dl.NewFactory()
-	edges := [][2]string{{"A", "B"}, {"B", "C"}}
-	d := Compare(buildTax(t, f, edges), buildTax(t, f, edges))
+	cs := names(f, "A", "B", "C")
+	d := Compare(build(t, f, cs, nil, [2]int{0, 1}, [2]int{1, 2}), build(t, f, cs, nil, [2]int{0, 1}, [2]int{1, 2}))
 	if !d.Empty() {
 		t.Errorf("diff of identical taxonomies not empty:\n%s", d)
 	}
@@ -37,8 +21,9 @@ func TestDiffIdentical(t *testing.T) {
 
 func TestDiffAddedRemoved(t *testing.T) {
 	f := dl.NewFactory()
-	old := buildTax(t, f, [][2]string{{"A", "B"}, {"A", "C"}})
-	new_ := buildTax(t, f, [][2]string{{"A", "B"}, {"B", "C"}}) // C moved under B
+	cs := names(f, "A", "B", "C")
+	old := build(t, f, cs, nil, [2]int{0, 1}, [2]int{0, 2})
+	new_ := build(t, f, cs, nil, [2]int{0, 1}, [2]int{1, 2}) // C moved under B
 	d := Compare(old, new_)
 	// New entails C ⊑ B (was not entailed before).
 	foundAdd := false
@@ -62,8 +47,9 @@ func TestDiffAddedRemoved(t *testing.T) {
 
 func TestDiffUnsatChanges(t *testing.T) {
 	f := dl.NewFactory()
-	old := buildTax(t, f, [][2]string{{"A", "B"}})
-	new_ := buildTax(t, f, [][2]string{{"A", "B"}}, "B")
+	cs := names(f, "A", "B")
+	old := build(t, f, cs, nil, [2]int{0, 1})
+	new_ := build(t, f, cs, []int{0, -1})
 	d := Compare(old, new_)
 	if len(d.NewlyUnsatisfiable) != 1 || d.NewlyUnsatisfiable[0] != "B" {
 		t.Errorf("NewlyUnsatisfiable = %v", d.NewlyUnsatisfiable)
@@ -76,8 +62,8 @@ func TestDiffUnsatChanges(t *testing.T) {
 
 func TestDiffVocabulary(t *testing.T) {
 	f := dl.NewFactory()
-	old := buildTax(t, f, [][2]string{{"A", "B"}})
-	new_ := buildTax(t, f, [][2]string{{"A", "C"}})
+	old := build(t, f, names(f, "A", "B"), nil, [2]int{0, 1})
+	new_ := build(t, f, names(f, "A", "C"), nil, [2]int{0, 1})
 	d := Compare(old, new_)
 	if len(d.OnlyInOld) != 1 || d.OnlyInOld[0] != "B" {
 		t.Errorf("OnlyInOld = %v", d.OnlyInOld)
@@ -93,14 +79,9 @@ func TestDiffVocabulary(t *testing.T) {
 func TestDiffEquivalenceCounts(t *testing.T) {
 	f := dl.NewFactory()
 	// Old: A and B unrelated; new: A ≡ B.
-	old := buildTax(t, f, [][2]string{{"R", "A"}, {"R", "B"}})
-	bld := NewBuilder(f)
-	bld.AddEdge(f.Name("R"), f.Name("A"))
-	bld.MarkEquivalent(f.Name("A"), f.Name("B"))
-	new_, err := bld.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := names(f, "R", "A", "B")
+	old := build(t, f, cs, nil, [2]int{0, 1}, [2]int{0, 2})
+	new_ := build(t, f, cs, []int{0, 1, 1}, [2]int{0, 1})
 	d := Compare(old, new_)
 	// A ⊑ B and B ⊑ A both newly entailed.
 	if len(d.AddedSubsumptions) != 2 {

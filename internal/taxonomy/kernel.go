@@ -20,9 +20,10 @@ import (
 // row operations (OR/AND + popcount), replacing the pointer-chasing,
 // map-allocating walks in query.go.
 //
-// Node IDs are the node's index in Taxonomy.Nodes() (⊤ = 0, ⊥ = n-1),
-// which the builder makes deterministic, so a kernel serialized from one
-// process binds to the identically-fingerprinted taxonomy of another.
+// Node IDs are the IDs Build stores on the nodes, their index in
+// Taxonomy.Nodes() (⊤ = 0, ⊥ = n-1, label order between), so a kernel
+// serialized from one process binds to the identically-fingerprinted
+// taxonomy of another.
 // The matrices are allocated with a word-aligned column count
 // (bitset.AlignCols) so every row is a whole number of uint64 words; the
 // padding columns are never set.
@@ -32,8 +33,6 @@ import (
 type Kernel struct {
 	bindMu sync.Mutex     // serializes AdoptKernel binding of a decoded kernel
 	tax    *Taxonomy      // bound taxonomy; nil for a decoded, unbound kernel
-	nodes  []*Node        // tax.nodes when bound
-	id     map[*Node]int  // node → dense ID when bound
 	n      int            // node count (matrix rows)
 	cols   int            // AlignCols(n) matrix columns
 	anc    *bitset.Matrix // bit (x,y): y is a strict ancestor of x
@@ -62,15 +61,10 @@ func CompileWorkers(t *Taxonomy, workers int) *Kernel {
 	n := len(t.nodes)
 	k := &Kernel{
 		tax:   t,
-		nodes: t.nodes,
-		id:    make(map[*Node]int, n),
 		n:     n,
 		cols:  bitset.AlignCols(n),
 		depth: make([]int32, n),
 		fp:    fingerprintHash(t.Fingerprint()),
-	}
-	for i, nd := range t.nodes {
-		k.id[nd] = i
 	}
 	k.anc = bitset.NewMatrix(n, k.cols)
 	k.desc = bitset.NewMatrix(n, k.cols)
@@ -83,7 +77,7 @@ func CompileWorkers(t *Taxonomy, workers int) *Kernel {
 	// already complete when the level is processed, and nodes within one
 	// level are an antichain (depth strictly increases along edges) so
 	// they touch disjoint rows.
-	ancLevels := k.levels(func(nd *Node) []*Node { return nd.parents })
+	ancLevels := levels(t.nodes, (*Node).Parents, (*Node).Children)
 	for d, level := range ancLevels {
 		for _, x := range level {
 			k.depth[x] = int32(d)
@@ -91,21 +85,18 @@ func CompileWorkers(t *Taxonomy, workers int) *Kernel {
 	}
 	for _, level := range ancLevels {
 		k.forEachParallel(level, workers, func(x int) {
-			for _, p := range k.nodes[x].parents {
-				pid := k.id[p]
-				k.anc.Set(x, pid)
-				k.anc.OrRow(x, pid)
+			for _, p := range t.nodes[x].parents {
+				k.anc.Set(x, p.id)
+				k.anc.OrRow(x, p.id)
 			}
 		})
 	}
 	// Upward sweep: the mirror image, levels by height above the leaves.
-	descLevels := k.levels(func(nd *Node) []*Node { return nd.children })
-	for _, level := range descLevels {
+	for _, level := range levels(t.nodes, (*Node).Children, (*Node).Parents) {
 		k.forEachParallel(level, workers, func(x int) {
-			for _, c := range k.nodes[x].children {
-				cid := k.id[c]
-				k.desc.Set(x, cid)
-				k.desc.OrRow(x, cid)
+			for _, c := range t.nodes[x].children {
+				k.desc.Set(x, c.id)
+				k.desc.OrRow(x, c.id)
 			}
 		})
 	}
@@ -113,27 +104,18 @@ func CompileWorkers(t *Taxonomy, workers int) *Kernel {
 }
 
 // levels groups node IDs into antichain levels by longest-path distance
-// from the nodes with no prev-edges (Kahn's algorithm over prev). A node
-// is released only after every prev-edge is consumed, so its level — the
-// max over its prev nodes' levels plus one — is final when assigned.
-// Each returned slice holds the nodes of exactly one level, so within a
-// slice no two nodes are related and all their prev rows are complete.
-func (k *Kernel) levels(prev func(*Node) []*Node) [][]int {
-	remaining := make([]int, k.n)
-	// next-edge adjacency is the reverse of prev: rebuild it so the scan
-	// below visits each edge once.
-	next := make([][]int, k.n)
-	for i, nd := range k.nodes {
-		ps := prev(nd)
-		remaining[i] = len(ps)
-		for _, p := range ps {
-			pid := k.id[p]
-			next[pid] = append(next[pid], i)
-		}
-	}
-	level := make([]int, k.n)
+// from the nodes with no prev-edges (Kahn's algorithm; next is the
+// reverse of prev). A node is released only after every prev-edge is
+// consumed, so its level — the max over its prev nodes' levels plus one —
+// is final when assigned. Each returned slice holds the nodes of exactly
+// one level, so within a slice no two nodes are related and all their
+// prev rows are complete. Over parents, a node's level is its depth.
+func levels(nodes []*Node, prev, next func(*Node) []*Node) [][]int {
+	remaining := make([]int, len(nodes))
+	level := make([]int, len(nodes))
 	var frontier []int
-	for i := range remaining {
+	for i, nd := range nodes {
+		remaining[i] = len(prev(nd))
 		if remaining[i] == 0 {
 			frontier = append(frontier, i)
 		}
@@ -143,23 +125,19 @@ func (k *Kernel) levels(prev func(*Node) []*Node) [][]int {
 		var nf []int
 		for _, x := range frontier {
 			processed++
-			if level[x] > maxLevel {
-				maxLevel = level[x]
-			}
-			for _, y := range next[x] {
-				if level[x]+1 > level[y] {
-					level[y] = level[x] + 1
-				}
-				remaining[y]--
-				if remaining[y] == 0 {
-					nf = append(nf, y)
+			maxLevel = max(maxLevel, level[x])
+			for _, y := range next(nodes[x]) {
+				level[y.id] = max(level[y.id], level[x]+1)
+				remaining[y.id]--
+				if remaining[y.id] == 0 {
+					nf = append(nf, y.id)
 				}
 			}
 		}
 		frontier = nf
 	}
-	if processed != k.n {
-		panic(fmt.Sprintf("taxonomy: kernel compile processed %d of %d nodes (cycle?)", processed, k.n))
+	if processed != len(nodes) {
+		panic(fmt.Sprintf("taxonomy: level sweep reached %d of %d nodes (cycle?)", processed, len(nodes)))
 	}
 	byLevel := make([][]int, maxLevel+1)
 	for i, d := range level {
@@ -233,7 +211,7 @@ func (k *Kernel) idOf(c *dl.Concept) (int, bool) {
 	if nd == nil {
 		return 0, false
 	}
-	return k.id[nd], true
+	return nd.id, true
 }
 
 // IsAncestor reports whether anc is a strict ancestor of c: one bit test.
@@ -281,7 +259,7 @@ func (k *Kernel) SubsumesBatch(sub *dl.Concept, sups []*dl.Concept) []bool {
 func (k *Kernel) rowNodes(m *bitset.Matrix, r int) []*Node {
 	out := make([]*Node, 0, m.RowCount(r))
 	m.RowForEach(r, func(c int) bool {
-		out = append(out, k.nodes[c])
+		out = append(out, k.tax.nodes[c])
 		return true
 	})
 	return out
@@ -314,7 +292,7 @@ func (k *Kernel) Equivalents(c *dl.Concept) []*dl.Concept {
 	if !ok {
 		return nil
 	}
-	return k.nodes[ic].Concepts
+	return k.tax.nodes[ic].Concepts
 }
 
 // Depth returns the longest ⊤-path length to c's node, or -1 if c is not
@@ -347,7 +325,7 @@ func (k *Kernel) LCA(a, b *dl.Concept) []*Node {
 	var lowest []*Node
 	shared.ForEach(func(c int) bool {
 		if !k.desc.RowIntersectsSet(c, shared) {
-			lowest = append(lowest, k.nodes[c])
+			lowest = append(lowest, k.tax.nodes[c])
 		}
 		return true
 	})

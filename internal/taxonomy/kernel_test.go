@@ -22,25 +22,26 @@ func randomTaxonomy(rng *rand.Rand) (*Taxonomy, *dl.Factory, []*dl.Concept) {
 	for i := range cs {
 		cs[i] = f.Name(fmt.Sprintf("C%03d", i))
 	}
-	b := NewBuilder(f)
-	for _, c := range cs {
-		b.AddConcept(c)
+	class := make([]int, n+1) // ⊤ last
+	for i := range class {
+		class[i] = i
 	}
+	children := make([][]int, m)
 	for j := 1; j < m; j++ {
 		for i := 0; i < j; i++ {
 			if rng.Float64() < 2.0/float64(j) {
-				b.AddEdge(cs[i], cs[j])
+				children[i] = append(children[i], j)
 			}
 		}
 	}
 	for i := m; i < n; i++ {
 		if rng.Intn(3) == 0 {
-			b.MarkUnsatisfiable(cs[i])
+			class[i] = -1
 		} else {
-			b.MarkEquivalent(cs[i], cs[rng.Intn(m)])
+			class[i] = rng.Intn(m)
 		}
 	}
-	tax, err := b.Build()
+	tax, err := Build(f, append(cs, f.Top()), class, children)
 	if err != nil {
 		panic(fmt.Sprintf("random taxonomy build failed: %v", err))
 	}

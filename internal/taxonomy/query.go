@@ -103,46 +103,22 @@ func (t *Taxonomy) LCA(a, b *dl.Concept) []*Node {
 }
 
 // allDepths returns the longest ⊤-path length for every node, indexed by
-// position in t.nodes, computed in one shared topological pass (Kahn's
-// algorithm over parents) instead of one memoized DFS per node.
+// ID: the kernel's depth table, or the level of each node in one shared
+// topological pass over the parents instead of one memoized DFS per node.
 func (t *Taxonomy) allDepths() []int {
+	out := make([]int, len(t.nodes))
 	if k := t.kernel.Load(); k != nil {
-		out := make([]int, k.n)
 		for i, d := range k.depth {
 			out[i] = int(d)
 		}
 		return out
 	}
-	id := make(map[*Node]int, len(t.nodes))
-	for i, n := range t.nodes {
-		id[n] = i
-	}
-	remaining := make([]int, len(t.nodes))
-	depth := make([]int, len(t.nodes))
-	var frontier []int
-	for i, n := range t.nodes {
-		remaining[i] = len(n.parents)
-		if remaining[i] == 0 {
-			frontier = append(frontier, i)
+	for d, level := range levels(t.nodes, (*Node).Parents, (*Node).Children) {
+		for _, x := range level {
+			out[x] = d
 		}
 	}
-	for len(frontier) > 0 {
-		var next []int
-		for _, x := range frontier {
-			for _, ch := range t.nodes[x].children {
-				y := id[ch]
-				if depth[x]+1 > depth[y] {
-					depth[y] = depth[x] + 1
-				}
-				remaining[y]--
-				if remaining[y] == 0 {
-					next = append(next, y)
-				}
-			}
-		}
-		frontier = next
-	}
-	return depth
+	return out
 }
 
 // Summary aggregates structural statistics of the taxonomy.
@@ -215,16 +191,12 @@ func (t *Taxonomy) Summarize() Summary {
 func (t *Taxonomy) DOT() string {
 	var b strings.Builder
 	b.WriteString("digraph taxonomy {\n  rankdir=BT;\n  node [shape=box];\n")
-	id := make(map[*Node]int, len(t.nodes))
-	for i, n := range t.nodes {
-		id[n] = i
-	}
 	showBottom := len(t.bottom.Concepts) > 1
 	for _, n := range t.nodes {
 		if n == t.bottom && !showBottom {
 			continue
 		}
-		fmt.Fprintf(&b, "  n%d [label=%q];\n", id[n], n.Label())
+		fmt.Fprintf(&b, "  n%d [label=%q];\n", n.id, n.Label())
 	}
 	var lines []string
 	for _, n := range t.nodes {
@@ -232,7 +204,7 @@ func (t *Taxonomy) DOT() string {
 			continue
 		}
 		for _, p := range n.parents {
-			lines = append(lines, fmt.Sprintf("  n%d -> n%d;", id[n], id[p]))
+			lines = append(lines, fmt.Sprintf("  n%d -> n%d;", n.id, p.id))
 		}
 	}
 	sort.Strings(lines)

@@ -12,16 +12,7 @@ func diamond(t *testing.T) (*Taxonomy, *dl.Factory) {
 	t.Helper()
 	f := dl.NewFactory()
 	cs := names(f, "A", "B", "C", "D")
-	bld := NewBuilder(f)
-	bld.AddEdge(cs[0], cs[1])
-	bld.AddEdge(cs[0], cs[2])
-	bld.AddEdge(cs[1], cs[3])
-	bld.AddEdge(cs[2], cs[3])
-	tax, err := bld.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tax, f
+	return build(t, f, cs, nil, [2]int{0, 1}, [2]int{0, 2}, [2]int{1, 3}, [2]int{2, 3}), f
 }
 
 func TestDepth(t *testing.T) {
@@ -67,15 +58,7 @@ func TestLCAMultiple(t *testing.T) {
 	// ancestors.
 	f := dl.NewFactory()
 	cs := names(f, "P", "Q", "X", "Y")
-	bld := NewBuilder(f)
-	bld.AddEdge(cs[0], cs[2])
-	bld.AddEdge(cs[1], cs[2])
-	bld.AddEdge(cs[0], cs[3])
-	bld.AddEdge(cs[1], cs[3])
-	tax, err := bld.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tax := build(t, f, cs, nil, [2]int{0, 2}, [2]int{1, 2}, [2]int{0, 3}, [2]int{1, 3})
 	lca := tax.LCA(cs[2], cs[3])
 	if len(lca) != 2 {
 		t.Errorf("LCA(X,Y) = %v, want P and Q", labels(lca))
@@ -93,14 +76,7 @@ func labels(ns []*Node) []string {
 func TestSummarize(t *testing.T) {
 	f := dl.NewFactory()
 	cs := names(f, "A", "B", "C", "U")
-	bld := NewBuilder(f)
-	bld.AddEdge(cs[0], cs[1])
-	bld.MarkEquivalent(cs[1], cs[2])
-	bld.MarkUnsatisfiable(cs[3])
-	tax, err := bld.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tax := build(t, f, cs, []int{0, 1, 1, -1}, [2]int{0, 1})
 	s := tax.Summarize()
 	if s.Concepts != 4 {
 		t.Errorf("Concepts = %d, want 4", s.Concepts)
@@ -143,14 +119,7 @@ func TestDOT(t *testing.T) {
 
 func TestDOTWithUnsat(t *testing.T) {
 	f := dl.NewFactory()
-	cs := names(f, "A", "U")
-	bld := NewBuilder(f)
-	bld.AddConcept(cs[0])
-	bld.MarkUnsatisfiable(cs[1])
-	tax, err := bld.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tax := build(t, f, names(f, "A", "U"), []int{0, -1})
 	if !strings.Contains(tax.DOT(), "U") {
 		t.Error("unsatisfiable concept not rendered in ⊥ node")
 	}

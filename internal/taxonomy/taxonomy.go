@@ -22,7 +22,7 @@ type Node struct {
 
 	parents  []*Node
 	children []*Node
-	rank     int // position in label order among the taxonomy's nodes
+	id       int // position in Taxonomy.Nodes(), the kernel's dense ID
 }
 
 // Canonical returns the class representative.
@@ -113,11 +113,6 @@ func (t *Taxonomy) AdoptKernel(k *Kernel) error {
 	}
 	k.bindMu.Lock()
 	if k.tax == nil {
-		k.nodes = t.nodes
-		k.id = make(map[*Node]int, len(t.nodes))
-		for i, nd := range t.nodes {
-			k.id[nd] = i
-		}
 		k.tax = t
 	} else if k.tax != t {
 		k.bindMu.Unlock()
@@ -258,27 +253,26 @@ func (t *Taxonomy) MemoryFootprint() int {
 const renderRepeat = " (*)"
 
 // Render writes the taxonomy as an indented tree rooted at ⊤, children
-// sorted by label. A node with several parents is expanded only at its
-// first occurrence in that walk; each later occurrence is one line ending
-// in " (*)". Every direct edge so appears exactly once and the
-// output is linear in nodes plus edges, while a tree-shaped taxonomy
-// renders as a plain indented tree. The output is deterministic.
+// in label order, which is their ID order. A node with several parents is
+// expanded only at its first occurrence in that walk; each later
+// occurrence is one line ending in " (*)". Every direct edge so appears
+// exactly once and the output is linear in nodes plus edges, while a
+// tree-shaped taxonomy renders as a plain indented tree. The output is
+// deterministic.
 func (t *Taxonomy) Render() string {
 	var b strings.Builder
-	expanded := make(map[*Node]bool, len(t.nodes))
+	expanded := make([]bool, len(t.nodes)) // by ID
 	var walk func(n *Node, depth int)
 	walk = func(n *Node, depth int) {
 		b.WriteString(strings.Repeat("  ", depth))
 		b.WriteString(n.Label())
-		if expanded[n] {
+		if expanded[n.id] {
 			b.WriteString(renderRepeat + "\n")
 			return
 		}
 		b.WriteByte('\n')
-		expanded[n] = true
-		kids := append([]*Node(nil), n.children...)
-		sort.Slice(kids, func(i, j int) bool { return kids[i].Label() < kids[j].Label() })
-		for _, k := range kids {
+		expanded[n.id] = true
+		for _, k := range n.children {
 			if k == t.bottom && len(k.Concepts) == 1 {
 				continue // hide an empty ⊥
 			}

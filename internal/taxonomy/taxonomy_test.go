@@ -3,6 +3,7 @@ package taxonomy
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -18,18 +19,34 @@ func names(f *dl.Factory, ss ...string) []*dl.Concept {
 	return out
 }
 
-func TestBuilderSimpleTree(t *testing.T) {
-	f := dl.NewFactory()
-	cs := names(f, "A", "B", "C", "D")
-	a, b, c, d := cs[0], cs[1], cs[2], cs[3]
-	bld := NewBuilder(f)
-	bld.AddEdge(a, b)
-	bld.AddEdge(a, c)
-	bld.AddEdge(c, d)
-	tax, err := bld.Build()
+// build calls Build over cs followed by ⊤, whose index is len(cs), and
+// fails the test on an error. class gives each of cs its class as Build
+// reads it (nil: every concept its own class), and each edge is a parent,
+// child pair of representatives' indices.
+func build(t testing.TB, f *dl.Factory, cs []*dl.Concept, class []int, edges ...[2]int) *Taxonomy {
+	t.Helper()
+	if class == nil {
+		class = make([]int, len(cs))
+		for i := range class {
+			class[i] = i
+		}
+	}
+	children := make([][]int, len(cs)+1)
+	for _, e := range edges {
+		children[e[0]] = append(children[e[0]], e[1])
+	}
+	tax, err := Build(f, append(slices.Clip(cs), f.Top()), append(slices.Clip(class), len(cs)), children)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tax
+}
+
+func TestBuilderSimpleTree(t *testing.T) {
+	f := dl.NewFactory()
+	cs := names(f, "A", "B", "C", "D")
+	a, b, d := cs[0], cs[1], cs[3]
+	tax := build(t, f, cs, nil, [2]int{0, 1}, [2]int{0, 2}, [2]int{2, 3})
 	if tax.NodeOf(a).Parents()[0] != tax.Top() {
 		t.Error("A not under ⊤")
 	}
@@ -51,14 +68,8 @@ func TestBuilderSimpleTree(t *testing.T) {
 func TestBuilderEquivalence(t *testing.T) {
 	f := dl.NewFactory()
 	cs := names(f, "A", "B", "C")
-	a, b, c := cs[0], cs[1], cs[2]
-	bld := NewBuilder(f)
-	bld.MarkEquivalent(a, b)
-	bld.AddEdge(a, c)
-	tax, err := bld.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := cs[0], cs[1]
+	tax := build(t, f, cs, []int{0, 0, 2}, [2]int{0, 2})
 	if tax.NodeOf(a) != tax.NodeOf(b) {
 		t.Error("A and B in different nodes")
 	}
@@ -74,13 +85,7 @@ func TestBuilderUnsatisfiable(t *testing.T) {
 	f := dl.NewFactory()
 	cs := names(f, "A", "U")
 	a, u := cs[0], cs[1]
-	bld := NewBuilder(f)
-	bld.AddConcept(a)
-	bld.MarkUnsatisfiable(u)
-	tax, err := bld.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tax := build(t, f, cs, []int{0, -1})
 	if tax.NodeOf(u) != tax.Bottom() {
 		t.Error("U not in ⊥ node")
 	}
@@ -93,13 +98,8 @@ func TestBuilderEquivalentToTop(t *testing.T) {
 	f := dl.NewFactory()
 	cs := names(f, "A", "B")
 	a, b := cs[0], cs[1]
-	bld := NewBuilder(f)
-	bld.MarkEquivalent(a, f.Top())
-	bld.AddEdge(a, b)
-	tax, err := bld.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := len(cs)
+	tax := build(t, f, cs, []int{top, 1}, [2]int{top, 1})
 	if tax.NodeOf(a) != tax.Top() {
 		t.Error("A not merged with ⊤")
 	}
@@ -111,20 +111,14 @@ func TestBuilderEquivalentToTop(t *testing.T) {
 func TestCycleRejected(t *testing.T) {
 	f := dl.NewFactory()
 	cs := names(f, "A", "B")
-	a, b := cs[0], cs[1]
-	bld := NewBuilder(f)
-	bld.AddEdge(a, b)
-	bld.AddEdge(b, a)
-	if _, err := bld.Build(); err == nil {
+	if _, err := Build(f, append(cs, f.Top()), []int{0, 1, 2}, [][]int{{1}, {0}}); err == nil {
 		t.Fatal("cyclic edges accepted")
 	}
 }
 
 func TestInconsistentTopBottomRejected(t *testing.T) {
 	f := dl.NewFactory()
-	bld := NewBuilder(f)
-	bld.MarkEquivalent(f.Top(), f.Bottom())
-	if _, err := bld.Build(); err == nil {
+	if _, err := Build(f, []*dl.Concept{f.Top()}, []int{-1}, nil); err == nil {
 		t.Fatal("⊤ ≡ ⊥ accepted")
 	}
 }
@@ -132,13 +126,7 @@ func TestInconsistentTopBottomRejected(t *testing.T) {
 func TestRenderDeterministic(t *testing.T) {
 	f := dl.NewFactory()
 	cs := names(f, "A", "B", "C")
-	bld := NewBuilder(f)
-	bld.AddEdge(cs[0], cs[1])
-	bld.AddEdge(cs[0], cs[2])
-	tax, err := bld.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tax := build(t, f, cs, nil, [2]int{0, 1}, [2]int{0, 2})
 	r1 := tax.Render()
 	if !strings.Contains(r1, "⊤") || !strings.Contains(r1, "  B") {
 		t.Errorf("Render = %q", r1)
@@ -155,19 +143,14 @@ func TestRenderDeterministic(t *testing.T) {
 func TestRenderStackedDiamonds(t *testing.T) {
 	const k = 16
 	f := dl.NewFactory()
-	bld := NewBuilder(f)
-	a := func(i int) *dl.Concept { return f.Name(fmt.Sprintf("A%02d", i)) }
+	var cs []*dl.Concept
+	var edges [][2]int
 	for i := 0; i < k; i++ {
-		b, c := f.Name(fmt.Sprintf("B%02d", i)), f.Name(fmt.Sprintf("C%02d", i))
-		bld.AddEdge(a(i), b)
-		bld.AddEdge(a(i), c)
-		bld.AddEdge(b, a(i+1))
-		bld.AddEdge(c, a(i+1))
+		a := len(cs) // then B, C, and the next A
+		cs = append(cs, names(f, fmt.Sprintf("A%02d", i), fmt.Sprintf("B%02d", i), fmt.Sprintf("C%02d", i))...)
+		edges = append(edges, [2]int{a, a + 1}, [2]int{a, a + 2}, [2]int{a + 1, a + 3}, [2]int{a + 2, a + 3})
 	}
-	tax, err := bld.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tax := build(t, f, append(cs, f.Name(fmt.Sprintf("A%02d", k))), nil, edges...)
 	out := tax.Render()
 	if lines, want := strings.Count(out, "\n"), 2+4*k; lines != want {
 		t.Errorf("Render printed %d lines, want %d (⊤, A00, then 4 per diamond)", lines, want)
@@ -228,29 +211,39 @@ func TestFromSubsumersEquivalence(t *testing.T) {
 	}
 }
 
-// TestQuickFromSubsumersInvariants checks on random DAG closures that
-// FromSubsumers produces a taxonomy whose reachability matches the input
-// subsumer sets exactly (soundness + completeness of the reduction) and
-// whose edges contain no transitive shortcuts.
+// TestQuickFromSubsumersInvariants checks on random closures over a class
+// DAG, with equivalence classes and unsatisfiable concepts, that
+// FromSubsumers puts equivalent concepts in one node and unsatisfiable
+// ones in ⊥, that the taxonomy's reachability matches the input subsumer
+// sets exactly (soundness + completeness of the reduction), that its edges
+// contain no transitive shortcuts, and that Build numbered the nodes:
+// Nodes()[i] has ID i, ⊤ first, ⊥ last and label order between, and
+// every parent and child list ascends by ID.
 func TestQuickFromSubsumersInvariants(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		f := dl.NewFactory()
 		n := 2 + rng.Intn(8)
+		k := 1 + rng.Intn(n) // classes, some of them empty
 		cs := make([]*dl.Concept, n)
+		cls := make([]int, n) // concept → class, -1 for unsatisfiable
 		for i := range cs {
 			cs[i] = f.Name(string(rune('A' + i)))
+			cls[i] = rng.Intn(k)
+			if rng.Intn(6) == 0 {
+				cls[i] = -1
+			}
 		}
-		// Random DAG: i can point only to j < i; closure by DFS.
-		adj := make([][]int, n)
-		for i := 1; i < n; i++ {
+		// Random class DAG: i can point only to j < i; closure by DFS.
+		adj := make([][]int, k)
+		for i := 1; i < k; i++ {
 			for j := 0; j < i; j++ {
 				if rng.Intn(3) == 0 {
 					adj[i] = append(adj[i], j)
 				}
 			}
 		}
-		closure := make([]map[int]bool, n)
+		closure := make([]map[int]bool, k)
 		var close func(i int) map[int]bool
 		close = func(i int) map[int]bool {
 			if closure[i] != nil {
@@ -259,34 +252,47 @@ func TestQuickFromSubsumersInvariants(t *testing.T) {
 			m := map[int]bool{i: true}
 			closure[i] = m
 			for _, j := range adj[i] {
-				for k := range close(j) {
-					m[k] = true
+				for x := range close(j) {
+					m[x] = true
 				}
 			}
 			return m
 		}
+		// An unsatisfiable concept is subsumed by every concept.
 		subs := map[*dl.Concept]map[*dl.Concept]bool{}
-		for i := range cs {
+		unsat := map[*dl.Concept]bool{}
+		for i, c := range cs {
 			m := map[*dl.Concept]bool{}
-			for j := range close(i) {
-				m[cs[j]] = true
+			for j, d := range cs {
+				if cls[i] < 0 || cls[j] >= 0 && close(cls[i])[cls[j]] {
+					m[d] = true
+				}
 			}
-			subs[cs[i]] = m
+			subs[c] = m
+			unsat[c] = cls[i] < 0
 		}
-		tax, err := FromSubsumers(f, subs, nil)
+		tax, err := FromSubsumers(f, subs, unsat)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		for i := range cs {
-			for j := range cs {
-				if i == j {
+		for i, c := range cs {
+			if got := tax.NodeOf(c) == tax.Bottom(); got != unsat[c] {
+				t.Logf("seed %d: %v in ⊥ = %v, unsatisfiable = %v", seed, c, got, unsat[c])
+				return false
+			}
+			for j, d := range cs {
+				if i == j || unsat[c] || unsat[d] {
 					continue
 				}
-				want := subs[cs[i]][cs[j]]
-				got := tax.IsAncestor(cs[j], cs[i]) || tax.NodeOf(cs[i]) == tax.NodeOf(cs[j])
-				if got != want {
-					t.Logf("seed %d: %v ⊑ %v: got %v want %v", seed, cs[i], cs[j], got, want)
+				same := tax.NodeOf(c) == tax.NodeOf(d)
+				if same != (cls[i] == cls[j]) {
+					t.Logf("seed %d: %v and %v share a node = %v, equivalent = %v", seed, c, d, same, cls[i] == cls[j])
+					return false
+				}
+				want := subs[c][d]
+				if got := tax.IsAncestor(d, c) || same; got != want {
+					t.Logf("seed %d: %v ⊑ %v: got %v want %v", seed, c, d, got, want)
 					return false
 				}
 			}
@@ -308,6 +314,29 @@ func TestQuickFromSubsumersInvariants(t *testing.T) {
 				}
 			}
 		}
+		nodes := tax.Nodes()
+		if nodes[0] != tax.Top() || nodes[len(nodes)-1] != tax.Bottom() {
+			t.Logf("seed %d: Nodes() does not run from ⊤ to ⊥", seed)
+			return false
+		}
+		for i, nd := range nodes {
+			if nd.id != i {
+				t.Logf("seed %d: Nodes()[%d] %s has ID %d", seed, i, nd.Label(), nd.id)
+				return false
+			}
+			if 0 < i && i < len(nodes)-2 && nd.Label() >= nodes[i+1].Label() {
+				t.Logf("seed %d: %s numbered before %s", seed, nd.Label(), nodes[i+1].Label())
+				return false
+			}
+			for _, list := range [][]*Node{nd.Parents(), nd.Children()} {
+				for x := 1; x < len(list); x++ {
+					if list[x-1].id >= list[x].id {
+						t.Logf("seed %d: %s lists %s before %s", seed, nd.Label(), list[x-1].Label(), list[x].Label())
+						return false
+					}
+				}
+			}
+		}
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
@@ -318,15 +347,7 @@ func TestQuickFromSubsumersInvariants(t *testing.T) {
 func TestFingerprintEquality(t *testing.T) {
 	f := dl.NewFactory()
 	build := func() *Taxonomy {
-		cs := names(f, "A", "B", "C")
-		bld := NewBuilder(f)
-		bld.AddEdge(cs[0], cs[1])
-		bld.AddEdge(cs[1], cs[2])
-		tax, err := bld.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tax
+		return build(t, f, names(f, "A", "B", "C"), nil, [2]int{0, 1}, [2]int{1, 2})
 	}
 	t1, t2 := build(), build()
 	if !t1.Equal(t2) {
