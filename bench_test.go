@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -25,6 +26,7 @@ import (
 	"parowl/internal/reasoner"
 	"parowl/internal/schedsim"
 	"parowl/internal/tableau"
+	"parowl/internal/taxonomy"
 )
 
 // benchCorpus generates a scaled corpus once per benchmark.
@@ -396,8 +398,9 @@ func withDisjointLeaves(b *testing.B, tb *TBox) *TBox {
 
 // BenchmarkAdopt times a restart's re-adoption on perfbench classify-el's
 // corpus, WBbt at 1/3 scale: Engine.Load parses the OBO bytes and
-// Ontology.Adopt rebuilds the taxonomy from a completed checkpoint that
-// carries its kernel, as owld does at boot and on a cold reload.
+// Ontology.Adopt rebuilds the taxonomy from a completed checkpoint and
+// compiles its kernel, as owld does at boot and on a cold reload. It
+// reports the checkpoint's size as ck-bytes.
 //
 //	go test -run '^$' -bench Adopt -benchmem .
 func BenchmarkAdopt(b *testing.B) {
@@ -416,6 +419,10 @@ func BenchmarkAdopt(b *testing.B) {
 	if _, err := ont.ClassifyWith(context.Background(), opts); err != nil {
 		b.Fatal(err)
 	}
+	fi, err := os.Stat(ck)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -426,6 +433,26 @@ func BenchmarkAdopt(b *testing.B) {
 		if _, err := fresh.Adopt(context.Background(), ck); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.ReportMetric(float64(fi.Size()), "ck-bytes")
+}
+
+// BenchmarkCompileKernel times the kernel compile every adoption and
+// resumed finished run pays, since checkpoints do not store the kernel:
+// taxonomy.CompileWorkers at two workers on the classified WBbt/3
+// taxonomy, BenchmarkAdopt's corpus.
+//
+//	go test -run '^$' -bench CompileKernel -benchmem .
+func BenchmarkCompileKernel(b *testing.B) {
+	ont := NewEngine().NewOntology(benchCorpus(b, "WBbt.obo", 3))
+	res, err := ont.Classify(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		taxonomy.CompileWorkers(res.Taxonomy, 2)
 	}
 }
 

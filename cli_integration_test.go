@@ -131,8 +131,8 @@ func TestCLIOwlclassQueryKernel(t *testing.T) {
 		"depth(C) = 3",
 	}
 
-	// The first run compiles the kernel and checkpoints it with the
-	// finished classification.
+	// The first run compiles the kernel and checkpoints the finished
+	// classification.
 	out, err := runCmd(t, "owlclass", "-checkpoint", ck, "-query", spec, path)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
@@ -143,8 +143,8 @@ func TestCLIOwlclassQueryKernel(t *testing.T) {
 		}
 	}
 
-	// Resuming the finished run restores it and adopts the checkpointed
-	// kernel: same answers, no warning.
+	// Resuming the finished run restores it and compiles the kernel
+	// again: same answers, no warning.
 	out, err = runCmd(t, "owlclass", "-checkpoint", ck, "-resume", ck, "-query", spec, path)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
@@ -187,8 +187,8 @@ func TestCLIOwlclassQueryKernel(t *testing.T) {
 }
 
 // TestCLIRetiredSurfaces: flags and plug-in names that were removed must
-// be refused with a non-zero exit, never silently ignored. The checkpoint
-// is the only on-disk form of a kernel (-kernel); told subsumers (-told),
+// be refused with a non-zero exit, never silently ignored. A kernel has
+// no on-disk form (-kernel); told subsumers (-told),
 // the checkpointed plug-in cache (-cache) and the model-merging tableau
 // (tableau-mm) are subsumed by the default cheap-first pipeline.
 func TestCLIRetiredSurfaces(t *testing.T) {

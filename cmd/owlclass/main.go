@@ -46,7 +46,7 @@ var (
 	testTimeout = flag.Duration("test-timeout", 0, "budget per sat?/subs? test; expired tests are retried then recorded as undecided (0 = none)")
 	testRetries = flag.Int("test-retries", 0, "escalating retries per timed-out test (each doubles the budget)")
 
-	query = flag.String("query", "", "answer taxonomy queries from the compiled kernel, e.g. 'subsumes:A,B;ancestors:C;lca:A,B' (ops: subsumes, ancestors, descendants, equivalents, lca, depth); with -checkpoint the kernel rides in the final snapshot and -resume adopts it")
+	query = flag.String("query", "", "answer taxonomy queries from the compiled kernel, e.g. 'subsumes:A,B;ancestors:C;lca:A,B' (ops: subsumes, ancestors, descendants, equivalents, lca, depth)")
 
 	checkpoint         = flag.String("checkpoint", "", "periodically snapshot classification state to this file (atomic rename)")
 	checkpointInterval = flag.Duration("checkpoint-interval", time.Second, "minimum time between checkpoint snapshots (0 = every phase boundary)")
@@ -127,9 +127,7 @@ func run() error {
 		Checkpoint:         *checkpoint,
 		CheckpointInterval: *checkpointInterval,
 		ResumeFrom:         *resume,
-		// -query answers from the kernel, which also rides along in
-		// -checkpoint snapshots; resuming a completed run adopts it.
-		CompileKernel: *query != "",
+		CompileKernel:      *query != "", // -query answers from the kernel
 	}
 	switch *mode {
 	case "optimized":
@@ -211,9 +209,6 @@ func run() error {
 		}
 	}
 
-	if res.KernelError != nil {
-		fmt.Fprintf(os.Stderr, "owlclass: WARNING: checkpointed kernel unusable, recompiled: %v\n", res.KernelError)
-	}
 	if *baseline != "" {
 		var want *parowl.Taxonomy
 		switch *baseline {

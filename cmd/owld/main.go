@@ -23,7 +23,8 @@
 // checkpoints with zero reclassification — /readyz reports 503 until
 // re-adoption finishes. -max-resident-bytes bounds warm memory: cold
 // classified entries are evicted to disk and transparently reloaded on
-// their next query (the first such query pays the checkpoint decode).
+// their next query (the first such query pays the checkpoint decode and
+// a kernel compile).
 package main
 
 import (

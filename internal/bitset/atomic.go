@@ -229,8 +229,8 @@ func (m *Matrix) TestAndSet(r, c int) bool { return m.bits.TestAndSet(m.idx(r, c
 // SetRow sets every column of row r that s holds and returns the columns
 // that were clear before: the row-wise TestAndSet. The row need not be
 // word-aligned; each touched word is updated with one atomic OR, so the
-// returned bits are exact under concurrent writers. s must have capacity
-// Cols().
+// returned bits are exact under concurrent writers. s must have one bit
+// per column.
 func (m *Matrix) SetRow(r int, s *Set) *Set {
 	if r < 0 || r >= m.rows {
 		panic(fmt.Sprintf("bitset: row %d out of range [0,%d)", r, m.rows))

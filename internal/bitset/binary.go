@@ -7,9 +7,9 @@ import (
 	"hash/crc32"
 )
 
-// Binary serialization for Set, Atomic and Matrix, used by the
-// classifier's checkpoint snapshots. The encoding is stable across
-// versions and platforms:
+// Binary serialization for Atomic and Matrix, used by the classifier's
+// checkpoint snapshots. The encoding is stable across versions and
+// platforms:
 //
 //	uint32 LE  n        bit capacity
 //	uint64 LE  words    wordsFor(n) words, lowest bits first
@@ -71,45 +71,6 @@ func wordAt(payload []byte, i int) uint64 {
 	return binary.LittleEndian.Uint64(payload[8*i:])
 }
 
-// AppendBinary appends s's binary encoding to b and returns the extended
-// slice.
-func (s *Set) AppendBinary(b []byte) []byte {
-	return appendFrame(b, s.n, func(i int) uint64 { return s.words[i] })
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s *Set) MarshalBinary() ([]byte, error) {
-	return s.AppendBinary(make([]byte, 0, binarySize(s.n))), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. The data must
-// contain exactly one encoded set.
-func (s *Set) UnmarshalBinary(data []byte) error {
-	dec, rest, err := ReadSet(data)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
-	}
-	*s = *dec
-	return nil
-}
-
-// ReadSet decodes one Set from the head of data and returns it together
-// with the remaining bytes, for streaming several frames from one buffer.
-func ReadSet(data []byte) (*Set, []byte, error) {
-	n, payload, rest, err := readFrame(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := New(n)
-	for i := range s.words {
-		s.words[i] = wordAt(payload, i)
-	}
-	return s, rest, nil
-}
-
 // AppendBinary appends a word-by-word snapshot of a's contents to b. Like
 // Snapshot, concurrent writers may be observed at different instants per
 // word; serialize quiescent sets for exact captures.
@@ -117,27 +78,8 @@ func (a *Atomic) AppendBinary(b []byte) []byte {
 	return appendFrame(b, a.n, func(i int) uint64 { return a.words[i].Load() })
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler on a snapshot of a.
-func (a *Atomic) MarshalBinary() ([]byte, error) {
-	return a.AppendBinary(make([]byte, 0, binarySize(a.n))), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. The data must
-// contain exactly one encoded set.
-func (a *Atomic) UnmarshalBinary(data []byte) error {
-	dec, rest, err := ReadAtomic(data)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
-	}
-	*a = *dec
-	return nil
-}
-
 // ReadAtomic decodes one Atomic from the head of data and returns it with
-// the remaining bytes.
+// the remaining bytes, for streaming several frames from one buffer.
 func ReadAtomic(data []byte) (*Atomic, []byte, error) {
 	n, payload, rest, err := readFrame(data)
 	if err != nil {

@@ -1,28 +1,37 @@
 package bitset
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 )
 
-// roundTripSet encodes s and decodes it back, failing the test on any
-// mismatch.
+// roundTripSet writes s's bits into an Atomic, encodes it as the frame a
+// checkpoint stores (Atomic.AppendBinary), decodes it back with
+// ReadAtomic and fails the test on any mismatch or leftover byte.
 func roundTripSet(t *testing.T, s *Set) *Set {
 	t.Helper()
-	data, err := s.MarshalBinary()
+	a := NewAtomic(s.Len())
+	s.ForEach(func(i int) bool {
+		a.Set(i)
+		return true
+	})
+	dec, rest, err := ReadAtomic(a.AppendBinary(nil))
 	if err != nil {
-		t.Fatalf("MarshalBinary: %v", err)
+		t.Fatalf("ReadAtomic: %v", err)
 	}
-	var got Set
-	if err := got.UnmarshalBinary(data); err != nil {
-		t.Fatalf("UnmarshalBinary: %v", err)
+	if len(rest) != 0 {
+		t.Fatalf("ReadAtomic left %d bytes", len(rest))
 	}
+	got := dec.Snapshot()
 	if got.Len() != s.Len() || !got.Equal(s) {
 		t.Fatalf("round trip mismatch: got %v (len %d), want %v (len %d)",
-			&got, got.Len(), s, s.Len())
+			got, got.Len(), s, s.Len())
 	}
-	return &got
+	return got
 }
 
 func TestSetBinaryRoundTrip(t *testing.T) {
@@ -76,17 +85,13 @@ func TestAtomicBinaryRoundTrip(t *testing.T) {
 		for i := 0; i < n; i += 3 {
 			a.Set(i)
 		}
-		data, err := a.MarshalBinary()
+		got, rest, err := ReadAtomic(a.AppendBinary(nil))
 		if err != nil {
-			t.Fatalf("n=%d: MarshalBinary: %v", n, err)
+			t.Fatalf("n=%d: ReadAtomic: %v", n, err)
 		}
-		var got Atomic
-		if err := got.UnmarshalBinary(data); err != nil {
-			t.Fatalf("n=%d: UnmarshalBinary: %v", n, err)
-		}
-		if got.Len() != n || !got.Snapshot().Equal(a.Snapshot()) {
-			t.Fatalf("n=%d: round trip mismatch: got %v, want %v",
-				n, got.Snapshot(), a.Snapshot())
+		if len(rest) != 0 || got.Len() != n || !got.Snapshot().Equal(a.Snapshot()) {
+			t.Fatalf("n=%d: round trip mismatch: got %v (%d bytes left), want %v",
+				n, got.Snapshot(), len(rest), a.Snapshot())
 		}
 	}
 }
@@ -109,39 +114,50 @@ func TestMatrixBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBinaryStreaming reads frames back to back from one buffer, the way
+// a checkpoint lays out its P rows, K rows and tested matrix: each frame
+// is appended after others, so its checksum covers only its own bytes.
 func TestBinaryStreaming(t *testing.T) {
-	a := New(10)
+	a := NewAtomic(10)
 	a.Set(2)
-	b := New(100)
+	b := NewAtomic(100)
 	b.Set(99)
-	data := b.AppendBinary(a.AppendBinary(nil))
+	m := NewMatrix(3, 70)
+	m.Set(2, 69)
+	data := m.AppendBinary(b.AppendBinary(a.AppendBinary(nil)))
 
-	gotA, rest, err := ReadSet(data)
+	gotA, rest, err := ReadAtomic(data)
 	if err != nil {
-		t.Fatalf("ReadSet #1: %v", err)
+		t.Fatalf("ReadAtomic #1: %v", err)
 	}
-	gotB, rest, err := ReadSet(rest)
+	gotB, rest, err := ReadAtomic(rest)
 	if err != nil {
-		t.Fatalf("ReadSet #2: %v", err)
+		t.Fatalf("ReadAtomic #2: %v", err)
+	}
+	gotM, rest, err := ReadMatrix(rest)
+	if err != nil {
+		t.Fatalf("ReadMatrix: %v", err)
 	}
 	if len(rest) != 0 {
 		t.Fatalf("stream left %d bytes", len(rest))
 	}
-	if !gotA.Equal(a) || !gotB.Equal(b) {
+	if !gotA.Snapshot().Equal(a.Snapshot()) || !gotB.Snapshot().Equal(b.Snapshot()) ||
+		gotM.Count() != 1 || !gotM.Test(2, 69) {
 		t.Fatalf("stream round trip mismatch")
 	}
 }
 
 func TestBinaryCorruptionRejected(t *testing.T) {
-	s := New(70)
+	s := NewAtomic(70)
 	s.Set(5)
 	s.Set(69)
-	good, _ := s.MarshalBinary()
+	good := s.AppendBinary(nil)
 
 	cases := map[string][]byte{
 		"empty":     {},
 		"truncated": good[:len(good)-5],
 		"header":    good[:3],
+		"last-byte": good[:len(good)-1],
 	}
 	// Flip one bit in each region: capacity, payload, checksum.
 	for name, off := range map[string]int{"flip-n": 0, "flip-word": 6, "flip-crc": len(good) - 1} {
@@ -150,16 +166,9 @@ func TestBinaryCorruptionRejected(t *testing.T) {
 		cases[name] = bad
 	}
 	for name, data := range cases {
-		var got Set
-		err := got.UnmarshalBinary(data)
-		if !errors.Is(err, ErrCorrupt) {
+		if _, _, err := ReadAtomic(data); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
-	}
-
-	var atomicGot Atomic
-	if err := atomicGot.UnmarshalBinary(good[:len(good)-1]); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("atomic truncated: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -167,23 +176,36 @@ func TestBinaryTailBitsRejected(t *testing.T) {
 	// Hand-craft a frame claiming 65 bits whose second word has bit 1
 	// (overall bit 65) set: structurally valid, checksum valid, but the
 	// payload exceeds the declared capacity.
-	forged := &Set{n: 66, words: []uint64{0, 2}}
-	data := forged.AppendBinary(nil)
-	// Rewrite the capacity to 65 and recompute the checksum by re-encoding
-	// through appendFrame with the same words.
-	data = appendFrame(nil, 65, func(i int) uint64 { return forged.words[i] })
-	if _, _, err := ReadSet(data); !errors.Is(err, ErrCorrupt) {
+	forged := appendFrame(nil, 65, func(i int) uint64 { return []uint64{0, 2}[i] })
+	if _, _, err := ReadAtomic(forged); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("tail bits: err = %v, want ErrCorrupt", err)
+	}
+	// The same frame behind a valid 5×13 matrix header.
+	hdr := binary.LittleEndian.AppendUint32(nil, 5)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 13)
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
+	if _, _, err := ReadMatrix(append(hdr, forged...)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("matrix tail bits: err = %v, want ErrCorrupt", err)
 	}
 }
 
+// TestBinaryTrailingBytesRejected: the decoders hand bytes after a frame
+// back to the caller instead of swallowing them, and a stray byte is not
+// a frame.
 func TestBinaryTrailingBytesRejected(t *testing.T) {
-	s := New(8)
-	data, _ := s.MarshalBinary()
-	data = append(data, 0xFF)
-	var got Set
-	if err := got.UnmarshalBinary(data); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("trailing bytes: err = %v, want ErrCorrupt", err)
+	_, rest, err := ReadAtomic(append(NewAtomic(8).AppendBinary(nil), 0xFF))
+	if err != nil || !bytes.Equal(rest, []byte{0xFF}) {
+		t.Fatalf("atomic: rest = %x, err = %v; want ff, nil", rest, err)
+	}
+	if _, _, err := ReadAtomic(rest); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("atomic: trailing byte read as a frame: err = %v, want ErrCorrupt", err)
+	}
+	_, rest, err = ReadMatrix(append(NewMatrix(2, 4).AppendBinary(nil), 0xFF))
+	if err != nil || !bytes.Equal(rest, []byte{0xFF}) {
+		t.Fatalf("matrix: rest = %x, err = %v; want ff, nil", rest, err)
+	}
+	if _, _, err := ReadMatrix(rest); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("matrix: trailing byte read as a frame: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -199,5 +221,25 @@ func TestMatrixBinaryCorruptionRejected(t *testing.T) {
 	}
 	if _, _, err := ReadMatrix(good[:8]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("matrix truncated: err = %v, want ErrCorrupt", err)
+	}
+	bad = append([]byte(nil), good...)
+	bad[12+4] ^= 1 // a payload bit no longer matches the bits' checksum
+	if _, _, err := ReadMatrix(bad); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("matrix payload flip: err = %v, want ErrCorrupt", err)
+	}
+	// Dimensions that still multiply to the bit count (2×6 read as 3×4):
+	// only the header checksum can refuse them.
+	swapped := NewMatrix(2, 6).AppendBinary(nil)
+	binary.LittleEndian.PutUint32(swapped, 3)
+	binary.LittleEndian.PutUint32(swapped[4:], 4)
+	if _, _, err := ReadMatrix(swapped); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("matrix dims rewritten: err = %v, want ErrCorrupt", err)
+	}
+	// A resealed header whose dimensions disagree with the bit count.
+	bad = append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(bad, 4)
+	binary.LittleEndian.PutUint32(bad[8:], crc32.ChecksumIEEE(bad[:8]))
+	if _, _, err := ReadMatrix(bad); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("matrix dims mismatch: err = %v, want ErrCorrupt", err)
 	}
 }

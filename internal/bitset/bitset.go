@@ -116,13 +116,6 @@ func (s *Set) trimTail() {
 	}
 }
 
-// Clone returns an independent copy of s.
-func (s *Set) Clone() *Set {
-	c := &Set{n: s.n, words: make([]uint64, len(s.words))}
-	copy(c.words, s.words)
-	return c
-}
-
 // Union sets s to s ∪ o. Both sets must have the same capacity.
 func (s *Set) Union(o *Set) {
 	s.sameLen(o)
@@ -145,17 +138,6 @@ func (s *Set) Subtract(o *Set) {
 	for i, w := range o.words {
 		s.words[i] &^= w
 	}
-}
-
-// ContainsAll reports whether o ⊆ s.
-func (s *Set) ContainsAll(o *Set) bool {
-	s.sameLen(o)
-	for i, w := range o.words {
-		if w&^s.words[i] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Equal reports whether s and o hold exactly the same bits.

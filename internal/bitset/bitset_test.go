@@ -69,11 +69,12 @@ func TestSetUnionIntersectSubtract(t *testing.T) {
 	for i := 0; i < 100; i += 3 {
 		b.Set(i)
 	}
-	u := a.Clone()
+	u, in, d := New(100), New(100), New(100)
+	u.Union(a)
 	u.Union(b)
-	in := a.Clone()
+	in.Union(a)
 	in.Intersect(b)
-	d := a.Clone()
+	d.Union(a)
 	d.Subtract(b)
 	for i := 0; i < 100; i++ {
 		ia, ib := i%2 == 0, i%3 == 0
@@ -86,12 +87,6 @@ func TestSetUnionIntersectSubtract(t *testing.T) {
 		if d.Test(i) != (ia && !ib) {
 			t.Errorf("subtract bit %d wrong", i)
 		}
-	}
-	if !u.ContainsAll(a) || !u.ContainsAll(b) {
-		t.Error("union does not contain operands")
-	}
-	if !a.ContainsAll(in) {
-		t.Error("a does not contain intersection")
 	}
 }
 

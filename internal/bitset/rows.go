@@ -21,12 +21,6 @@ func AlignCols(n int) int {
 	return wordsFor(n) * wordBits
 }
 
-// Rows returns the number of rows in the matrix.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns in the matrix.
-func (m *Matrix) Cols() int { return m.cols }
-
 // rowWords returns the word span [lo, lo+n) of row r, panicking unless
 // the matrix is word-aligned (cols % 64 == 0) and r is in range.
 func (m *Matrix) rowWords(r int) (lo, n int) {
@@ -81,7 +75,7 @@ func (m *Matrix) RowForEach(r int, fn func(c int) bool) {
 	}
 }
 
-// RowSnapshot copies row r into a fresh Set of capacity Cols().
+// RowSnapshot copies row r into a fresh Set with one bit per column.
 func (m *Matrix) RowSnapshot(r int) *Set {
 	lo, n := m.rowWords(r)
 	s := New(m.cols)
@@ -92,7 +86,7 @@ func (m *Matrix) RowSnapshot(r int) *Set {
 }
 
 // RowIntersectsSet reports whether row r and s share at least one set
-// bit. s must have capacity Cols().
+// bit. s must have one bit per column.
 func (m *Matrix) RowIntersectsSet(r int, s *Set) bool {
 	lo, n := m.rowWords(r)
 	if s.n != m.cols {
@@ -104,18 +98,4 @@ func (m *Matrix) RowIntersectsSet(r int, s *Set) bool {
 		}
 	}
 	return false
-}
-
-// RowIntersectCount returns |row r ∩ s| by word-parallel AND + popcount.
-// s must have capacity Cols().
-func (m *Matrix) RowIntersectCount(r int, s *Set) int {
-	lo, n := m.rowWords(r)
-	if s.n != m.cols {
-		panic(fmt.Sprintf("bitset: set size %d does not match %d cols", s.n, m.cols))
-	}
-	c := 0
-	for i := 0; i < n; i++ {
-		c += bits.OnesCount64(m.bits.words[lo+i].Load() & s.words[i])
-	}
-	return c
 }

@@ -7,12 +7,11 @@ import (
 	"runtime"
 
 	"parowl/internal/dl"
-	"parowl/internal/taxonomy"
 )
 
 // Adoption is the restart path of a long-lived serving process: a daemon
 // that already classified an ontology and checkpointed the completed run
-// (final snapshot + kernel frame, see checkpoint.go) wants the taxonomy
+// (its final snapshot, see checkpoint.go) wants the taxonomy and kernel
 // back at boot WITHOUT a reasoner and WITHOUT the clean-run fallback that
 // ClassifyContext's ResumeFrom performs on a bad snapshot. Reclassifying
 // at boot is exactly what a restart-tolerant registry must avoid, so
@@ -46,9 +45,8 @@ func (adoptReasoner) Subs(context.Context, *dl.Concept, *dl.Concept) (bool, erro
 type AdoptOptions struct {
 	// Snapshot is the checkpoint file of a completed run.
 	Snapshot string
-	// Workers sizes the pool building the hierarchy (phase 3) and, when
-	// the snapshot carries no usable kernel frame, the kernel compile;
-	// 0 means runtime.GOMAXPROCS(0).
+	// Workers sizes the pool building the hierarchy (phase 3) and the
+	// kernel compile; 0 means runtime.GOMAXPROCS(0).
 	Workers int
 }
 
@@ -56,8 +54,7 @@ type AdoptOptions struct {
 // without any reasoner: it restores the shared state, verifies the run
 // actually finished (zero unresolved pairs), rebuilds the taxonomy from
 // the K sets — byte-identical to the original run's, since phase 3 is a
-// pure function of K — and adopts the snapshot's kernel frame (falling
-// back to recompiling it, reported in Result.KernelError). The returned
+// pure function of K — and compiles its query kernel. The returned
 // Result carries the original run's restored Stats and Undecided list,
 // and Resumed is always true.
 //
@@ -99,33 +96,11 @@ func Adopt(ctx context.Context, t *dl.TBox, opts AdoptOptions) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	kernelErr := attachKernel(tax, snap, workers)
-	return &Result{
-		Taxonomy:    tax,
-		Stats:       s.stats(),
-		Undecided:   s.takeUndecided(),
-		Resumed:     true,
-		KernelError: kernelErr,
-	}, nil
-}
-
-// attachKernel gives tax its query kernel: the snapshot's checkpointed
-// frame when it fits, a fresh compile otherwise. AdoptKernel validates
-// the frame's node count and taxonomy fingerprint, so a stale frame can
-// never serve wrong answers — it only costs a recompile. The returned
-// error, wrapping ErrBadSnapshot, says why a checkpointed frame was not
-// used; snap is nil for a run that restored no checkpoint.
-func attachKernel(tax *taxonomy.Taxonomy, snap *snapshot, workers int) error {
-	var err error
-	if snap != nil {
-		err = snap.kernelErr
-		if snap.kernel != nil {
-			if err = tax.AdoptKernel(snap.kernel); err == nil {
-				return nil
-			}
-			err = fmt.Errorf("%w: checkpoint kernel rejected: %v", ErrBadSnapshot, err)
-		}
-	}
 	tax.CompileKernel(workers)
-	return err
+	return &Result{
+		Taxonomy:  tax,
+		Stats:     s.stats(),
+		Undecided: s.takeUndecided(),
+		Resumed:   true,
+	}, nil
 }

@@ -26,9 +26,6 @@ func TestAdoptCompletedCheckpoint(t *testing.T) {
 	if !res.Resumed {
 		t.Fatal("Adopt result not marked Resumed")
 	}
-	if res.KernelError != nil {
-		t.Fatalf("KernelError = %v, want adopted checkpoint kernel", res.KernelError)
-	}
 	if res.Taxonomy.Kernel() == nil {
 		t.Fatal("adopted taxonomy has no kernel")
 	}
@@ -47,7 +44,7 @@ func TestAdoptRejectsIncomplete(t *testing.T) {
 	tb := exampleTBox()
 	s := newState(tb, adoptReasoner{}, true)
 	path := ckPath(t)
-	data := s.encodeSnapshot(PhaseRandom, nil, 0)
+	data := s.encodeSnapshot(PhaseRandom, 0)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +55,7 @@ func TestAdoptRejectsIncomplete(t *testing.T) {
 }
 
 // TestAdoptRejectsBadFiles covers the degrade-never-boot-fail inputs the
-// server leans on: missing file, corrupt bytes, version-1 and version-2
+// server leans on: missing file, corrupt bytes, version-1, -2 and -3
 // files, wrong ontology.
 func TestAdoptRejectsBadFiles(t *testing.T) {
 	tb := exampleTBox()
@@ -83,7 +80,7 @@ func TestAdoptRejectsBadFiles(t *testing.T) {
 		t.Fatalf("corrupt file: err = %v, want ErrBadSnapshot", err)
 	}
 
-	for _, v := range []uint32{1, 2} {
+	for _, v := range []uint32{1, 2, 3} {
 		old := fmt.Sprintf("%s.v%d", path, v)
 		if err := os.WriteFile(old, withVersion(data, v), 0o644); err != nil {
 			t.Fatal(err)

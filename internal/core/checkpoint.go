@@ -12,7 +12,6 @@ import (
 
 	"parowl/internal/bitset"
 	"parowl/internal/dl"
-	"parowl/internal/taxonomy"
 )
 
 // Checkpoint snapshots make a classification run crash-safe: the shared
@@ -37,7 +36,7 @@ import (
 // File format (all integers little-endian):
 //
 //	[8]byte  magic "PAROWLCK"
-//	uint32   version (currently 3)
+//	uint32   version (currently 4)
 //	uint64   ontology fingerprint (FNV-1a over names + axioms)
 //	uint8    mode (1 = optimized, 0 = basic)
 //	uint8    prepassed
@@ -52,25 +51,22 @@ import (
 //	n bytes  satState values (0/1/2)
 //	uint32   undecided count; per entry: int32 sup (−1 = nil), int32 sub,
 //	         uint16 reason length, reason bytes
-//	uint8    hasKernel; if 1, a taxonomy kernel frame (versioned,
-//	         self-checksummed) running up to the CRC
 //	uint32   CRC-32 (IEEE) of everything above
 //
 // Every section is always present, so the decoder has no optional
-// branches. Older versions are refused like any unknown version: v1
-// carried the kernel and epoch as trailing optional sections, v2 a
-// tenth counter (told hits) and a plug-in cache section. The trailing
-// whole-file checksum catches truncation; the per-bitset frame checksums
-// catch local corruption with a better error. A kernel frame that fails
-// its own validation only degrades the resume to recompilation — the
-// classification state in P/K and the header's epoch are never rejected
-// because of it.
+// branches. The query kernel is not stored: it is a pure function of the
+// taxonomy phase 3 rebuilds from K, so a restored run compiles it. Older
+// versions are refused like any unknown version: v1 carried the kernel
+// and epoch as trailing optional sections, v2 a tenth counter (told
+// hits) and a plug-in cache section, v3 a kernel marker and the kernel's
+// frame. The trailing whole-file checksum catches truncation; the
+// per-bitset frame checksums catch local corruption with a better error.
 
 // checkpointMagic identifies parowl checkpoint files.
 var checkpointMagic = [8]byte{'P', 'A', 'R', 'O', 'W', 'L', 'C', 'K'}
 
 // checkpointVersion is bumped on any incompatible format change.
-const checkpointVersion = 3
+const checkpointVersion = 4
 
 // ErrBadSnapshot reports a checkpoint file that is truncated, corrupted,
 // of an unknown version, or inconsistent with the run it is restored
@@ -124,12 +120,6 @@ type snapshot struct {
 	tested      *bitset.Matrix
 	satState    []int32
 	undecided   []undecidedRef
-	// kernel is the decoded (unbound) taxonomy query kernel, when the
-	// snapshot carried one and it decoded cleanly; kernelErr records a
-	// kernel frame that failed validation (the snapshot itself stays
-	// valid — resume just recompiles).
-	kernel    *taxonomy.Kernel
-	kernelErr error
 	// epoch is the quiescence count the snapshot was cut at.
 	epoch int64
 }
@@ -142,10 +132,8 @@ type undecidedRef struct {
 }
 
 // encodeSnapshot serializes the current shared state. Call only between
-// barriers on a non-failed run; see the consistency note above. kern,
-// when non-nil, is appended as the optional kernel section so a resume
-// of a completed run skips recompiling the query kernel.
-func (s *state) encodeSnapshot(phase Phase, kern *taxonomy.Kernel, epoch int64) []byte {
+// barriers on a non-failed run; see the consistency note above.
+func (s *state) encodeSnapshot(phase Phase, epoch int64) []byte {
 	phaseByte := byte(0)
 	if phase == PhaseGroup {
 		phaseByte = 1
@@ -196,12 +184,6 @@ func (s *state) encodeSnapshot(phase Phase, kern *taxonomy.Kernel, epoch int64) 
 		b = binary.LittleEndian.AppendUint32(b, uint32(int32(s.index[u.Sub])))
 		b = binary.LittleEndian.AppendUint16(b, uint16(len(u.Reason)))
 		b = append(b, u.Reason...)
-	}
-	if kern != nil {
-		b = append(b, 1)
-		b = kern.AppendBinary(b)
-	} else {
-		b = append(b, 0)
 	}
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
@@ -359,25 +341,6 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 		}
 		snap.undecided = append(snap.undecided, undecidedRef{sup: sup, sub: sub, reason: reason})
 	}
-	switch r.u8() {
-	case 0:
-	case 1:
-		// The kernel frame runs up to the CRC. One that fails its own
-		// validation is recorded in kernelErr and skipped: the P/K
-		// classification state above it is intact, so rejecting the whole
-		// snapshot would throw away settled work only to rebuild the same
-		// kernel anyway.
-		k, rest, err := taxonomy.DecodeKernel(r.data)
-		if err != nil {
-			snap.kernelErr = fmt.Errorf("%w: kernel frame: %v", ErrBadSnapshot, err)
-		}
-		snap.kernel, r.data = k, rest
-	default:
-		return nil, fmt.Errorf("%w: unknown kernel marker", ErrBadSnapshot)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
 	if len(r.data) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(r.data))
 	}
@@ -492,16 +455,14 @@ func (c *checkpointer) due() bool {
 }
 
 // write snapshots the state if the interval has elapsed (an interval ≤ 0
-// writes at every boundary); force overrides the interval for
-// phase-final snapshots. kern, when non-nil, rides along so a resume (or
-// server restart) of a completed run skips recompiling the query kernel.
-// epoch is the quiescence count the caller is at. Failed runs are never
-// snapshotted.
-func (c *checkpointer) write(s *state, phase Phase, force bool, kern *taxonomy.Kernel, epoch int64) {
+// writes at every boundary); force overrides the interval for the final
+// snapshot. epoch is the quiescence count the caller is at. Failed runs
+// are never snapshotted.
+func (c *checkpointer) write(s *state, phase Phase, force bool, epoch int64) {
 	if c == nil || s.failed() || !force && !c.due() {
 		return
 	}
-	if err := writeFileAtomic(c.path, s.encodeSnapshot(phase, kern, epoch)); err != nil {
+	if err := writeFileAtomic(c.path, s.encodeSnapshot(phase, epoch)); err != nil {
 		if c.err == nil {
 			c.err = fmt.Errorf("core: checkpoint write: %w", err)
 		}

@@ -1,15 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"parowl/internal/bitset"
 	"parowl/internal/dl"
 	"parowl/internal/reasoner"
 )
@@ -18,6 +22,53 @@ import (
 func ckPath(t *testing.T) string {
 	t.Helper()
 	return filepath.Join(t.TempDir(), "run.ck")
+}
+
+// resealSnapshot recomputes the trailing whole-file CRC after a test has
+// rewritten snapshot bytes, so only the checks behind the CRC can refuse
+// the file.
+func resealSnapshot(data []byte) []byte {
+	body := data[:len(data)-4]
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
+}
+
+// Offsets of the fixed-header fields the tests rewrite: the version
+// follows the magic, the epoch follows the fingerprint and the mode,
+// prepassed and phase bytes.
+const (
+	snapVersionOffset = 8
+	snapEpochOffset   = 8 + 4 + 8 + 3
+)
+
+// withVersion returns data with its version field set to v and the
+// whole-file CRC resealed, so only the version check can refuse it.
+func withVersion(data []byte, v uint32) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(out[snapVersionOffset:], v)
+	return resealSnapshot(out)
+}
+
+// assertSameAnswers compares taxonomy structure and a sweep of queries
+// between two results.
+func assertSameAnswers(t *testing.T, ref, res *Result) {
+	t.Helper()
+	if got, want := res.Taxonomy.Render(), ref.Taxonomy.Render(); got != want {
+		t.Fatalf("taxonomy differs:\n got:\n%s\nwant:\n%s", got, want)
+	}
+	for _, a := range ref.Taxonomy.Nodes() {
+		for _, b := range ref.Taxonomy.Nodes() {
+			ca, cb := a.Canonical(), b.Canonical()
+			if got, want := res.Taxonomy.IsAncestor(ca, cb), ref.Taxonomy.IsAncestor(ca, cb); got != want {
+				t.Fatalf("IsAncestor(%s, %s) = %v, want %v", a.Label(), b.Label(), got, want)
+			}
+			if got, want := len(res.Taxonomy.LCA(ca, cb)), len(ref.Taxonomy.LCA(ca, cb)); got != want {
+				t.Fatalf("LCA(%s, %s) size = %d, want %d", a.Label(), b.Label(), got, want)
+			}
+		}
+		if got, want := res.Taxonomy.Depth(a.Canonical()), ref.Taxonomy.Depth(a.Canonical()); got != want {
+			t.Fatalf("Depth(%s) = %d, want %d", a.Label(), got, want)
+		}
+	}
 }
 
 // TestCheckpointResumeCompletedRun: resuming from a completed run's final
@@ -45,6 +96,74 @@ func TestCheckpointResumeCompletedRun(t *testing.T) {
 			t.Fatalf("mode %v: resumed run re-tested: %+v vs %+v", mode, res.Stats, ref.Stats)
 		}
 	}
+}
+
+// TestKernelCheckpointRoundTrip: a completed run with CompileKernel and
+// Checkpoint writes a snapshot that decodes. Resuming from it compiles a
+// kernel exactly when the resumed run asks for one, dispatches no new
+// reasoner calls, and answers like the original run.
+func TestKernelCheckpointRoundTrip(t *testing.T) {
+	tb := exampleTBox()
+	path := ckPath(t)
+	ref := classify(t, tb, Options{Workers: 3, CompileKernel: true, Checkpoint: path})
+	if ref.CheckpointError != nil {
+		t.Fatalf("checkpoint error: %v", ref.CheckpointError)
+	}
+	if ref.Taxonomy.Kernel() == nil {
+		t.Fatal("CompileKernel did not attach a kernel")
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeSnapshot(data); err != nil {
+		t.Fatalf("snapshot rejected: %v", err)
+	}
+
+	for _, kernel := range []bool{true, false} {
+		res := classify(t, tb, Options{Workers: 3, CompileKernel: kernel, ResumeFrom: path})
+		if !res.Resumed || res.ResumeError != nil {
+			t.Fatalf("CompileKernel %v: Resumed=%v ResumeError=%v", kernel, res.Resumed, res.ResumeError)
+		}
+		if got := res.Taxonomy.Kernel() != nil; got != kernel {
+			t.Fatalf("CompileKernel %v: resumed run has kernel = %v", kernel, got)
+		}
+		if res.Stats.SubsTests != ref.Stats.SubsTests || res.Stats.SatTests != ref.Stats.SatTests {
+			t.Fatalf("CompileKernel %v: resumed run re-tested: %+v vs %+v", kernel, res.Stats, ref.Stats)
+		}
+		assertSameAnswers(t, ref, res)
+	}
+}
+
+// TestCheckpointIgnoresKernel: the query kernel is not part of a
+// checkpoint. At one worker a run with CompileKernel and one without
+// write the same bytes, and adopting the kernel-less file still attaches
+// a kernel that answers like the first run.
+func TestCheckpointIgnoresKernel(t *testing.T) {
+	tb := exampleTBox()
+	withKernel, without := ckPath(t), ckPath(t)
+	ref := classify(t, tb, Options{Workers: 1, CompileKernel: true, Checkpoint: withKernel})
+	classify(t, tb, Options{Workers: 1, Checkpoint: without})
+	a, err := os.ReadFile(withKernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(without)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("checkpoint with CompileKernel is %d bytes, without %d; want identical files", len(a), len(b))
+	}
+
+	res, err := Adopt(context.Background(), tb, AdoptOptions{Snapshot: without, Workers: 1})
+	if err != nil {
+		t.Fatalf("Adopt: %v", err)
+	}
+	if res.Taxonomy.Kernel() == nil {
+		t.Fatal("adopted taxonomy has no kernel")
+	}
+	assertSameAnswers(t, ref, res)
 }
 
 // countdownReasoner fails every call after the first n with an injected
@@ -204,6 +323,7 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 		"ontology":  otherPath, // valid snapshot of a different ontology
 		"version1":  write("v1.ck", withVersion(good, 1)),
 		"version2":  write("v2.ck", withVersion(good, 2)),
+		"version3":  write("v3.ck", withVersion(good, 3)),
 	}
 	for name, p := range cases {
 		res := classify(t, tb, Options{Workers: 2, ResumeFrom: p})
@@ -264,6 +384,74 @@ func TestSnapshotDecodeFuzz(t *testing.T) {
 	}
 }
 
+// TestSnapshotKernelDecodeFuzz: the snapshot of a run with CompileKernel
+// ends with its last classification section. Bytes after it (where
+// checkpoint v3 kept the kernel marker and frame) are refused. A
+// single-bit flip at any byte behind a resealed CRC either fails with
+// ErrBadSnapshot or decodes to the same P and K, never panics, and a
+// flipped epoch decodes as a different valid epoch: the field is a
+// counter, not classification state.
+func TestSnapshotKernelDecodeFuzz(t *testing.T) {
+	tb := exampleTBox()
+	path := ckPath(t)
+	classify(t, tb, Options{Workers: 2, CompileKernel: true, Checkpoint: path})
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := decodeSnapshot(good)
+	if err != nil {
+		t.Fatalf("pristine snapshot rejected: %v", err)
+	}
+
+	body := good[:len(good)-4]
+	for name, tail := range map[string][]byte{
+		"zero byte":     {0},
+		"kernel marker": {1},
+		"marker+frame":  append([]byte{1}, "kernel frame bytes"...),
+	} {
+		padded := append(append(append([]byte(nil), body...), tail...), 0, 0, 0, 0)
+		if _, err := decodeSnapshot(resealSnapshot(padded)); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("trailing %s: error = %v, want ErrBadSnapshot", name, err)
+		}
+	}
+
+	sameBits := func(a, b []*bitset.Atomic) bool {
+		for i := range a {
+			if !slices.Equal(a[i].Members(), b[i].Members()) {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 0; i < len(body); i++ {
+		for bit := 0; bit < 8; bit++ {
+			bad := append([]byte(nil), good...)
+			bad[i] ^= 1 << bit
+			got, err := decodeSnapshot(resealSnapshot(bad))
+			if err != nil {
+				if !errors.Is(err, ErrBadSnapshot) {
+					t.Fatalf("byte %d bit %d: error does not wrap ErrBadSnapshot: %v", i, bit, err)
+				}
+				continue
+			}
+			if got.n != snap.n || !sameBits(got.P, snap.P) || !sameBits(got.K, snap.K) {
+				t.Fatalf("byte %d bit %d: flip decoded into different P or K", i, bit)
+			}
+		}
+	}
+
+	bad := append([]byte(nil), good...)
+	bad[snapEpochOffset] ^= 0x08
+	flipped, err := decodeSnapshot(resealSnapshot(bad))
+	if err != nil {
+		t.Fatalf("epoch value flip rejected the snapshot: %v", err)
+	}
+	if flipped.epoch == snap.epoch {
+		t.Fatal("epoch value flip did not change the decoded epoch")
+	}
+}
+
 // TestFingerprintSensitivity: the fingerprint must change under axiom
 // edits and renames but be stable across re-builds of the same ontology.
 func TestFingerprintSensitivity(t *testing.T) {
@@ -304,7 +492,7 @@ func TestCheckpointWriteFailureDoesNotFailRun(t *testing.T) {
 	}
 }
 
-// TestCheckpointCounterLayout pins checkpoint v3's counter section: the
+// TestCheckpointCounterLayout pins the checkpoint's counter section: the
 // nine persisted counters sit right after the 35-byte header in the order
 // sat, subs, pruned, preseeded, filter hits, timed out, recovered, node
 // budget, branch budget, and decode and restore into the same Stats.
@@ -320,7 +508,7 @@ func TestCheckpointCounterLayout(t *testing.T) {
 		c.Store(int64(1000 + i))
 	}
 	s.count.Steals.Store(77)
-	data := s.encodeSnapshot(PhaseGroup, nil, 5)
+	data := s.encodeSnapshot(PhaseGroup, 5)
 	const header = 8 + 4 + 8 + 3 + 8 + 4 // magic, version, fingerprint, mode/prepassed/phase, epoch, n
 	for i := range order {
 		if got := int64(binary.LittleEndian.Uint64(data[header+8*i:])); got != int64(1000+i) {

@@ -106,11 +106,10 @@ type Options struct {
 	// CompileKernel compiles the taxonomy's bit-matrix query kernel
 	// (taxonomy.Compile) after classification, attaching it so every
 	// subsequent query (Subsumes/Ancestors/Descendants/LCA/Depth) runs on
-	// dense closure matrices instead of pointer-chasing the DAG. When
-	// Checkpoint is also set, the final snapshot carries the kernel so a
-	// resume skips recompilation; a checkpointed kernel that fails
-	// validation degrades to recompiling (reported in Result.KernelError),
-	// never to wrong answers.
+	// dense closure matrices instead of pointer-chasing the DAG. The
+	// kernel is never checkpointed: it is a pure function of the
+	// taxonomy, so a resumed finished run compiles it again, and the
+	// setting does not change a checkpoint's bytes.
 	CompileKernel bool
 	// ResumeFrom, when non-empty, restores the shared state from a
 	// checkpoint file before classification starts, skipping all settled
@@ -240,11 +239,6 @@ type Result struct {
 	// CheckpointError is the first snapshot-write failure, if any; the
 	// classification itself still completed.
 	CheckpointError error
-	// KernelError is non-nil when Options.CompileKernel was set and a
-	// checkpointed kernel frame could not be used (corrupt frame or
-	// fingerprint mismatch, wrapping ErrBadSnapshot); the kernel was then
-	// recompiled from the taxonomy, so queries are still served from bits.
-	KernelError error
 }
 
 // ErrNoReasoner is returned when Options.Reasoner is nil.
@@ -351,7 +345,7 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	}
 	if (seed || rows != nil) && !s.failed() {
 		s.runPrepass(p, workers, seed, rows, trace)
-		ck.write(s, PhaseRandom, false, nil, epoch())
+		ck.write(s, PhaseRandom, false, epoch())
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
@@ -369,14 +363,14 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 		if !skipRandom {
 			for cycle := 1; cycle <= cycles && !s.failed(); cycle++ {
 				s.runRandomCycle(p, rng, workers, cycle, trace)
-				ck.write(s, PhaseRandom, false, nil, epoch())
+				ck.write(s, PhaseRandom, false, epoch())
 			}
 		}
 		for iter := 1; !s.failed(); iter++ {
 			if !s.runGroupCycle(p, iter, trace) {
 				break
 			}
-			ck.write(s, PhaseGroup, false, nil, epoch())
+			ck.write(s, PhaseGroup, false, epoch())
 		}
 	}
 	s.disproved = nil // n² bits that phase 3 does not read
@@ -387,18 +381,14 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 		return nil, fmt.Errorf("core: internal error: %d possible pairs left after group phase", rem)
 	}
 	// Final snapshot: resuming from a completed run converges immediately.
-	ck.write(s, PhaseGroup, true, nil, epoch())
+	ck.write(s, PhaseGroup, true, epoch())
 
 	tax, err := s.buildTaxonomy(p, trace)
 	if err != nil {
 		return nil, err
 	}
-	var kernelErr error
 	if opts.CompileKernel {
-		kernelErr = attachKernel(tax, snap, workers)
-		// Rewrite the final snapshot with the kernel aboard so the next
-		// resume (or server restart) skips recompilation.
-		ck.write(s, PhaseGroup, true, tax.Kernel(), epoch())
+		tax.CompileKernel(workers)
 	}
 	if trace != nil {
 		trace.WallElapsed = time.Since(start)
@@ -411,7 +401,6 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 		Resumed:         snap != nil,
 		ResumeError:     resumeErr,
 		CheckpointError: ck.firstErr(),
-		KernelError:     kernelErr,
 	}, nil
 }
 

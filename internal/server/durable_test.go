@@ -146,7 +146,7 @@ func TestRestartReadopt(t *testing.T) {
 }
 
 // TestReadoptRefusesOldCheckpoint: a classified entry whose checkpoint
-// carries an older format version (its version field rewritten to 2 and
+// carries an older format version (its version field rewritten to 3 and
 // the CRC resealed, so only the version check can refuse it) comes back
 // interrupted at boot instead of serving or failing the boot, and a
 // resubmit reclassifies it to the same taxonomy.
@@ -172,7 +172,7 @@ func TestReadoptRefusesOldCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(data[8:], 2) // the version follows the 8-byte magic
+	binary.LittleEndian.PutUint32(data[8:], 3) // the version follows the 8-byte magic
 	body := data[:len(data)-4]
 	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(body))
 	if err := os.WriteFile(ck, data, 0o644); err != nil {
@@ -182,7 +182,7 @@ func TestReadoptRefusesOldCheckpoint(t *testing.T) {
 	_, ts2 := newTestServer(t, Config{CheckpointDir: ckdir})
 	waitReady(t, ts2)
 	info := waitStatus(t, ts2, "old", StatusInterrupted)
-	if !strings.Contains(info.Error, "unsupported version 2") {
+	if !strings.Contains(info.Error, "unsupported version 3") {
 		t.Errorf("interrupted entry's error = %q, want the version refusal", info.Error)
 	}
 	if code, body := submit(t, ts2, "old", "", text); code != http.StatusAccepted {

@@ -30,9 +30,8 @@ type Config struct {
 	// CheckpointDir, when non-empty, gives every classify job a
 	// checkpoint file <dir>/<id>.ck: jobs snapshot at phase boundaries,
 	// a drained or crashed job resumes from its last snapshot on the
-	// next submission, and a completed job's final snapshot carries its
-	// compiled query kernel so a server restart warms up without
-	// recompiling.
+	// next submission, and a completed job's final snapshot lets a
+	// server restart re-adopt the entry without reclassifying it.
 	CheckpointDir string
 	// CheckpointInterval is the minimum time between snapshots; ≤ 0
 	// writes at every phase boundary.

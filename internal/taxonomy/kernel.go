@@ -1,11 +1,7 @@
 package taxonomy
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"hash/fnv"
 	"runtime"
 	"sync"
 
@@ -21,31 +17,22 @@ import (
 // map-allocating walks in query.go.
 //
 // Node IDs are the IDs Build stores on the nodes, their index in
-// Taxonomy.Nodes() (⊤ = 0, ⊥ = n-1, label order between), so a kernel
-// serialized from one process binds to the identically-fingerprinted
-// taxonomy of another.
+// Taxonomy.Nodes() (⊤ = 0, ⊥ = n-1, label order between).
 // The matrices are allocated with a word-aligned column count
 // (bitset.AlignCols) so every row is a whole number of uint64 words; the
 // padding columns are never set.
 //
-// A Kernel is immutable after Compile/DecodeKernel and safe for
-// concurrent readers.
+// A Kernel has no on-disk form: it is a pure function of its taxonomy,
+// so a restored taxonomy compiles its own. It is immutable after Compile
+// and safe for concurrent readers.
 type Kernel struct {
-	bindMu sync.Mutex     // serializes AdoptKernel binding of a decoded kernel
-	tax    *Taxonomy      // bound taxonomy; nil for a decoded, unbound kernel
-	n      int            // node count (matrix rows)
-	cols   int            // AlignCols(n) matrix columns
-	anc    *bitset.Matrix // bit (x,y): y is a strict ancestor of x
-	desc   *bitset.Matrix // bit (x,y): y is a strict descendant of x
-	depth  []int32        // longest ⊤-path per node ID
-	fp     uint64         // FNV-1a of the source taxonomy's Fingerprint
+	tax   *Taxonomy      // the taxonomy it was compiled from
+	n     int            // node count (matrix rows)
+	cols  int            // AlignCols(n) matrix columns
+	anc   *bitset.Matrix // bit (x,y): y is a strict ancestor of x
+	desc  *bitset.Matrix // bit (x,y): y is a strict descendant of x
+	depth []int32        // longest ⊤-path per node ID
 }
-
-// ErrBadKernel reports a kernel binary frame that failed structural
-// validation or its checksum, or a kernel that does not match the
-// taxonomy it is being adopted into. All kernel decode/adopt errors wrap
-// it.
-var ErrBadKernel = errors.New("taxonomy: bad kernel frame")
 
 // Compile builds the query kernel for t using one worker per available
 // CPU. See CompileWorkers.
@@ -64,7 +51,6 @@ func CompileWorkers(t *Taxonomy, workers int) *Kernel {
 		n:     n,
 		cols:  bitset.AlignCols(n),
 		depth: make([]int32, n),
-		fp:    fingerprintHash(t.Fingerprint()),
 	}
 	k.anc = bitset.NewMatrix(n, k.cols)
 	k.desc = bitset.NewMatrix(n, k.cols)
@@ -183,12 +169,6 @@ func (k *Kernel) forEachParallel(level []int, workers int, fn func(x int)) {
 	wg.Wait()
 }
 
-func fingerprintHash(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
-}
-
 // NumClasses returns the number of taxonomy nodes the kernel covers.
 func (k *Kernel) NumClasses() int { return k.n }
 
@@ -196,14 +176,6 @@ func (k *Kernel) NumClasses() int { return k.n }
 // matrices and depth table in bytes.
 func (k *Kernel) MemoryFootprint() int {
 	return 2*k.n*(k.cols/8) + 4*k.n
-}
-
-// bound panics if the kernel has been decoded but not yet adopted by a
-// taxonomy.
-func (k *Kernel) bound() {
-	if k.tax == nil {
-		panic("taxonomy: query on unbound kernel (call Taxonomy.AdoptKernel first)")
-	}
 }
 
 func (k *Kernel) idOf(c *dl.Concept) (int, bool) {
@@ -216,7 +188,6 @@ func (k *Kernel) idOf(c *dl.Concept) (int, bool) {
 
 // IsAncestor reports whether anc is a strict ancestor of c: one bit test.
 func (k *Kernel) IsAncestor(anc, c *dl.Concept) bool {
-	k.bound()
 	ia, ok1 := k.idOf(anc)
 	ic, ok2 := k.idOf(c)
 	if !ok1 || !ok2 {
@@ -227,7 +198,6 @@ func (k *Kernel) IsAncestor(anc, c *dl.Concept) bool {
 
 // Subsumes reports c ⊑ sup: equivalence (same node) or strict ancestry.
 func (k *Kernel) Subsumes(sup, c *dl.Concept) bool {
-	k.bound()
 	is, ok1 := k.idOf(sup)
 	ic, ok2 := k.idOf(c)
 	if !ok1 || !ok2 {
@@ -243,7 +213,6 @@ func (k *Kernel) Subsumes(sup, c *dl.Concept) bool {
 // independent double lookups. A sub (or sup) outside the taxonomy
 // answers false, matching Subsumes.
 func (k *Kernel) SubsumesBatch(sub *dl.Concept, sups []*dl.Concept) []bool {
-	k.bound()
 	out := make([]bool, len(sups))
 	ic, ok := k.idOf(sub)
 	if !ok {
@@ -267,7 +236,6 @@ func (k *Kernel) rowNodes(m *bitset.Matrix, r int) []*Node {
 
 // Ancestors returns all strict ancestor nodes of c in ID order.
 func (k *Kernel) Ancestors(c *dl.Concept) []*Node {
-	k.bound()
 	ic, ok := k.idOf(c)
 	if !ok {
 		return nil
@@ -277,7 +245,6 @@ func (k *Kernel) Ancestors(c *dl.Concept) []*Node {
 
 // Descendants returns all strict descendant nodes of c in ID order.
 func (k *Kernel) Descendants(c *dl.Concept) []*Node {
-	k.bound()
 	ic, ok := k.idOf(c)
 	if !ok {
 		return nil
@@ -287,7 +254,6 @@ func (k *Kernel) Descendants(c *dl.Concept) []*Node {
 
 // Equivalents returns the concepts equivalent to c (including c).
 func (k *Kernel) Equivalents(c *dl.Concept) []*dl.Concept {
-	k.bound()
 	ic, ok := k.idOf(c)
 	if !ok {
 		return nil
@@ -298,7 +264,6 @@ func (k *Kernel) Equivalents(c *dl.Concept) []*dl.Concept {
 // Depth returns the longest ⊤-path length to c's node, or -1 if c is not
 // in the taxonomy.
 func (k *Kernel) Depth(c *dl.Concept) int {
-	k.bound()
 	ic, ok := k.idOf(c)
 	if !ok {
 		return -1
@@ -311,7 +276,6 @@ func (k *Kernel) Depth(c *dl.Concept) int {
 // word-parallel; a candidate is pruned when its descendant row intersects
 // the shared set.
 func (k *Kernel) LCA(a, b *dl.Concept) []*Node {
-	k.bound()
 	ia, ok1 := k.idOf(a)
 	ib, ok2 := k.idOf(b)
 	if !ok1 || !ok2 {
@@ -331,89 +295,4 @@ func (k *Kernel) LCA(a, b *dl.Concept) []*Node {
 	})
 	sortNodes(lowest)
 	return lowest
-}
-
-// Kernel binary frame. Layout (all integers little-endian):
-//
-//	magic   [8]byte  "PAROWLKF"
-//	uint32  version  currently 1
-//	uint64  fp       taxonomy fingerprint hash
-//	uint32  n        node count
-//	uint32  cols     matrix columns (must equal AlignCols(n))
-//	uint32  depth[n] longest ⊤-path per node
-//	anc     bitset.Matrix frame (self-checksummed)
-//	desc    bitset.Matrix frame (self-checksummed)
-//	uint32  crc      CRC-32 (IEEE) of every byte above
-//
-// The trailing CRC guards the whole frame (including the already-CRC'd
-// matrix frames) so any truncation or bit flip is detected as a unit.
-
-const kernelMagic = "PAROWLKF"
-const kernelVersion = 1
-
-// AppendBinary appends the kernel's binary frame to b.
-func (k *Kernel) AppendBinary(b []byte) []byte {
-	start := len(b)
-	b = append(b, kernelMagic...)
-	b = binary.LittleEndian.AppendUint32(b, kernelVersion)
-	b = binary.LittleEndian.AppendUint64(b, k.fp)
-	b = binary.LittleEndian.AppendUint32(b, uint32(k.n))
-	b = binary.LittleEndian.AppendUint32(b, uint32(k.cols))
-	for _, d := range k.depth {
-		b = binary.LittleEndian.AppendUint32(b, uint32(d))
-	}
-	b = k.anc.AppendBinary(b)
-	b = k.desc.AppendBinary(b)
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
-}
-
-// DecodeKernel decodes one kernel frame from the head of data and returns
-// the unbound kernel together with the remaining bytes. The kernel must
-// be bound with Taxonomy.AdoptKernel before use. All errors wrap
-// ErrBadKernel.
-func DecodeKernel(data []byte) (*Kernel, []byte, error) {
-	const headerLen = 8 + 4 + 8 + 4 + 4
-	if len(data) < headerLen {
-		return nil, nil, fmt.Errorf("%w: truncated header (%d bytes)", ErrBadKernel, len(data))
-	}
-	if string(data[:8]) != kernelMagic {
-		return nil, nil, fmt.Errorf("%w: bad magic %q", ErrBadKernel, data[:8])
-	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != kernelVersion {
-		return nil, nil, fmt.Errorf("%w: unsupported version %d", ErrBadKernel, v)
-	}
-	fp := binary.LittleEndian.Uint64(data[12:])
-	n := int(binary.LittleEndian.Uint32(data[20:]))
-	cols := int(binary.LittleEndian.Uint32(data[24:]))
-	if cols != bitset.AlignCols(n) {
-		return nil, nil, fmt.Errorf("%w: cols %d does not match AlignCols(%d)", ErrBadKernel, cols, n)
-	}
-	if len(data) < headerLen+4*n {
-		return nil, nil, fmt.Errorf("%w: truncated depth table", ErrBadKernel)
-	}
-	depth := make([]int32, n)
-	for i := range depth {
-		depth[i] = int32(binary.LittleEndian.Uint32(data[headerLen+4*i:]))
-	}
-	body := data[headerLen+4*n:]
-	anc, body, err := bitset.ReadMatrix(body)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: ancestor matrix: %v", ErrBadKernel, err)
-	}
-	desc, body, err := bitset.ReadMatrix(body)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: descendant matrix: %v", ErrBadKernel, err)
-	}
-	if anc.Rows() != n || anc.Cols() != cols || desc.Rows() != n || desc.Cols() != cols {
-		return nil, nil, fmt.Errorf("%w: matrix dims do not match header", ErrBadKernel)
-	}
-	frameLen := len(data) - len(body)
-	if len(body) < 4 {
-		return nil, nil, fmt.Errorf("%w: missing trailing checksum", ErrBadKernel)
-	}
-	want := binary.LittleEndian.Uint32(body)
-	if got := crc32.ChecksumIEEE(data[:frameLen]); got != want {
-		return nil, nil, fmt.Errorf("%w: frame checksum mismatch (%08x != %08x)", ErrBadKernel, got, want)
-	}
-	return &Kernel{n: n, cols: cols, anc: anc, desc: desc, depth: depth, fp: fp}, body[4:], nil
 }

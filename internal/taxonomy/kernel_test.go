@@ -1,7 +1,6 @@
 package taxonomy
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -192,108 +191,6 @@ func TestKernelDepthMatchesSummarize(t *testing.T) {
 			t.Fatalf("trial %d: Summarize MaxDepth = %d, want %d", trial, s.MaxDepth, maxDepth)
 		}
 	}
-}
-
-// TestKernelRoundTrip serializes a kernel, decodes it, adopts it into an
-// identically-rebuilt taxonomy and checks every answer is identical.
-func TestKernelRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 10; trial++ {
-		seed := rng.Int63()
-		tax1, _, cs1 := randomTaxonomy(rand.New(rand.NewSource(seed)))
-		k1 := tax1.CompileKernel(2)
-		data := k1.AppendBinary(nil)
-
-		dec, rest, err := DecodeKernel(data)
-		if err != nil {
-			t.Fatalf("trial %d: decode: %v", trial, err)
-		}
-		if len(rest) != 0 {
-			t.Fatalf("trial %d: %d trailing bytes", trial, len(rest))
-		}
-		// Rebuild the same taxonomy from the same seed in a fresh factory:
-		// the kernel must bind by fingerprint, not pointer identity.
-		tax2, _, cs2 := randomTaxonomy(rand.New(rand.NewSource(seed)))
-		if err := tax2.AdoptKernel(dec); err != nil {
-			t.Fatalf("trial %d: adopt: %v", trial, err)
-		}
-		if tax2.Kernel() != dec {
-			t.Fatalf("trial %d: kernel not attached", trial)
-		}
-		pairs := randomPairs(rng, len(cs1), 30)
-		want := collectAnswers(tax1, cs1, pairs)
-		got := collectAnswers(tax2, cs2, pairs)
-		diffAnswers(t, trial, want, got)
-	}
-}
-
-// TestAdoptKernelRejectsMismatch checks a kernel cannot be adopted into a
-// structurally different taxonomy.
-func TestAdoptKernelRejectsMismatch(t *testing.T) {
-	tax1, _, _ := randomTaxonomy(rand.New(rand.NewSource(1)))
-	tax2, _, _ := randomTaxonomy(rand.New(rand.NewSource(2)))
-	data := Compile(tax1).AppendBinary(nil)
-	dec, _, err := DecodeKernel(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tax2.AdoptKernel(dec); !errors.Is(err, ErrBadKernel) {
-		t.Fatalf("adopt into mismatched taxonomy: err = %v, want ErrBadKernel", err)
-	}
-	if tax2.Kernel() != nil {
-		t.Fatal("mismatched kernel was attached")
-	}
-	if err := tax2.AdoptKernel(nil); !errors.Is(err, ErrBadKernel) {
-		t.Fatalf("adopt nil: err = %v, want ErrBadKernel", err)
-	}
-}
-
-// TestKernelDecodeCorruption flips every byte of a valid frame and
-// truncates it at every length: decode must always fail with ErrBadKernel
-// (the trailing CRC guards the whole frame) and never panic.
-func TestKernelDecodeCorruption(t *testing.T) {
-	tax, _, _ := randomTaxonomy(rand.New(rand.NewSource(9)))
-	data := Compile(tax).AppendBinary(nil)
-	if _, _, err := DecodeKernel(data); err != nil {
-		t.Fatalf("pristine frame rejected: %v", err)
-	}
-	for i := range data {
-		mut := append([]byte(nil), data...)
-		mut[i] ^= 0x40
-		if _, _, err := DecodeKernel(mut); err == nil {
-			t.Fatalf("byte %d flipped: decode succeeded", i)
-		} else if !errors.Is(err, ErrBadKernel) {
-			t.Fatalf("byte %d flipped: err = %v, want ErrBadKernel", i, err)
-		}
-	}
-	for cut := 0; cut < len(data); cut += 7 {
-		if _, _, err := DecodeKernel(data[:cut]); !errors.Is(err, ErrBadKernel) {
-			t.Fatalf("truncated at %d: err = %v, want ErrBadKernel", cut, err)
-		}
-	}
-}
-
-// FuzzKernelDecode checks DecodeKernel never panics and classifies every
-// failure as ErrBadKernel on arbitrary input.
-func FuzzKernelDecode(f *testing.F) {
-	tax, _, _ := randomTaxonomy(rand.New(rand.NewSource(3)))
-	valid := Compile(tax).AppendBinary(nil)
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte(kernelMagic))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		k, rest, err := DecodeKernel(data)
-		if err != nil {
-			if !errors.Is(err, ErrBadKernel) {
-				t.Fatalf("err = %v, want ErrBadKernel", err)
-			}
-			return
-		}
-		if k == nil || len(rest) > len(data) {
-			t.Fatal("successful decode returned bad values")
-		}
-	})
 }
 
 func BenchmarkKernelCompile(b *testing.B) {

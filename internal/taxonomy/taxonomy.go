@@ -6,7 +6,6 @@
 package taxonomy
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -89,38 +88,6 @@ func (t *Taxonomy) CompileKernel(workers int) *Kernel {
 		return t.kernel.Load()
 	}
 	return k
-}
-
-// AdoptKernel binds a decoded (unbound) kernel to t and attaches it,
-// validating that the kernel was compiled from an identically-shaped
-// taxonomy (same node count and fingerprint hash). On mismatch the
-// taxonomy is left unchanged and the error wraps ErrBadKernel.
-//
-// Concurrent AdoptKernel calls (a server adopting one checkpointed
-// kernel while racing readers resolve queries) are safe: the binding
-// itself is mutex-guarded, and the kernel only becomes visible to
-// readers through the atomic attach below, which orders the bound fields
-// before any query can observe them.
-func (t *Taxonomy) AdoptKernel(k *Kernel) error {
-	if k == nil {
-		return fmt.Errorf("%w: nil kernel", ErrBadKernel)
-	}
-	if k.n != len(t.nodes) {
-		return fmt.Errorf("%w: kernel covers %d classes, taxonomy has %d", ErrBadKernel, k.n, len(t.nodes))
-	}
-	if fp := fingerprintHash(t.Fingerprint()); k.fp != fp {
-		return fmt.Errorf("%w: kernel fingerprint %016x does not match taxonomy %016x", ErrBadKernel, k.fp, fp)
-	}
-	k.bindMu.Lock()
-	if k.tax == nil {
-		k.tax = t
-	} else if k.tax != t {
-		k.bindMu.Unlock()
-		return fmt.Errorf("%w: kernel already bound to another taxonomy", ErrBadKernel)
-	}
-	k.bindMu.Unlock()
-	t.kernel.CompareAndSwap(nil, k)
-	return nil
 }
 
 // Top returns the ⊤ node.

@@ -67,8 +67,8 @@ type (
 	// dense node IDs plus ancestor/descendant closure matrices that serve
 	// Subsumes as one bit test and the set queries as word-parallel row
 	// operations. Compile with Taxonomy.CompileKernel, Options.CompileKernel,
-	// or Snapshot.Kernel; with Options.Checkpoint it persists in the
-	// final snapshot, and a resume adopts it.
+	// or Snapshot.Kernel. It has no on-disk form: a resumed or adopted
+	// checkpoint compiles it again.
 	TaxonomyKernel = taxonomy.Kernel
 	// Reasoner is the plug-in interface behind sat?() and subs?(). Both
 	// methods receive a context; plug-ins must return promptly (with an
@@ -231,10 +231,6 @@ func WriteFile(path string, t *TBox, f Format) error {
 
 // ComputeMetrics returns the ontology's metric row.
 func ComputeMetrics(t *TBox) Metrics { return dl.ComputeMetrics(t) }
-
-// ErrBadKernel reports a taxonomy kernel frame that failed validation or
-// could not be adopted; see TaxonomyKernel.
-var ErrBadKernel = taxonomy.ErrBadKernel
 
 // ErrBadSnapshot reports a checkpoint file that is truncated, corrupted,
 // of an unknown version, or inconsistent with the ontology it is being
