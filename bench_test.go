@@ -333,18 +333,28 @@ func BenchmarkTableauSatReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkELSaturation measures one-shot concurrent saturation of a
-// Table IV corpus (the ELK-style competitor) at one worker and at
-// GOMAXPROCS: WBbt at 1/8, and at 1/3, the corpus of perfbench's
-// classify-el. It times SaturateContext alone, on a fragment NewFragment
-// normalized up front. perfbench's el.saturate_s starts from el.New,
-// which defers normalization to the first query, so it also times the
-// normalization. WBbt-3-live is WBbt/3 plus one DisjointClasses axiom
-// between two leaves: ⊥ becomes derivable, so every role is live and
-// every link is stored, the path a corpus without ⊥ or an ∃ on a left
-// side skips.
+// BenchmarkELSaturation measures one-shot concurrent saturation (the
+// ELK-style competitor) at one worker and at GOMAXPROCS:
 //
 //	go test -run '^$' -bench ELSaturation -benchmem .
+//
+// It times SaturateContext alone, on a fragment NewFragment normalized up
+// front. perfbench's el.saturate_s starts from el.New, which defers
+// normalization to the first query, so it also times the normalization.
+// A saturation writes the pure atoms' rows by the told closure before its
+// workers start, and the workers apply the rules fact by fact to the
+// rest. The cases, by the path they take:
+//
+//   - WBbt-8 and WBbt-3, WBbt at 1/8 and at 1/3 (the corpus of
+//     perfbench's classify-el): every atom but ⊥ is pure, so the closure
+//     only.
+//   - WBbt-3-live, WBbt/3 plus one DisjointClasses axiom between two
+//     leaves: ⊥ becomes derivable, so every role is live and every link
+//     is stored (99,374). Atoms with an ∃ on their right, and every atom
+//     below one, go fact by fact; the rest go through the closure.
+//   - nski-3-fragment, the EL fragment of nskisimple_functional at 1/3
+//     (the corpus of perfbench's classify-qcr): it derives ⊥ and 51 of
+//     its 651 atoms are pure, so mostly fact by fact.
 func BenchmarkELSaturation(b *testing.B) {
 	workers := []int{1}
 	if p := runtime.GOMAXPROCS(0); p > 1 {
@@ -358,6 +368,7 @@ func BenchmarkELSaturation(b *testing.B) {
 		{"WBbt-8", benchCorpus(b, "WBbt.obo", 8)},
 		{"WBbt-3", benchCorpus(b, "WBbt.obo", 3)},
 		{"WBbt-3-live", live},
+		{"nski-3-fragment", benchCorpus(b, "nskisimple_functional", 3)},
 	} {
 		for _, w := range workers {
 			b.Run(fmt.Sprintf("%s/workers=%d", c.name, w), func(b *testing.B) {

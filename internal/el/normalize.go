@@ -9,7 +9,9 @@
 // rules with a pool of workers, and then answers satisfiability and
 // subsumption queries over named concepts by lookup. Links exist only
 // for live roles, those whose links some rule reads (see
-// normalized.live); queries read the S(A) rows alone.
+// normalized.live). A pure atom, one whose told closure fires no rule but
+// CR1 (see normalized.pure), gets its row from that closure, a word at a
+// time, before the workers start. Queries read the S(A) rows alone.
 package el
 
 import (
@@ -71,9 +73,18 @@ type normalized struct {
 	// Side conditions, derived from the complete indexes above by
 	// finishIndexes. live[r]: some rule reads the links of role r, so
 	// the saturation stores them; a dead role's links are never stored.
-	// toldOnly[C]: C ∈ S(A) triggers no rule but CR1.
-	live     []bool
-	toldOnly []bool
+	// toldOnly[C]: C ∈ S(A) triggers no rule but CR1. pure[A]: every atom
+	// of A's told closure (CR1 from {A, ⊤} over subs) is told-only, so
+	// that closure is all of S(A). pureOrder lists the pure atoms by
+	// strongly connected component of the told graph (A → B for each
+	// B ∈ subs[A]), each component ending at the next pureEnds offset,
+	// components in reverse topological order: every told subsumer
+	// outside a component lies in an earlier one.
+	live      []bool
+	toldOnly  []bool
+	pure      []bool
+	pureOrder []atom
+	pureEnds  []int32
 }
 
 type conjEntry struct {
@@ -369,8 +380,8 @@ func grow[T any](s []T, i int) []T {
 }
 
 // finishIndexes pads every per-atom index to numAtoms so the saturation
-// can index without bounds checks, and marks the live roles and the
-// told-only atoms.
+// can index without bounds checks, and marks the live roles, the
+// told-only atoms and the pure atoms.
 //
 // These are ELK's side conditions on its existential and ⊥ rules
 // (Kazakov, Krötzsch & Simančík, JAR 2014). Only three rules read
@@ -382,7 +393,8 @@ func grow[T any](s []T, i int) []T {
 // the first two reads its links; CR11 and materialisation of a dead
 // role only make dead links, so dropping them loses no S(A) bit. An atom
 // whose CR2–CR5 loops are all empty once dead links are gone is
-// told-only. Queries read rows alone, so every answer is unchanged.
+// told-only, and an atom whose told closure is all told-only is pure (see
+// markPure). Queries read rows alone, so every answer is unchanged.
 func (n *normalized) finishIndexes() {
 	n.subs = grow(n.subs, n.numAtoms-1)
 	n.conjByLeft = grow(n.conjByLeft, n.numAtoms-1)
@@ -427,5 +439,92 @@ func (n *normalized) finishIndexes() {
 	for a := range n.toldOnly {
 		n.toldOnly[a] = atom(a) != atomBottom && len(n.conjByLeft[a]) == 0 && len(n.exLHSFiller[a]) == 0 &&
 			!slices.ContainsFunc(n.exRHS[a], func(ra roleAtom) bool { return n.live[ra.role] })
+	}
+	n.markPure()
+}
+
+// markPure marks the pure atoms and fills pureOrder and pureEnds.
+//
+// A pure atom A fires no rule but CR1 in its own context, so it owns no
+// link (every link starts at a CR3 in its source's context) and S(A) is
+// exactly its told closure; the saturation writes that row up front (see
+// saturation.closeTold). No CR2, CR4 or CR5 join reads a pure atom's bit:
+// conjunction operands, ∃-left fillers and ⊥ are never told-only.
+//
+// An iterative Tarjan over the told graph finishes each strongly
+// connected component after every component it reaches, so a component
+// is pure when its members are told-only and each component it reaches
+// is pure. The closure of {A, ⊤} is all told-only only if ⊤'s is, so no
+// atom is pure unless ⊤ is.
+func (n *normalized) markPure() {
+	num := make([]int32, n.numAtoms) // DFS number from 1; 0 while unvisited
+	low := make([]int32, n.numAtoms)
+	finished := make([]bool, n.numAtoms) // its component is complete
+	n.pure = make([]bool, n.numAtoms)
+	var open []atom // visited atoms of unfinished components
+	type frame struct {
+		a    atom
+		next int // the next edge of subs[a] to follow
+	}
+	var path []frame
+	var clock int32
+	visit := func(a atom) {
+		clock++
+		num[a], low[a] = clock, clock
+		open = append(open, a)
+		path = append(path, frame{a: a})
+	}
+	for root := range n.numAtoms {
+		if num[root] != 0 {
+			continue
+		}
+		visit(atom(root))
+		for len(path) > 0 {
+			f := &path[len(path)-1]
+			a := f.a
+			if f.next < len(n.subs[a]) {
+				b := n.subs[a][f.next]
+				f.next++
+				if num[b] == 0 {
+					visit(b)
+				} else if !finished[b] {
+					low[a] = min(low[a], num[b])
+				}
+				continue
+			}
+			path = path[:len(path)-1]
+			if len(path) > 0 {
+				p := path[len(path)-1].a
+				low[p] = min(low[p], low[a])
+			}
+			if low[a] != num[a] {
+				continue
+			}
+			// a roots the component open[k:]. Each told subsumer of a
+			// member is a member or lies in a finished component.
+			k := len(open) - 1
+			for open[k] != a {
+				k--
+			}
+			comp, pure := open[k:], true
+			for _, m := range comp {
+				pure = pure && n.toldOnly[m]
+				for _, d := range n.subs[m] {
+					pure = pure && (!finished[d] || n.pure[d])
+				}
+			}
+			for _, m := range comp {
+				finished[m], n.pure[m] = true, pure
+			}
+			if pure {
+				n.pureOrder = append(n.pureOrder, comp...)
+				n.pureEnds = append(n.pureEnds, int32(len(n.pureOrder)))
+			}
+			open = open[:k]
+		}
+	}
+	if !n.pure[atomTop] {
+		clear(n.pure)
+		n.pureOrder, n.pureEnds = nil, nil
 	}
 }

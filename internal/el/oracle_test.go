@@ -248,6 +248,9 @@ func oracleCases(t *testing.T) []oracleCase {
 	for _, c := range liveRoleCases() {
 		strict("live/"+c.name, c.tbox())
 	}
+	for _, c := range pureCases() {
+		strict("pure/"+c.name, c.tbox())
+	}
 	// The concept factory folds ∃r.⊥ into ⊥, so ⊥ as an ∃-right filler
 	// exists only as a normal form: A ⊑ ∃r.⊥, B ⊑ ∃r.A, C ⊑ ∃s.B, and no
 	// ∃ on a left side. CR5 must carry ⊥ back to A, B and C.
@@ -352,6 +355,167 @@ func liveRoleCases() []liveRoleCase {
 			tb.SubClassOf(b, f.Some(r, a))
 			tb.SubClassOf(c, f.Some(s, b))
 		}, "rst"},
+	}
+}
+
+// pureCase is a small TBox that pins one corner of the pure-atom
+// closure, with its pure named concepts. Its axioms declare concepts by
+// name, in the order NamedConcepts lists them.
+type pureCase struct {
+	name   string
+	axioms func(tb *dl.TBox, f *dl.Factory, c func(string) *dl.Concept)
+	pure   string // the pure named concepts' names
+}
+
+func (pc pureCase) tbox() *dl.TBox {
+	tb := dl.NewTBox(pc.name)
+	pc.axioms(tb, tb.Factory, tb.Declare)
+	return tb
+}
+
+func pureCases() []pureCase {
+	return []pureCase{
+		{"equivalent-cycle", func(tb *dl.TBox, f *dl.Factory, c func(string) *dl.Concept) {
+			// A ≡ B ≡ C is one component with L and M below it and H
+			// above; I reaches it from an impure context through CR1.
+			tb.SubClassOf(c("L"), c("A"))
+			tb.EquivalentClasses(c("A"), c("B"))
+			tb.EquivalentClasses(c("B"), c("C"))
+			tb.SubClassOf(c("C"), c("H"))
+			tb.SubClassOf(c("M"), c("B"))
+			r := f.Role("r")
+			tb.SubClassOf(c("I"), f.And(c("A"), f.Some(r, c("K"))))
+			tb.SubClassOf(f.Some(r, c("K")), c("J"))
+		}, "LABCHMJ"},
+		{"top-sub-pure", func(tb *dl.TBox, f *dl.Factory, c func(string) *dl.Concept) {
+			// Every row, pure or not, holds ⊤'s told closure {⊤, X, Y}.
+			tb.SubClassOf(f.Top(), c("X"))
+			tb.SubClassOf(c("X"), c("Y"))
+			tb.SubClassOf(c("A"), c("B"))
+			r := f.Role("r")
+			tb.SubClassOf(c("C"), f.Some(r, c("D")))
+			tb.SubClassOf(f.Some(r, c("D")), c("E"))
+		}, "XYABE"},
+		{"top-sub-impure", func(tb *dl.TBox, f *dl.Factory, c func(string) *dl.Concept) {
+			// X ⊑ ∃r.Y under a live r is in every atom's told closure.
+			r := f.Role("r")
+			tb.SubClassOf(f.Top(), c("X"))
+			tb.SubClassOf(c("X"), f.Some(r, c("Y")))
+			tb.SubClassOf(f.Some(r, c("Y")), c("Z"))
+			tb.SubClassOf(c("A"), c("B"))
+		}, ""},
+		{"reached-from-impure", func(tb *dl.TBox, f *dl.Factory, c func(string) *dl.Concept) {
+			// The impure C derives pure atoms by CR1 (P), as a CR2 right
+			// side (the fresh atom of E ⊓ F, then R) and as a CR4 right
+			// side (the fresh atom of ∃r.D, then T); each brings its
+			// told subsumer along.
+			r := f.Role("r")
+			tb.SubClassOf(c("C"), f.And(c("P"), c("E"), c("F"), f.Some(r, c("D"))))
+			tb.SubClassOf(c("P"), c("Q"))
+			tb.SubClassOf(f.And(c("E"), c("F")), c("R"))
+			tb.SubClassOf(c("R"), c("S"))
+			tb.SubClassOf(f.Some(r, c("D")), c("T"))
+			tb.SubClassOf(c("T"), c("U"))
+		}, "PQRSTU"},
+		{"chain-to-impure", func(tb *dl.TBox, f *dl.Factory, c func(string) *dl.Concept) {
+			// A, B and C are told-only, yet their chain ends in I, which
+			// has a live ∃ on its right: none of them is pure.
+			r := f.Role("r")
+			tb.SubClassOf(c("A"), c("B"))
+			tb.SubClassOf(c("B"), c("C"))
+			tb.SubClassOf(c("C"), c("I"))
+			tb.SubClassOf(c("I"), f.Some(r, c("J")))
+			tb.SubClassOf(f.Some(r, c("J")), c("K"))
+			tb.SubClassOf(c("Q"), c("P"))
+		}, "KQP"},
+	}
+}
+
+// toldOnlyAtoms is the oracle's own reading of told-only, sharing no code
+// with finishIndexes: every atom but ⊥ that is no operand of a
+// conjunction (n.conj's keys), no filler of an ∃ on a left side
+// (n.exLHS's keys) and on the left of no ∃ of a live role.
+func toldOnlyAtoms(n *normalized, live []bool) []bool {
+	told := make([]bool, n.numAtoms)
+	for a := range told {
+		told[a] = atom(a) != atomBottom
+	}
+	for k := range n.conj {
+		told[atom(k>>32)], told[atom(uint32(k))] = false, false
+	}
+	for _, idx := range n.exLHS {
+		for b := range idx {
+			told[b] = false
+		}
+	}
+	for a, ras := range n.exRHS {
+		for _, ra := range ras {
+			if live[ra.role] {
+				told[a] = false
+			}
+		}
+	}
+	return told
+}
+
+// TestPureAtoms checks the pure marks of every oracle case against the
+// oracle: A is pure iff every member of the oracle's S(A) is told-only
+// under the oracle's liveRoles. The hand-built cases pin their pure
+// names, and two corpora their counts: in WBbt/8 every atom but ⊥ is
+// pure, in the nskisimple/3 fragment 51 of 651 atoms are (480 told-only).
+func TestPureAtoms(t *testing.T) {
+	pinned := map[string][3]int{ // pure, atoms, told-only
+		"WBbt.obo/8":                       {849, 850, 849},
+		"nskisimple_functional/3 fragment": {51, 651, 480},
+	}
+	for _, c := range oracleCases(t) {
+		r := c.new(Options{})
+		if err := r.SaturateContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		n := r.n
+		o := newOracle(n)
+		told := toldOnlyAtoms(n, o.live)
+		pure, toldCount := 0, 0
+		for a := range n.numAtoms {
+			want := !slices.ContainsFunc(o.members[a], func(m atom) bool { return !told[m] })
+			if n.pure[a] != want {
+				t.Errorf("%s: atom %d pure = %v, oracle %v", c.name, a, n.pure[a], want)
+			}
+			if want {
+				pure++
+			}
+			if told[a] {
+				toldCount++
+			}
+		}
+		if w, ok := pinned[c.name]; ok {
+			if got := [3]int{pure, n.numAtoms, toldCount}; got != w {
+				t.Errorf("%s: %d of %d atoms pure, %d told-only; want %v", c.name, pure, n.numAtoms, toldCount, w)
+			}
+			delete(pinned, c.name)
+		}
+	}
+	for _, pc := range pureCases() {
+		r, err := New(pc.tbox(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.SaturateContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		var names string
+		for i, c := range r.tbox.NamedConcepts() {
+			if r.n.pure[namedAtom(i)] {
+				names += c.Name
+			}
+		}
+		if names != pc.pure {
+			t.Errorf("%s: pure concepts %q, want %q", pc.name, names, pc.pure)
+		}
+	}
+	if !testing.Short() && len(pinned) > 0 {
+		t.Errorf("cases not found: %v", pinned)
 	}
 }
 

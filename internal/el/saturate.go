@@ -29,6 +29,10 @@ const subFact int32 = -1
 //   - A derived fact goes onto the deriving worker's own stack, with no
 //     lock taken and no shared counter written; see pool for how workers
 //     share work and how the run ends.
+//   - A pure atom's row (see normalized.pure) is final before any worker
+//     starts, and its context is never seeded or pushed. Deriving a pure
+//     atom into another context ORs its row in, a word at a time, in
+//     place of the CR1 facts it would push.
 //
 // Joins. CR2, CR4, CR5 and CR11 join two premises that different workers
 // may derive at the same time. Each premise is written before its fact is
@@ -43,6 +47,9 @@ const subFact int32 = -1
 // applications derives D ∈ S(A). The same argument covers C ⊓ C' ⊑ D (two
 // bits of S(A)), ⊥ ∈ S(B) against a new link into B (CR5), and two links
 // (A, r, B) and (B, r, C) meeting at B (CR11: preds(B) against succs(B)).
+// The OR of a pure row needs no such argument: no rule reads a pure
+// atom's bit, so only the finished rows do, after the workers have
+// stopped.
 type saturation struct {
 	n     *normalized
 	words int             // words per row: ⌈numAtoms/64⌉
@@ -71,35 +78,27 @@ func (s *saturation) has(a, c atom) bool {
 	return s.subs[int(a)*s.words+int(c)>>6].Load()&(1<<(uint(c)&63)) != 0
 }
 
-// claimSub adds c to S(a) and reports whether it was new. It is a CAS
-// loop, not atomic.Uint64.Or, whose value-returning form go1.24.0
-// miscompiles on amd64 (see bitset's orOld); a bit already set costs one
-// load.
+// claimSub adds c to S(a) and reports whether it was new; a bit already
+// set costs one load.
 func (s *saturation) claimSub(a, c atom) bool {
-	w := &s.subs[int(a)*s.words+int(c)>>6]
 	bit := uint64(1) << (uint(c) & 63)
-	for {
-		old := w.Load()
-		if old&bit != 0 {
-			return false
-		}
-		if w.CompareAndSwap(old, old|bit) {
-			return true
-		}
-	}
+	return orWord(&s.subs[int(a)*s.words+int(c)>>6], bit)&bit == 0
 }
 
-// run seeds the initial facts and saturates with the given worker count.
-// When ctx is cancelled before the fixpoint is reached the pool is
-// aborted, the workers stop, and run returns ctx's error; the partial
-// saturation must not be queried.
+// run writes the pure rows, seeds the initial facts and saturates with
+// the given worker count. When ctx is cancelled before the fixpoint is
+// reached the pool is aborted, the workers stop, and run returns ctx's
+// error; the partial saturation must not be queried.
 func (s *saturation) run(ctx stdctx.Context, workers int) error {
-	if err := ctx.Err(); err != nil {
+	if err := s.closeTold(ctx); err != nil {
 		return err
 	}
 	ws := make([]worker, max(workers, 1))
-	// Init: S(A) ⊇ {A, ⊤} for every atom, dealt round-robin.
+	// Init: S(A) ⊇ {A, ⊤} for every impure atom, dealt round-robin.
 	for a := 0; a < s.n.numAtoms; a++ {
+		if s.n.pure[a] {
+			continue
+		}
 		w := &ws[a%len(ws)]
 		s.deriveSub(w, atom(a), atom(a))
 		s.deriveSub(w, atom(a), atomTop)
@@ -132,6 +131,61 @@ func (s *saturation) run(ctx stdctx.Context, workers int) error {
 	close(stop)
 	watchWg.Wait()
 	return ctx.Err()
+}
+
+// closeTold writes the final S(A) of every pure atom, one component of
+// the told graph at a time in reverse topological order: the component's
+// members, ORed with the finished rows of their told subsumers. The
+// members share that row, built in the first member's and then copied:
+// the others' rows are still empty, so ORing them in adds nothing. ⊤'s
+// row, finished with its component, is ORed into every pure row last. It
+// polls ctx between components.
+func (s *saturation) closeTold(ctx stdctx.Context) error {
+	start := int32(0)
+	for _, end := range s.n.pureEnds {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		comp := s.n.pureOrder[start:end]
+		start = end
+		row := s.row(comp[0])
+		for _, m := range comp {
+			orWord(&row[m>>6], 1<<(uint(m)&63))
+			for _, d := range s.n.subs[m] {
+				orRow(row, s.row(d))
+			}
+		}
+		for _, m := range comp[1:] {
+			orRow(s.row(m), row)
+		}
+	}
+	top := s.row(atomTop)
+	for _, m := range s.n.pureOrder {
+		orRow(s.row(m), top)
+	}
+	return ctx.Err()
+}
+
+// orRow ORs src into dst a word at a time.
+func orRow(dst, src []atomic.Uint64) {
+	for i := range src {
+		if v := src[i].Load(); v != 0 {
+			orWord(&dst[i], v)
+		}
+	}
+}
+
+// orWord ORs v into *w and returns the previous value. It is a CAS loop,
+// not atomic.Uint64.Or, whose value-returning form go1.24.0 miscompiles
+// on amd64 (see bitset's orOld); a word that already holds the result
+// costs one load.
+func orWord(w *atomic.Uint64, v uint64) uint64 {
+	for {
+		old := w.Load()
+		if old|v == old || w.CompareAndSwap(old, old|v) {
+			return old
+		}
+	}
 }
 
 // worker is one saturation goroutine's private state: its LIFO stack of
@@ -167,11 +221,18 @@ func (s *saturation) work(w *worker) {
 	}
 }
 
-// deriveSub claims c ∈ S(a) and, if it is new, pushes it for its rules.
+// deriveSub claims c ∈ S(a) and, if it is new, pushes it for its rules,
+// or ORs in c's finished row when c is pure: that row is the told closure
+// CR1 would add, and ⊤'s, which S(a) holds anyway.
 func (s *saturation) deriveSub(w *worker, a, c atom) {
-	if s.claimSub(a, c) {
-		w.stack = append(w.stack, fact{a: a, b: c, role: subFact})
+	if !s.claimSub(a, c) {
+		return
 	}
+	if s.n.pure[c] {
+		orRow(s.row(a), s.row(c))
+		return
+	}
+	w.stack = append(w.stack, fact{a: a, b: c, role: subFact})
 }
 
 // deriveEdge claims the link (a, role, b) and, if it is new, pushes it.

@@ -22,17 +22,34 @@ import (
 // label order too. The classifier's conquer phase, the enhanced traversal
 // and FromSubsumers all end here.
 func Build(f *dl.Factory, concepts []*dl.Concept, class []int, children [][]int) (*Taxonomy, error) {
+	// Every count is known up front: class sizes from class, out-degrees
+	// from children. Nodes, class members and edges are each cut from one
+	// backing array.
+	size := make([]int, len(concepts)) // size[r]: members of class r
+	classes, unsat := 0, 0
+	for _, r := range class {
+		if r < 0 {
+			unsat++
+			continue
+		}
+		if size[r] == 0 {
+			classes++
+		}
+		size[r]++
+	}
 	t := &Taxonomy{byConcept: make(map[*dl.Concept]*Node, len(concepts)+1)}
-	t.bottom = &Node{Concepts: []*dl.Concept{f.Bottom()}}
+	nodes := make([]Node, 0, classes+1)
+	members := make([]*dl.Concept, 0, len(concepts)+1)
+	nodes = append(nodes, Node{Concepts: append(carve(&members, unsat+1), f.Bottom())})
+	t.bottom = &nodes[0]
 	t.byConcept[f.Bottom()] = t.bottom
 	at := make([]*Node, len(concepts)) // concept index → its node
-	nodes := []*Node{t.bottom}
 	for i, c := range concepts {
 		n := t.bottom
 		if r := class[i]; r >= 0 {
 			if at[r] == nil {
-				at[r] = &Node{}
-				nodes = append(nodes, at[r])
+				nodes = append(nodes, Node{Concepts: carve(&members, size[r])})
+				at[r] = &nodes[len(nodes)-1]
 			}
 			n = at[r]
 		}
@@ -49,7 +66,8 @@ func Build(f *dl.Factory, concepts []*dl.Concept, class []int, children [][]int)
 	// computed once, after its class is sorted.
 	mid := make([]*Node, 0, len(nodes))
 	labels := make([]string, 0, len(nodes))
-	for _, n := range nodes {
+	for k := range nodes {
+		n := &nodes[k]
 		if len(n.Concepts) > 1 {
 			sort.Slice(n.Concepts, func(i, j int) bool {
 				return classLess(n.Concepts[i], n.Concepts[j])
@@ -75,21 +93,46 @@ func Build(f *dl.Factory, concepts []*dl.Concept, class []int, children [][]int)
 		n.id = id
 	}
 
-	// Edges, each list built in ascending ID order: parents by visiting
-	// the parents in ID order, children by visiting the children in ID
-	// order. Parentless classes take ⊤; the leaves take ⊥.
+	// Degrees by ID, ⊤'s and ⊥'s edges included: parentless classes take
+	// ⊤, and the leaves take ⊥. Every list is then cut to its degree.
 	kids := make([][]int, len(t.nodes))
+	up, down := make([]int, len(t.nodes)), make([]int, len(t.nodes))
 	for r, ys := range children {
 		if len(ys) > 0 {
 			kids[at[r].id] = ys
+			down[at[r].id] = len(ys)
+			for _, y := range ys {
+				up[at[y].id]++
+			}
 		}
 	}
+	last := len(t.nodes) - 1 // ⊥
+	for id := 1; id < last; id++ {
+		if up[id] == 0 {
+			up[id], down[0] = 1, down[0]+1
+		}
+	}
+	edges := 0
+	for id := range last {
+		if down[id] == 0 {
+			down[id], up[last] = 1, up[last]+1
+		}
+		edges += down[id]
+	}
+	ups, downs := make([]*Node, 0, edges), make([]*Node, 0, edges)
+	for id, n := range t.nodes {
+		n.parents, n.children = carve(&ups, up[id]), carve(&downs, down[id])
+	}
+
+	// Edges, each list built in ascending ID order: parents by visiting
+	// the parents in ID order, children by visiting the children in ID
+	// order.
 	for id, ys := range kids {
 		for _, y := range ys {
 			at[y].parents = append(at[y].parents, t.nodes[id])
 		}
 	}
-	inner := t.nodes[:len(t.nodes)-1]
+	inner := t.nodes[:last]
 	for _, n := range inner {
 		if len(n.parents) == 0 && n != t.top {
 			n.parents = append(n.parents, t.top)
@@ -108,6 +151,14 @@ func Build(f *dl.Factory, concepts []*dl.Concept, class []int, children [][]int)
 		return nil, err
 	}
 	return t, nil
+}
+
+// carve takes the next k elements of buf's spare capacity and returns
+// them as an empty slice of capacity k, so appends to it stay in buf.
+func carve[T any](buf *[]T, k int) []T {
+	b := *buf
+	*buf = b[:len(b)+k]
+	return b[len(b) : len(b) : len(b)+k]
 }
 
 // classLess orders ⊤ and ⊥ first within a class so Canonical is stable.

@@ -17,8 +17,8 @@ echo "== perfbench: the benchmark module's own build and tests"
 (cd perfbench && go test ./...)
 echo "== go test -race (core, tableau, reasoner, el, taxonomy, bitset)"
 go test -race ./internal/core/... ./internal/tableau/... ./internal/reasoner/... ./internal/el/... ./internal/taxonomy/... ./internal/bitset/...
-echo "== EL saturation suite: sequential oracle (rows, and the links of live roles), live roles, worker counts, cancellation, row seeding (-race -count=10)"
-go test -race -count=10 -run 'TestSaturationMatchesOracle|TestLiveRoles|TestQuickWorkerCountIrrelevant|TestSaturationCancelled|TestFragmentSeeds' ./internal/el/
+echo "== EL saturation suite: sequential oracle (rows, and the links of live roles), live roles, pure atoms, worker counts, cancellation, row seeding (-race -count=10)"
+go test -race -count=10 -run 'TestSaturationMatchesOracle|TestLiveRoles|TestPureAtoms|TestQuickWorkerCountIrrelevant|TestSaturationCancelled|TestFragmentSeeds' ./internal/el/
 go test -race -count=10 -run 'TestPrepassCountersExample|TestNewStateFill' ./internal/core/
 echo "== counter record: cycle deltas sum to Stats under both policies, checkpoint counter layout, per-task tallies settle every pair once, virtual charges, word-parallel pruning vs the per-bit reference and from concurrent workers; EL queries refuse foreign concepts (-race -count=3)"
 go test -race -count=3 -run 'TestStatsAndPruning|TestCheckpointCounterLayout|TestPairAccounting|TestOracleChargesVirtualCost|TestQuickPruneMatchesPerBit|TestConcurrentPrunesKeepReachability' ./internal/core/
