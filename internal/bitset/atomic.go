@@ -75,13 +75,6 @@ func (a *Atomic) Test(i int) bool {
 	return a.words[i/wordBits].Load()&(1<<(uint(i)%wordBits)) != 0
 }
 
-// TestAndSet atomically sets bit i and reports whether it was already set.
-// This implements the paper's tested() check-then-claim in one step so two
-// workers can never both claim the same untested pair.
-func (a *Atomic) TestAndSet(i int) bool {
-	return !a.Set(i)
-}
-
 // FillAll sets every bit in [0, Len).
 func (a *Atomic) FillAll() {
 	full := ^uint64(0)
@@ -194,66 +187,3 @@ func (a *Atomic) Members() []int {
 	})
 	return out
 }
-
-// Matrix is an n×m atomic bit matrix. It backs the classifier's tested()
-// predicate over ordered concept pairs.
-type Matrix struct {
-	rows, cols int
-	bits       *Atomic
-}
-
-// NewMatrix returns an all-clear rows×cols atomic bit matrix.
-func NewMatrix(rows, cols int) *Matrix {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("bitset: negative matrix dims %dx%d", rows, cols))
-	}
-	return &Matrix{rows: rows, cols: cols, bits: NewAtomic(rows * cols)}
-}
-
-func (m *Matrix) idx(r, c int) int {
-	if r < 0 || r >= m.rows || c < 0 || c >= m.cols {
-		panic(fmt.Sprintf("bitset: matrix index (%d,%d) out of range %dx%d", r, c, m.rows, m.cols))
-	}
-	return r*m.cols + c
-}
-
-// Test reports whether bit (r,c) is set.
-func (m *Matrix) Test(r, c int) bool { return m.bits.Test(m.idx(r, c)) }
-
-// Set sets bit (r,c) and reports whether this call changed it.
-func (m *Matrix) Set(r, c int) bool { return m.bits.Set(m.idx(r, c)) }
-
-// TestAndSet atomically sets (r,c) and reports whether it was already set.
-func (m *Matrix) TestAndSet(r, c int) bool { return m.bits.TestAndSet(m.idx(r, c)) }
-
-// SetRow sets every column of row r that s holds and returns the columns
-// that were clear before: the row-wise TestAndSet. The row need not be
-// word-aligned; each touched word is updated with one atomic OR, so the
-// returned bits are exact under concurrent writers. s must have one bit
-// per column.
-func (m *Matrix) SetRow(r int, s *Set) *Set {
-	if r < 0 || r >= m.rows {
-		panic(fmt.Sprintf("bitset: row %d out of range [0,%d)", r, m.rows))
-	}
-	if s.n != m.cols {
-		panic(fmt.Sprintf("bitset: set size %d does not match %d cols", s.n, m.cols))
-	}
-	fresh := New(m.cols)
-	for k, w := range s.words {
-		if w == 0 {
-			continue
-		}
-		p := r*m.cols + k*wordBits
-		wi, sh := p/wordBits, uint(p%wordBits)
-		lo := w << sh
-		fresh.words[k] = (lo &^ orOld(&m.bits.words[wi], lo)) >> sh
-		// A shift by 64 yields 0, so an aligned row never spills.
-		if hi := w >> (wordBits - sh); hi != 0 {
-			fresh.words[k] |= (hi &^ orOld(&m.bits.words[wi+1], hi)) << (wordBits - sh)
-		}
-	}
-	return fresh
-}
-
-// Count returns the number of set bits in a snapshot.
-func (m *Matrix) Count() int { return m.bits.Count() }

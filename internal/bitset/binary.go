@@ -7,9 +7,8 @@ import (
 	"hash/crc32"
 )
 
-// Binary serialization for Atomic and Matrix, used by the classifier's
-// checkpoint snapshots. The encoding is stable across versions and
-// platforms:
+// Binary serialization for Atomic, used by the classifier's checkpoint
+// snapshots. The encoding is stable across versions and platforms:
 //
 //	uint32 LE  n        bit capacity
 //	uint64 LE  words    wordsFor(n) words, lowest bits first
@@ -90,37 +89,4 @@ func ReadAtomic(data []byte) (*Atomic, []byte, error) {
 		a.words[i].Store(wordAt(payload, i))
 	}
 	return a, rest, nil
-}
-
-// AppendBinary appends the matrix encoding to b: a dimension header
-// (uint32 rows, uint32 cols, uint32 CRC-32 of both) followed by the
-// backing Atomic's frame.
-func (m *Matrix) AppendBinary(b []byte) []byte {
-	start := len(b)
-	b = binary.LittleEndian.AppendUint32(b, uint32(m.rows))
-	b = binary.LittleEndian.AppendUint32(b, uint32(m.cols))
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
-	return m.bits.AppendBinary(b)
-}
-
-// ReadMatrix decodes one Matrix from the head of data and returns it with
-// the remaining bytes.
-func ReadMatrix(data []byte) (*Matrix, []byte, error) {
-	if len(data) < 12 {
-		return nil, nil, fmt.Errorf("%w: truncated matrix header (%d bytes)", ErrCorrupt, len(data))
-	}
-	rows := int(binary.LittleEndian.Uint32(data))
-	cols := int(binary.LittleEndian.Uint32(data[4:]))
-	want := binary.LittleEndian.Uint32(data[8:])
-	if got := crc32.ChecksumIEEE(data[:8]); got != want {
-		return nil, nil, fmt.Errorf("%w: matrix header checksum mismatch", ErrCorrupt)
-	}
-	bits, rest, err := ReadAtomic(data[12:])
-	if err != nil {
-		return nil, nil, err
-	}
-	if rows*cols != bits.Len() {
-		return nil, nil, fmt.Errorf("%w: matrix dims %dx%d do not match %d bits", ErrCorrupt, rows, cols, bits.Len())
-	}
-	return &Matrix{rows: rows, cols: cols, bits: bits}, rest, nil
 }

@@ -2,9 +2,7 @@ package bitset
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math/rand"
 	"testing"
 )
@@ -96,35 +94,17 @@ func TestAtomicBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMatrixBinaryRoundTrip(t *testing.T) {
-	m := NewMatrix(5, 7)
-	m.Set(0, 0)
-	m.Set(4, 6)
-	m.Set(2, 3)
-	data := m.AppendBinary(nil)
-	got, rest, err := ReadMatrix(data)
-	if err != nil {
-		t.Fatalf("ReadMatrix: %v", err)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("ReadMatrix left %d bytes", len(rest))
-	}
-	if got.Count() != 3 || !got.Test(0, 0) || !got.Test(4, 6) || !got.Test(2, 3) || got.Test(1, 1) {
-		t.Fatalf("matrix round trip mismatch")
-	}
-}
-
 // TestBinaryStreaming reads frames back to back from one buffer, the way
-// a checkpoint lays out its P rows, K rows and tested matrix: each frame
-// is appended after others, so its checksum covers only its own bytes.
+// a checkpoint lays out its P and K rows: each frame is appended after
+// others, so its checksum covers only its own bytes.
 func TestBinaryStreaming(t *testing.T) {
 	a := NewAtomic(10)
 	a.Set(2)
 	b := NewAtomic(100)
 	b.Set(99)
-	m := NewMatrix(3, 70)
-	m.Set(2, 69)
-	data := m.AppendBinary(b.AppendBinary(a.AppendBinary(nil)))
+	c := NewAtomic(70)
+	c.Set(69)
+	data := c.AppendBinary(b.AppendBinary(a.AppendBinary(nil)))
 
 	gotA, rest, err := ReadAtomic(data)
 	if err != nil {
@@ -134,15 +114,15 @@ func TestBinaryStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadAtomic #2: %v", err)
 	}
-	gotM, rest, err := ReadMatrix(rest)
+	gotC, rest, err := ReadAtomic(rest)
 	if err != nil {
-		t.Fatalf("ReadMatrix: %v", err)
+		t.Fatalf("ReadAtomic #3: %v", err)
 	}
 	if len(rest) != 0 {
 		t.Fatalf("stream left %d bytes", len(rest))
 	}
 	if !gotA.Snapshot().Equal(a.Snapshot()) || !gotB.Snapshot().Equal(b.Snapshot()) ||
-		gotM.Count() != 1 || !gotM.Test(2, 69) {
+		!gotC.Snapshot().Equal(c.Snapshot()) {
 		t.Fatalf("stream round trip mismatch")
 	}
 }
@@ -180,66 +160,17 @@ func TestBinaryTailBitsRejected(t *testing.T) {
 	if _, _, err := ReadAtomic(forged); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("tail bits: err = %v, want ErrCorrupt", err)
 	}
-	// The same frame behind a valid 5×13 matrix header.
-	hdr := binary.LittleEndian.AppendUint32(nil, 5)
-	hdr = binary.LittleEndian.AppendUint32(hdr, 13)
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
-	if _, _, err := ReadMatrix(append(hdr, forged...)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("matrix tail bits: err = %v, want ErrCorrupt", err)
-	}
 }
 
-// TestBinaryTrailingBytesRejected: the decoders hand bytes after a frame
+// TestBinaryTrailingBytesRejected: the decoder hands bytes after a frame
 // back to the caller instead of swallowing them, and a stray byte is not
 // a frame.
 func TestBinaryTrailingBytesRejected(t *testing.T) {
 	_, rest, err := ReadAtomic(append(NewAtomic(8).AppendBinary(nil), 0xFF))
 	if err != nil || !bytes.Equal(rest, []byte{0xFF}) {
-		t.Fatalf("atomic: rest = %x, err = %v; want ff, nil", rest, err)
+		t.Fatalf("rest = %x, err = %v; want ff, nil", rest, err)
 	}
 	if _, _, err := ReadAtomic(rest); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("atomic: trailing byte read as a frame: err = %v, want ErrCorrupt", err)
-	}
-	_, rest, err = ReadMatrix(append(NewMatrix(2, 4).AppendBinary(nil), 0xFF))
-	if err != nil || !bytes.Equal(rest, []byte{0xFF}) {
-		t.Fatalf("matrix: rest = %x, err = %v; want ff, nil", rest, err)
-	}
-	if _, _, err := ReadMatrix(rest); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("matrix: trailing byte read as a frame: err = %v, want ErrCorrupt", err)
-	}
-}
-
-func TestMatrixBinaryCorruptionRejected(t *testing.T) {
-	m := NewMatrix(3, 3)
-	m.Set(1, 1)
-	good := m.AppendBinary(nil)
-
-	bad := append([]byte(nil), good...)
-	bad[0] ^= 1 // rows no longer match the header checksum
-	if _, _, err := ReadMatrix(bad); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("matrix header flip: err = %v, want ErrCorrupt", err)
-	}
-	if _, _, err := ReadMatrix(good[:8]); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("matrix truncated: err = %v, want ErrCorrupt", err)
-	}
-	bad = append([]byte(nil), good...)
-	bad[12+4] ^= 1 // a payload bit no longer matches the bits' checksum
-	if _, _, err := ReadMatrix(bad); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("matrix payload flip: err = %v, want ErrCorrupt", err)
-	}
-	// Dimensions that still multiply to the bit count (2×6 read as 3×4):
-	// only the header checksum can refuse them.
-	swapped := NewMatrix(2, 6).AppendBinary(nil)
-	binary.LittleEndian.PutUint32(swapped, 3)
-	binary.LittleEndian.PutUint32(swapped[4:], 4)
-	if _, _, err := ReadMatrix(swapped); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("matrix dims rewritten: err = %v, want ErrCorrupt", err)
-	}
-	// A resealed header whose dimensions disagree with the bit count.
-	bad = append([]byte(nil), good...)
-	binary.LittleEndian.PutUint32(bad, 4)
-	binary.LittleEndian.PutUint32(bad[8:], crc32.ChecksumIEEE(bad[:8]))
-	if _, _, err := ReadMatrix(bad); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("matrix dims mismatch: err = %v, want ErrCorrupt", err)
+		t.Fatalf("trailing byte read as a frame: err = %v, want ErrCorrupt", err)
 	}
 }

@@ -2,9 +2,9 @@
 // single-goroutine Set and a lock-free Atomic set whose individual bit
 // operations are safe for concurrent use.
 //
-// The Atomic variant backs the shared P (possible subsumees), K (known
-// subsumees) and tested structures of the parallel classifier, where the
-// paper requires "atomic global data structures" so that worker threads can
+// The Atomic variant backs the shared P (possible subsumees) and K (known
+// subsumees) structures of the parallel classifier, where the paper
+// requires "atomic global data structures" so that worker threads can
 // update shared state without races (Quan & Haarslev, ICPP 2017, Sec. IV).
 package bitset
 
@@ -46,6 +46,26 @@ func FromWords(n int, words []uint64) *Set {
 	s := &Set{n: n, words: words}
 	s.trimTail()
 	return s
+}
+
+// Rows cuts count Sets of capacity n from words, which it takes ownership
+// of like FromWords: row r holds words [r·w, (r+1)·w) with w = ⌈n/64⌉,
+// so a square bit matrix costs one allocation for its words and one for
+// its row headers, and bit c of row r stays readable as bit c%64 of
+// words[r·w + c/64]. Each row's words are capped with a three-index
+// slice, so no operation on one row reaches the next. len(words) must be
+// count·w; bits at and beyond n are cleared.
+func Rows(words []uint64, count, n int) []Set {
+	w := wordsFor(n)
+	if len(words) != count*w {
+		panic(fmt.Sprintf("bitset: %d words for %d rows of %d bits, want %d", len(words), count, n, count*w))
+	}
+	rows := make([]Set, count)
+	for r := range rows {
+		rows[r] = Set{n: n, words: words[r*w : (r+1)*w : (r+1)*w]}
+		rows[r].trimTail()
+	}
+	return rows
 }
 
 // Len returns the capacity of the set in bits.

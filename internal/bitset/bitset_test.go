@@ -218,14 +218,8 @@ func TestAtomicBasic(t *testing.T) {
 	if !a.Test(5) {
 		t.Error("Test(5) false")
 	}
-	if !a.TestAndSet(5) {
-		t.Error("TestAndSet on set bit returned false")
-	}
-	if a.TestAndSet(6) {
-		t.Error("TestAndSet on clear bit returned true")
-	}
-	if !a.Test(6) {
-		t.Error("TestAndSet did not set bit 6")
+	if a.Test(6) {
+		t.Error("Test(6) true on a clear bit")
 	}
 	if !a.Clear(5) {
 		t.Error("Clear(5) reported bit was clear")
@@ -269,7 +263,7 @@ func TestAtomicConcurrentSetters(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for k := 0; k < n; k++ {
 				i := rng.Intn(n)
-				if !a.TestAndSet(i) {
+				if a.Set(i) {
 					claims[w] = append(claims[w], i)
 				}
 			}
@@ -317,44 +311,11 @@ func TestAtomicConcurrentClearDisjoint(t *testing.T) {
 	}
 }
 
-func TestMatrix(t *testing.T) {
-	m := NewMatrix(10, 20)
-	if m.Test(3, 4) {
-		t.Fatal("fresh matrix bit set")
-	}
-	if m.TestAndSet(3, 4) {
-		t.Fatal("TestAndSet returned already-set on fresh bit")
-	}
-	if !m.Test(3, 4) {
-		t.Fatal("bit (3,4) not set")
-	}
-	if !m.TestAndSet(3, 4) {
-		t.Fatal("TestAndSet returned not-set on set bit")
-	}
-	// (4,3) must be independent of (3,4).
-	if m.Test(4, 3) {
-		t.Fatal("transposed bit aliased")
-	}
-	if m.Count() != 1 {
-		t.Fatalf("Count = %d", m.Count())
-	}
-}
-
-func TestMatrixBoundsPanics(t *testing.T) {
-	m := NewMatrix(4, 4)
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on out-of-range matrix access")
-		}
-	}()
-	m.Test(4, 0)
-}
-
-func BenchmarkAtomicTestAndSet(b *testing.B) {
+func BenchmarkAtomicSet(b *testing.B) {
 	a := NewAtomic(1 << 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a.TestAndSet(i & (1<<16 - 1))
+		a.Set(i & (1<<16 - 1))
 	}
 }
 

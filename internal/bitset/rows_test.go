@@ -2,130 +2,93 @@ package bitset
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 )
 
-func TestAlignCols(t *testing.T) {
-	cases := map[int]int{0: 0, 1: 64, 63: 64, 64: 64, 65: 128, 1000: 1024}
-	for n, want := range cases {
-		if got := AlignCols(n); got != want {
-			t.Errorf("AlignCols(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
+// TestRowOpsMatchNaive checks the rows Rows carves against one map per
+// row: bits set, rows ORed and ANDed into one another, Count, Test and
+// ForEach, and each bit read back from the shared words at r·w + c/64.
+// Capacities straddle word boundaries, so most rows span several words
+// and end inside one, and no operation may reach a neighbouring row's
+// words.
 func TestRowOpsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 50; trial++ {
-		rows := 1 + rng.Intn(10)
-		cols := AlignCols(1 + rng.Intn(200))
-		m := NewMatrix(rows, cols)
-		ref := make([]map[int]bool, rows)
-		for r := range ref {
+		count, n := 1+rng.Intn(10), 1+rng.Intn(200)
+		w := wordsFor(n)
+		words := make([]uint64, count*w)
+		rows := Rows(words, count, n)
+		ref := make([]map[int]bool, count)
+		for r := range rows {
+			if rows[r].Len() != n || !rows[r].IsEmpty() {
+				t.Fatalf("trial %d: fresh row %d has capacity %d, %d bits", trial, r, rows[r].Len(), rows[r].Count())
+			}
 			ref[r] = map[int]bool{}
 		}
-		for i := 0; i < rows*8; i++ {
-			r, c := rng.Intn(rows), rng.Intn(cols)
-			m.Set(r, c)
+		for i := 0; i < count*8; i++ {
+			r, c := rng.Intn(count), rng.Intn(n)
+			rows[r].Set(c)
 			ref[r][c] = true
 		}
-		// A few row ORs, mirrored on the reference.
+		for r := range rows { // the last bit of every row, next to its neighbour's first
+			rows[r].Set(n - 1)
+			ref[r][n-1] = true
+		}
 		for i := 0; i < 5; i++ {
-			dst, src := rng.Intn(rows), rng.Intn(rows)
-			m.OrRow(dst, src)
+			dst, src := rng.Intn(count), rng.Intn(count)
+			rows[dst].Union(&rows[src])
 			for c := range ref[src] {
 				ref[dst][c] = true
 			}
+			if rng.Intn(3) == 0 {
+				dst, src := rng.Intn(count), rng.Intn(count)
+				rows[dst].Intersect(&rows[src])
+				for c := range ref[dst] {
+					if !ref[src][c] {
+						delete(ref[dst], c)
+					}
+				}
+			}
 		}
-		for r := 0; r < rows; r++ {
-			if got, want := m.RowCount(r), len(ref[r]); got != want {
-				t.Fatalf("trial %d: RowCount(%d) = %d, want %d", trial, r, got, want)
+		for r := range rows {
+			if got, want := rows[r].Count(), len(ref[r]); got != want {
+				t.Fatalf("trial %d: row %d Count = %d, want %d", trial, r, got, want)
 			}
-			snap := m.RowSnapshot(r)
-			if snap.Len() != cols {
-				t.Fatalf("RowSnapshot len %d, want %d", snap.Len(), cols)
+			for c := 0; c < n; c++ {
+				if rows[r].Test(c) != ref[r][c] {
+					t.Fatalf("trial %d: row %d bit %d = %v, want %v", trial, r, c, rows[r].Test(c), ref[r][c])
+				}
+				if got := words[r*w+c/64]&(1<<(uint(c)%64)) != 0; got != ref[r][c] {
+					t.Fatalf("trial %d: words hold row %d bit %d = %v, want %v", trial, r, c, got, ref[r][c])
+				}
 			}
-			seen := map[int]bool{}
-			m.RowForEach(r, func(c int) bool {
-				seen[c] = true
-				if !snap.Test(c) {
-					t.Fatalf("RowForEach yielded %d but snapshot misses it", c)
+			rows[r].ForEach(func(c int) bool {
+				if !ref[r][c] {
+					t.Fatalf("trial %d: row %d ForEach yielded %d", trial, r, c)
 				}
 				return true
 			})
-			for c := range ref[r] {
-				if !seen[c] {
-					t.Fatalf("trial %d: row %d missing col %d", trial, r, c)
-				}
-			}
-			if len(seen) != len(ref[r]) {
-				t.Fatalf("trial %d: row %d has %d cols, want %d", trial, r, len(seen), len(ref[r]))
-			}
-			// Intersection against a random probe set.
-			probe := New(cols)
-			want := false
-			for i := 0; i < 20; i++ {
-				c := rng.Intn(cols)
-				probe.Set(c)
-				want = want || ref[r][c]
-			}
-			if got := m.RowIntersectsSet(r, probe); got != want {
-				t.Fatalf("RowIntersectsSet = %v, want %v", got, want)
-			}
 		}
 	}
 }
 
+// TestRowForEachEarlyStop: a carved row's ForEach stops when fn returns
+// false, and a full scan yields its own bits only, never the next row's.
 func TestRowForEachEarlyStop(t *testing.T) {
-	m := NewMatrix(1, 128)
+	rows := Rows(make([]uint64, 4), 2, 128)
 	for _, c := range []int{3, 70, 100} {
-		m.Set(0, c)
+		rows[0].Set(c)
 	}
+	rows[1].Set(0)
 	var got []int
-	m.RowForEach(0, func(c int) bool {
+	rows[0].ForEach(func(c int) bool {
 		got = append(got, c)
 		return len(got) < 2
 	})
 	if len(got) != 2 || got[0] != 3 || got[1] != 70 {
 		t.Fatalf("early stop yielded %v", got)
 	}
-}
-
-func TestRowOpsRequireAlignment(t *testing.T) {
-	m := NewMatrix(2, 10) // 10 cols: rows are not word-aligned
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for row op on unaligned matrix")
-		}
-	}()
-	m.OrRow(0, 1)
-}
-
-// TestOrRowConcurrent exercises concurrent OR-ing into the same
-// destination row under -race: the closure build ORs parent rows from
-// several goroutines.
-func TestOrRowConcurrent(t *testing.T) {
-	const rows, cols = 17, 256
-	m := NewMatrix(rows, cols)
-	for r := 1; r < rows; r++ {
-		m.Set(r, (r*37)%cols)
-	}
-	var wg sync.WaitGroup
-	for r := 1; r < rows; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			m.OrRow(0, r)
-		}(r)
-	}
-	wg.Wait()
-	if got := m.RowCount(0); got != rows-1 {
-		t.Fatalf("row 0 has %d bits, want %d", got, rows-1)
-	}
-	for r := 1; r < rows; r++ {
-		if !m.Test(0, (r*37)%cols) {
-			t.Fatalf("bit from row %d missing", r)
-		}
+	if m := rows[0].Members(); len(m) != 3 || m[2] != 100 {
+		t.Fatalf("row 0 members %v, want [3 70 100]", m)
 	}
 }

@@ -120,43 +120,11 @@ func TestFillRangeMatchesPerBit(t *testing.T) {
 	}
 }
 
-// TestRowWiseOpsMatchPerBit checks SetRow on an unaligned matrix against
-// per-bit TestAndSet, and ClearSet against per-bit Clear.
+// TestRowWiseOpsMatchPerBit checks ClearSet, which claims a row's bits
+// with one atomic AND per word, against per-bit Clear.
 func TestRowWiseOpsMatchPerBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, cols := range []int{1, 7, 63, 64, 65, 130} {
-		rows := 5
-		got, want := NewMatrix(rows, cols), NewMatrix(rows, cols)
-		for i := 0; i < rows*cols/3; i++ {
-			r, c := rng.Intn(rows), rng.Intn(cols)
-			got.Set(r, c)
-			want.Set(r, c)
-		}
-		for r := 0; r < rows; r++ {
-			s := New(cols)
-			for i := 0; i < cols/2+1; i++ {
-				s.Set(rng.Intn(cols))
-			}
-			fresh := got.SetRow(r, s)
-			wantFresh := New(cols)
-			s.ForEach(func(c int) bool {
-				if !want.TestAndSet(r, c) {
-					wantFresh.Set(c)
-				}
-				return true
-			})
-			if !fresh.Equal(wantFresh) {
-				t.Fatalf("cols=%d row %d: SetRow fresh = %v, want %v", cols, r, fresh, wantFresh)
-			}
-		}
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				if got.Test(r, c) != want.Test(r, c) {
-					t.Fatalf("cols=%d: bit (%d,%d) = %v, want %v", cols, r, c, got.Test(r, c), want.Test(r, c))
-				}
-			}
-		}
-
 		a, ref := NewAtomic(cols), New(cols)
 		for i := 0; i < cols; i++ {
 			if rng.Intn(2) == 0 {

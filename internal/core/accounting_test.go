@@ -12,15 +12,17 @@ import (
 	"parowl/internal/reasoner"
 )
 
-// pairAccounting returns both sides of the pair-accounting identity of
-// an optimized run with no degraded test. With n the named concepts plus
-// ⊤ and m those of them that are satisfiable, every directed test between
-// two satisfiable concepts is settled exactly once — by a plug-in call, a
-// filter hit, the prepass, or as one of a pruned pair's two directions —
-// so the counters sum to m(m−1). With the pipeline on, the prepass also
-// settles every named concept's satisfiability, by a probe or from the
-// fragment, which adds n − 1.
-func pairAccounting(tb *dl.TBox, res *Result, pipeline bool) (got, want int64) {
+// pairAccounting returns both sides of the pair-accounting identity of a
+// run with no degraded test. With n the named concepts plus ⊤ and m
+// those of them that are satisfiable, every directed test between two
+// satisfiable concepts is settled exactly once. In optimized mode that is
+// by a plug-in call, a filter hit, the prepass, or as one of a pruned
+// pair's two directions, so the counters sum to m(m−1); with the pipeline
+// on, the prepass also settles every named concept's satisfiability, by a
+// probe or from the fragment, which adds n − 1. Basic mode with the
+// pipeline off makes one plug-in call per directed test except the m − 1
+// entries (⊤, X) claimed up front, (m−1)² calls.
+func pairAccounting(tb *dl.TBox, res *Result, mode Mode, pipeline bool) (got, want int64) {
 	n := int64(tb.NumNamed() + 1)
 	m := n
 	for _, c := range tb.NamedConcepts() {
@@ -29,6 +31,9 @@ func pairAccounting(tb *dl.TBox, res *Result, pipeline bool) (got, want int64) {
 		}
 	}
 	st := res.Stats
+	if mode == Basic {
+		return st.SubsTests, (m - 1) * (m - 1)
+	}
 	got = st.SubsTests + st.FilterHits + st.PreSeeded + 2*st.Pruned
 	want = m * (m - 1)
 	if pipeline {
@@ -39,11 +44,18 @@ func pairAccounting(tb *dl.TBox, res *Result, pipeline bool) (got, want int64) {
 }
 
 // TestPairAccounting checks the pair-accounting identity (see
-// pairAccounting) under both policies, at 1, 2 and 4 workers, with the
-// pipeline off and on: over the EL plug-in on three Table IV corpora, the
-// tableau on two Table V corpora, the paper's example and random TBoxes.
-// Tasks tally their counters locally and add them once when they end, so
-// a tally that is dropped, or added twice, breaks the identity.
+// pairAccounting) under both policies, at 1, 2 and 4 workers, in
+// optimized mode with the pipeline off and on and in basic mode with it
+// off: over the EL plug-in on three Table IV corpora, the tableau on two
+// Table V corpora, the paper's example and random TBoxes. Tasks tally
+// their counters locally and add them once when they end, so a tally
+// that is dropped, or added twice, breaks the identity; in basic mode a
+// directed entry claimed twice, or never, breaks it too.
+//
+// Basic mode with the pipeline on is left out: its prepass claims the
+// directed entries the fragment proves, some of which involve a concept
+// the sat? sweep later finds unsatisfiable (7 on rnao_functional/12), and
+// m does not count those.
 func TestPairAccounting(t *testing.T) {
 	type corpus struct {
 		tb *dl.TBox
@@ -88,16 +100,19 @@ func TestPairAccounting(t *testing.T) {
 	for i, c := range corpora {
 		for _, sched := range allSchedulings {
 			for _, w := range []int{1, 2, 4} {
-				for _, pipeline := range []bool{false, true} {
-					name := fmt.Sprintf("%s#%d %v w=%d pipeline=%v", c.tb.Name, i, sched, w, pipeline)
+				for _, run := range []struct {
+					mode     Mode
+					pipeline bool
+				}{{Optimized, false}, {Optimized, true}, {Basic, false}} {
+					name := fmt.Sprintf("%s#%d %v %v w=%d pipeline=%v", c.tb.Name, i, run.mode, sched, w, run.pipeline)
 					res := classify(t, c.tb, Options{
-						Reasoner: c.r, Workers: w, Scheduling: sched, Seed: int64(i),
-						ELPrepass: pipeline, ModelFilter: pipeline,
+						Reasoner: c.r, Workers: w, Scheduling: sched, Seed: int64(i), Mode: run.mode,
+						ELPrepass: run.pipeline, ModelFilter: run.pipeline,
 					})
 					if len(res.Undecided) != 0 {
 						t.Fatalf("%s: %d degraded tests", name, len(res.Undecided))
 					}
-					if got, want := pairAccounting(c.tb, res, pipeline); got != want {
+					if got, want := pairAccounting(c.tb, res, run.mode, run.pipeline); got != want {
 						t.Errorf("%s: counters settle %d directed tests, want %d (%+v)", name, got, want, res.Stats)
 					}
 					seen.SatTests += res.Stats.SatTests

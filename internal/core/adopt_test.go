@@ -55,8 +55,8 @@ func TestAdoptRejectsIncomplete(t *testing.T) {
 }
 
 // TestAdoptRejectsBadFiles covers the degrade-never-boot-fail inputs the
-// server leans on: missing file, corrupt bytes, version-1, -2 and -3
-// files, wrong ontology.
+// server leans on: missing file, corrupt bytes, version-1 to -4 files,
+// wrong ontology.
 func TestAdoptRejectsBadFiles(t *testing.T) {
 	tb := exampleTBox()
 	path := ckPath(t)
@@ -80,7 +80,7 @@ func TestAdoptRejectsBadFiles(t *testing.T) {
 		t.Fatalf("corrupt file: err = %v, want ErrBadSnapshot", err)
 	}
 
-	for _, v := range []uint32{1, 2, 3} {
+	for _, v := range []uint32{1, 2, 3, 4} {
 		old := fmt.Sprintf("%s.v%d", path, v)
 		if err := os.WriteFile(old, withVersion(data, v), 0o644); err != nil {
 			t.Fatal(err)

@@ -31,9 +31,9 @@ import "math/rand"
 // reason shared P/K work under every policy: reads of K are only ever
 // used to PRUNE (drop a pair from P without a test — sound because K
 // facts are entailed, however old), while SETTLING a pair is always
-// guarded by an atomic claim (the P-bit clear / tested TestAndSet), so a
-// pair's verdict is computed exactly once no matter how many waves cover
-// it. A worker acting on a stale P snapshot merely attempts a claim that
+// guarded by an atomic claim (the clear of its P bit, in either mode),
+// so a pair's verdict is computed exactly once no matter how many waves
+// cover it. A worker acting on a stale P snapshot merely attempts a claim that
 // fails. Freshness changes which tests never happen; it cannot change
 // any test's outcome — which is why the taxonomy stays byte-identical to
 // RoundRobin's.

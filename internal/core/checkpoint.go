@@ -15,19 +15,18 @@ import (
 )
 
 // Checkpoint snapshots make a classification run crash-safe: the shared
-// P/K/tested bitsets, satisfiability states and undecided pairs are
-// written to disk at phase/batch boundaries, and Options.ResumeFrom
-// restores them so a re-run skips all settled work and converges to the
-// same taxonomy.
+// P/K bitsets, satisfiability states and undecided pairs are written to
+// disk at phase/batch boundaries, and Options.ResumeFrom restores them
+// so a re-run skips all settled work and converges to the same taxonomy.
 //
 // Consistency: a snapshot is taken only at pool quiescence — under
 // RoundRobin between batch barriers, under Async at an epoch edge
-// (the pending-task counter at zero). In either case every claimed pair
-// (a cleared P bit in optimized mode, a set tested bit in basic mode) has
-// its outcome fully recorded in K or in the undecided list, so restoring
-// the snapshot can never lose a claim's answer. For the same reason no
-// plug-in memo is persisted: every answer it could hold is already in
-// the bitsets, and a resumed run never asks for one again. Each
+// (the pending-task counter at zero). In either case every claimed test
+// (a cleared P bit: a pair in optimized mode, a directed entry in basic
+// mode) has its outcome fully recorded in K or in the undecided list, so
+// restoring the snapshot can never lose a claim's answer. For the same
+// reason no plug-in memo is persisted: every answer it could hold is
+// already in the bitsets, and a resumed run never asks for one again. Each
 // quiescence point closes an epoch, and the snapshot records the epoch
 // count it was cut at (monotonic across resumes). A poisoned run
 // (s.failed()) is never snapshotted: its workers may have claimed pairs
@@ -36,7 +35,7 @@ import (
 // File format (all integers little-endian):
 //
 //	[8]byte  magic "PAROWLCK"
-//	uint32   version (currently 4)
+//	uint32   version (currently 5)
 //	uint64   ontology fingerprint (FNV-1a over names + axioms)
 //	uint8    mode (1 = optimized, 0 = basic)
 //	uint8    prepassed
@@ -47,7 +46,6 @@ import (
 //	         Stats.cells (sat, subs, pruned, preseeded, filter hits, timed
 //	         out, recovered, node budget, branch budget)
 //	n frames P, n frames K (bitset.Atomic binary frames, self-checksummed)
-//	uint8    hasTested; if 1, a bitset.Matrix frame
 //	n bytes  satState values (0/1/2)
 //	uint32   undecided count; per entry: int32 sup (−1 = nil), int32 sub,
 //	         uint16 reason length, reason bytes
@@ -59,14 +57,15 @@ import (
 // versions are refused like any unknown version: v1 carried the kernel
 // and epoch as trailing optional sections, v2 a tenth counter (told
 // hits) and a plug-in cache section, v3 a kernel marker and the kernel's
-// frame. The trailing whole-file checksum catches truncation; the
-// per-bitset frame checksums catch local corruption with a better error.
+// frame, v4 a basic-mode tested matrix behind a marker byte. The
+// trailing whole-file checksum catches truncation; the per-bitset frame
+// checksums catch local corruption with a better error.
 
 // checkpointMagic identifies parowl checkpoint files.
 var checkpointMagic = [8]byte{'P', 'A', 'R', 'O', 'W', 'L', 'C', 'K'}
 
 // checkpointVersion is bumped on any incompatible format change.
-const checkpointVersion = 4
+const checkpointVersion = 5
 
 // ErrBadSnapshot reports a checkpoint file that is truncated, corrupted,
 // of an unknown version, or inconsistent with the run it is restored
@@ -117,7 +116,6 @@ type snapshot struct {
 	n           int
 	stats       Stats // the persisted counters; Steals stays zero
 	P, K        []*bitset.Atomic
-	tested      *bitset.Matrix
 	satState    []int32
 	undecided   []undecidedRef
 	// epoch is the quiescence count the snapshot was cut at.
@@ -161,12 +159,6 @@ func (s *state) encodeSnapshot(phase Phase, epoch int64) []byte {
 	}
 	for _, k := range s.K {
 		b = k.AppendBinary(b)
-	}
-	if s.tested != nil {
-		b = append(b, 1)
-		b = s.tested.AppendBinary(b)
-	} else {
-		b = append(b, 0)
 	}
 	for i := 0; i < s.n; i++ {
 		b = append(b, byte(s.satState[i].Load()))
@@ -307,13 +299,6 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 	if err := readAtomics(snap.K, "K"); err != nil {
 		return nil, err
 	}
-	if r.u8() == 1 {
-		m, rest, err := bitset.ReadMatrix(r.data)
-		if err != nil {
-			return nil, fmt.Errorf("%w: tested: %v", ErrBadSnapshot, err)
-		}
-		snap.tested, r.data = m, rest
-	}
 	snap.satState = make([]int32, snap.n)
 	for i, v := range r.take(snap.n) {
 		if v > 2 {
@@ -349,7 +334,7 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 
 // restoreSnapshot validates snap against this run's ontology and
 // configuration and, on success, installs the snapshot's shared state:
-// its P, K and tested sets become the run's, so a state from stateFor
+// its P and K sets become the run's, so a state from stateFor
 // needs no fresh ones. Must run before any worker touches the state. The
 // returned error always wraps ErrBadSnapshot; the state is untouched
 // when it fires.
@@ -365,10 +350,7 @@ func (s *state) restoreSnapshot(snap *snapshot) error {
 		return fmt.Errorf("%w: snapshot mode %v does not match run mode %v",
 			ErrBadSnapshot, Mode(b2i(!snap.optimized)), Mode(b2i(!s.optimized)))
 	}
-	if s.optimized != (snap.tested == nil) {
-		return fmt.Errorf("%w: tested matrix presence inconsistent with mode", ErrBadSnapshot)
-	}
-	s.P, s.K, s.tested = snap.P, snap.K, snap.tested
+	s.P, s.K = snap.P, snap.K
 	for i, v := range snap.satState {
 		s.satState[i].Store(v)
 	}

@@ -324,6 +324,7 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 		"version1":  write("v1.ck", withVersion(good, 1)),
 		"version2":  write("v2.ck", withVersion(good, 2)),
 		"version3":  write("v3.ck", withVersion(good, 3)),
+		"version4":  write("v4.ck", withVersion(good, 4)),
 	}
 	for name, p := range cases {
 		res := classify(t, tb, Options{Workers: 2, ResumeFrom: p})

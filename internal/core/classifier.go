@@ -191,7 +191,7 @@ type counters[T any] struct {
 
 // cells lists the counters in their fixed order, the one list every
 // traversal follows: loading and restoring the live block, per-cycle
-// deltas, and checkpoint v3's counter section (persisted). Inserting a
+// deltas, and the checkpoint's counter section (persisted). Inserting a
 // counter before Steals changes that section's layout, so it needs a new
 // checkpoint version.
 func (c *counters[T]) cells() []*T {

@@ -630,7 +630,7 @@ func TestExample31RandomDivision(t *testing.T) {
 	}
 	// 7 nodes (6 named + ⊤) split over 3 workers → groups of sizes
 	// 3/2/2 → 3 + 1 + 1 directed pair tests, minus any answered by the
-	// pre-seeded K_⊤ entries (none: those are marked tested, and the
+	// pre-seeded K_⊤ entries (none: those are claimed up front, and the
 	// directed pairs here are distinct orderings).
 	if got := len(first.Tasks); got != 3 {
 		t.Errorf("groups = %d, want 3", got)
@@ -669,8 +669,8 @@ func TestExample41SymmetricTesting(t *testing.T) {
 // TestNewStateFill checks initSets' word-level fills against the paper's
 // initialization done bit by bit: P_x = {y > x} in optimized mode and
 // every y ≠ x in basic mode, K_⊤ = every named concept, and in basic mode
-// each (⊤, X) entry tested and cleared from P_⊤. Sizes n (⊤ included)
-// end inside, at and just past 64-bit words.
+// each (⊤, X) entry claimed up front, so P_⊤ is empty. Sizes n (⊤
+// included) end inside, at and just past 64-bit words.
 func TestNewStateFill(t *testing.T) {
 	for _, n := range []int{1, 2, 63, 64, 65, 129} {
 		tb := dl.NewTBox("fill")
@@ -695,11 +695,6 @@ func TestNewStateFill(t *testing.T) {
 					wantK := x == top && y != top
 					if got := s.K[x].Test(y); got != wantK {
 						t.Fatalf("n=%d optimized=%v: K[%d] bit %d = %v, want %v", n, optimized, x, y, got, wantK)
-					}
-					if !optimized {
-						if got := s.tested.Test(x, y); got != wantK {
-							t.Fatalf("n=%d: tested(%d,%d) = %v, want %v", n, x, y, got, wantK)
-						}
 					}
 				}
 			}

@@ -26,8 +26,8 @@ import (
 //
 // Every pass over K works on whole 64-bit words, and a member is visited
 // on its own only where it is a mutual pair, a member to remap to its
-// class, or not yet covered. Phase 3 only reads s.K: the final checkpoint
-// re-encodes it afterwards.
+// class, or not yet covered. Phase 3 only reads s.K, which the final
+// checkpoint has already encoded before phase 3 starts.
 func (s *state) buildTaxonomy(p *pool, trace *Trace) (*taxonomy.Taxonomy, error) {
 	n := s.n
 	start := time.Now()

@@ -40,9 +40,8 @@ import (
 //  3. when the fragment is complete (el.Coverage.Complete) its saturation
 //     is exact for the whole TBox, so the prepass decides everything:
 //     every concept it did not prove unsatisfiable is satisfiable, and
-//     every pair it did not prove is a non-subsumption. P is emptied
-//     (basic mode also sets the tested entries) and no sat?, subs? or
-//     filter call follows;
+//     every pair it did not prove is a non-subsumption. P is emptied and
+//     no sat?, subs? or filter call follows;
 //  4. otherwise every concept whose satisfiability is still unknown gets
 //     its sat?() probe here, in parallel. The baseline runs sat?() exactly
 //     once per concept anyway, so this adds nothing — but it is required
@@ -205,7 +204,7 @@ func (s *state) seed(frag *el.Reasoner, complete bool) error {
 
 // claimProven strips from P what a partial fragment proved, once rows
 // (rows[x] = the proven subsumers of x) are in K. In basic mode every
-// directed test (x, y) with y ∈ K_x is claimed in tested and leaves P_x;
+// directed test (x, y) with y ∈ K_x is claimed by clearing it from P_x;
 // an entry claimed before the prepass (K_⊤'s) is not counted again. In
 // optimized mode the pair {x, y} is claimed when both directions are
 // proven: y ∈ rows[x] (x ⊑ y) and y ∈ K_x (y ⊑ x), where x ⊑ ⊤ needs no
@@ -215,9 +214,7 @@ func (s *state) claimProven(rows []*bitset.Set) {
 	for x, row := range rows {
 		switch {
 		case !s.optimized:
-			claimed := s.tested.SetRow(x, s.K[x].Snapshot())
-			s.P[x].ClearSet(claimed)
-			s.count.PreSeeded.Add(int64(claimed.Count()))
+			s.count.PreSeeded.Add(int64(s.P[x].ClearSet(s.K[x].Snapshot())))
 		case row != nil:
 			row.Set(s.top)
 			both := s.K[x].Snapshot()
@@ -231,18 +228,18 @@ func (s *state) claimProven(rows []*bitset.Set) {
 // saturation is the exact subsumption relation, so a concept not proven
 // unsatisfiable is satisfiable and a pair not proven is a
 // non-subsumption. K already holds every proven fact, so only the
-// bookkeeping remains: P empties, basic mode claims the directed tested
-// entries, and each settled probe and directed test counts as PreSeeded.
+// bookkeeping remains: P empties, and each settled probe and directed
+// test counts as PreSeeded, two per pair in optimized mode.
 func (s *state) decideRest() {
+	perBit := int64(1)
+	if s.optimized {
+		perBit = 2
+	}
 	for x := 0; x < s.n; x++ {
 		if s.satState[x].CompareAndSwap(satUnknown, satYes) {
 			s.count.PreSeeded.Add(1)
 		}
-		if s.optimized {
-			s.count.PreSeeded.Add(2 * int64(s.P[x].Count()))
-		} else {
-			s.count.PreSeeded.Add(int64(s.tested.SetRow(x, s.P[x].Snapshot()).Count()))
-		}
+		s.count.PreSeeded.Add(perBit * int64(s.P[x].Count()))
 		s.P[x].ClearAll()
 	}
 }

@@ -65,17 +65,12 @@ type state struct {
 	// P[x] bit y: subsumption between x and y still unresolved. In basic
 	// mode the bit means "y is a possible subsumee of x" and both (x,y)
 	// and (y,x) bits exist; in optimized mode the pair is stored only at
-	// the smaller index (paper Sec. IV, Definition 2).
+	// the smaller index (paper Sec. IV, Definition 2). Clearing a bit
+	// atomically claims its test, so the clear is the paper's tested()
+	// predicate in both modes and no separate n×n matrix exists.
 	P []*bitset.Atomic
 	// K[x] bit y: y is a known subsumee of x (y ⊑ x, y ≠ x).
 	K []*bitset.Atomic
-	// tested bit (x,y): subs?(x,y) — "is y ⊑ x" — has been decided
-	// (tested or inferred). TestAndSet is the paper's tested() predicate.
-	// Only allocated in basic mode: optimized mode claims pairs by
-	// atomically clearing their single P bit, which both implements
-	// tested() and halves the shared-state footprint (P stores each pair
-	// once, and no n×n matrix exists).
-	tested *bitset.Matrix
 
 	satState []atomic.Int32
 
@@ -159,9 +154,9 @@ func (s *state) charge(start time.Time, virtual time.Duration) time.Duration {
 
 type classError struct{ err error }
 
-// stateFor returns the state of a run over t without its P, K and
-// tested sets: a restored snapshot supplies them (restoreSnapshot), and
-// initSets builds a fresh run's.
+// stateFor returns the state of a run over t without its P and K sets:
+// a restored snapshot supplies them (restoreSnapshot), and initSets
+// builds a fresh run's.
 func stateFor(t *dl.TBox, r reasoner.Interface, optimized bool) *state {
 	named := t.NamedConcepts()
 	n := len(named) + 1
@@ -193,9 +188,6 @@ func (s *state) initSets() {
 	n := s.n
 	s.P = make([]*bitset.Atomic, n)
 	s.K = make([]*bitset.Atomic, n)
-	if !s.optimized {
-		s.tested = bitset.NewMatrix(n, n)
-	}
 	for i := 0; i < n; i++ {
 		s.P[i] = bitset.NewAtomic(n)
 		s.K[i] = bitset.NewAtomic(n)
@@ -206,23 +198,19 @@ func (s *state) initSets() {
 			s.P[x].FillRange(x+1, n)
 		}
 	} else {
-		for x := 0; x < n; x++ {
+		for x := 0; x < s.top; x++ { // P_⊤ stays empty (below)
 			s.P[x].FillAll()
 			s.P[x].Clear(x)
 		}
 	}
 	// X ⊑ ⊤ is trivially true for every X: seed K_⊤, and in basic mode
-	// resolve the directed entry (⊤, X) up front. The opposite direction
+	// leave the directed entries (⊤, X) out of P. The opposite direction
 	// ⊤ ⊑ X (equivalence to ⊤, see paper Example 3.2's A ≡ ⊤) stays in P
 	// and is decided by a test: in basic mode it is the pair entry
 	// (X, ⊤), in optimized mode the single stored pair {X, ⊤} keeps both
 	// directions alive.
 	s.satState[s.top].Store(satYes)
 	s.K[s.top].FillRange(0, n-1)
-	if !s.optimized {
-		s.tested.SetRow(s.top, s.K[s.top].Snapshot())
-		s.P[s.top].ClearAll()
-	}
 }
 
 // fail records the first error and poisons the run.
@@ -302,7 +290,7 @@ func (s *state) remainingPossible() int64 {
 
 // testDirected runs subs?(x, y) — is y ⊑ x — through the plug-in,
 // recording the result in K/P, counting the test in tally and returning
-// the verdict. The caller must have claimed the tested bit. Its cost is
+// the verdict. The caller must have claimed the test. Its cost is
 // the test's virtual cost under a reasoner.Virtual plug-in and its
 // measured time when Async's hardness EWMAs need one; otherwise no clock
 // is read and the cost is 0, since the task is charged its wall time.
@@ -391,20 +379,20 @@ func (s *state) hardLoad(c int) int64 {
 }
 
 // resolveBasic performs the basic-mode directed test of Algorithm 2 /
-// Algorithm 3: claim the pair, check satisfiability, test, update P.
-// It counts in tally and returns the test's cost (see testDirected).
+// Algorithm 3: claim the entry by clearing its P bit, check
+// satisfiability, test. It counts in tally and returns the test's cost
+// (see testDirected).
 func (s *state) resolveBasic(x, y int, tally *Stats) time.Duration {
 	if x == y || s.failed() {
 		return 0
 	}
-	if s.tested.TestAndSet(x, y) {
+	if !s.P[x].Clear(y) {
 		return 0
 	}
 	if !s.sat(x) || !s.sat(y) {
 		return 0
 	}
 	_, cost := s.testDirected(x, y, tally)
-	s.P[x].Clear(y)
 	return cost
 }
 

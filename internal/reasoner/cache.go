@@ -184,8 +184,8 @@ type CacheSnapshot struct {
 
 // CachePorter is an optional capability: exporting and importing settled
 // answers. Classification checkpoints do not carry them: a snapshot is
-// cut at quiescence, where P, K and tested already hold every answer a
-// memo could supply. Implementations must be safe for concurrent use.
+// cut at quiescence, where P and K already hold every answer a memo
+// could supply. Implementations must be safe for concurrent use.
 type CachePorter interface {
 	ExportCache() CacheSnapshot
 	ImportCache(CacheSnapshot)

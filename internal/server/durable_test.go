@@ -145,21 +145,28 @@ func TestRestartReadopt(t *testing.T) {
 	}
 }
 
-// TestReadoptRefusesOldCheckpoint: a classified entry whose checkpoint
-// carries an older format version (its version field rewritten to 3 and
-// the CRC resealed, so only the version check can refuse it) comes back
-// interrupted at boot instead of serving or failing the boot, and a
-// resubmit reclassifies it to the same taxonomy.
+// TestReadoptRefusesOldCheckpoint: classified entries whose checkpoints
+// carry an older format version (the version field rewritten to 3 in one
+// and to 4 in the other, the CRC resealed, so only the version check can
+// refuse them) come back interrupted at boot instead of serving or
+// failing the boot, and a resubmit reclassifies each to the same
+// taxonomy.
 func TestReadoptRefusesOldCheckpoint(t *testing.T) {
 	t.Parallel()
 	ckdir := t.TempDir()
 	text := genOBO(t, 63, 80)
+	versions := map[string]uint32{"v3": 3, "v4": 4}
 	s1, ts1 := newTestServer(t, Config{CheckpointDir: ckdir})
-	if code, body := submit(t, ts1, "old", "", text); code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d: %s", code, body)
+	for id := range versions {
+		if code, body := submit(t, ts1, id, "", text); code != http.StatusAccepted {
+			t.Fatalf("submit %s: HTTP %d: %s", id, code, body)
+		}
 	}
-	waitStatus(t, ts1, "old", StatusClassified)
-	_, _, want := get(t, ts1.URL+"/ontologies/old/taxonomy")
+	want := map[string]string{}
+	for id := range versions {
+		waitStatus(t, ts1, id, StatusClassified)
+		_, _, want[id] = get(t, ts1.URL+"/ontologies/"+id+"/taxonomy")
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s1.Drain(ctx); err != nil {
@@ -167,30 +174,36 @@ func TestReadoptRefusesOldCheckpoint(t *testing.T) {
 	}
 	ts1.Close()
 
-	ck := filepath.Join(ckdir, "old.ck")
-	data, err := os.ReadFile(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(data[8:], 3) // the version follows the 8-byte magic
-	body := data[:len(data)-4]
-	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(body))
-	if err := os.WriteFile(ck, data, 0o644); err != nil {
-		t.Fatal(err)
+	for id, v := range versions {
+		ck := filepath.Join(ckdir, id+".ck")
+		data, err := os.ReadFile(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(data[8:], v) // the version follows the 8-byte magic
+		body := data[:len(data)-4]
+		binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(body))
+		if err := os.WriteFile(ck, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	_, ts2 := newTestServer(t, Config{CheckpointDir: ckdir})
 	waitReady(t, ts2)
-	info := waitStatus(t, ts2, "old", StatusInterrupted)
-	if !strings.Contains(info.Error, "unsupported version 3") {
-		t.Errorf("interrupted entry's error = %q, want the version refusal", info.Error)
+	for id, v := range versions {
+		info := waitStatus(t, ts2, id, StatusInterrupted)
+		if refusal := fmt.Sprintf("unsupported version %d", v); !strings.Contains(info.Error, refusal) {
+			t.Errorf("%s: interrupted entry's error = %q, want the version refusal", id, info.Error)
+		}
+		if code, body := submit(t, ts2, id, "", text); code != http.StatusAccepted {
+			t.Fatalf("resubmit %s: HTTP %d: %s", id, code, body)
+		}
 	}
-	if code, body := submit(t, ts2, "old", "", text); code != http.StatusAccepted {
-		t.Fatalf("resubmit: HTTP %d: %s", code, body)
-	}
-	waitStatus(t, ts2, "old", StatusClassified)
-	if _, _, got := get(t, ts2.URL+"/ontologies/old/taxonomy"); got != want {
-		t.Errorf("reclassified taxonomy differs (%d vs %d bytes)", len(got), len(want))
+	for id := range versions {
+		waitStatus(t, ts2, id, StatusClassified)
+		if _, _, got := get(t, ts2.URL+"/ontologies/"+id+"/taxonomy"); got != want[id] {
+			t.Errorf("%s: reclassified taxonomy differs (%d vs %d bytes)", id, len(got), len(want[id]))
+		}
 	}
 }
 

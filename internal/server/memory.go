@@ -8,10 +8,10 @@ import (
 )
 
 // Memory accounting and eviction: every warm generation is charged its
-// Snapshot.MemoryFootprint() (taxonomy DAG + kernel closure matrices —
-// the kernel dominates at 2·n² bits), and when Config.MaxResidentBytes
-// is set the registry evicts least-recently-queried classified entries
-// down to the budget. Eviction only drops the in-memory handle: the
+// Snapshot.MemoryFootprint() (taxonomy DAG + the kernel's ancestor
+// closure — the kernel dominates at n² bits), and when
+// Config.MaxResidentBytes is set the registry evicts least-recently-queried
+// classified entries down to the budget. Eviction only drops the in-memory handle: the
 // entry still lists as `classified`, its checkpoint and source stay on
 // disk, and the next query transparently re-adopts the checkpoint (the
 // first query after eviction pays the reload; answers are byte-identical

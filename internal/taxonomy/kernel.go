@@ -4,85 +4,75 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"unsafe"
 
 	"parowl/internal/bitset"
 	"parowl/internal/dl"
 )
 
 // Kernel is the compiled query form of a Taxonomy: dense node IDs plus
-// ancestor/descendant transitive-closure bit matrices, in the style of
-// the CNS OWL engine's uint64 closure tables. Subsumption becomes one
+// the ancestor transitive closure as one bit row per node, in the style
+// of the CNS OWL engine's uint64 closure tables. Subsumption becomes one
 // word-indexed bit test and the set-valued queries become word-parallel
-// row operations (OR/AND + popcount), replacing the pointer-chasing,
-// map-allocating walks in query.go.
+// row operations (AND + popcount) or a walk over ID-indexed bits,
+// replacing the pointer-chasing, map-allocating walks in query.go.
 //
 // Node IDs are the IDs Build stores on the nodes, their index in
-// Taxonomy.Nodes() (⊤ = 0, ⊥ = n-1, label order between).
-// The matrices are allocated with a word-aligned column count
-// (bitset.AlignCols) so every row is a whole number of uint64 words; the
-// padding columns are never set.
+// Taxonomy.Nodes() (⊤ = 0, ⊥ = n-1, label order between). The rows are
+// plain bitset.Set values cut from one backing array (bitset.Rows):
+// n·⌈n/64⌉ words, plus one row header per node. No descendant closure
+// is kept: it is the ancestor closure transposed, and the queries that
+// would read it walk child edges instead.
 //
 // A Kernel has no on-disk form: it is a pure function of its taxonomy,
 // so a restored taxonomy compiles its own. It is immutable after Compile
 // and safe for concurrent readers.
 type Kernel struct {
-	tax   *Taxonomy      // the taxonomy it was compiled from
-	n     int            // node count (matrix rows)
-	cols  int            // AlignCols(n) matrix columns
-	anc   *bitset.Matrix // bit (x,y): y is a strict ancestor of x
-	desc  *bitset.Matrix // bit (x,y): y is a strict descendant of x
-	depth []int32        // longest ⊤-path per node ID
+	tax   *Taxonomy    // the taxonomy it was compiled from
+	w     int          // words per closure row, ⌈n/64⌉
+	words []uint64     // the closure, row x at words [x·w, (x+1)·w)
+	anc   []bitset.Set // the same rows as sets: anc[x] bit y, y is a strict ancestor of x
+	depth []int32      // longest ⊤-path per node ID
+}
+
+// isAnc reports whether node y is a strict ancestor of node x, reading
+// the word straight from the closure: a test through anc[x] first loads
+// the row's header, one more dependent load per query, which made
+// subsumes about a fifth slower on actpathway (2-CPU host).
+func (k *Kernel) isAnc(x, y int) bool {
+	return k.words[x*k.w+y/64]&(1<<(uint(y)%64)) != 0
 }
 
 // Compile builds the query kernel for t using one worker per available
 // CPU. See CompileWorkers.
 func Compile(t *Taxonomy) *Kernel { return CompileWorkers(t, runtime.GOMAXPROCS(0)) }
 
-// CompileWorkers builds the query kernel for t. The closure matrices are
-// built in a single reverse-topological sweep each: nodes are grouped
-// into antichain levels (equal longest-path depth), every node's row is
-// the word-parallel OR of its parents' (resp. children's) completed rows
-// plus one bit per direct edge, and the nodes within a level — which can
-// never be related — are compiled in parallel across workers.
+// CompileWorkers builds the query kernel for t in one top-down sweep:
+// nodes are grouped into antichain levels by longest-path depth from ⊤
+// (which is also their depth), every parent of a level-d node sits at a
+// level < d, so its row is complete when the level is processed, and a
+// node's row is the OR of its parents' rows plus one bit per parent. The
+// nodes of one level are never related and write disjoint rows, so a
+// level is compiled in parallel across workers without atomics; the
+// join after each level orders its writes before the next level's
+// reads.
 func CompileWorkers(t *Taxonomy, workers int) *Kernel {
 	n := len(t.nodes)
-	k := &Kernel{
-		tax:   t,
-		n:     n,
-		cols:  bitset.AlignCols(n),
-		depth: make([]int32, n),
-	}
-	k.anc = bitset.NewMatrix(n, k.cols)
-	k.desc = bitset.NewMatrix(n, k.cols)
+	w := (n + 63) / 64
+	k := &Kernel{tax: t, w: w, words: make([]uint64, n*w), depth: make([]int32, n)}
+	k.anc = bitset.Rows(k.words, n, n)
 	if workers < 1 {
 		workers = 1
 	}
-
-	// Downward sweep: levels by longest-path depth from ⊤. Every parent
-	// of a level-d node sits at a level < d, so its ancestor row is
-	// already complete when the level is processed, and nodes within one
-	// level are an antichain (depth strictly increases along edges) so
-	// they touch disjoint rows.
-	ancLevels := levels(t.nodes, (*Node).Parents, (*Node).Children)
-	for d, level := range ancLevels {
+	for d, level := range levels(t.nodes) {
 		for _, x := range level {
 			k.depth[x] = int32(d)
 		}
-	}
-	for _, level := range ancLevels {
-		k.forEachParallel(level, workers, func(x int) {
+		forEachParallel(level, workers, func(x int) {
+			row := &k.anc[x]
 			for _, p := range t.nodes[x].parents {
-				k.anc.Set(x, p.id)
-				k.anc.OrRow(x, p.id)
-			}
-		})
-	}
-	// Upward sweep: the mirror image, levels by height above the leaves.
-	for _, level := range levels(t.nodes, (*Node).Children, (*Node).Parents) {
-		k.forEachParallel(level, workers, func(x int) {
-			for _, c := range t.nodes[x].children {
-				k.desc.Set(x, c.id)
-				k.desc.OrRow(x, c.id)
+				row.Union(&k.anc[p.id])
+				row.Set(p.id)
 			}
 		})
 	}
@@ -90,18 +80,18 @@ func CompileWorkers(t *Taxonomy, workers int) *Kernel {
 }
 
 // levels groups node IDs into antichain levels by longest-path distance
-// from the nodes with no prev-edges (Kahn's algorithm; next is the
-// reverse of prev). A node is released only after every prev-edge is
-// consumed, so its level — the max over its prev nodes' levels plus one —
+// from ⊤, the one node without parents (Kahn's algorithm over the
+// parent edges). A node is released only after every parent edge is
+// consumed, so its level — the max over its parents' levels plus one —
 // is final when assigned. Each returned slice holds the nodes of exactly
 // one level, so within a slice no two nodes are related and all their
-// prev rows are complete. Over parents, a node's level is its depth.
-func levels(nodes []*Node, prev, next func(*Node) []*Node) [][]int {
+// parents' rows are complete. A node's level is its depth.
+func levels(nodes []*Node) [][]int {
 	remaining := make([]int, len(nodes))
 	level := make([]int, len(nodes))
 	var frontier []int
 	for i, nd := range nodes {
-		remaining[i] = len(prev(nd))
+		remaining[i] = len(nd.parents)
 		if remaining[i] == 0 {
 			frontier = append(frontier, i)
 		}
@@ -112,7 +102,7 @@ func levels(nodes []*Node, prev, next func(*Node) []*Node) [][]int {
 		for _, x := range frontier {
 			processed++
 			maxLevel = max(maxLevel, level[x])
-			for _, y := range next(nodes[x]) {
+			for _, y := range nodes[x].children {
 				level[y.id] = max(level[y.id], level[x]+1)
 				remaining[y.id]--
 				if remaining[y.id] == 0 {
@@ -136,7 +126,7 @@ func levels(nodes []*Node, prev, next func(*Node) []*Node) [][]int {
 // `workers` goroutines when the level is large enough to pay for it. The
 // WaitGroup join gives the next level a happens-before edge on every row
 // written here.
-func (k *Kernel) forEachParallel(level []int, workers int, fn func(x int)) {
+func forEachParallel(level []int, workers int, fn func(x int)) {
 	const minPerWorker = 16
 	if workers == 1 || len(level) < 2*minPerWorker {
 		for _, x := range level {
@@ -170,12 +160,14 @@ func (k *Kernel) forEachParallel(level []int, workers int, fn func(x int)) {
 }
 
 // NumClasses returns the number of taxonomy nodes the kernel covers.
-func (k *Kernel) NumClasses() int { return k.n }
+func (k *Kernel) NumClasses() int { return len(k.anc) }
 
-// MemoryFootprint returns the approximate resident size of the closure
-// matrices and depth table in bytes.
+// MemoryFootprint returns the bytes the kernel holds, as Compile
+// allocates them: the closure rows' words and headers and the depth
+// table.
 func (k *Kernel) MemoryFootprint() int {
-	return 2*k.n*(k.cols/8) + 4*k.n
+	n := len(k.anc)
+	return 8*len(k.words) + n*int(unsafe.Sizeof(bitset.Set{})) + 4*n
 }
 
 func (k *Kernel) idOf(c *dl.Concept) (int, bool) {
@@ -193,7 +185,7 @@ func (k *Kernel) IsAncestor(anc, c *dl.Concept) bool {
 	if !ok1 || !ok2 {
 		return false
 	}
-	return k.anc.Test(ic, ia)
+	return k.isAnc(ic, ia)
 }
 
 // Subsumes reports c ⊑ sup: equivalence (same node) or strict ancestry.
@@ -203,7 +195,7 @@ func (k *Kernel) Subsumes(sup, c *dl.Concept) bool {
 	if !ok1 || !ok2 {
 		return false
 	}
-	return is == ic || k.anc.Test(ic, is)
+	return is == ic || k.isAnc(ic, is)
 }
 
 // SubsumesBatch answers sub ⊑ sups[i] for every i against a single
@@ -220,15 +212,16 @@ func (k *Kernel) SubsumesBatch(sub *dl.Concept, sups []*dl.Concept) []bool {
 	}
 	for i, sup := range sups {
 		is, ok := k.idOf(sup)
-		out[i] = ok && (is == ic || k.anc.Test(ic, is))
+		out[i] = ok && (is == ic || k.isAnc(ic, is))
 	}
 	return out
 }
 
-func (k *Kernel) rowNodes(m *bitset.Matrix, r int) []*Node {
-	out := make([]*Node, 0, m.RowCount(r))
-	m.RowForEach(r, func(c int) bool {
-		out = append(out, k.tax.nodes[c])
+// nodesOf returns the nodes whose IDs row holds, in ID order.
+func (k *Kernel) nodesOf(row *bitset.Set) []*Node {
+	out := make([]*Node, 0, row.Count())
+	row.ForEach(func(id int) bool {
+		out = append(out, k.tax.nodes[id])
 		return true
 	})
 	return out
@@ -240,16 +233,30 @@ func (k *Kernel) Ancestors(c *dl.Concept) []*Node {
 	if !ok {
 		return nil
 	}
-	return k.rowNodes(k.anc, ic)
+	return k.nodesOf(&k.anc[ic])
 }
 
-// Descendants returns all strict descendant nodes of c in ID order.
+// Descendants returns all strict descendant nodes of c in ID order: a
+// walk down the child edges that marks each node it reaches in an
+// ID-indexed set, so a node below several parents is expanded once.
 func (k *Kernel) Descendants(c *dl.Concept) []*Node {
 	ic, ok := k.idOf(c)
 	if !ok {
 		return nil
 	}
-	return k.rowNodes(k.desc, ic)
+	seen := bitset.New(len(k.anc))
+	stack := []*Node{k.tax.nodes[ic]}
+	for len(stack) > 0 {
+		nd := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, ch := range nd.children {
+			if !seen.Test(ch.id) {
+				seen.Set(ch.id)
+				stack = append(stack, ch)
+			}
+		}
+	}
+	return k.nodesOf(seen)
 }
 
 // Equivalents returns the concepts equivalent to c (including c).
@@ -272,25 +279,33 @@ func (k *Kernel) Depth(c *dl.Concept) int {
 }
 
 // LCA returns the lowest common ancestors of a and b (reflexive), sorted
-// by label. The common-ancestor set is two row snapshots intersected
-// word-parallel; a candidate is pruned when its descendant row intersects
-// the shared set.
+// by label. The common-ancestor set is two ancestor rows intersected
+// word-parallel. It is upward closed, so a candidate with a shared
+// strict descendant also has a shared direct child (the first step of a
+// path down to it): a candidate is dropped when one of its children is
+// shared.
 func (k *Kernel) LCA(a, b *dl.Concept) []*Node {
 	ia, ok1 := k.idOf(a)
 	ib, ok2 := k.idOf(b)
 	if !ok1 || !ok2 {
 		return nil
 	}
-	shared := k.anc.RowSnapshot(ia)
+	shared := bitset.New(len(k.anc))
+	shared.Union(&k.anc[ia])
 	shared.Set(ia)
-	sb := k.anc.RowSnapshot(ib)
-	sb.Set(ib)
-	shared.Intersect(sb)
+	self := shared.Test(ib) // b itself is shared: b ⊒ a
+	shared.Intersect(&k.anc[ib])
+	if self {
+		shared.Set(ib)
+	}
 	var lowest []*Node
-	shared.ForEach(func(c int) bool {
-		if !k.desc.RowIntersectsSet(c, shared) {
-			lowest = append(lowest, k.tax.nodes[c])
+	shared.ForEach(func(id int) bool {
+		for _, ch := range k.tax.nodes[id].children {
+			if shared.Test(ch.id) {
+				return true
+			}
 		}
+		lowest = append(lowest, k.tax.nodes[id])
 		return true
 	})
 	sortNodes(lowest)

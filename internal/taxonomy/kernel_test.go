@@ -9,13 +9,13 @@ import (
 	"parowl/internal/dl"
 )
 
-// randomTaxonomy builds a random DAG taxonomy: edges only from lower to
-// higher index among the first m concepts (guaranteeing acyclicity); the
-// edge-free tail block supplies equivalences and unsatisfiable concepts,
-// so merging a tail concept into any class can never create a cycle.
-func randomTaxonomy(rng *rand.Rand) (*Taxonomy, *dl.Factory, []*dl.Concept) {
+// randomTaxonomy builds a random DAG taxonomy over n named concepts:
+// edges only from lower to higher index among the first m concepts
+// (guaranteeing acyclicity); the edge-free tail block supplies
+// equivalences and unsatisfiable concepts, so merging a tail concept into
+// any class can never create a cycle.
+func randomTaxonomy(rng *rand.Rand, n int) (*Taxonomy, *dl.Factory, []*dl.Concept) {
 	f := dl.NewFactory()
-	n := 8 + rng.Intn(48)
 	m := n - n/6
 	cs := make([]*dl.Concept, n)
 	for i := range cs {
@@ -154,12 +154,25 @@ func randomPairs(rng *rand.Rand, n, count int) [][2]int {
 
 // TestKernelEquivalenceRandom checks all six query operations agree
 // between the map-based pointer-DAG path and the compiled kernel on
-// random taxonomies (satellite: randomized kernel-vs-DAG suite).
+// random taxonomies. Half of them have 8–55 concepts, so every kernel row
+// is one word; the other half have 65–200, so rows span two to four
+// words and most end inside one. ⊤ is among the queried concepts, and
+// the pairs include ⊤ on either side and a = b.
 func TestKernelEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
-	for trial := 0; trial < 40; trial++ {
-		tax, _, cs := randomTaxonomy(rng)
+	for trial := 0; trial < 60; trial++ {
+		n := 8 + rng.Intn(48)
+		if trial%2 == 1 {
+			n = 65 + rng.Intn(136)
+		}
+		tax, f, named := randomTaxonomy(rng, n)
+		cs := append(named[:n:n], f.Top())
+		top := len(cs) - 1
 		pairs := randomPairs(rng, len(cs), 40)
+		for i := 0; i < 4; i++ {
+			a, b := rng.Intn(len(cs)), rng.Intn(len(cs))
+			pairs = append(pairs, [2]int{a, a}, [2]int{top, b}, [2]int{b, top})
+		}
 		want := collectAnswers(tax, cs, pairs) // kernel not yet compiled: map path
 		k := tax.CompileKernel(1 + rng.Intn(4))
 		if k == nil || tax.Kernel() != k {
@@ -176,7 +189,7 @@ func TestKernelEquivalenceRandom(t *testing.T) {
 func TestKernelDepthMatchesSummarize(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
-		tax, _, _ := randomTaxonomy(rng)
+		tax, _, _ := randomTaxonomy(rng, 8+rng.Intn(48))
 		depths := tax.allDepths()
 		maxDepth := 0
 		for i, n := range tax.nodes {
@@ -194,7 +207,8 @@ func TestKernelDepthMatchesSummarize(t *testing.T) {
 }
 
 func BenchmarkKernelCompile(b *testing.B) {
-	tax, _, _ := randomTaxonomy(rand.New(rand.NewSource(42)))
+	rng := rand.New(rand.NewSource(42))
+	tax, _, _ := randomTaxonomy(rng, 8+rng.Intn(48))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		CompileWorkers(tax, 4)

@@ -113,7 +113,7 @@ func (t *Taxonomy) allDepths() []int {
 		}
 		return out
 	}
-	for d, level := range levels(t.nodes, (*Node).Parents, (*Node).Children) {
+	for d, level := range levels(t.nodes) {
 		for _, x := range level {
 			out[x] = d
 		}

@@ -249,8 +249,8 @@ func (s *Snapshot) Complete() bool { return len(s.res.Undecided) == 0 }
 func (s *Snapshot) Kernel() *TaxonomyKernel { return s.tax.CompileKernel(0) }
 
 // MemoryFootprint estimates the generation's resident cost in bytes: the
-// taxonomy DAG plus the compiled query kernel's closure matrices (the
-// dominant term — 2·n² bits — on large ontologies). A kernel that has not
+// taxonomy DAG plus the compiled query kernel's closure rows (the
+// dominant term — n² bits — on large ontologies). A kernel that has not
 // been compiled yet contributes nothing; the owld daemon always serves
 // kernel-compiled snapshots, so for its eviction budget this is the real
 // reclaimable size.

@@ -64,10 +64,11 @@ type (
 	// TaxonomyDiff reports semantic differences between two taxonomies.
 	TaxonomyDiff = taxonomy.Diff
 	// TaxonomyKernel is the compiled bit-matrix query form of a Taxonomy:
-	// dense node IDs plus ancestor/descendant closure matrices that serve
-	// Subsumes as one bit test and the set queries as word-parallel row
-	// operations. Compile with Taxonomy.CompileKernel, Options.CompileKernel,
-	// or Snapshot.Kernel. It has no on-disk form: a resumed or adopted
+	// dense node IDs plus one ancestor-closure bit row per node, which
+	// serves Subsumes as one bit test, Ancestors and LCA as word-parallel
+	// row operations, and Descendants as a walk down the child edges.
+	// Compile with Taxonomy.CompileKernel, Options.CompileKernel, or
+	// Snapshot.Kernel. It has no on-disk form: a resumed or adopted
 	// checkpoint compiles it again.
 	TaxonomyKernel = taxonomy.Kernel
 	// Reasoner is the plug-in interface behind sat?() and subs?(). Both

@@ -7,61 +7,77 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-echo "== go build ./..."
+# step closes the running step, printing its elapsed seconds, and opens
+# the next one, printing its title; a bare `step` closes the last one.
+begin=$(date +%s)
+started=
+step() {
+    now=$(date +%s)
+    if [ -n "$started" ]; then
+        echo "   ($((now - started)) s)"
+    fi
+    started=$now
+    if [ $# -gt 0 ]; then
+        echo "== $*"
+    fi
+}
+
+step "go build ./..."
 go build ./...
-echo "== go vet ./..."
+step "go vet ./..."
 go vet ./...
-echo "== go test ./..."
+step "go test ./..."
 go test ./...
-echo "== perfbench: the benchmark module's own build and tests"
+step "perfbench: the benchmark module's own build and tests"
 (cd perfbench && go test ./...)
-echo "== go test -race (core, tableau, reasoner, el, taxonomy, bitset)"
+step "go test -race (core, tableau, reasoner, el, taxonomy, bitset)"
 go test -race ./internal/core/... ./internal/tableau/... ./internal/reasoner/... ./internal/el/... ./internal/taxonomy/... ./internal/bitset/...
-echo "== EL saturation suite: sequential oracle (rows, and the links of live roles), live roles, pure atoms, worker counts, cancellation, row seeding (-race -count=10)"
+step "EL saturation suite: sequential oracle (rows, and the links of live roles), live roles, pure atoms, worker counts, cancellation, row seeding; the prepass's row-wise claims, basic mode's P-bit claims included, against the per-fact reference (-race -count=10)"
 go test -race -count=10 -run 'TestSaturationMatchesOracle|TestLiveRoles|TestPureAtoms|TestQuickWorkerCountIrrelevant|TestSaturationCancelled|TestFragmentSeeds' ./internal/el/
-go test -race -count=10 -run 'TestPrepassCountersExample|TestNewStateFill' ./internal/core/
-echo "== counter record: cycle deltas sum to Stats under both policies, checkpoint counter layout, per-task tallies settle every pair once, virtual charges, word-parallel pruning vs the per-bit reference and from concurrent workers; EL queries refuse foreign concepts (-race -count=3)"
+go test -race -count=10 -run 'TestPrepassCountersExample|TestNewStateFill|TestPrepassRowsMatchPerFact' ./internal/core/
+step "counter record: cycle deltas sum to Stats under both policies, checkpoint counter layout, per-task tallies settle every pair once, virtual charges, word-parallel pruning vs the per-bit reference and from concurrent workers; EL queries refuse foreign concepts (-race -count=3)"
 go test -race -count=3 -run 'TestStatsAndPruning|TestCheckpointCounterLayout|TestPairAccounting|TestOracleChargesVirtualCost|TestQuickPruneMatchesPerBit|TestConcurrentPrunesKeepReachability' ./internal/core/
 go test -race -count=3 -run 'TestQueriesRefuseForeignConcepts' ./internal/el/
-echo "== phase 3: word-parallel contraction, closure and reduction vs the per-bit reference; tile-pair and NextAndNot helpers; taxonomy.Build's classes, ⊥ and node IDs (-race -count=3)"
+step "phase 3: word-parallel contraction, closure and reduction vs the per-bit reference; tile-pair and NextAndNot helpers; taxonomy.Build's classes, ⊥ and node IDs (-race -count=3)"
 go test -race -count=3 -run 'TestQuickPhase3MatchesPerBit|TestWorkerLoadsRecorded' ./internal/core/
 go test -race -count=3 -run 'TestMutualPairsMatchesPerBit|TestNextAndNotMatchesPerBit' ./internal/bitset/
 go test -race -count=3 -run 'TestQuickFromSubsumersInvariants' ./internal/taxonomy/
-echo "== cheap-first pipeline equivalence suite, brute force included (-race)"
+step "cheap-first pipeline equivalence suite, brute force included (-race)"
 go test -race -count=1 -run 'TestQuickPipelineEquivalence|TestPipelineEquivalenceOntogen|TestPipelineReducesCalls|TestPrepassFragmentUnsatConcept|TestQuickMatchesBruteForce' ./internal/core/
-echo "== model-filter rows: rows vs pairwise merges, panicking and cancelled row builds (-race -count=3)"
+step "model-filter rows: rows vs pairwise merges, panicking and cancelled row builds (-race -count=3)"
 go test -race -count=3 -run 'TestFilterRowsMatchPairwise|TestDisprovesSubsSound' ./internal/tableau/
 go test -race -count=3 -run 'TestRowFilterFaults' ./internal/core/
-echo "== crash-safety suite: kill-and-resume + chaos soundness, old and damaged snapshots, the kernel left out of checkpoints (-race)"
+step "crash-safety suite: kill-and-resume + chaos soundness, old and damaged snapshots, the kernel left out of checkpoints (-race)"
 go test -race -count=1 -run 'TestKillAndResumeEquivalence|TestChaosPanicSoundness|TestResumeRejectsBadSnapshots|TestAdoptRejectsBadFiles|TestCheckpointIgnoresKernel|TestCheckpointResumeCompletedRun|TestKernelCheckpointRoundTrip|TestSnapshotDecodeFuzz|TestSnapshotKernelDecodeFuzz' ./internal/core/
-echo "== scheduler suite: roundrobin/async equivalence, stealing deques, epoch checkpoints (-race)"
+step "scheduler suite: roundrobin/async equivalence, stealing deques, epoch checkpoints (-race)"
 go test -race -count=1 -run 'TestQuickCrossPolicyEquivalence|TestCrossPolicyEquivalenceOntogen|TestWorkStealingActuallySteals|TestSchedulingValidation|TestDequeOwnerThiefProperty|TestDequeLastElementRace|TestWorkerQueueResetLateThief|TestBarrierAssertsDequesEmpty|TestPoolStealingBalancesSkew|TestKillAndResumeAsync|TestAsyncQuiescesLessThanBarrierMode' ./internal/core/
 
-echo "== query-kernel equivalence suite: kernel vs DAG answers (-race)"
+step "query-kernel equivalence suite: kernel vs DAG answers (-race)"
 go test -race -count=1 -run 'TestKernelEquivalenceRandom|TestKernelEquivalenceOntogen' ./internal/taxonomy/
 
-echo "== owld serving suite: registry + admission + drain (-race)"
+step "owld serving suite: registry + admission + drain (-race)"
 go test -race -count=1 ./internal/server/
 
-echo "== owld end-to-end smoke: daemon answers byte-identical to owlclass"
+step "owld end-to-end smoke: daemon answers byte-identical to owlclass"
 sh scripts/serve_smoke.sh
 
-echo "== owld durable-registry drill: SIGKILL + chaos re-adoption + eviction"
+step "owld durable-registry drill: SIGKILL + chaos re-adoption + eviction"
 sh scripts/serve_chaos.sh
 
 # Static analysis beyond vet, when the tools are installed. staticcheck
 # failures are hard errors; govulncheck needs the network for its vuln DB,
 # so an offline/transient failure only warns.
 if command -v staticcheck >/dev/null 2>&1; then
-    echo "== staticcheck ./..."
+    step "staticcheck ./..."
     staticcheck ./...
 else
-    echo "== staticcheck not installed; skipping"
+    step "staticcheck not installed; skipping"
 fi
 if command -v govulncheck >/dev/null 2>&1; then
-    echo "== govulncheck ./..."
+    step "govulncheck ./..."
     govulncheck ./... || echo "verify: WARNING: govulncheck failed (network or DB unavailable); not fatal"
 else
-    echo "== govulncheck not installed; skipping"
+    step "govulncheck not installed; skipping"
 fi
-echo "verify: OK"
+step
+echo "verify: OK ($(( $(date +%s) - begin )) s)"
