@@ -407,45 +407,53 @@ func withDisjointLeaves(b *testing.B, tb *TBox) *TBox {
 	return ont.TBox()
 }
 
-// BenchmarkAdopt times a restart's re-adoption on perfbench classify-el's
-// corpus, WBbt at 1/3 scale: Engine.Load parses the OBO bytes and
-// Ontology.Adopt rebuilds the taxonomy from a completed checkpoint and
-// compiles its kernel, as owld does at boot and on a cold reload. It
-// reports the checkpoint's size as ck-bytes.
+// BenchmarkAdopt times a restart's re-adoption: Engine.Load parses the
+// OBO bytes and Ontology.Adopt rebuilds the taxonomy from a finished
+// checkpoint and compiles its kernel, as owld does at boot and on a cold
+// reload. WBbt-3 is perfbench classify-el's corpus, WBbt at 1/3 scale,
+// and EMAP-8 serve's cold-read corpus, EMAP at 1/8. Each reports the
+// checkpoint's size as ck-bytes.
 //
 //	go test -run '^$' -bench Adopt -benchmem .
 func BenchmarkAdopt(b *testing.B) {
-	var src bytes.Buffer
-	if err := Write(&src, benchCorpus(b, "WBbt.obo", 3), FormatOBO); err != nil {
-		b.Fatal(err)
+	for _, c := range []struct {
+		name, profile string
+		scale         int
+	}{{"WBbt-3", "WBbt.obo", 3}, {"EMAP-8", "EMAP#EMAP", 8}} {
+		b.Run(c.name, func(b *testing.B) {
+			var src bytes.Buffer
+			if err := Write(&src, benchCorpus(b, c.profile, c.scale), FormatOBO); err != nil {
+				b.Fatal(err)
+			}
+			eng := NewEngine()
+			ont, err := eng.Load(bytes.NewReader(src.Bytes()), c.name, FormatOBO)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ck := filepath.Join(b.TempDir(), c.name+".ck")
+			opts := eng.Options()
+			opts.Checkpoint, opts.CompileKernel = ck, true
+			if _, err := ont.ClassifyWith(context.Background(), opts); err != nil {
+				b.Fatal(err)
+			}
+			fi, err := os.Stat(ck)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fresh, err := eng.Load(bytes.NewReader(src.Bytes()), c.name, FormatOBO)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := fresh.Adopt(context.Background(), ck); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(fi.Size()), "ck-bytes")
+		})
 	}
-	eng := NewEngine()
-	ont, err := eng.Load(bytes.NewReader(src.Bytes()), "wbbt", FormatOBO)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ck := filepath.Join(b.TempDir(), "wbbt.ck")
-	opts := eng.Options()
-	opts.Checkpoint, opts.CompileKernel = ck, true
-	if _, err := ont.ClassifyWith(context.Background(), opts); err != nil {
-		b.Fatal(err)
-	}
-	fi, err := os.Stat(ck)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fresh, err := eng.Load(bytes.NewReader(src.Bytes()), "wbbt", FormatOBO)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := fresh.Adopt(context.Background(), ck); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(fi.Size()), "ck-bytes")
 }
 
 // BenchmarkCompileKernel times the kernel compile every adoption and

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -34,14 +35,22 @@ var (
 	queryWorkers = flag.Int("queryworkers", 8, "worker count for -exp query classification and kernel compilation")
 )
 
-// queryOpResult is one query family's row: mean ns/op on the pointer-DAG
-// path and on the compiled kernel, over the same sampled workload.
+// queryOpResult is one query family's row: ns/op on the pointer-DAG path
+// and on the compiled kernel, over the same sampled workload, each the
+// median of queryPasses timed passes (dag and kern).
 type queryOpResult struct {
-	Op       string  `json:"op"`
-	DagNsOp  float64 `json:"dag_ns_per_op"`
-	KernNsOp float64 `json:"kernel_ns_per_op"`
-	Speedup  float64 `json:"speedup"`
+	Op        string  `json:"op"`
+	DagNsOp   float64 `json:"dag_ns_per_op"`
+	KernNsOp  float64 `json:"kernel_ns_per_op"`
+	Speedup   float64 `json:"speedup"`
+	dag, kern []float64
 }
+
+// queryPasses is the number of testing.Benchmark passes per query family
+// and path. One pass moved by up to 2–3× between runs of one build; the
+// median of five, with all five in the .bench file for benchstat's
+// spread, can tell a 2× change from noise.
+const queryPasses = 5
 
 type queryProfileResult struct {
 	Profile          string          `json:"profile"`
@@ -112,10 +121,14 @@ func queryBench() error {
 	var bench strings.Builder
 	for _, pr := range report.Profiles {
 		for _, op := range pr.Ops {
-			fmt.Fprintf(&bench, "BenchmarkQuery/%s/op=%s/path=dag 1 %.0f ns/op\n",
-				sanitizeFile(pr.Profile), op.Op, op.DagNsOp)
-			fmt.Fprintf(&bench, "BenchmarkQuery/%s/op=%s/path=kernel 1 %.0f ns/op\n",
-				sanitizeFile(pr.Profile), op.Op, op.KernNsOp)
+			for _, ns := range op.dag {
+				fmt.Fprintf(&bench, "BenchmarkQuery/%s/op=%s/path=dag 1 %.0f ns/op\n",
+					sanitizeFile(pr.Profile), op.Op, ns)
+			}
+			for _, ns := range op.kern {
+				fmt.Fprintf(&bench, "BenchmarkQuery/%s/op=%s/path=kernel 1 %.0f ns/op\n",
+					sanitizeFile(pr.Profile), op.Op, ns)
+			}
 		}
 		fmt.Fprintf(&bench, "BenchmarkQuery/%s/compile 1 %.0f ns/op %d kernel-bytes\n",
 			sanitizeFile(pr.Profile), pr.CompileMS*1e6, pr.KernelBytes)
@@ -162,7 +175,7 @@ func queryBenchProfile(p ontogen.Profile) (*queryProfileResult, error) {
 
 	// Each op family is one closure, timed identically on both paths via
 	// the public Taxonomy API (which delegates to the kernel once it is
-	// attached). testing.Benchmark picks N per path, so slow DAG walks and
+	// attached). testing.Benchmark picks N per pass, so slow DAG walks and
 	// sub-ns kernel bit tests are both measured at meaningful iteration
 	// counts.
 	ops := []struct {
@@ -189,13 +202,21 @@ func queryBenchProfile(p ontogen.Profile) (*queryProfileResult, error) {
 			querySink += tax.Depth(probes[i%len(probes)])
 		}},
 	}
-	measure := func(fn func(i int)) float64 {
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				fn(i)
-			}
-		})
-		return float64(r.NsPerOp())
+	// measure returns the ns/op of queryPasses passes over fn, in the
+	// order they ran, and their median.
+	measure := func(fn func(i int)) ([]float64, float64) {
+		samples := make([]float64, queryPasses)
+		for k := range samples {
+			r := testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					fn(i)
+				}
+			})
+			samples[k] = float64(r.NsPerOp())
+		}
+		sorted := slices.Clone(samples)
+		slices.Sort(sorted)
+		return samples, sorted[len(sorted)/2]
 	}
 
 	answers := func() []string {
@@ -217,9 +238,10 @@ func queryBenchProfile(p ontogen.Profile) (*queryProfileResult, error) {
 	fmt.Printf("\n  %s: %d concepts, %d classes\n", p.Name, len(named), tax.NumClasses())
 	fmt.Printf("  %-12s %14s %14s %10s\n", "op", "dag", "kernel", "speedup")
 
-	dagNs := make([]float64, len(ops))
+	rows := make([]queryOpResult, len(ops))
 	for i, op := range ops {
-		dagNs[i] = measure(op.fn)
+		rows[i].Op = op.name
+		rows[i].dag, rows[i].DagNsOp = measure(op.fn)
 	}
 	want := answers()
 
@@ -239,10 +261,10 @@ func queryBenchProfile(p ontogen.Profile) (*queryProfileResult, error) {
 	}
 
 	for i, op := range ops {
-		kernNs := measure(op.fn)
-		row := queryOpResult{Op: op.name, DagNsOp: dagNs[i], KernNsOp: kernNs}
-		if kernNs > 0 {
-			row.Speedup = dagNs[i] / kernNs
+		row := rows[i]
+		row.kern, row.KernNsOp = measure(op.fn)
+		if row.KernNsOp > 0 {
+			row.Speedup = row.DagNsOp / row.KernNsOp
 		}
 		pres.Ops = append(pres.Ops, row)
 		fmt.Printf("  %-12s %12.0fns %12.0fns %9.1fx\n", op.name, row.DagNsOp, row.KernNsOp, row.Speedup)

@@ -26,8 +26,8 @@ func NewAtomic(n int) *Atomic {
 func (a *Atomic) Len() int { return a.n }
 
 func (a *Atomic) check(i int) {
-	if i < 0 || i >= a.n {
-		panic(fmt.Sprintf("bitset: index %d out of range [0,%d)", i, a.n))
+	if uint(i) >= uint(a.n) {
+		panic(indexError{i, a.n})
 	}
 }
 

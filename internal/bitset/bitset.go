@@ -71,9 +71,18 @@ func Rows(words []uint64, count, n int) []Set {
 // Len returns the capacity of the set in bits.
 func (s *Set) Len() int { return s.n }
 
+// indexError is the panic value of a bit operation given an index
+// outside [0, n). Its message is formatted only when printed, which keeps
+// Test, Set and Clear of both set types within the inliner's budget.
+type indexError struct{ i, n int }
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("bitset: index %d out of range [0,%d)", e.i, e.n)
+}
+
 func (s *Set) check(i int) {
-	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("bitset: index %d out of range [0,%d)", i, s.n))
+	if uint(i) >= uint(s.n) {
+		panic(indexError{i, s.n})
 	}
 }
 

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -48,16 +49,31 @@ func TestSetFillClearAll(t *testing.T) {
 }
 
 func TestSetOutOfRangePanics(t *testing.T) {
-	s := New(10)
-	for _, i := range []int{-1, 10, 1000} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("no panic for index %d", i)
-				}
+	s, a := New(10), NewAtomic(10)
+	ops := map[string]func(i int){
+		"Set.Test":     func(i int) { s.Test(i) },
+		"Set.Set":      func(i int) { s.Set(i) },
+		"Set.Clear":    func(i int) { s.Clear(i) },
+		"Atomic.Test":  func(i int) { a.Test(i) },
+		"Atomic.Set":   func(i int) { a.Set(i) },
+		"Atomic.Clear": func(i int) { a.Clear(i) },
+	}
+	for name, op := range ops {
+		for _, i := range []int{-1, 10, 1000} {
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Errorf("%s: no panic for index %d", name, i)
+						return
+					}
+					if got, want := fmt.Sprint(r), fmt.Sprintf("bitset: index %d out of range [0,10)", i); got != want {
+						t.Errorf("%s: panic %q, want %q", name, got, want)
+					}
+				}()
+				op(i)
 			}()
-			s.Test(i)
-		}()
+		}
 	}
 }
 

@@ -7,61 +7,48 @@ import (
 	"runtime"
 
 	"parowl/internal/dl"
+	"parowl/internal/taxonomy"
 )
 
 // Adoption is the restart path of a long-lived serving process: a daemon
-// that already classified an ontology and checkpointed the completed run
-// (its final snapshot, see checkpoint.go) wants the taxonomy and kernel
-// back at boot WITHOUT a reasoner and WITHOUT the clean-run fallback that
-// ClassifyContext's ResumeFrom performs on a bad snapshot. Reclassifying
-// at boot is exactly what a restart-tolerant registry must avoid, so
-// Adopt inverts the failure policy: an unusable snapshot is an error the
-// caller handles (degrade the entry, reclassify later, on its own
-// schedule), never a silent multi-minute reclassification.
+// that already classified an ontology and checkpointed the finished run
+// (its final snapshot, which holds the hierarchy; see checkpoint.go) wants
+// the taxonomy and kernel back at boot WITHOUT a reasoner and WITHOUT the
+// clean-run fallback that ClassifyContext's ResumeFrom performs on a bad
+// snapshot. Reclassifying at boot is exactly what a restart-tolerant
+// registry must avoid, so Adopt inverts the failure policy: an unusable
+// snapshot is an error the caller handles (degrade the entry, reclassify
+// later, on its own schedule), never a silent multi-minute
+// reclassification.
 
 // ErrIncompleteSnapshot reports an Adopt of a checkpoint whose run had
-// not finished: unresolved possible pairs remain, so no complete taxonomy
-// can be built from it. The snapshot itself is valid — resuming the
-// classification via Options.ResumeFrom will finish it.
+// not finished: it holds the run's P and K sets, not its hierarchy, so no
+// taxonomy can be built from it without classifying. The snapshot itself
+// is valid — resuming the classification via Options.ResumeFrom will
+// finish it.
 var ErrIncompleteSnapshot = errors.New("core: checkpoint snapshot is not a completed classification")
-
-// errAdoptReasoner fires if adoption ever reaches a reasoner call; it
-// cannot on a complete snapshot (the hierarchy phase reads only K), so
-// hitting it means the completeness check was wrong — fail loudly.
-var errAdoptReasoner = errors.New("core: internal error: reasoner invoked while adopting a completed checkpoint")
-
-// adoptReasoner is the plug-in slot filler for reasoner-free adoption.
-type adoptReasoner struct{}
-
-func (adoptReasoner) Sat(context.Context, *dl.Concept) (bool, error) {
-	return false, errAdoptReasoner
-}
-
-func (adoptReasoner) Subs(context.Context, *dl.Concept, *dl.Concept) (bool, error) {
-	return false, errAdoptReasoner
-}
 
 // AdoptOptions configures Adopt. Only the snapshot path is required.
 type AdoptOptions struct {
-	// Snapshot is the checkpoint file of a completed run.
+	// Snapshot is the checkpoint file of a finished run.
 	Snapshot string
-	// Workers sizes the pool building the hierarchy (phase 3) and the
-	// kernel compile; 0 means runtime.GOMAXPROCS(0).
+	// Workers sizes the kernel compile; 0 means runtime.GOMAXPROCS(0).
 	Workers int
 }
 
-// Adopt rebuilds a completed classification from its checkpoint file
-// without any reasoner: it restores the shared state, verifies the run
-// actually finished (zero unresolved pairs), rebuilds the taxonomy from
-// the K sets — byte-identical to the original run's, since phase 3 is a
-// pure function of K — and compiles its query kernel. The returned
+// Adopt rebuilds a finished classification from its checkpoint file
+// without any reasoner: it decodes the stored hierarchy, builds the
+// taxonomy from it — byte-identical to the original run's, since the run
+// built its own from the same hierarchy — and compiles its query kernel.
+// It builds no classification state and runs no phase 3. The returned
 // Result carries the original run's restored Stats and Undecided list,
 // and Resumed is always true.
 //
 // Errors: a missing/truncated/corrupt/mismatched snapshot wraps
-// ErrBadSnapshot; a valid but unfinished one wraps ErrIncompleteSnapshot.
-// Unlike ClassifyContext's ResumeFrom, Adopt NEVER falls back to a clean
-// classification — the caller decides whether and when to reclassify.
+// ErrBadSnapshot; a valid snapshot of an unfinished run wraps
+// ErrIncompleteSnapshot. Unlike ClassifyContext's ResumeFrom, Adopt NEVER
+// falls back to a clean classification — the caller decides whether and
+// when to reclassify.
 func Adopt(ctx context.Context, t *dl.TBox, opts AdoptOptions) (*Result, error) {
 	if opts.Snapshot == "" {
 		return nil, fmt.Errorf("core: AdoptOptions.Snapshot is required")
@@ -75,32 +62,34 @@ func Adopt(ctx context.Context, t *dl.TBox, opts AdoptOptions) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	s := stateFor(t, adoptReasoner{}, snap.optimized)
-	s.ctx = ctx
-	if err := s.restoreSnapshot(snap); err != nil {
-		return nil, err
-	}
-	if rem := s.remainingPossible(); rem != 0 {
-		return nil, fmt.Errorf("%w: %d unresolved possible pairs remain (phase %s)",
-			ErrIncompleteSnapshot, rem, snap.phase)
+	if !snap.finished() {
+		return nil, fmt.Errorf("%w: cut in phase %s", ErrIncompleteSnapshot, snap.phase)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p := newPool(workers, RoundRobin, &s.count.Steals)
-	p.onPanic = func(r any) {
-		s.fail(fmt.Errorf("core: adopt: panic building hierarchy: %v", r))
-	}
-	defer p.close()
-	tax, err := s.buildTaxonomy(p, nil)
-	if err != nil {
+	return snap.adopt(t, snap.optimized, workers, true)
+}
+
+// adopt turns a finished snapshot into the Result of its run over t,
+// classified in optimized or basic mode: it checks the snapshot against
+// the run, builds the taxonomy from the stored hierarchy, compiles the
+// kernel on workers when kernel is set, and restores the run's Stats and
+// Undecided list. Adopt and a ResumeFrom naming a finished file both end
+// here. Every error wraps ErrBadSnapshot.
+func (snap *snapshot) adopt(t *dl.TBox, optimized bool, workers int, kernel bool) (*Result, error) {
+	named := conceptsOf(t)
+	if err := snap.matches(t, len(named), optimized); err != nil {
 		return nil, err
 	}
-	tax.CompileKernel(workers)
-	return &Result{
-		Taxonomy:  tax,
-		Stats:     s.stats(),
-		Undecided: s.takeUndecided(),
-		Resumed:   true,
-	}, nil
+	tax, err := taxonomy.Build(t.Factory, named, snap.class, snap.children)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	if kernel {
+		tax.CompileKernel(workers)
+	}
+	und := snap.undecidedOf(named)
+	sortUndecided(und)
+	return &Result{Taxonomy: tax, Stats: snap.stats, Undecided: und, Resumed: true}, nil
 }

@@ -69,7 +69,7 @@ func (s *state) runAsync(p *pool, rng *rand.Rand, workers, cycles int, ck *check
 				c := p.barrier()
 				s.prunePass() // quiescent: harvest the epoch's late K facts
 				s.record(trace, PhaseRandom, cycle, c)
-				ck.write(s, PhaseRandom, false, epoch())
+				ck.write(s, PhaseRandom, epoch())
 			} else {
 				// Pipeline, don't rendezvous: queue the next shuffle once
 				// half the pool has gone idle. Stragglers keep running
@@ -133,7 +133,7 @@ func (s *state) runAsync(p *pool, rng *rand.Rand, workers, cycles int, ck *check
 			c := p.barrier()
 			s.prunePass() // quiescent: harvest the epoch's late K facts
 			s.record(trace, PhaseGroup, iter, c)
-			ck.write(s, PhaseGroup, false, epoch())
+			ck.write(s, PhaseGroup, epoch())
 		}
 	}
 	// Final quiescence of phase 2: collect whatever ran since the last

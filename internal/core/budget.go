@@ -151,13 +151,19 @@ func (s *state) takeUndecided() []Undecided {
 	out := s.undecided
 	s.undecided = nil
 	s.undecidedMu.Unlock()
+	sortUndecided(out)
+	return out
+}
+
+// sortUndecided puts an Undecided list in Result.Undecided's
+// deterministic order: by Sup, then by Sub.
+func sortUndecided(out []Undecided) {
 	sort.Slice(out, func(i, j int) bool {
 		if a, b := conceptKey(out[i].Sup), conceptKey(out[j].Sup); a != b {
 			return a < b
 		}
 		return conceptKey(out[i].Sub) < conceptKey(out[j].Sub)
 	})
-	return out
 }
 
 func conceptKey(c *dl.Concept) string {

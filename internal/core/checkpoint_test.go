@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -12,10 +13,12 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"parowl/internal/bitset"
 	"parowl/internal/dl"
 	"parowl/internal/reasoner"
+	"parowl/internal/taxonomy"
 )
 
 // ckPath returns a per-test checkpoint file path.
@@ -34,10 +37,11 @@ func resealSnapshot(data []byte) []byte {
 
 // Offsets of the fixed-header fields the tests rewrite: the version
 // follows the magic, the epoch follows the fingerprint and the mode,
-// prepassed and phase bytes.
+// prepassed and phase bytes, and n follows the epoch.
 const (
 	snapVersionOffset = 8
 	snapEpochOffset   = 8 + 4 + 8 + 3
+	snapCountOffset   = snapEpochOffset + 8
 )
 
 // withVersion returns data with its version field set to v and the
@@ -48,12 +52,92 @@ func withVersion(data []byte, v uint32) []byte {
 	return resealSnapshot(out)
 }
 
-// assertSameAnswers compares taxonomy structure and a sweep of queries
-// between two results.
-func assertSameAnswers(t *testing.T, ref, res *Result) {
+// withConceptCount returns data with its concept count set to n and the
+// whole-file CRC resealed.
+func withConceptCount(data []byte, n uint32) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(out[snapCountOffset:], n)
+	return resealSnapshot(out)
+}
+
+// noCalls returns a plug-in over tb that fails every call, so a run
+// that succeeds with it made none.
+func noCalls(tb *dl.TBox) reasoner.Interface {
+	return countdownReasoner{Interface: tableauFactory(tb), left: new(atomic.Int64)}
+}
+
+// finishedRun is a finished classification with a kernel and the
+// checkpoint it wrote.
+type finishedRun struct {
+	name string
+	tb   *dl.TBox
+	opts Options
+	res  *Result
+	path string
+}
+
+// finishedRuns classifies one ontology with a checkpoint under both
+// policies, both modes and the pipeline off and on, and a chain once with
+// one test abandoned under its budget, and returns the runs.
+func finishedRuns(t *testing.T) []finishedRun {
+	t.Helper()
+	var runs []finishedRun
+	for _, sched := range []Scheduling{RoundRobin, Async} {
+		for _, mode := range []Mode{Optimized, Basic} {
+			for _, pipeline := range []bool{false, true} {
+				o := Options{Workers: 3, Scheduling: sched, Mode: mode}
+				if pipeline {
+					o = pipelineOn(o)
+				}
+				runs = append(runs, finishedRun{
+					name: fmt.Sprintf("sched %v, mode %v, pipeline %v", sched, mode, pipeline),
+					tb:   randomMixedTBox(rand.New(rand.NewSource(finishedSeed)), 14),
+					opts: o,
+				})
+			}
+		}
+	}
+	runs = append(runs, finishedRun{name: "degraded", tb: chainTBox(6), opts: Options{
+		Reasoner:    &hangingReasoner{hangSup: "A2", hangSub: "A3"},
+		Workers:     3,
+		TestTimeout: 25 * time.Millisecond,
+	}})
+	for i := range runs {
+		r := &runs[i]
+		r.path = ckPath(t)
+		o := r.opts
+		o.CompileKernel, o.Checkpoint = true, r.path
+		r.res = classify(t, r.tb, o)
+		if r.res.CheckpointError != nil {
+			t.Fatalf("%s: checkpoint error: %v", r.name, r.res.CheckpointError)
+		}
+	}
+	tax := runs[0].res.Taxonomy
+	if !slices.ContainsFunc(tax.Nodes(), func(n *taxonomy.Node) bool { return n != tax.Bottom() && len(n.Concepts) > 1 }) ||
+		len(tax.Bottom().Concepts) < 2 {
+		t.Fatalf("seed %d gives no unsatisfiable concept or no equivalence", finishedSeed)
+	}
+	if d := runs[len(runs)-1].res; len(d.Undecided) != 1 {
+		t.Fatalf("degraded run: Undecided = %v, want one entry", d.Undecided)
+	}
+	return runs
+}
+
+// finishedSeed draws finishedRuns' ontology, one with an unsatisfiable
+// concept and an equivalence class.
+const finishedSeed = 4
+
+// assertSameResult compares an adopted or resumed result with the run
+// that wrote its checkpoint: taxonomy render, DOT, a sweep of queries,
+// the counters (Steals, which describe one run's scheduling, aside) and
+// the undecided list.
+func assertSameResult(t *testing.T, ref, res *Result) {
 	t.Helper()
 	if got, want := res.Taxonomy.Render(), ref.Taxonomy.Render(); got != want {
 		t.Fatalf("taxonomy differs:\n got:\n%s\nwant:\n%s", got, want)
+	}
+	if got, want := res.Taxonomy.DOT(), ref.Taxonomy.DOT(); got != want {
+		t.Fatalf("DOT differs:\n got:\n%s\nwant:\n%s", got, want)
 	}
 	for _, a := range ref.Taxonomy.Nodes() {
 		for _, b := range ref.Taxonomy.Nodes() {
@@ -69,32 +153,44 @@ func assertSameAnswers(t *testing.T, ref, res *Result) {
 			t.Fatalf("Depth(%s) = %d, want %d", a.Label(), got, want)
 		}
 	}
+	want := ref.Stats
+	want.Steals = 0
+	if got := res.Stats; got != want {
+		t.Fatalf("Stats = %+v, want %+v", got, want)
+	}
+	if !slices.Equal(res.Undecided, ref.Undecided) {
+		t.Fatalf("Undecided = %v, want %v", res.Undecided, ref.Undecided)
+	}
 }
 
-// TestCheckpointResumeCompletedRun: resuming from a completed run's final
-// snapshot must reproduce the taxonomy without a single new reasoner
-// dispatch — all pairs are already settled.
+// TestCheckpointResumeCompletedRun: resuming from a finished run's
+// checkpoint, written under either policy, in either mode and with the
+// pipeline off or on, reproduces its taxonomy, answers, counters and
+// undecided list without a single plug-in call, and rewrites the
+// checkpoint it is given unchanged.
 func TestCheckpointResumeCompletedRun(t *testing.T) {
-	for _, mode := range []Mode{Optimized, Basic} {
-		tb := exampleTBox()
-		path := ckPath(t)
-		ref := classify(t, tb, Options{Workers: 3, Mode: mode, Checkpoint: path})
-		if ref.CheckpointError != nil {
-			t.Fatalf("mode %v: checkpoint error: %v", mode, ref.CheckpointError)
-		}
-
-		res := classify(t, tb, Options{Workers: 3, Mode: mode, ResumeFrom: path})
-		if !res.Resumed || res.ResumeError != nil {
-			t.Fatalf("mode %v: Resumed=%v ResumeError=%v", mode, res.Resumed, res.ResumeError)
-		}
-		if got, want := res.Taxonomy.Render(), ref.Taxonomy.Render(); got != want {
-			t.Fatalf("mode %v: resumed taxonomy differs:\n got:\n%s\nwant:\n%s", mode, got, want)
-		}
-		// Counters are cumulative across the resume; equal totals mean the
-		// resumed run dispatched nothing new.
-		if res.Stats.SubsTests != ref.Stats.SubsTests || res.Stats.SatTests != ref.Stats.SatTests {
-			t.Fatalf("mode %v: resumed run re-tested: %+v vs %+v", mode, res.Stats, ref.Stats)
-		}
+	for _, run := range finishedRuns(t) {
+		t.Run(run.name, func(t *testing.T) {
+			o := run.opts
+			o.Reasoner, o.CompileKernel = noCalls(run.tb), true
+			o.ResumeFrom, o.Checkpoint = run.path, ckPath(t)
+			res := classify(t, run.tb, o)
+			if !res.Resumed || res.ResumeError != nil || res.CheckpointError != nil {
+				t.Fatalf("Resumed=%v ResumeError=%v CheckpointError=%v", res.Resumed, res.ResumeError, res.CheckpointError)
+			}
+			assertSameResult(t, run.res, res)
+			written, err := os.ReadFile(run.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rewritten, err := os.ReadFile(o.Checkpoint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rewritten, written) {
+				t.Fatalf("the resumed run wrote %d checkpoint bytes, not the %d it read", len(rewritten), len(written))
+			}
+		})
 	}
 }
 
@@ -131,14 +227,14 @@ func TestKernelCheckpointRoundTrip(t *testing.T) {
 		if res.Stats.SubsTests != ref.Stats.SubsTests || res.Stats.SatTests != ref.Stats.SatTests {
 			t.Fatalf("CompileKernel %v: resumed run re-tested: %+v vs %+v", kernel, res.Stats, ref.Stats)
 		}
-		assertSameAnswers(t, ref, res)
+		assertSameResult(t, ref, res)
 	}
 }
 
 // TestCheckpointIgnoresKernel: the query kernel is not part of a
 // checkpoint. At one worker a run with CompileKernel and one without
-// write the same bytes, and adopting the kernel-less file still attaches
-// a kernel that answers like the first run.
+// write the same finished file, and adopting the kernel-less file still
+// attaches a kernel that answers like the first run.
 func TestCheckpointIgnoresKernel(t *testing.T) {
 	tb := exampleTBox()
 	withKernel, without := ckPath(t), ckPath(t)
@@ -155,6 +251,9 @@ func TestCheckpointIgnoresKernel(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("checkpoint with CompileKernel is %d bytes, without %d; want identical files", len(a), len(b))
 	}
+	if snap, err := decodeSnapshot(b); err != nil || !snap.finished() {
+		t.Fatalf("the checkpoint is not a finished one (err %v)", err)
+	}
 
 	res, err := Adopt(context.Background(), tb, AdoptOptions{Snapshot: without, Workers: 1})
 	if err != nil {
@@ -163,7 +262,7 @@ func TestCheckpointIgnoresKernel(t *testing.T) {
 	if res.Taxonomy.Kernel() == nil {
 		t.Fatal("adopted taxonomy has no kernel")
 	}
-	assertSameAnswers(t, ref, res)
+	assertSameResult(t, ref, res)
 }
 
 // countdownReasoner fails every call after the first n with an injected
@@ -325,6 +424,7 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 		"version2":  write("v2.ck", withVersion(good, 2)),
 		"version3":  write("v3.ck", withVersion(good, 3)),
 		"version4":  write("v4.ck", withVersion(good, 4)),
+		"version5":  write("v5.ck", withVersion(good, 5)),
 	}
 	for name, p := range cases {
 		res := classify(t, tb, Options{Workers: 2, ResumeFrom: p})
@@ -347,51 +447,58 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 	}
 }
 
-// TestSnapshotDecodeFuzz: random mutations of a valid snapshot must never
-// decode successfully-but-wrong; they either decode to the identical
-// bytes or fail with ErrBadSnapshot.
+// TestSnapshotDecodeFuzz: random mutations of a valid snapshot, a
+// finished run's and an unfinished one's, must never decode
+// successfully-but-wrong; they either decode to the identical bytes or
+// fail with ErrBadSnapshot.
 func TestSnapshotDecodeFuzz(t *testing.T) {
 	tb := exampleTBox()
 	path := ckPath(t)
 	classify(t, tb, Options{Workers: 2, Checkpoint: path})
-	good, err := os.ReadFile(path)
+	finished, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeSnapshot(good); err != nil {
-		t.Fatalf("pristine snapshot rejected: %v", err)
-	}
 	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 200; i++ {
-		bad := append([]byte(nil), good...)
-		switch rng.Intn(3) {
-		case 0: // flip a bit
-			bad[rng.Intn(len(bad))] ^= 1 << uint(rng.Intn(8))
-		case 1: // truncate
-			bad = bad[:rng.Intn(len(bad))]
-		default: // append junk
-			bad = append(bad, byte(rng.Intn(256)))
+	for name, good := range map[string][]byte{
+		"finished":   finished,
+		"unfinished": newState(tb, nil, true).snapshot(PhaseRandom, 1).encode(),
+	} {
+		if _, err := decodeSnapshot(good); err != nil {
+			t.Fatalf("%s: pristine snapshot rejected: %v", name, err)
 		}
-		if _, err := decodeSnapshot(bad); err == nil {
-			// A bit flip that CRC-32 misses is possible in principle but
-			// astronomically unlikely for single-bit flips; treat survival
-			// of an identical payload as the only acceptable outcome.
-			if string(bad) != string(good) {
-				t.Fatalf("iteration %d: mutated snapshot decoded without error", i)
+		for i := 0; i < 200; i++ {
+			bad := append([]byte(nil), good...)
+			switch rng.Intn(3) {
+			case 0: // flip a bit
+				bad[rng.Intn(len(bad))] ^= 1 << uint(rng.Intn(8))
+			case 1: // truncate
+				bad = bad[:rng.Intn(len(bad))]
+			default: // append junk
+				bad = append(bad, byte(rng.Intn(256)))
 			}
-		} else if !errors.Is(err, ErrBadSnapshot) {
-			t.Fatalf("iteration %d: error does not wrap ErrBadSnapshot: %v", i, err)
+			if _, err := decodeSnapshot(bad); err == nil {
+				// A bit flip that CRC-32 misses is possible in principle but
+				// astronomically unlikely for single-bit flips; treat survival
+				// of an identical payload as the only acceptable outcome.
+				if string(bad) != string(good) {
+					t.Fatalf("%s iteration %d: mutated snapshot decoded without error", name, i)
+				}
+			} else if !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("%s iteration %d: error does not wrap ErrBadSnapshot: %v", name, i, err)
+			}
 		}
 	}
 }
 
 // TestSnapshotKernelDecodeFuzz: the snapshot of a run with CompileKernel
-// ends with its last classification section. Bytes after it (where
-// checkpoint v3 kept the kernel marker and frame) are refused. A
-// single-bit flip at any byte behind a resealed CRC either fails with
-// ErrBadSnapshot or decodes to the same P and K, never panics, and a
-// flipped epoch decodes as a different valid epoch: the field is a
-// counter, not classification state.
+// is a finished one and ends with its undecided list. Bytes after it
+// (where checkpoint v3 kept the kernel marker and frame) are refused. A
+// single-bit flip at any byte behind a resealed CRC, in that file or in
+// an unfinished one, either fails with ErrBadSnapshot or decodes to the
+// same hierarchy (P and K), never panics, and a flipped epoch decodes as
+// a different valid epoch: the field is a counter, not classification
+// state.
 func TestSnapshotKernelDecodeFuzz(t *testing.T) {
 	tb := exampleTBox()
 	path := ckPath(t)
@@ -403,6 +510,9 @@ func TestSnapshotKernelDecodeFuzz(t *testing.T) {
 	snap, err := decodeSnapshot(good)
 	if err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
+	}
+	if !snap.finished() {
+		t.Fatalf("the final snapshot was cut in phase %s", snap.phase)
 	}
 
 	body := good[:len(good)-4]
@@ -425,19 +535,37 @@ func TestSnapshotKernelDecodeFuzz(t *testing.T) {
 		}
 		return true
 	}
-	for i := 0; i < len(body); i++ {
-		for bit := 0; bit < 8; bit++ {
-			bad := append([]byte(nil), good...)
-			bad[i] ^= 1 << bit
-			got, err := decodeSnapshot(resealSnapshot(bad))
-			if err != nil {
-				if !errors.Is(err, ErrBadSnapshot) {
-					t.Fatalf("byte %d bit %d: error does not wrap ErrBadSnapshot: %v", i, bit, err)
-				}
-				continue
+	same := func(a, b *snapshot) bool {
+		if a.n != b.n || !slices.Equal(a.class, b.class) || len(a.children) != len(b.children) {
+			return false
+		}
+		for r := range a.children {
+			if !slices.Equal(a.children[r], b.children[r]) {
+				return false
 			}
-			if got.n != snap.n || !sameBits(got.P, snap.P) || !sameBits(got.K, snap.K) {
-				t.Fatalf("byte %d bit %d: flip decoded into different P or K", i, bit)
+		}
+		return sameBits(a.P, b.P) && sameBits(a.K, b.K)
+	}
+	unfinished := newState(tb, nil, true).snapshot(PhaseRandom, 1).encode()
+	for _, file := range [][]byte{good, unfinished} {
+		want, err := decodeSnapshot(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(file)-4; i++ {
+			for bit := 0; bit < 8; bit++ {
+				bad := append([]byte(nil), file...)
+				bad[i] ^= 1 << bit
+				got, err := decodeSnapshot(resealSnapshot(bad))
+				if err != nil {
+					if !errors.Is(err, ErrBadSnapshot) {
+						t.Fatalf("%s snapshot, byte %d bit %d: error does not wrap ErrBadSnapshot: %v", want.phase, i, bit, err)
+					}
+					continue
+				}
+				if !same(got, want) {
+					t.Fatalf("%s snapshot, byte %d bit %d: flip decoded into a different hierarchy, P or K", want.phase, i, bit)
+				}
 			}
 		}
 	}
@@ -496,8 +624,8 @@ func TestCheckpointWriteFailureDoesNotFailRun(t *testing.T) {
 // TestCheckpointCounterLayout pins the checkpoint's counter section: the
 // nine persisted counters sit right after the 35-byte header in the order
 // sat, subs, pruned, preseeded, filter hits, timed out, recovered, node
-// budget, branch budget, and decode and restore into the same Stats.
-// Steals is not persisted.
+// budget, branch budget, in an unfinished snapshot and a finished one,
+// and decode (and restore) into the same Stats. Steals is not persisted.
 func TestCheckpointCounterLayout(t *testing.T) {
 	tb := exampleTBox()
 	s := newState(tb, nil, true)
@@ -509,24 +637,37 @@ func TestCheckpointCounterLayout(t *testing.T) {
 		c.Store(int64(1000 + i))
 	}
 	s.count.Steals.Store(77)
-	data := s.encodeSnapshot(PhaseGroup, 5)
-	const header = 8 + 4 + 8 + 3 + 8 + 4 // magic, version, fingerprint, mode/prepassed/phase, epoch, n
-	for i := range order {
-		if got := int64(binary.LittleEndian.Uint64(data[header+8*i:])); got != int64(1000+i) {
-			t.Errorf("counter %d at offset %d = %d, want %d", i, header+8*i, got, 1000+i)
-		}
-	}
-	snap, err := decodeSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := newState(tb, nil, true)
-	if err := r.restoreSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
 	want := s.stats()
 	want.Steals = 0
-	if got := r.stats(); got != want {
-		t.Errorf("restored %+v, want %+v", got, want)
+	finished := s.snapshot(PhaseHierarchy, 5)
+	finished.class = make([]int, s.n)
+	for i := range finished.class {
+		finished.class[i] = i
+	}
+	finished.children = make([][]int, s.n)
+	for _, data := range [][]byte{s.snapshot(PhaseGroup, 5).encode(), finished.encode()} {
+		const header = 8 + 4 + 8 + 3 + 8 + 4 // magic, version, fingerprint, mode/prepassed/phase, epoch, n
+		for i := range order {
+			if got := int64(binary.LittleEndian.Uint64(data[header+8*i:])); got != int64(1000+i) {
+				t.Errorf("counter %d at offset %d = %d, want %d", i, header+8*i, got, 1000+i)
+			}
+		}
+		snap, err := decodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.stats != want {
+			t.Errorf("%s snapshot decoded %+v, want %+v", snap.phase, snap.stats, want)
+		}
+		if snap.finished() {
+			continue
+		}
+		r := newState(tb, nil, true)
+		if err := r.restoreSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.stats(); got != want {
+			t.Errorf("restored %+v, want %+v", got, want)
+		}
 	}
 }

@@ -113,11 +113,13 @@ type Options struct {
 	CompileKernel bool
 	// ResumeFrom, when non-empty, restores the shared state from a
 	// checkpoint file before classification starts, skipping all settled
-	// work. The snapshot must match the ontology (fingerprint), mode, and
-	// concept count; a missing, truncated, corrupted, or mismatched file
-	// is reported in Result.ResumeError and the run falls back to a clean
-	// classification — resume can degrade to a restart but never to a
-	// wrong taxonomy. ResumeFrom and Checkpoint may name the same file.
+	// work; a finished run's file yields its taxonomy directly, with no
+	// plug-in call and no phase 3. The snapshot must match the ontology
+	// (fingerprint), mode, and concept count; a missing, truncated,
+	// corrupted, or mismatched file is reported in Result.ResumeError and
+	// the run falls back to a clean classification — resume can degrade
+	// to a restart but never to a wrong taxonomy. ResumeFrom and
+	// Checkpoint may name the same file.
 	ResumeFrom string
 }
 
@@ -269,6 +271,37 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	t.Freeze()
 
 	start := time.Now()
+	var ck *checkpointer
+	if opts.Checkpoint != "" {
+		ck = &checkpointer{path: opts.Checkpoint, interval: opts.CheckpointInterval}
+	}
+	// A finished snapshot is the run: its taxonomy is rebuilt from the
+	// stored hierarchy without a state, a pool or phase 3. Any other
+	// snapshot is restored into the state below, and a rejected one leaves
+	// a clean run.
+	var (
+		snap      *snapshot // the restored snapshot; nil on a clean run
+		resumeErr error
+	)
+	if opts.ResumeFrom != "" {
+		snap, resumeErr = readSnapshotFile(opts.ResumeFrom)
+		if resumeErr == nil && snap.finished() {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("core: classification failed: %w", err)
+			}
+			res, err := snap.adopt(t, opts.Mode == Optimized, workers, opts.CompileKernel)
+			if err == nil {
+				ck.save(snap)
+				res.CheckpointError = ck.firstErr()
+				if opts.CollectTrace {
+					res.Trace = &Trace{Workers: workers, Scheduling: opts.Scheduling, WallElapsed: time.Since(start)}
+				}
+				return res, nil
+			}
+			snap, resumeErr = nil, err
+		}
+	}
+
 	s := stateFor(t, opts.Reasoner, opts.Mode == Optimized)
 	s.ctx = ctx
 	s.testTimeout = opts.TestTimeout
@@ -287,25 +320,13 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	// Restore a prior run's state before any worker exists. Fresh P and
 	// K are built only when no snapshot supplies them: a rejected
 	// snapshot leaves the state untouched and the run starts clean.
-	var (
-		snap      *snapshot // the restored snapshot; nil on a clean run
-		resumeErr error
-	)
-	if opts.ResumeFrom != "" {
-		var err error
-		if snap, err = readSnapshotFile(opts.ResumeFrom); err == nil {
-			err = s.restoreSnapshot(snap)
-		}
-		if err != nil {
+	if snap != nil {
+		if err := s.restoreSnapshot(snap); err != nil {
 			snap, resumeErr = nil, err
 		}
 	}
 	if snap == nil {
 		s.initSets()
-	}
-	var ck *checkpointer
-	if opts.Checkpoint != "" {
-		ck = &checkpointer{path: opts.Checkpoint, interval: opts.CheckpointInterval}
 	}
 
 	if ctx.Done() != nil {
@@ -345,7 +366,7 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	}
 	if (seed || rows != nil) && !s.failed() {
 		s.runPrepass(p, workers, seed, rows, trace)
-		ck.write(s, PhaseRandom, false, epoch())
+		ck.write(s, PhaseRandom, epoch())
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
@@ -363,14 +384,14 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 		if !skipRandom {
 			for cycle := 1; cycle <= cycles && !s.failed(); cycle++ {
 				s.runRandomCycle(p, rng, workers, cycle, trace)
-				ck.write(s, PhaseRandom, false, epoch())
+				ck.write(s, PhaseRandom, epoch())
 			}
 		}
 		for iter := 1; !s.failed(); iter++ {
 			if !s.runGroupCycle(p, iter, trace) {
 				break
 			}
-			ck.write(s, PhaseGroup, false, epoch())
+			ck.write(s, PhaseGroup, epoch())
 		}
 	}
 	s.disproved = nil // n² bits that phase 3 does not read
@@ -380,13 +401,14 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	if rem := s.remainingPossible(); rem != 0 {
 		return nil, fmt.Errorf("core: internal error: %d possible pairs left after group phase", rem)
 	}
-	// Final snapshot: resuming from a completed run converges immediately.
-	ck.write(s, PhaseGroup, true, epoch())
-
-	tax, err := s.buildTaxonomy(p, trace)
+	final := epoch()
+	tax, h, err := s.buildTaxonomy(p, trace)
 	if err != nil {
 		return nil, err
 	}
+	// Final snapshot: the hierarchy, which a resume or Adopt rebuilds the
+	// taxonomy from.
+	ck.finish(s, h, final)
 	if opts.CompileKernel {
 		tax.CompileKernel(workers)
 	}

@@ -21,14 +21,16 @@ import (
 // EL prepass leaves K fully closed. Closing the rows once (closeRows)
 // makes every input the closed case, and the reduction becomes
 // word-parallel row operations (directChildren) — the transitive
-// reduction the paper's example computes. Phase 3 is a pure function of
-// K, so Adopt rebuilds the identical taxonomy from a checkpoint.
+// reduction the paper's example computes.
 //
 // Every pass over K works on whole 64-bit words, and a member is visited
 // on its own only where it is a mutual pair, a member to remap to its
-// class, or not yet covered. Phase 3 only reads s.K, which the final
-// checkpoint has already encoded before phase 3 starts.
-func (s *state) buildTaxonomy(p *pool, trace *Trace) (*taxonomy.Taxonomy, error) {
+// class, or not yet covered. Phase 3 only reads s.K. It returns, with the
+// taxonomy, the hierarchy it passed to taxonomy.Build: the final
+// checkpoint stores that instead of K, so Adopt and a resume of the
+// finished run call Build on the same arguments and get the identical
+// taxonomy without phase 3.
+func (s *state) buildTaxonomy(p *pool, trace *Trace) (*taxonomy.Taxonomy, hierarchy, error) {
 	n := s.n
 	start := time.Now()
 	kc, rep := s.contractRows()
@@ -69,7 +71,7 @@ func (s *state) buildTaxonomy(p *pool, trace *Trace) (*taxonomy.Taxonomy, error)
 	}
 	c = p.barrier()
 	if err := s.errOrNil(); err != nil {
-		return nil, err
+		return nil, hierarchy{}, err
 	}
 
 	// Conquer: merge the partial hierarchies into the taxonomy, straight
@@ -84,7 +86,7 @@ func (s *state) buildTaxonomy(p *pool, trace *Trace) (*taxonomy.Taxonomy, error)
 	tax, err := taxonomy.Build(s.tbox.Factory, s.named, rep, direct)
 	c.chargeOutside(time.Since(start))
 	s.record(trace, PhaseHierarchy, 2, c)
-	return tax, err
+	return tax, hierarchy{class: rep, children: direct}, err
 }
 
 // contractRows loads K once and contracts its equivalence classes

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
@@ -268,7 +267,9 @@ func randomPhase3State(rng *rand.Rand, n, shape int) *state {
 // the per-bit reference on random K matrices of every shape, sizes that
 // end inside, at and just past 64-bit words: the same classes, closed
 // rows and direct children, the same Render and Fingerprint (or the same
-// Build error), at one and three workers, and s.K left untouched.
+// Build error), at one and three workers, and s.K left untouched. The
+// hierarchy phase 3 returns goes through a finished checkpoint, decoded
+// and built again, to the same Render.
 func TestQuickPhase3MatchesPerBit(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 130, 257} {
 		for shape := 0; shape < numShapes; shape++ {
@@ -312,14 +313,30 @@ func TestQuickPhase3MatchesPerBit(t *testing.T) {
 				want, wantErr := refBuildTaxonomy(s)
 				for _, workers := range []int{1, 3} {
 					p := newPool(workers, RoundRobin, &s.count.Steals)
-					got, err := s.buildTaxonomy(p, nil)
+					got, h, err := s.buildTaxonomy(p, nil)
 					p.close()
 					if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 						t.Errorf("%s workers=%d: error %v, want %v", name, workers, err, wantErr)
 						return false
 					}
-					if err == nil && (got.Render() != want.Render() || got.Fingerprint() != want.Fingerprint()) {
+					if err != nil {
+						continue
+					}
+					if got.Render() != want.Render() || got.Fingerprint() != want.Fingerprint() {
 						t.Errorf("%s workers=%d: taxonomy differs:\n%s\nwant:\n%s", name, workers, got.Render(), want.Render())
+						return false
+					}
+					snap := s.snapshot(PhaseHierarchy, 0)
+					snap.hierarchy = h
+					dec, err := decodeSnapshot(snap.encode())
+					if err == nil {
+						var res *Result
+						if res, err = dec.adopt(s.tbox, true, 1, false); err == nil && res.Taxonomy.Render() != want.Render() {
+							err = fmt.Errorf("taxonomy differs:\n%s", res.Taxonomy.Render())
+						}
+					}
+					if err != nil {
+						t.Errorf("%s workers=%d: finished checkpoint: %v", name, workers, err)
 						return false
 					}
 				}
@@ -353,9 +370,9 @@ func sameRows(a, b []*bitset.Set) bool {
 }
 
 // BenchmarkBuildTaxonomy times phase 3 alone on perfbench classify-el's
-// corpus, WBbt at 1/3 scale: K comes from the final checkpoint of a
-// default-pipeline run, restored as Adopt restores it, and each iteration
-// builds the taxonomy from it on a pool of GOMAXPROCS workers.
+// corpus, WBbt at 1/3 scale: K comes from the EL prepass, which decides
+// every pair of this corpus as a default-pipeline run does, and each
+// iteration builds the taxonomy from it on a pool of GOMAXPROCS workers.
 //
 //	go test -run '^$' -bench BuildTaxonomy -benchmem ./internal/core/
 func BenchmarkBuildTaxonomy(b *testing.B) {
@@ -371,24 +388,17 @@ func BenchmarkBuildTaxonomy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	path := filepath.Join(b.TempDir(), "wbbt.ck")
-	if _, err := Classify(tb, Options{Reasoner: r, Mode: Optimized, ELPrepass: true, ModelFilter: true, Checkpoint: path}); err != nil {
-		b.Fatal(err)
-	}
-	snap, err := readSnapshotFile(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := stateFor(tb, adoptReasoner{}, snap.optimized)
-	if err := s.restoreSnapshot(snap); err != nil {
-		b.Fatal(err)
-	}
+	s := newState(tb, r, true)
 	pool := newPool(runtime.GOMAXPROCS(0), RoundRobin, &s.count.Steals)
 	defer pool.close()
+	s.runPrepass(pool, pool.workers, true, nil, nil)
+	if rem := s.remainingPossible(); rem != 0 {
+		b.Fatalf("the prepass left %d possible pairs", rem)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.buildTaxonomy(pool, nil); err != nil {
+		if _, _, err := s.buildTaxonomy(pool, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -158,11 +158,11 @@ type classError struct{ err error }
 // a restored snapshot supplies them (restoreSnapshot), and initSets
 // builds a fresh run's.
 func stateFor(t *dl.TBox, r reasoner.Interface, optimized bool) *state {
-	named := t.NamedConcepts()
-	n := len(named) + 1
+	named := conceptsOf(t)
+	n := len(named)
 	s := &state{
 		tbox:      t,
-		named:     make([]*dl.Concept, 0, n),
+		named:     named,
 		index:     make(map[*dl.Concept]int, n),
 		n:         n,
 		top:       n - 1,
@@ -172,12 +172,17 @@ func stateFor(t *dl.TBox, r reasoner.Interface, optimized bool) *state {
 		optimized: optimized,
 	}
 	s.virtual, _ = r.(reasoner.Virtual)
-	s.named = append(s.named, named...)
-	s.named = append(s.named, t.Factory.Top())
 	for i, c := range s.named {
 		s.index[c] = i
 	}
 	return s
+}
+
+// conceptsOf returns a run's index space over t: N_O with ⊤ appended as
+// the last element.
+func conceptsOf(t *dl.TBox) []*dl.Concept {
+	named := t.NamedConcepts()
+	return append(append(make([]*dl.Concept, 0, len(named)+1), named...), t.Factory.Top())
 }
 
 // initSets initializes P and K per the paper: P_X starts as all other

@@ -146,8 +146,8 @@ func TestRestartReadopt(t *testing.T) {
 }
 
 // TestReadoptRefusesOldCheckpoint: classified entries whose checkpoints
-// carry an older format version (the version field rewritten to 3 in one
-// and to 4 in the other, the CRC resealed, so only the version check can
+// carry an older format version (the version field rewritten to 3, 4 or
+// 5, one per entry, the CRC resealed, so only the version check can
 // refuse them) come back interrupted at boot instead of serving or
 // failing the boot, and a resubmit reclassifies each to the same
 // taxonomy.
@@ -155,7 +155,7 @@ func TestReadoptRefusesOldCheckpoint(t *testing.T) {
 	t.Parallel()
 	ckdir := t.TempDir()
 	text := genOBO(t, 63, 80)
-	versions := map[string]uint32{"v3": 3, "v4": 4}
+	versions := map[string]uint32{"v3": 3, "v4": 4, "v5": 5}
 	s1, ts1 := newTestServer(t, Config{CheckpointDir: ckdir})
 	for id := range versions {
 		if code, body := submit(t, ts1, id, "", text); code != http.StatusAccepted {

@@ -145,10 +145,10 @@ func (o *Ontology) Resume(ctx context.Context, checkpoint string) (*Result, erro
 // Adopt restores a COMPLETED classification from a checkpoint file
 // without invoking any reasoner, swapping the rebuilt taxonomy in as the
 // current generation. This is the restart path of a serving daemon: the
-// taxonomy is rebuilt from the snapshot's K sets (byte-identical to the
-// original run's) and its query kernel compiled, so the cost is file
-// decode, hierarchy reconstruction and kernel compile — zero sat?/subs?
-// calls, with the run's original Stats restored to prove it.
+// taxonomy is built from the hierarchy the finished run stored
+// (byte-identical to the original run's) and its query kernel compiled,
+// so the cost is file decode, taxonomy build and kernel compile — zero
+// sat?/subs? calls, with the run's original Stats restored to prove it.
 //
 // Unlike Resume, a missing/corrupt/mismatched snapshot (wrapping
 // ErrBadSnapshot) or an unfinished one (wrapping ErrIncompleteSnapshot)

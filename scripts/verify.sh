@@ -30,6 +30,14 @@ step "go test ./..."
 go test ./...
 step "perfbench: the benchmark module's own build and tests"
 (cd perfbench && go test ./...)
+step "bitset: Test, Set and Clear of Set and Atomic stay inlinable (go build -gcflags=-m)"
+inlined=$(go build -gcflags=-m ./internal/bitset/ 2>&1 | sed 's/.*: //')
+for op in '(*Set).Test' '(*Set).Set' '(*Set).Clear' '(*Atomic).Test' '(*Atomic).Set' '(*Atomic).Clear'; do
+    if ! printf '%s\n' "$inlined" | grep -qxF "can inline $op"; then
+        echo "verify: bitset $op is no longer inlinable" >&2
+        exit 1
+    fi
+done
 step "go test -race (core, tableau, reasoner, el, taxonomy, bitset)"
 go test -race ./internal/core/... ./internal/tableau/... ./internal/reasoner/... ./internal/el/... ./internal/taxonomy/... ./internal/bitset/...
 step "EL saturation suite: sequential oracle (rows, and the links of live roles), live roles, pure atoms, worker counts, cancellation, row seeding; the prepass's row-wise claims, basic mode's P-bit claims included, against the per-fact reference (-race -count=10)"
@@ -47,8 +55,8 @@ go test -race -count=1 -run 'TestQuickPipelineEquivalence|TestPipelineEquivalenc
 step "model-filter rows: rows vs pairwise merges, panicking and cancelled row builds (-race -count=3)"
 go test -race -count=3 -run 'TestFilterRowsMatchPairwise|TestDisprovesSubsSound' ./internal/tableau/
 go test -race -count=3 -run 'TestRowFilterFaults' ./internal/core/
-step "crash-safety suite: kill-and-resume + chaos soundness, old and damaged snapshots, the kernel left out of checkpoints (-race)"
-go test -race -count=1 -run 'TestKillAndResumeEquivalence|TestChaosPanicSoundness|TestResumeRejectsBadSnapshots|TestAdoptRejectsBadFiles|TestCheckpointIgnoresKernel|TestCheckpointResumeCompletedRun|TestKernelCheckpointRoundTrip|TestSnapshotDecodeFuzz|TestSnapshotKernelDecodeFuzz' ./internal/core/
+step "crash-safety suite: kill-and-resume + chaos soundness, old, damaged and unfinished snapshots, finished checkpoints adopted and resumed under both policies, both modes and the pipeline off and on, the kernel left out of checkpoints (-race)"
+go test -race -count=1 -run 'TestKillAndResumeEquivalence|TestChaosPanicSoundness|TestResumeRejectsBadSnapshots|TestAdoptRejectsBadFiles|TestAdoptRejectsIncomplete|TestAdoptCompletedCheckpoint|TestCheckpointIgnoresKernel|TestCheckpointResumeCompletedRun|TestKernelCheckpointRoundTrip|TestSnapshotDecodeFuzz|TestSnapshotKernelDecodeFuzz' ./internal/core/
 step "scheduler suite: roundrobin/async equivalence, stealing deques, epoch checkpoints (-race)"
 go test -race -count=1 -run 'TestQuickCrossPolicyEquivalence|TestCrossPolicyEquivalenceOntogen|TestWorkStealingActuallySteals|TestSchedulingValidation|TestDequeOwnerThiefProperty|TestDequeLastElementRace|TestWorkerQueueResetLateThief|TestBarrierAssertsDequesEmpty|TestPoolStealingBalancesSkew|TestKillAndResumeAsync|TestAsyncQuiescesLessThanBarrierMode' ./internal/core/
 
