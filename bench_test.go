@@ -585,6 +585,36 @@ func BenchmarkELKStyleVsFramework(b *testing.B) {
 	})
 }
 
+// BenchmarkClassifyComplete times one classification of a complete EL
+// fragment under NewEngine's default template, the operation
+// perfbench's classify-el times after the load: the prepass saturates
+// the fragment, and phase 3 builds the taxonomy from the saturation's
+// rows without P, K or a plug-in call. WBbt-3 is classify-el's corpus,
+// EMAP the largest Table IV corpus at full size (13,735 concepts).
+//
+//	go test -run '^$' -bench ClassifyComplete -benchmem .
+func BenchmarkClassifyComplete(b *testing.B) {
+	for _, c := range []struct {
+		name, profile string
+		scale         int
+	}{{"WBbt-3", "WBbt.obo", 3}, {"EMAP", "EMAP#EMAP", 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			ont := NewEngine().NewOntology(benchCorpus(b, c.profile, c.scale))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := ont.Classify(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if calls := res.Stats.SatTests + res.Stats.SubsTests; calls != 0 {
+					b.Fatalf("%d plug-in calls on a complete fragment", calls)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkOracleLookup measures the oracle plug-in's per-test cost (the
 // floor under every scheduling experiment).
 func BenchmarkOracleLookup(b *testing.B) {

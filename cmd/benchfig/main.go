@@ -31,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -49,7 +50,7 @@ var (
 	seedFlag    = flag.Int64("seed", 1, "corpus generation and shuffle seed")
 	scaleFlag   = flag.Int("scale", 4, "divide corpus sizes by this factor (1 = full size)")
 	cyclesFlag  = flag.Int("cycles", 2, "random-division cycles for speedup runs")
-	repeatsFlag = flag.Int("repeats", 3, "repetitions per point, averaged (the paper uses 3)")
+	repeatsFlag = flag.Int("repeats", 3, "repetitions per point, averaged (the paper uses 3); -exp classify takes their median")
 	bigNFlag    = flag.Int("bign", 20000, "concept count for the -exp future large-scale run")
 	csvFlag     = flag.String("csv", "", "also write each speedup curve / ratio series as CSV into this directory")
 
@@ -248,6 +249,14 @@ func writeCurveCSV(name string, points []schedsim.SweepPoint) error {
 		}
 	}
 	return nil
+}
+
+// median returns the middle of xs once sorted (the upper one of an even
+// count), leaving xs in its order.
+func median(xs []float64) float64 {
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
+	return sorted[len(sorted)/2]
 }
 
 func sanitizeFile(name string) string {
@@ -470,6 +479,8 @@ func future() error {
 // classifyRun is one pipeline configuration's measurements in the
 // BENCH_classify.json report. Plug-in calls are what the tableau actually
 // executed; the core counters explain where the avoided calls went.
+// WallMS is the median of the repetitions' wall times, walls all of
+// them in the order they ran.
 type classifyRun struct {
 	WallMS     float64 `json:"wall_ms"`
 	SatCalls   int64   `json:"sat_calls"`
@@ -477,6 +488,7 @@ type classifyRun struct {
 	Pruned     int64   `json:"pruned"`
 	PreSeeded  int64   `json:"preseeded"`
 	FilterHits int64   `json:"filter_hits"`
+	walls      []float64
 }
 
 type classifyProfileResult struct {
@@ -494,7 +506,9 @@ type classifyProfileResult struct {
 // -modelfilter on. It checks the taxonomies are byte-identical, reports
 // the plug-in call reduction (the ISSUE's ≥30% acceptance bar), and
 // writes BENCH_classify.json so the commit-over-commit perf trajectory
-// has end-to-end data (compare with scripts/bench_classify.sh).
+// has end-to-end data (compare with scripts/bench_classify.sh). Each
+// configuration's wall time is the median of -repeats runs, and the
+// .bench twin holds every run, so benchstat sees their spread.
 func classifyBench() error {
 	profiles := []string{"actpathway.obo", "EHDAA2", "rnao_functional"}
 	repeats := *repeatsFlag
@@ -528,7 +542,6 @@ func classifyBench() error {
 		run := func(pipeline bool) (classifyRun, *core.Result, error) {
 			var row classifyRun
 			var last *core.Result
-			var wall time.Duration
 			for rep := 0; rep < repeats; rep++ {
 				// Fresh plug-in per repetition: no warm caches carry over.
 				var stats reasoner.Stats
@@ -541,7 +554,7 @@ func classifyBench() error {
 				if err != nil {
 					return row, nil, err
 				}
-				wall += time.Since(start)
+				row.walls = append(row.walls, float64(time.Since(start))/1e6)
 				last = res
 				if rep == 0 {
 					row.SatCalls = stats.SatCalls.Load()
@@ -551,7 +564,7 @@ func classifyBench() error {
 					row.FilterHits = res.Stats.FilterHits
 				}
 			}
-			row.WallMS = float64(wall) / float64(repeats) / 1e6
+			row.WallMS = median(row.walls)
 			return row, last, nil
 		}
 		off, offRes, err := run(false)
@@ -601,8 +614,10 @@ func classifyBench() error {
 			label string
 			row   classifyRun
 		}{{"off", pr.Off}, {"on", pr.On}} {
-			fmt.Fprintf(&bench, "BenchmarkClassify/%s/pipeline=%s 1 %.0f ns/op %d subs-calls %d sat-calls\n",
-				sanitizeFile(pr.Profile), r.label, r.row.WallMS*1e6, r.row.SubsCalls, r.row.SatCalls)
+			for _, ms := range r.row.walls {
+				fmt.Fprintf(&bench, "BenchmarkClassify/%s/pipeline=%s 1 %.0f ns/op %d subs-calls %d sat-calls\n",
+					sanitizeFile(pr.Profile), r.label, ms*1e6, r.row.SubsCalls, r.row.SatCalls)
+			}
 		}
 	}
 	if err := os.WriteFile(benchPath, []byte(bench.String()), 0o644); err != nil {

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -214,9 +213,7 @@ func queryBenchProfile(p ontogen.Profile) (*queryProfileResult, error) {
 			})
 			samples[k] = float64(r.NsPerOp())
 		}
-		sorted := slices.Clone(samples)
-		slices.Sort(sorted)
-		return samples, sorted[len(sorted)/2]
+		return samples, median(samples)
 	}
 
 	answers := func() []string {

@@ -10,32 +10,65 @@ import (
 // empty. Each row must have capacity len(dst), and each dst set capacity
 // at least len(rows).
 //
-// It moves 64×64 blocks: the bands of 64 rows are read one word column at
-// a time, transposed in registers, and each nonzero transposed word lands
-// in dst with one atomic OR, so the cost is per word, not per bit.
+// It moves 64×64 blocks (transposeTiles), and each nonzero transposed
+// word lands in dst with one atomic OR, so the cost is per word, not per
+// bit.
 func OrTranspose(dst []*Atomic, rows []*Set) {
-	for _, row := range rows {
-		if row != nil && row.n != len(dst) {
-			panic(fmt.Sprintf("bitset: row size %d does not match %d destination sets", row.n, len(dst)))
-		}
-	}
 	for _, d := range dst {
 		if d.n < len(rows) {
 			panic(fmt.Sprintf("bitset: destination size %d below %d rows", d.n, len(rows)))
 		}
 	}
+	transposeTiles(rows, len(dst), func(c0, band int, blk *[wordBits]uint64) {
+		for j, t := range blk {
+			if t != 0 {
+				dst[c0+j].words[band].Or(t)
+			}
+		}
+	})
+}
+
+// Transpose returns the transpose of the bit matrix whose rows are rows
+// as cols plain sets of capacity len(rows), cut from one backing array
+// (Rows): bit c of rows[r] is bit r of set c. A nil row is empty; each
+// other row must have capacity cols. It is OrTranspose's tile loop
+// storing into fresh sets, so each transposed word is written once.
+func Transpose(rows []*Set, cols int) []*Set {
+	sets := Rows(make([]uint64, cols*wordsFor(len(rows))), cols, len(rows))
+	out := make([]*Set, cols)
+	for c := range out {
+		out[c] = &sets[c]
+	}
+	transposeTiles(rows, cols, func(c0, band int, blk *[wordBits]uint64) {
+		for j, t := range blk {
+			if t != 0 {
+				out[c0+j].words[band] = t
+			}
+		}
+	})
+	return out
+}
+
+// transposeTiles walks the bit matrix rows, of cols columns, in 64×64
+// tiles: the bands of 64 rows are read one word column at a time, and
+// each tile with a bit set is transposed in registers and handed to put.
+// There blk[j] holds, for column c0+j, the bits of the band's rows
+// 64·band … 64·band+63, so it is word band of the transposed row c0+j;
+// a column past cols gets no bit.
+func transposeTiles(rows []*Set, cols int, put func(c0, band int, blk *[wordBits]uint64)) {
+	for _, row := range rows {
+		if row != nil && row.n != cols {
+			panic(fmt.Sprintf("bitset: row size %d does not match %d columns", row.n, cols))
+		}
+	}
 	var blk [wordBits]uint64
 	for r0 := 0; r0 < len(rows); r0 += wordBits {
-		for w := 0; w < wordsFor(len(dst)); w++ {
+		for w := 0; w < wordsFor(cols); w++ {
 			if loadTile(&blk, rows, r0, w) == 0 {
 				continue
 			}
 			transpose64(&blk)
-			for j, t := range blk {
-				if t != 0 {
-					dst[w*wordBits+j].words[r0/wordBits].Or(t)
-				}
-			}
+			put(w*wordBits, r0/wordBits, &blk)
 		}
 	}
 }

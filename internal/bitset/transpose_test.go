@@ -46,6 +46,49 @@ func TestOrTransposeMatchesPerBit(t *testing.T) {
 	}
 }
 
+// TestTransposeMatchesPerBit checks the plain transpose against a
+// per-bit one on random matrices whose row and column counts end inside,
+// at and just past a 64-bit block, square and not, with some rows nil:
+// every column set holds exactly its rows, and writing one column set
+// leaves its neighbours in the shared backing array alone.
+func TestTransposeMatchesPerBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	sizes := []int{1, 63, 64, 65, 130, 257}
+	for _, nr := range sizes {
+		for _, nc := range sizes {
+			rows := make([]*Set, nr)
+			want := make([]*Set, nc)
+			for c := range want {
+				want[c] = New(nr)
+			}
+			for r := range rows {
+				if rng.Intn(8) == 0 {
+					continue
+				}
+				rows[r] = New(nc)
+				for k := rng.Intn(nc/4 + 2); k > 0; k-- {
+					c := rng.Intn(nc)
+					rows[r].Set(c)
+					want[c].Set(r)
+				}
+			}
+			got := Transpose(rows, nc)
+			if len(got) != nc {
+				t.Fatalf("rows=%d cols=%d: %d column sets", nr, nc, len(got))
+			}
+			for c := range got {
+				if got[c].Len() != nr || !got[c].Equal(want[c]) {
+					t.Fatalf("rows=%d cols=%d: column %d = %v, want %v", nr, nc, c, got[c], want[c])
+				}
+			}
+			got[0].FillAll()
+			if nc > 1 && !got[1].Equal(want[1]) {
+				t.Fatalf("rows=%d cols=%d: filling column 0 changed column 1", nr, nc)
+			}
+		}
+	}
+}
+
 // TestMutualPairsMatchesPerBit checks the tile-pair scan against per-bit
 // probes of both directions on random square matrices of sizes that end
 // inside, at and just past a 64-bit tile, with some rows nil: every

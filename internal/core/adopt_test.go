@@ -43,7 +43,7 @@ func TestAdoptRejectsIncomplete(t *testing.T) {
 	fresh := newState(tb, nil, true)
 	prepassed := newState(tb, noCalls(tb), true)
 	p := newPool(2, RoundRobin, &prepassed.count.Steals)
-	prepassed.runPrepass(p, 2, true, nil, nil)
+	prepassed.runPrepass(p, 2, newFragment(tb, 2), nil, nil)
 	p.close()
 	if rem := prepassed.remainingPossible(); rem != 0 {
 		t.Fatalf("the prepass left %d possible pairs; the fragment should be complete", rem)

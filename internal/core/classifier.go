@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"parowl/internal/bitset"
 	"parowl/internal/dl"
 	"parowl/internal/reasoner"
 	"parowl/internal/taxonomy"
@@ -67,7 +68,9 @@ type Options struct {
 	// unsatisfiability is streamed into K/satState, stripping the decided
 	// pairs from P (see prepass.go). When the whole TBox is EL the
 	// fragment is complete and the prepass decides every pair itself: no
-	// plug-in call follows. Sound for any TBox — the fragment's axioms
+	// plug-in call follows, and a run not resumed from a snapshot builds
+	// no P or K at all, phase 3 reading the saturation's rows instead.
+	// Sound for any TBox — the fragment's axioms
 	// are entailed by the TBox's, so its conclusions are too — and the
 	// taxonomy is identical with or without it. Savings are reported in
 	// Stats.PreSeeded.
@@ -96,8 +99,11 @@ type Options struct {
 	// Checkpoint, when non-empty, is a file path the run periodically
 	// snapshots its shared state to (atomic rename, see checkpoint.go).
 	// Snapshots are taken only at phase/batch boundaries, so every
-	// on-disk snapshot is consistent and resumable. A write failure never
-	// fails the run; it is reported in Result.CheckpointError.
+	// on-disk snapshot is consistent and resumable. A finished run writes
+	// one last snapshot of its hierarchy; a run that ELPrepass decides
+	// from a complete fragment without a resumed snapshot has no P or K
+	// to snapshot and writes only that one. A write failure never fails
+	// the run; it is reported in Result.CheckpointError.
 	Checkpoint string
 	// CheckpointInterval is the minimum time between snapshots. ≤ 0
 	// writes a snapshot at every boundary (useful for tests; production
@@ -257,8 +263,15 @@ func Classify(t *dl.TBox, opts Options) (*Result, error) {
 // the workers stop claiming work, in-flight reasoner calls finish, and
 // the context error is returned.
 func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, error) {
+	res, _, err := classifyContext(ctx, t, opts)
+	return res, err
+}
+
+// classifyContext is ClassifyContext, also returning the run's state
+// (nil when a finished snapshot was adopted) for tests to inspect.
+func classifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, *state, error) {
 	if err := opts.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	workers := opts.Workers
 	if workers <= 0 {
@@ -287,7 +300,7 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 		snap, resumeErr = readSnapshotFile(opts.ResumeFrom)
 		if resumeErr == nil && snap.finished() {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: classification failed: %w", err)
+				return nil, nil, fmt.Errorf("core: classification failed: %w", err)
 			}
 			res, err := snap.adopt(t, opts.Mode == Optimized, workers, opts.CompileKernel)
 			if err == nil {
@@ -296,7 +309,7 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 				if opts.CollectTrace {
 					res.Trace = &Trace{Workers: workers, Scheduling: opts.Scheduling, WallElapsed: time.Since(start)}
 				}
-				return res, nil
+				return res, nil, nil
 			}
 			snap, resumeErr = nil, err
 		}
@@ -317,15 +330,26 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 		s.hard = make([]atomic.Int64, s.n)
 	}
 
-	// Restore a prior run's state before any worker exists. Fresh P and
-	// K are built only when no snapshot supplies them: a rejected
-	// snapshot leaves the state untouched and the run starts clean.
+	// Restore a prior run's state before any worker exists: a rejected
+	// snapshot leaves the state untouched and the run starts clean. The
+	// EL prepass's fragment comes next, before any P or K: a clean run
+	// whose fragment covers the whole TBox is decided by its saturation,
+	// and phase 3 reads the saturation's rows, so it builds neither (see
+	// seed). Any other run without a snapshot builds fresh P and K. A
+	// snapshot whose prepass already ran restored its seeded facts;
+	// seeding it again would be sound (claims no-op) but wasted.
 	if snap != nil {
 		if err := s.restoreSnapshot(snap); err != nil {
 			snap, resumeErr = nil, err
 		}
 	}
-	if snap == nil {
+	var frag *fragment
+	if opts.ELPrepass && !s.prepassed {
+		frag = newFragment(t, workers)
+	}
+	// direct: a clean run its complete fragment decides, without P or K.
+	direct := snap == nil && frag != nil && frag.complete
+	if snap == nil && !direct {
 		s.initSets()
 	}
 
@@ -342,7 +366,11 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	}
 	var trace *Trace
 	if opts.CollectTrace {
-		trace = &Trace{Workers: workers, Scheduling: opts.Scheduling, InitialPossible: s.remainingPossible()}
+		initial := s.remainingPossible()
+		if direct {
+			initial = s.possibleAmong(s.n) // the P initSets would have built
+		}
+		trace = &Trace{Workers: workers, Scheduling: opts.Scheduling, InitialPossible: initial}
 		s.recorded = s.stats() // a resumed run's restored counts are no cycle's
 	}
 	p := newPool(workers, opts.Scheduling, &s.count.Steals)
@@ -356,17 +384,19 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	// snapshot had already accumulated.
 	epoch := func() int64 { return s.epochBase + p.epoch.Load() }
 
-	// A snapshot whose prepass already ran restored its seeded facts;
-	// re-running the seeding over a resumed state would be sound (claims
-	// no-op) but wasted. The filter's rows are never checkpointed, so a
-	// resumed run with pairs left builds them again.
-	seed := opts.ELPrepass && !s.prepassed
+	// The filter's rows are never checkpointed, so a resumed run with
+	// pairs left builds them again. A direct run gets its saturation's
+	// rows back for phase 3, and writes no unfinished snapshot, which
+	// would be its P and K: its finished file is its only one.
 	if rows != nil && s.remainingPossible() == 0 {
 		rows = nil
 	}
-	if (seed || rows != nil) && !s.failed() {
-		s.runPrepass(p, workers, seed, rows, trace)
-		ck.write(s, PhaseRandom, epoch())
+	var up []*bitset.Set
+	if (frag != nil || rows != nil) && !s.failed() {
+		up = s.runPrepass(p, workers, frag, rows, trace)
+		if !direct {
+			ck.write(s, PhaseRandom, epoch())
+		}
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
@@ -377,7 +407,7 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	case s.remainingPossible() == 0:
 		// Every pair is decided — by a complete EL prepass, or in the
 		// finished run a snapshot restored — so phases 1 and 2 would only
-		// walk K and P failing claims.
+		// walk K and P failing claims. A direct run has no P at all.
 	case opts.Scheduling == Async:
 		s.runAsync(p, rng, workers, cycles, ck, trace, skipRandom)
 	default:
@@ -396,15 +426,15 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 	}
 	s.disproved = nil // n² bits that phase 3 does not read
 	if err := s.errOrNil(); err != nil {
-		return nil, fmt.Errorf("core: classification failed: %w", err)
+		return nil, nil, fmt.Errorf("core: classification failed: %w", err)
 	}
 	if rem := s.remainingPossible(); rem != 0 {
-		return nil, fmt.Errorf("core: internal error: %d possible pairs left after group phase", rem)
+		return nil, nil, fmt.Errorf("core: internal error: %d possible pairs left after group phase", rem)
 	}
 	final := epoch()
-	tax, h, err := s.buildTaxonomy(p, trace)
+	tax, h, err := s.buildTaxonomy(p, up, trace)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Final snapshot: the hierarchy, which a resume or Adopt rebuilds the
 	// taxonomy from.
@@ -423,7 +453,7 @@ func ClassifyContext(ctx context.Context, t *dl.TBox, opts Options) (*Result, er
 		Resumed:         snap != nil,
 		ResumeError:     resumeErr,
 		CheckpointError: ck.firstErr(),
-	}, nil
+	}, s, nil
 }
 
 // record appends one trace cycle: c is the task record a barrier

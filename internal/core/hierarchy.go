@@ -9,41 +9,56 @@ import (
 
 // buildTaxonomy is phase 3 (Sec. III-B, Algorithm 4): once P is empty,
 // the K sets contain the discovered subsumptions. Equivalence classes are
-// contracted, the contracted K rows are closed transitively in place,
-// then a partial hierarchy H_X — the direct subsumees of X — is computed
-// for every class in parallel (the divide step), and the conquer step
-// merges them into the final taxonomy.
+// contracted, the contracted rows are closed transitively, then a partial
+// hierarchy H_X — the direct subsumees of X — is computed for every class
+// in parallel (the divide step), and the conquer step merges them into
+// the final taxonomy.
+//
+// Its rows come from one of two places. up is nil on a run with K: K is
+// loaded once into plain rows (loadK), and phase 3 never writes s.K.
+// Otherwise up holds the rows of a complete EL fragment's saturation
+// (seed), each concept's proven subsumers, which downRows transposes into
+// K's orientation. Both then take the same contraction (contractRows),
+// reduction (directChildren) and taxonomy.Build.
 //
 // Algorithm 4 reduces K_X by deleting every Z ∈ K_Y for Y ∈ K_X. That
-// one-step rule is exact only on transitively closed rows: with the
+// one-step rule is exact only on transitively closed rows. With the
 // Section IV pruning active K is partially reduced, so an indirect
-// subsumee can sit two or more K-steps below a child, while a complete
-// EL prepass leaves K fully closed. Closing the rows once (closeRows)
-// makes every input the closed case, and the reduction becomes
+// subsumee can sit two or more K-steps below a child: closing K's rows
+// once (closeRows) makes every input the closed case. A saturation's rows
+// are closed already, so they skip the closure. The reduction is then
 // word-parallel row operations (directChildren) — the transitive
 // reduction the paper's example computes.
 //
-// Every pass over K works on whole 64-bit words, and a member is visited
-// on its own only where it is a mutual pair, a member to remap to its
-// class, or not yet covered. Phase 3 only reads s.K. It returns, with the
-// taxonomy, the hierarchy it passed to taxonomy.Build: the final
-// checkpoint stores that instead of K, so Adopt and a resume of the
-// finished run call Build on the same arguments and get the identical
-// taxonomy without phase 3.
-func (s *state) buildTaxonomy(p *pool, trace *Trace) (*taxonomy.Taxonomy, hierarchy, error) {
+// Every pass over the rows works on whole 64-bit words, and a member is
+// visited on its own only where it is a mutual pair, a member to remap to
+// its class, or not yet covered. It returns, with the taxonomy, the
+// hierarchy it passed to taxonomy.Build: the final checkpoint stores
+// that, so Adopt and a resume of the finished run call Build on the same
+// arguments and get the identical taxonomy without phase 3.
+func (s *state) buildTaxonomy(p *pool, up []*bitset.Set, trace *Trace) (*taxonomy.Taxonomy, hierarchy, error) {
 	n := s.n
 	start := time.Now()
-	kc, rep := s.contractRows()
+	var kc []*bitset.Set
+	if up != nil {
+		kc = s.downRows(up)
+	} else {
+		kc = s.loadK()
+	}
+	rep := contractRows(kc)
 	contracted := time.Since(start)
 
-	// The closure is sequential; it runs as one pool task so the trace
-	// charges it to phase 3 like the reduction that follows. The
-	// contraction before it is charged to the same record.
-	p.submit(func() time.Duration {
-		start := time.Now()
-		closeRows(kc)
-		return time.Since(start)
-	})
+	// K's closure is sequential; it runs as one pool task so the trace
+	// charges it to phase 3 like the reduction that follows. Loading or
+	// transposing the rows and the contraction are charged to the same
+	// record.
+	if up == nil {
+		p.submit(func() time.Duration {
+			start := time.Now()
+			closeRows(kc)
+			return time.Since(start)
+		})
+	}
 	c := p.barrier()
 	c.chargeOutside(contracted)
 	s.record(trace, PhaseHierarchy, 1, c)
@@ -89,21 +104,11 @@ func (s *state) buildTaxonomy(p *pool, trace *Trace) (*taxonomy.Taxonomy, hierar
 	return tax, hierarchy{class: rep, children: direct}, err
 }
 
-// contractRows loads K once and contracts its equivalence classes
-// (Algorithm 4's setEquivalentConcept). It returns the contracted rows,
-// non-nil exactly at each class's representative, and every concept's
-// representative. Unsatisfiable concepts go to ⊥ and take no further
-// part: their rows are nil and their bits are masked out of every other
-// row, a word at a time.
-//
-// A class is a set of concepts joined by mutual K membership, found from
-// 64×64 tile pairs (bitset.MutualPairs); union-find keeps the smallest
-// index as the root, so the classes and their representatives do not
-// depend on the order the pairs come in. When no class has two members,
-// the loaded rows are the contracted rows. Otherwise each
-// representative's row takes the OR of its members' rows, and the bits
-// of non-representatives move to their representatives.
-func (s *state) contractRows() (kc []*bitset.Set, rep []int) {
+// loadK loads K once into phase 3's plain rows. Unsatisfiable concepts
+// go to ⊥ and take no further part: their rows are nil and their bits
+// are masked out of every other row, a word at a time. No row holds its
+// own concept.
+func (s *state) loadK() []*bitset.Set {
 	n := s.n
 	unsat := bitset.New(n)
 	for x := 0; x < n; x++ {
@@ -112,7 +117,7 @@ func (s *state) contractRows() (kc []*bitset.Set, rep []int) {
 		}
 	}
 	masked := !unsat.IsEmpty()
-	kc = make([]*bitset.Set, n)
+	kc := make([]*bitset.Set, n)
 	for x := 0; x < n; x++ {
 		if unsat.Test(x) {
 			continue
@@ -124,7 +129,42 @@ func (s *state) contractRows() (kc []*bitset.Set, rep []int) {
 		row.Clear(x)
 		kc[x] = row
 	}
+	return kc
+}
 
+// downRows turns a complete fragment's saturation rows (up[x]: the
+// proven subsumers of x, with neither x, ⊤ nor an unsatisfiable concept
+// among them) into the rows loadK would load from the K that seed and
+// initSets would have built: row y holds every x proven x ⊑ y (one
+// blocked transpose), ⊤'s row every satisfiable concept but ⊤, and an
+// unsatisfiable concept's row is nil.
+func (s *state) downRows(up []*bitset.Set) []*bitset.Set {
+	kc := bitset.Transpose(up, s.n)
+	for x := range kc {
+		switch {
+		case s.satState[x].Load() == satNo:
+			kc[x] = nil
+		case x != s.top:
+			kc[s.top].Set(x)
+		}
+	}
+	return kc
+}
+
+// contractRows contracts the equivalence classes of phase 3's rows in
+// place (Algorithm 4's setEquivalentConcept): afterwards kc is non-nil
+// exactly at each class's representative, and it returns every concept's
+// representative. A nil row is an unsatisfiable concept's and stays out.
+//
+// A class is a set of concepts joined by mutual membership, found from
+// 64×64 tile pairs (bitset.MutualPairs); union-find keeps the smallest
+// index as the root, so the classes and their representatives do not
+// depend on the order the pairs come in. When no class has two members,
+// the rows are already contracted. Otherwise each representative's row
+// takes the OR of its members' rows, and the bits of non-representatives
+// move to their representatives.
+func contractRows(kc []*bitset.Set) (rep []int) {
+	n := len(kc)
 	rep = make([]int, n)
 	for i := range rep {
 		rep[i] = i
@@ -144,7 +184,7 @@ func (s *state) contractRows() (kc []*bitset.Set, rep []int) {
 		}
 	})
 	if !merged {
-		return kc, rep
+		return rep
 	}
 
 	// keep holds every index but the non-representatives, so a row's
@@ -169,7 +209,7 @@ func (s *state) contractRows() (kc []*bitset.Set, rep []int) {
 		}
 		row.Clear(r)
 	}
-	return kc, rep
+	return rep
 }
 
 // closeRows replaces every contracted row kc[x] with its transitive

@@ -283,7 +283,8 @@ func TestQuickPhase3MatchesPerBit(t *testing.T) {
 				}
 
 				wantKC, wantRep := refContract(s)
-				gotKC, gotRep := s.contractRows()
+				gotKC := s.loadK()
+				gotRep := contractRows(gotKC)
 				if !slices.Equal(gotRep, wantRep) {
 					t.Errorf("%s: representatives %v, want %v", name, gotRep, wantRep)
 					return false
@@ -313,7 +314,7 @@ func TestQuickPhase3MatchesPerBit(t *testing.T) {
 				want, wantErr := refBuildTaxonomy(s)
 				for _, workers := range []int{1, 3} {
 					p := newPool(workers, RoundRobin, &s.count.Steals)
-					got, h, err := s.buildTaxonomy(p, nil)
+					got, h, err := s.buildTaxonomy(p, nil, nil)
 					p.close()
 					if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 						t.Errorf("%s workers=%d: error %v, want %v", name, workers, err, wantErr)
@@ -391,14 +392,14 @@ func BenchmarkBuildTaxonomy(b *testing.B) {
 	s := newState(tb, r, true)
 	pool := newPool(runtime.GOMAXPROCS(0), RoundRobin, &s.count.Steals)
 	defer pool.close()
-	s.runPrepass(pool, pool.workers, true, nil, nil)
+	s.runPrepass(pool, pool.workers, newFragment(tb, pool.workers), nil, nil)
 	if rem := s.remainingPossible(); rem != 0 {
 		b.Fatalf("the prepass left %d possible pairs", rem)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.buildTaxonomy(pool, nil); err != nil {
+		if _, _, err := s.buildTaxonomy(pool, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -368,6 +368,11 @@ func TestPrepassCountersExample(t *testing.T) {
 	if got, want := on.Stats.PreSeeded, (n-1)+n*(n-1); got != want {
 		t.Errorf("PreSeeded = %d, want %d (every sat? probe and both directions of every pair)", got, want)
 	}
+	for _, res := range []*Result{on, off} {
+		if got, want := res.Trace.InitialPossible, n*(n-1)/2; got != want {
+			t.Errorf("InitialPossible = %d, want %d (every pair, ⊤'s included)", got, want)
+		}
+	}
 
 	partial := exampleTBox()
 	f := partial.Factory
@@ -375,6 +380,9 @@ func TestPrepassCountersExample(t *testing.T) {
 	off, offStats := run(partial, false)
 	on, onStats = run(partial, true)
 	same(on, off)
+	if got, want := on.Trace.InitialPossible, n*(n-1)/2; got != want {
+		t.Errorf("partial fragment: InitialPossible = %d, want %d", got, want)
+	}
 	if on.Stats.PreSeeded == 0 {
 		t.Error("PreSeeded = 0 on an ontology whose told hierarchy is EL")
 	}
@@ -576,14 +584,14 @@ func TestPrepassRowsMatchPerFact(t *testing.T) {
 		mixed.SubClassOf(mixed.Factory.Top(), cs[0])
 		mixed.EquivalentClasses(cs[1+rng.Intn(len(cs)-1)], cs[1+rng.Intn(len(cs)-1)])
 		for _, tb := range []*dl.TBox{mixed, randomELTBox(rng, 4+rng.Intn(60))} {
-			frag, cov := el.NewFragment(tb, el.Options{Workers: 2})
+			frag := newFragment(tb, 2)
 			for _, optimized := range []bool{true, false} {
 				got, want := newState(tb, nil, optimized), newState(tb, nil, optimized)
-				if err := got.seed(frag, cov.Complete()); err != nil {
+				if _, err := got.seed(frag); err != nil {
 					t.Fatal(err)
 				}
-				perFact(want, frag, cov.Complete())
-				name := fmt.Sprintf("seed %d %s optimized=%v complete=%v", seed, tb.Name, optimized, cov.Complete())
+				perFact(want, frag.Reasoner, frag.complete)
+				name := fmt.Sprintf("seed %d %s optimized=%v complete=%v", seed, tb.Name, optimized, frag.complete)
 				if g, w := got.count.PreSeeded.Load(), want.count.PreSeeded.Load(); g != w {
 					t.Fatalf("%s: PreSeeded %d, per-fact %d", name, g, w)
 				}

@@ -9,9 +9,28 @@ import (
 	"parowl/internal/reasoner"
 )
 
+// fragment is the EL prepass's input: a reasoner over the EL fragment of
+// the TBox, whether that fragment covers the whole TBox, and the time
+// el.NewFragment took, which the prepass's trace record charges. It is
+// built before P and K, so that a clean run with a complete fragment can
+// go without both (see seed).
+type fragment struct {
+	*el.Reasoner
+	complete bool
+	built    time.Duration
+}
+
+// newFragment normalizes the EL fragment of t for a prepass on workers
+// saturation workers.
+func newFragment(t *dl.TBox, workers int) *fragment {
+	start := time.Now()
+	r, cov := el.NewFragment(t, el.Options{Workers: workers})
+	return &fragment{Reasoner: r, complete: cov.Complete(), built: time.Since(start)}
+}
+
 // runPrepass runs the cheap-first subsumption pipeline's stages before
 // the random-division phase dispatches a single plug-in test: stage 1
-// (Options.ELPrepass, when seed is set) saturates the EL-expressible
+// (Options.ELPrepass, when frag is non-nil) saturates the EL-expressible
 // fragment of the TBox and writes its conclusions into the run's shared
 // state; a parallel sat?() sweep then settles every concept; and stage 2
 // (Options.ModelFilter, when rf is the plug-in's row filter) builds the
@@ -40,8 +59,12 @@ import (
 //  3. when the fragment is complete (el.Coverage.Complete) its saturation
 //     is exact for the whole TBox, so the prepass decides everything:
 //     every concept it did not prove unsatisfiable is satisfiable, and
-//     every pair it did not prove is a non-subsumption. P is emptied and
-//     no sat?, subs? or filter call follows;
+//     every pair it did not prove is a non-subsumption. No sat?, subs?
+//     or filter call follows. A clean run never built P and K for such a
+//     fragment: it counts what the paper's bookkeeping would have
+//     settled and returns the rows, which phase 3 turns into its input
+//     (see buildTaxonomy). A resumed run empties its restored P
+//     (decideRest);
 //  4. otherwise every concept whose satisfiability is still unknown gets
 //     its sat?() probe here, in parallel. The baseline runs sat?() exactly
 //     once per concept anyway, so this adds nothing — but it is required
@@ -55,20 +78,25 @@ import (
 // Every probe and directed test settled by stage 1 is counted in
 // Stats.PreSeeded. A prepass abandoned by context cancellation poisons
 // the run like any cancelled phase, before any row reaches K. The trace
-// records the whole prepass, row build included, as one PhasePrepass
-// cycle.
-func (s *state) runPrepass(p *pool, workers int, seed bool, rf reasoner.RowFilter, trace *Trace) {
-	start := time.Now()
-	if seed {
+// records the whole prepass, the fragment's normalization and the row
+// build included, as one PhasePrepass cycle. It returns the saturation's
+// rows on a run without P and K, and nil otherwise.
+func (s *state) runPrepass(p *pool, workers int, frag *fragment, rf reasoner.RowFilter, trace *Trace) []*bitset.Set {
+	var (
+		up      []*bitset.Set
+		seedDur time.Duration
+	)
+	if frag != nil {
+		start := time.Now()
 		s.prepassed = true
-		frag, cov := el.NewFragment(s.tbox, el.Options{Workers: workers})
-		if err := s.seed(frag, cov.Complete()); err != nil {
+		var err error
+		if up, err = s.seed(frag); err != nil {
 			// el saturation fails only on context cancellation.
 			s.fail(err)
-			return
+			return nil
 		}
+		seedDur = frag.built + time.Since(start)
 	}
-	seedDur := time.Since(start)
 
 	var unknowns []int
 	for x := 0; x < s.n; x++ {
@@ -90,11 +118,12 @@ func (s *state) runPrepass(p *pool, workers int, seed bool, rf reasoner.RowFilte
 		})
 	}
 	c := p.barrier()
-	c.chargeOutside(seedDur) // the sequential seeding
+	c.chargeOutside(seedDur) // the fragment and the sequential seeding
 	if rf != nil && !s.failed() && s.remainingPossible() > 0 {
 		c.merge(s.buildRows(p, rf))
 	}
 	s.record(trace, PhasePrepass, 1, c)
+	return up
 }
 
 // buildRows is stage 2's set-up, run once every concept's satisfiability
@@ -168,8 +197,11 @@ func advisory(call func()) (ok bool) {
 }
 
 // seed transfers the saturation of frag into the shared state: steps 1
-// to 3 of runPrepass. complete reports that frag covers the whole TBox.
-func (s *state) seed(frag *el.Reasoner, complete bool) error {
+// to 3 of runPrepass. On a run without P and K, which ClassifyContext
+// starts only for a complete fragment, it returns the saturation's rows
+// (rows[x] = the proven subsumers of x, unsatisfiable concepts masked
+// out, nil for an unsatisfiable x) instead of writing them into K.
+func (s *state) seed(frag *fragment) ([]*bitset.Set, error) {
 	rows := make([]*bitset.Set, s.n)
 	var unsat *bitset.Set // every satNo concept, once the last unsat is in
 	err := frag.Seeds(s.ctx, func(x int) {
@@ -191,15 +223,19 @@ func (s *state) seed(frag *el.Reasoner, complete bool) error {
 		}
 	})
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if s.K == nil {
+		s.decideFresh()
+		return rows, nil
 	}
 	bitset.OrTranspose(s.K, rows)
-	if complete {
+	if frag.complete {
 		s.decideRest()
 	} else {
 		s.claimProven(rows)
 	}
-	return nil
+	return nil, nil
 }
 
 // claimProven strips from P what a partial fragment proved, once rows
@@ -224,22 +260,47 @@ func (s *state) claimProven(rows []*bitset.Set) {
 	}
 }
 
-// decideRest resolves everything a complete fragment left unproven: its
-// saturation is the exact subsumption relation, so a concept not proven
-// unsatisfiable is satisfiable and a pair not proven is a
-// non-subsumption. K already holds every proven fact, so only the
-// bookkeeping remains: P empties, and each settled probe and directed
-// test counts as PreSeeded, two per pair in optimized mode.
+// decideRest resolves everything a complete fragment left unproven in a
+// resumed run's restored P: its saturation is the exact subsumption
+// relation, so a concept not proven unsatisfiable is satisfiable and a
+// pair not proven is a non-subsumption. K already holds every proven
+// fact, so only the bookkeeping remains: P empties, and each settled
+// probe and directed test counts as PreSeeded, two per pair in optimized
+// mode. A clean run settles the same tests with decideFresh.
 func (s *state) decideRest() {
-	perBit := int64(1)
-	if s.optimized {
-		perBit = 2
-	}
 	for x := 0; x < s.n; x++ {
 		if s.satState[x].CompareAndSwap(satUnknown, satYes) {
 			s.count.PreSeeded.Add(1)
 		}
-		s.count.PreSeeded.Add(perBit * int64(s.P[x].Count()))
+		s.count.PreSeeded.Add(s.testsPerBit() * int64(s.P[x].Count()))
 		s.P[x].ClearAll()
 	}
+}
+
+// decideFresh is decideRest for a clean run with a complete fragment,
+// which has no P: the P initSets would have built, after the prepass
+// marked the u unsatisfiable concepts, holds exactly the possible pairs
+// among the m = n − u satisfiable ones, ⊤ included. So the same tests
+// count from m alone: the m − 1 sat? probes left, and m(m − 1) directed
+// tests in optimized mode or (m − 1)² in basic mode.
+func (s *state) decideFresh() {
+	m := 0
+	for x := range s.satState {
+		if s.satState[x].CompareAndSwap(satUnknown, satYes) {
+			s.count.PreSeeded.Add(1)
+		}
+		if s.satState[x].Load() == satYes {
+			m++
+		}
+	}
+	s.count.PreSeeded.Add(s.testsPerBit() * s.possibleAmong(m))
+}
+
+// testsPerBit is the number of directed tests one P bit stands for: a
+// pair's two in optimized mode, one in basic mode.
+func (s *state) testsPerBit() int64 {
+	if s.optimized {
+		return 2
+	}
+	return 1
 }

@@ -155,8 +155,9 @@ func (s *state) charge(start time.Time, virtual time.Duration) time.Duration {
 type classError struct{ err error }
 
 // stateFor returns the state of a run over t without its P and K sets:
-// a restored snapshot supplies them (restoreSnapshot), and initSets
-// builds a fresh run's.
+// a restored snapshot supplies them (restoreSnapshot), initSets builds a
+// fresh run's, and a clean run with a complete EL fragment needs none
+// (see seed). ⊤ is satisfiable from the start.
 func stateFor(t *dl.TBox, r reasoner.Interface, optimized bool) *state {
 	named := conceptsOf(t)
 	n := len(named)
@@ -175,6 +176,7 @@ func stateFor(t *dl.TBox, r reasoner.Interface, optimized bool) *state {
 	for i, c := range s.named {
 		s.index[c] = i
 	}
+	s.satState[s.top].Store(satYes)
 	return s
 }
 
@@ -214,8 +216,18 @@ func (s *state) initSets() {
 	// and is decided by a test: in basic mode it is the pair entry
 	// (X, ⊤), in optimized mode the single stored pair {X, ⊤} keeps both
 	// directions alive.
-	s.satState[s.top].Store(satYes)
 	s.K[s.top].FillRange(0, n-1)
+}
+
+// possibleAmong is the number of possible pairs initSets leaves among m
+// concepts, ⊤ included: each unordered pair once in optimized mode, and
+// in basic mode every directed entry but those of P_⊤, which starts
+// empty. For m = n it is a fresh run's |R_O|.
+func (s *state) possibleAmong(m int) int64 {
+	if s.optimized {
+		return int64(m) * int64(m-1) / 2
+	}
+	return int64(m-1) * int64(m-1)
 }
 
 // fail records the first error and poisons the run.
@@ -268,15 +280,17 @@ func (s *state) sat(x int) bool {
 
 // markUnsat records x as unsatisfiable unless its state is already
 // decided, and reports whether it did. x ≡ ⊥, so P_x empties and x
-// leaves every other P: no subsumption test involving x is ever needed.
+// leaves every other P (a run without P has none to leave): no
+// subsumption test involving x is ever needed.
 func (s *state) markUnsat(x int) bool {
 	if !s.satState[x].CompareAndSwap(satUnknown, satNo) {
 		return false
 	}
-	s.P[x].ClearAll()
-	for y := 0; y < s.n; y++ {
-		if y != x {
-			s.P[y].Clear(x)
+	for y, py := range s.P {
+		if y == x {
+			py.ClearAll()
+		} else {
+			py.Clear(x)
 		}
 	}
 	return true

@@ -97,12 +97,15 @@ func (c *Chaos) Unwrap() Interface { return c.r }
 func (c *Chaos) Calls() uint64 { return c.seq.Load() }
 
 // inject runs the fault draw for one call, hashing (seed, seq) with the
-// package's splitmix64 (oracle.go) so schedules are deterministic. It returns a non-nil error for
-// an injected error, panics for an injected panic, blocks for an injected
-// hang, and returns nil when the real call should proceed.
+// package's splitmix64 (oracle.go) so schedules are deterministic. The
+// call number is hashed before the seed is mixed in, as pairHash does:
+// hashing seed ^ seq would make seed s's schedule seed 0's with every
+// call number XORed by s. It returns a non-nil error for an injected
+// error, panics for an injected panic, blocks for an injected hang, and
+// returns nil when the real call should proceed.
 func (c *Chaos) inject(ctx context.Context, what string) error {
 	seq := c.seq.Add(1)
-	h := splitmix64(uint64(c.opts.Seed) ^ seq)
+	h := splitmix64(uint64(c.opts.Seed) ^ splitmix64(seq))
 	if c.opts.Slow > 0 {
 		t := time.NewTimer(c.opts.Slow)
 		select {

@@ -75,6 +75,41 @@ func TestChaosDeterministic(t *testing.T) {
 	}
 }
 
+// TestChaosSeedsIndependent checks that seeds give independent fault
+// schedules: over 4,096 calls at a fixed error rate, the schedule of no
+// seed from 1 to 15 is seed 0's with every call number XORed by the
+// seed, which is what hashing seed ^ call number gave.
+func TestChaosSeedsIndependent(t *testing.T) {
+	const calls = 4096
+	faults := func(seed int64) map[uint64]bool {
+		fx := newOracleFixture()
+		c := NewChaos(fx.r, ChaosOptions{Seed: seed, ErrRate: 0.02})
+		out := map[uint64]bool{}
+		for i := uint64(1); i <= calls; i++ {
+			if _, err := c.Subs(context.Background(), fx.a, fx.b); errors.Is(err, ErrInjected) {
+				out[i] = true
+			}
+		}
+		return out
+	}
+	base := faults(0)
+	if len(base) == 0 {
+		t.Fatal("seed 0 injected no fault")
+	}
+	for seed := uint64(1); seed <= 15; seed++ {
+		got := faults(int64(seed))
+		permuted := true
+		for i := uint64(1); i <= calls && permuted; i++ {
+			if j := i ^ seed; j >= 1 && j <= calls {
+				permuted = got[i] == base[j]
+			}
+		}
+		if permuted {
+			t.Errorf("seed %d's fault schedule is seed 0's with call numbers XORed by %d", seed, seed)
+		}
+	}
+}
+
 func TestChaosZeroRatesIsTransparent(t *testing.T) {
 	fx := newOracleFixture()
 	c := NewChaos(fx.r, ChaosOptions{Seed: 1})

@@ -46,10 +46,13 @@ go test -race -count=10 -run 'TestPrepassCountersExample|TestNewStateFill|TestPr
 step "counter record: cycle deltas sum to Stats under both policies, checkpoint counter layout, per-task tallies settle every pair once, virtual charges, word-parallel pruning vs the per-bit reference and from concurrent workers; EL queries refuse foreign concepts (-race -count=3)"
 go test -race -count=3 -run 'TestStatsAndPruning|TestCheckpointCounterLayout|TestPairAccounting|TestOracleChargesVirtualCost|TestQuickPruneMatchesPerBit|TestConcurrentPrunesKeepReachability' ./internal/core/
 go test -race -count=3 -run 'TestQueriesRefuseForeignConcepts' ./internal/el/
-step "phase 3: word-parallel contraction, closure and reduction vs the per-bit reference; tile-pair and NextAndNot helpers; taxonomy.Build's classes, ⊥ and node IDs (-race -count=3)"
+step "phase 3: word-parallel contraction, closure and reduction vs the per-bit reference; tile-pair, transpose and NextAndNot helpers; taxonomy.Build's classes, ⊥ and node IDs (-race -count=3)"
 go test -race -count=3 -run 'TestQuickPhase3MatchesPerBit|TestWorkerLoadsRecorded' ./internal/core/
-go test -race -count=3 -run 'TestMutualPairsMatchesPerBit|TestNextAndNotMatchesPerBit' ./internal/bitset/
+go test -race -count=3 -run 'TestMutualPairsMatchesPerBit|TestNextAndNotMatchesPerBit|TestTransposeMatchesPerBit' ./internal/bitset/
 go test -race -count=3 -run 'TestQuickFromSubsumersInvariants' ./internal/taxonomy/
+step "complete EL fragments classified from the saturation's rows, without P and K, against the K path, brute force and el.ClassifyContext; chaos seeds give independent fault schedules (-race)"
+go test -race -count=1 -timeout 10m -run 'TestQuickCompleteFragmentPath' ./internal/core/
+go test -race -count=1 -timeout 5m -run 'TestChaosSeedsIndependent' ./internal/reasoner/
 step "cheap-first pipeline equivalence suite, brute force included (-race)"
 go test -race -count=1 -run 'TestQuickPipelineEquivalence|TestPipelineEquivalenceOntogen|TestPipelineReducesCalls|TestPrepassFragmentUnsatConcept|TestQuickMatchesBruteForce' ./internal/core/
 step "model-filter rows: rows vs pairwise merges, panicking and cancelled row builds (-race -count=3)"
